@@ -60,6 +60,7 @@ from .quantization import (
     quantized_forward,
     quantized_forward_batch,
 )
+from .tensor import QTensor
 from .training import TrainConfig, evaluate, fine_tune, train
 
 KNOWN_OPS = ("static-quant", "dynamic-quant", "l1-prune", "l2-prune", "qat")
@@ -194,7 +195,8 @@ def _forward_fn(model_or_q):
 def _prune_quantized(qmodel: QuantizedModel, spec: PruneSpec) -> tuple[QuantizedModel, int]:
     """Mask int8 weights to zero; no fine-tuning is possible after quantization.
 
-    Returns the model and the number of weights removed.
+    Returns a new model built from masked copies of the payloads (the input
+    is left as it was) and the number of weights removed.
     """
     shadow = TransformerModel(
         config=qmodel.config,
@@ -203,10 +205,27 @@ def _prune_quantized(qmodel: QuantizedModel, spec: PruneSpec) -> tuple[Quantized
     indices = select_prune_set(
         {n: s for n, s in score_weights(shadow, spec.method).items()}, spec
     )
+    weights = dict(qmodel.weights)
     for name, idx in indices.items():
-        flat = qmodel.weights[name].data.ravel()
-        flat[idx] = 0
-    return qmodel, int(sum(len(i) for i in indices.values()))
+        q = qmodel.weights[name]
+        data = q.data.copy()
+        data.reshape(-1)[idx] = 0
+        weights[name] = QTensor(data, q.scale, q.zero_point, q.channel_axis)
+    return replace(qmodel, weights=weights), int(sum(len(i) for i in indices.values()))
+
+
+def _sparsity(model_or_q) -> float:
+    """Zero fraction over the prunable pools, as ``pruning.sparsity`` counts it.
+
+    A quantized model is counted on its int8 payloads, so weights that round
+    to zero count as well as pruned ones.
+    """
+    if isinstance(model_or_q, QuantizedModel):
+        model_or_q = TransformerModel(
+            config=model_or_q.config,
+            params={name: q.data for name, q in model_or_q.weights.items()},
+        )
+    return model_sparsity(model_or_q)
 
 
 def _apply_pipeline(
@@ -324,7 +343,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
         stats["time_s"].append(base_time)
         stats["mem"].append(payload_bytes(model))
         stats["flops_g"].append(_flops_g(model))
-        stats["sparsity"].append(model_sparsity(model))
+        stats["sparsity"].append(_sparsity(model))
         stats["energy_factor"].append(1.0)
 
         for pipeline in config.optimizations:
@@ -343,9 +362,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
             stats["time_s"].append(opt_time)
             stats["mem"].append(payload_bytes(optimized))
             stats["flops_g"].append(_flops_g(optimized))
-            stats["sparsity"].append(
-                model_sparsity(optimized) if not isinstance(optimized, QuantizedModel) else 0.0
-            )
+            stats["sparsity"].append(_sparsity(optimized))
             stats["energy_factor"].append(energy_factor)
 
     base_acc = ci95(per_cfg["baseline"]["acc"]).mean

@@ -6,12 +6,18 @@ fixes activation ranges from calibration observers; dynamic mode derives a
 symmetric scale from each activation block at call time. Normalization,
 softmax, and residual adds always run in float; only the weight-bearing
 matmuls are integerized.
+
+A ``QuantizedModel`` packs its int8 weights once, on first use: each weight
+matrix is laid out for ``quantized_linear`` (wq, wk and wv fused into one
+matrix) and every vector is dequantized. Inference then makes one
+``quantized_linear`` call per weight-bearing site.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,19 +26,20 @@ from .model import (
     ModelConfig,
     TransformerModel,
     _merge_heads,
-    _split_heads,
     forward_batch,
     positional_encoding,
 )
 from .tensor import (
     INT8_MAX,
     INT8_MIN,
+    PackedWeight,
     QTensor,
     dequantize_linear,
     im2col_batch,
-    int8_matmul,
     layer_norm,
+    pack_weight,
     quantize_linear,
+    quantized_linear,
     relu,
     round_half_away,
     softmax,
@@ -147,13 +154,66 @@ def quantize_weight(arr: np.ndarray) -> QTensor:
 
 @dataclass
 class QuantizedModel:
+    """Int8 weights plus, in static mode, the calibrated activation maps.
+
+    The weights must not be modified once the model has run: inference reads
+    ``pack``, which is derived from them once. Build a new model instead.
+    """
+
     config: ModelConfig
     weights: dict[str, QTensor]
     mode: str                                   # static | dynamic
     act_qparams: dict[str, tuple[float, int]] | None = None
 
+    @cached_property
+    def pack(self) -> dict[str, PackedWeight | np.ndarray]:
+        """The weights laid out for inference (see ``_pack``), built on first use.
+
+        Built lazily rather than at construction: a model that is only saved
+        (or only inspected) never holds the float copies of its weights.
+        """
+        return _pack(self.config, self.weights)
+
     def dequantized_param(self, name: str) -> np.ndarray:
         return dequantize_linear(self.weights[name])
+
+
+def _pack(config: ModelConfig, weights: dict[str, QTensor]) -> dict:
+    """Everything inference needs from the int8 weights, laid out once.
+
+    Weight matrices become ``PackedWeight``s under their own names: the conv
+    kernel as its [C*k, d] matmul, and each layer's wq, wk and wv fused into
+    one [d, 3a] ``attn.wqkv`` with its biases concatenated as ``attn.bqkv``.
+    Every vector (biases, norm gains and betas) is dequantized.
+    """
+    pack: dict = {
+        name: dequantize_linear(q) for name, q in weights.items() if q.data.ndim == 1
+    }
+    conv = weights["patch_embed.weight"]
+    # conv kernel was quantized per output channel on axis 0; as a matmul the
+    # channel axis becomes the column axis
+    pack["patch_embed.weight"] = pack_weight(
+        QTensor(
+            np.ascontiguousarray(conv.data.reshape(conv.data.shape[0], -1).T),
+            conv.scale,
+            0,
+            channel_axis=1,
+        )
+    )
+    for l in range(config.num_layers):
+        pre = f"layers.{l}."
+        qkv = [pack_weight(weights[pre + f"attn.w{p}"]) for p in "qkv"]
+        pack[pre + "attn.wqkv"] = PackedWeight(
+            np.concatenate([w.data for w in qkv], axis=1),
+            np.concatenate([w.scale for w in qkv]),
+        )
+        pack[pre + "attn.bqkv"] = np.concatenate(
+            [pack.pop(pre + f"attn.b{p}") for p in "qkv"]
+        )
+        for name in ("attn.wo", "ffn.w1", "ffn.w2"):
+            pack[pre + name] = pack_weight(weights[pre + name])
+    pack["classifier.weight"] = pack_weight(weights["classifier.weight"])
+    return pack
 
 
 def quantize_static(
@@ -194,69 +254,46 @@ def _dynamic_qparams(x: np.ndarray) -> tuple[float, int]:
 def quantized_forward_batch(qmodel: QuantizedModel, xs: np.ndarray) -> np.ndarray:
     """Int8 inference for a [B, C, T] batch.
 
-    Every weight-bearing matmul quantizes its input (calibrated affine map in
-    static mode, per-call symmetric scale in dynamic mode), runs int8_matmul,
-    and dequantizes; the float bias is added afterwards. Attention scores,
-    softmax, norms, pooling, and residual adds stay in float.
+    Every weight-bearing site is one ``quantized_linear`` call on the packed
+    weights: it quantizes its input (calibrated affine map in static mode,
+    per-call symmetric scale in dynamic mode), runs the exact integer GEMM,
+    rescales to float32 and adds the dequantized bias. The Q/K/V projections
+    share one call. Attention scores, softmax, norms, pooling, and residual
+    adds stay in float.
     """
     cfg = qmodel.config
-    w = qmodel.weights
+    pack = qmodel.pack
 
-    def qparams(site, activation):
+    def linear(site, activation, weight_name, bias_name):
         if qmodel.mode == "static":
-            return qmodel.act_qparams[site]
-        return _dynamic_qparams(activation)
+            scale, zp = qmodel.act_qparams[site]
+        else:
+            scale, zp = _dynamic_qparams(activation)
+        return quantized_linear(activation, scale, zp, pack[weight_name], pack[bias_name])
 
-    def qmm(site, activation, weight_name):
-        flat = activation.reshape(-1, activation.shape[-1])
-        scale, zp = qparams(site, activation)
-        q = quantize_linear(flat, scale, zp)
-        out = int8_matmul(q, w[weight_name])
-        return out.reshape(*activation.shape[:-1], -1)
-
-    def param(name):
-        return dequantize_linear(w[name])
-
-    b = xs.shape[0]
     cols = im2col_batch(xs, cfg.patch_size, cfg.patch_stride)
-    wq_conv = w["patch_embed.weight"]
-    # conv kernel was quantized per output channel on axis 0; as a matmul the
-    # channel axis becomes the column axis
-    conv2d = QTensor(
-        np.ascontiguousarray(wq_conv.data.reshape(wq_conv.data.shape[0], -1).T),
-        wq_conv.scale,
-        0,
-        channel_axis=1,
-    )
-    scale, zp = qparams("embed.in", cols)
-    q_cols = quantize_linear(cols.reshape(-1, cols.shape[-1]), scale, zp)
-    h = int8_matmul(q_cols, conv2d).reshape(b, cfg.num_patches, cfg.model_dim)
-    h = h + param("patch_embed.bias")
-    h = h + positional_encoding(cfg.num_patches, cfg.model_dim)
+    h = linear("embed.in", cols, "patch_embed.weight", "patch_embed.bias")
+    h += positional_encoding(cfg.num_patches, cfg.model_dim)
 
     for l in range(cfg.num_layers):
         pre = f"layers.{l}."
         heads = cfg.heads_at(l)
-        n1 = layer_norm(h, param(pre + "norm1.gamma"), param(pre + "norm1.beta"))
-        site = f"layers.{l}.attn.qkv.in"
-        q = _split_heads(qmm(site, n1, pre + "attn.wq") + param(pre + "attn.bq"), heads)
-        k = _split_heads(qmm(site, n1, pre + "attn.wk") + param(pre + "attn.bk"), heads)
-        v = _split_heads(qmm(site, n1, pre + "attn.wv") + param(pre + "attn.bv"), heads)
+        n1 = layer_norm(h, pack[pre + "norm1.gamma"], pack[pre + "norm1.beta"])
+        qkv = linear(pre + "attn.qkv.in", n1, pre + "attn.wqkv", pre + "attn.bqkv")
+        # [B, P, 3a] -> three [B, H, P, dh] views
+        q, k, v = qkv.reshape(*qkv.shape[:2], 3, heads, -1).transpose(2, 0, 3, 1, 4)
         weights_f = softmax(
             np.matmul(q, k.swapaxes(-1, -2)) / math.sqrt(q.shape[-1]), axis=-1
         )
         ctx = _merge_heads(np.matmul(weights_f, v))
-        attn = qmm(f"layers.{l}.attn.proj.in", ctx, pre + "attn.wo") + param(pre + "attn.bo")
-        h = h + attn
+        h += linear(pre + "attn.proj.in", ctx, pre + "attn.wo", pre + "attn.bo")
 
-        n2 = layer_norm(h, param(pre + "norm2.gamma"), param(pre + "norm2.beta"))
-        mid = relu(qmm(f"layers.{l}.ffn.in", n2, pre + "ffn.w1") + param(pre + "ffn.b1"))
-        ffn = qmm(f"layers.{l}.ffn.mid.in", mid, pre + "ffn.w2") + param(pre + "ffn.b2")
-        h = h + ffn
+        n2 = layer_norm(h, pack[pre + "norm2.gamma"], pack[pre + "norm2.beta"])
+        mid = relu(linear(pre + "ffn.in", n2, pre + "ffn.w1", pre + "ffn.b1"))
+        h += linear(pre + "ffn.mid.in", mid, pre + "ffn.w2", pre + "ffn.b2")
 
     pooled = h.mean(axis=1)
-    logits = qmm("classifier.in", pooled, "classifier.weight") + param("classifier.bias")
-    return logits
+    return linear("classifier.in", pooled, "classifier.weight", "classifier.bias")
 
 
 def quantized_forward(qmodel: QuantizedModel, x: np.ndarray) -> np.ndarray:

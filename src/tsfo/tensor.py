@@ -21,6 +21,10 @@ INT8_MAX = 127
 # K * 127^2 must stay below 2^31 so an int32 accumulator cannot overflow.
 MAX_ACCUM_K = (2**31) // (INT8_MAX * INT8_MAX)
 
+# An activation quantized with its zero point folded into the clamp,
+# clip(r, -128 - z, 127 - z) = q - z, lies in [-255, 255].
+FOLDED_ACT_MAX = INT8_MAX - INT8_MIN
+
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """Deterministic PCG64 generator: identical seed, identical stream."""
@@ -199,13 +203,26 @@ def dequantize_linear(q: QTensor) -> np.ndarray:
     return ((q.data.astype(np.float32) - q.zero_point) * s).astype(np.float32)
 
 
+def _exact_dtype(k: int, a_max: int, b_max: int):
+    """Float type whose GEMM of integer-valued operands is exact.
+
+    With |a| <= a_max and |b| <= b_max, every product and partial sum of a
+    K-term dot product is an integer of magnitude at most K * a_max * b_max.
+    Below 2^24 (the float32 significand) float32 holds them all exactly, in
+    whatever order the BLAS sums; otherwise float64 does, since callers keep
+    K within MAX_ACCUM_K.
+    """
+    return np.float32 if k * a_max * b_max < 2**24 else np.float64
+
+
 def int8_matmul(a: QTensor, b: QTensor) -> np.ndarray:
     """Integer matmul of quantized operands, returned in real units.
 
-    Accumulation is exact: products of int8 values are below 2^14, so partial
-    sums of up to MAX_ACCUM_K terms are integers well under 2^53 and a float64
-    GEMM reproduces int32 accumulation bit-exactly (and much faster than a
-    naive integer loop). Zero-point corrections are applied before scaling.
+    Accumulation is exact: the zero points are subtracted from the payloads
+    before the GEMM, and ``_exact_dtype`` picks a float type in which every
+    partial sum of up to MAX_ACCUM_K terms is an exact integer, so the result
+    reproduces int32 accumulation bit for bit (and is much faster than a
+    naive integer loop).
 
     b may carry a per-output-channel scale (channel_axis == 1).
     """
@@ -224,16 +241,79 @@ def int8_matmul(a: QTensor, b: QTensor) -> np.ndarray:
     if b.channel_axis not in (None, 1):
         raise InputError("right operand scale must be per-tensor or per-column")
 
-    a64 = a.data.astype(np.float64)
-    b64 = b.data.astype(np.float64)
-    acc = a64 @ b64
-    if a.zero_point:
-        acc -= a.zero_point * b64.sum(axis=0, keepdims=True)
-    if b.zero_point:
-        acc -= b.zero_point * a64.sum(axis=1, keepdims=True)
-    if a.zero_point and b.zero_point:
-        acc += k * a.zero_point * b.zero_point
+    # |q - z| <= 255 for any int8 payload q and zero point z
+    dtype = _exact_dtype(k, FOLDED_ACT_MAX, FOLDED_ACT_MAX)
+    acc = (a.data.astype(dtype) - a.zero_point) @ (b.data.astype(dtype) - b.zero_point)
 
     s_a = float(a.scale)
     s_b = b.scale if b.scale.ndim else float(b.scale)
-    return (acc * (s_a * np.asarray(s_b, dtype=np.float64))).astype(np.float32)
+    # dtype keeps the rescale in float64 when acc is float32 and s_b a scalar
+    rescaled = np.multiply(acc, s_a * np.asarray(s_b, dtype=np.float64), dtype=np.float64)
+    return rescaled.astype(np.float32)
+
+
+@dataclass(frozen=True)
+class PackedWeight:
+    """An int8 weight laid out once for ``quantized_linear``.
+
+    ``data`` is the [K, N] integer payload, stored as float32 when a float32
+    GEMM against zero-point-folded activations is exact (``_exact_dtype``)
+    and as float64 otherwise; ``scale`` is the [N] per-column scale in
+    float64.
+    """
+
+    data: np.ndarray
+    scale: np.ndarray
+
+
+def pack_weight(w: QTensor) -> PackedWeight:
+    """Pack a symmetric rank-2 weight, per tensor or per column, for quantized_linear."""
+    if w.data.ndim != 2:
+        raise ShapeError(f"pack_weight expects a rank-2 weight, got {w.data.shape}")
+    if w.zero_point != 0 or w.channel_axis not in (None, 1):
+        raise InputError("packed weights must be symmetric, per tensor or per column")
+    k, n = w.data.shape
+    if k > MAX_ACCUM_K:
+        raise CapacityError(
+            f"K={k} exceeds the int32 accumulator bound ({MAX_ACCUM_K})"
+        )
+    # measured rather than assumed to be 127: a loaded payload may hold -128
+    b_max = int(np.abs(w.data.astype(np.int16)).max(initial=0))
+    data = w.data.astype(_exact_dtype(k, FOLDED_ACT_MAX, b_max))
+    scale = np.broadcast_to(w.scale.astype(np.float64), (n,)).copy()
+    return PackedWeight(data, scale)
+
+
+def quantized_linear(
+    x: np.ndarray,
+    scale,
+    zero_point: int,
+    packed: PackedWeight,
+    bias: np.ndarray,
+) -> np.ndarray:
+    """``x @ W + bias`` in float32, with x quantized per tensor and W packed int8.
+
+    Bit-identical to ``quantize_linear`` -> ``int8_matmul`` -> ``+ bias``:
+    x is divided in float64 by the float32-rounded scale and rounded half
+    away from zero, exactly as ``quantize_linear`` does. The zero point is
+    folded into the clamp bounds, clip(r, -128 - z, 127 - z) = q - z, so the
+    GEMM needs no zero-point correction. x may carry leading batch axes.
+    """
+    s = np.float32(scale)
+    if not s > 0:
+        raise InputError("scale must be positive")
+    if not INT8_MIN <= zero_point <= INT8_MAX:
+        raise InputError(f"zero_point {zero_point} outside int8 range")
+    lead = x.shape[:-1]
+    q = round_half_away(np.divide(x.reshape(-1, x.shape[-1]), s, dtype=np.float64))
+    # np.maximum/np.minimum rather than np.clip, whose Python-level dispatch
+    # costs more than the clamp itself at single-instance sizes
+    np.maximum(q, INT8_MIN - zero_point, out=q)
+    np.minimum(q, INT8_MAX - zero_point, out=q)
+    acc = q.astype(packed.data.dtype, copy=False) @ packed.data
+    # the rescale runs in float64 and rounds once into the float32 output
+    out = np.multiply(
+        acc, float(s) * packed.scale, out=np.empty(acc.shape, np.float32), casting="unsafe"
+    )
+    out += bias
+    return out.reshape(*lead, -1)

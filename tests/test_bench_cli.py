@@ -6,13 +6,21 @@ import pytest
 
 from tsfo.bench import (
     ExperimentConfig,
+    _apply_pipeline,
+    _model_config,
+    _prune_quantized,
     emit_report,
     load_reports,
     measure_inference_seconds,
     run_experiment,
 )
 from tsfo.cli import EXIT_CONFIG, EXIT_DATA, main
+from tsfo.data import subject_wise_split, synth_generate
 from tsfo.errors import ConfigError
+from tsfo.model import build_model
+from tsfo.pruning import PruneSpec
+from tsfo.quantization import QuantizedModel, quantized_forward_batch
+from tsfo.tensor import QTensor
 from tsfo.metrics import TIME_DERIVED_FIELDS
 
 
@@ -119,6 +127,49 @@ class TestRunExperiment:
         assert forward_order.modeled_energy_j == pytest.approx(
             reverse_order.modeled_energy_j, rel=1e-6
         )
+        # quantized rows count zeros in their int8 payloads
+        assert forward_order.sparsity >= config.sparsity
+        assert reverse_order.sparsity >= config.sparsity
+
+
+class TestPrunedQuantized:
+    def setup_method(self):
+        ds = synth_generate(3, 10, 96, 0.05, seed=4)
+        self.train_ds, self.test_ds = subject_wise_split(ds, 0.7, 4)
+        self.config = quick_config("unused")
+        self.baseline = build_model(_model_config(self.config, ds), 4)
+
+    def pipeline(self, ops):
+        qmodel, _ = _apply_pipeline(ops, self.baseline, self.train_ds, self.config, 4)
+        return qmodel
+
+    def test_pipeline_forward_matches_fresh_model(self):
+        pruned = self.pipeline(["static-quant", "l1-prune"])
+        unpruned = self.pipeline(["static-quant"])
+        fresh = QuantizedModel(
+            pruned.config,
+            {
+                name: QTensor(q.data.copy(), q.scale, q.zero_point, q.channel_axis)
+                for name, q in pruned.weights.items()
+            },
+            pruned.mode,
+            pruned.act_qparams,
+        )
+        xs = self.test_ds.instances
+        got = quantized_forward_batch(pruned, xs)
+        assert np.array_equal(got, quantized_forward_batch(fresh, xs))
+        assert not np.array_equal(got, quantized_forward_batch(unpruned, xs))
+
+    def test_prune_leaves_served_model_unchanged(self):
+        qmodel = self.pipeline(["static-quant"])
+        xs = self.test_ds.instances
+        before = quantized_forward_batch(qmodel, xs)
+        payloads = {name: q.data.copy() for name, q in qmodel.weights.items()}
+        pruned, removed = _prune_quantized(qmodel, PruneSpec("l1", "weight", "global", 0.5))
+        assert removed > 0
+        assert all(np.array_equal(qmodel.weights[n].data, d) for n, d in payloads.items())
+        assert np.array_equal(quantized_forward_batch(qmodel, xs), before)
+        assert not np.array_equal(quantized_forward_batch(pruned, xs), before)
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,18 @@ from tsfo.quantization import (
     scale_table_bytes,
     scale_zero_point,
 )
-from tsfo.tensor import dequantize_linear, seeded_rng
+from tsfo.model import positional_encoding
+from tsfo.tensor import (
+    QTensor,
+    dequantize_linear,
+    im2col_batch,
+    int8_matmul,
+    layer_norm,
+    quantize_linear,
+    relu,
+    seeded_rng,
+    softmax,
+)
 from tsfo.training import TrainConfig, train
 
 
@@ -309,3 +322,80 @@ class TestEnergyAndMemory:
         file_payload = sum(arr.nbytes for arr, _ in tensors.values())
         assert file_payload == payload_bytes(qm)
         assert quantized_memory(qm) == payload_bytes(qm) + scale_table_bytes(qm)
+
+
+def per_site_reference(qmodel, xs):
+    """Int8 inference composed site by site from the public tensor ops.
+
+    Every weight-bearing matmul quantizes its input, runs ``int8_matmul``
+    against the stored int8 weight, dequantizes and adds the dequantized
+    bias; Q, K and V are three separate sites. The packed forward must match
+    this bit for bit.
+    """
+    cfg = qmodel.config
+    w = qmodel.weights
+
+    def param(name):
+        return dequantize_linear(w[name])
+
+    def qmm(site, x, weight):
+        if qmodel.mode == "static":
+            scale, zp = qmodel.act_qparams[site]
+        else:
+            scale, zp = max(float(np.abs(x).max()), 1e-8) / 127.0, 0
+        q = quantize_linear(x.reshape(-1, x.shape[-1]), scale, zp)
+        return int8_matmul(q, weight).reshape(*x.shape[:-1], -1)
+
+    def heads(x, n):
+        b, p, a = x.shape
+        return x.reshape(b, p, n, a // n).transpose(0, 2, 1, 3)
+
+    conv = w["patch_embed.weight"]
+    conv2d = QTensor(
+        np.ascontiguousarray(conv.data.reshape(conv.data.shape[0], -1).T),
+        conv.scale, 0, channel_axis=1,
+    )
+    cols = im2col_batch(xs, cfg.patch_size, cfg.patch_stride)
+    h = qmm("embed.in", cols, conv2d) + param("patch_embed.bias")
+    h = h + positional_encoding(cfg.num_patches, cfg.model_dim)
+    for l in range(cfg.num_layers):
+        pre = f"layers.{l}."
+        n = cfg.heads_at(l)
+        n1 = layer_norm(h, param(pre + "norm1.gamma"), param(pre + "norm1.beta"))
+        site = pre + "attn.qkv.in"
+        q = heads(qmm(site, n1, w[pre + "attn.wq"]) + param(pre + "attn.bq"), n)
+        k = heads(qmm(site, n1, w[pre + "attn.wk"]) + param(pre + "attn.bk"), n)
+        v = heads(qmm(site, n1, w[pre + "attn.wv"]) + param(pre + "attn.bv"), n)
+        att = softmax(np.matmul(q, k.swapaxes(-1, -2)) / math.sqrt(q.shape[-1]), axis=-1)
+        ctx = np.matmul(att, v).transpose(0, 2, 1, 3)
+        ctx = np.ascontiguousarray(ctx).reshape(*ctx.shape[:2], -1)
+        h = h + (qmm(pre + "attn.proj.in", ctx, w[pre + "attn.wo"]) + param(pre + "attn.bo"))
+        n2 = layer_norm(h, param(pre + "norm2.gamma"), param(pre + "norm2.beta"))
+        mid = relu(qmm(pre + "ffn.in", n2, w[pre + "ffn.w1"]) + param(pre + "ffn.b1"))
+        h = h + (qmm(pre + "ffn.mid.in", mid, w[pre + "ffn.w2"]) + param(pre + "ffn.b2"))
+    pooled = h.mean(axis=1)
+    return qmm("classifier.in", pooled, w["classifier.weight"]) + param("classifier.bias")
+
+
+class TestPackedInference:
+    # ffn_dim 576: the FFN down-projection has K = 576, past the float32
+    # exactness bound, so its packed weight takes the float64 path
+    @pytest.mark.parametrize("cfg", [small_config(), small_config(ffn_dim=576)])
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_bit_identical_to_per_site_reference(self, cfg, mode, batch):
+        m = build_model(cfg, 21)
+        xs = seeded_rng(22).normal(size=(batch, 1, 16)).astype(np.float32) * 2
+        if mode == "static":
+            calib = seeded_rng(23).normal(size=(16, 1, 16)).astype(np.float32)
+            qm = quantize_static(m, calibrate(m, calib))
+        else:
+            qm = quantize_dynamic(m)
+        got = quantized_forward_batch(qm, xs)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, per_site_reference(qm, xs))
+
+    def test_float64_fallback_engaged(self):
+        qm = quantize_dynamic(build_model(small_config(ffn_dim=576), 24))
+        assert qm.pack["layers.0.ffn.w2"].data.dtype == np.float64
+        assert qm.pack["layers.0.ffn.w1"].data.dtype == np.float32

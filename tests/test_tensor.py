@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 from tsfo.errors import CapacityError, InputError, ShapeError
 from tsfo.tensor import (
+    FOLDED_ACT_MAX,
+    INT8_MAX,
+    INT8_MIN,
     MAX_ACCUM_K,
     QTensor,
     conv1d_valid,
@@ -12,11 +15,40 @@ from tsfo.tensor import (
     int8_matmul,
     layer_norm,
     matmul,
+    pack_weight,
     quantize_linear,
+    quantized_linear,
     round_half_away,
     seeded_rng,
     softmax,
 )
+
+# Largest K whose float32 GEMM of folded activations (|a| <= 255) and
+# weights at +-127 keeps every partial sum below 2^24.
+F32_EXACT_K = (2**24 - 1) // (FOLDED_ACT_MAX * INT8_MAX)
+
+
+def worst_case_operands(m, k, n, zero_point, seed):
+    """int8 activations at the end farthest from the zero point, and weights at +-127.
+
+    Row 0 and column 0 are all extreme with one sign, so their dot product is
+    the largest sum the kernel can meet; the rest are random signs.
+    """
+    rng = seeded_rng(seed)
+    far = INT8_MAX if zero_point == INT8_MIN else INT8_MIN
+    near = INT8_MIN if far == INT8_MAX else INT8_MAX
+    qa = rng.choice(np.array([far, near], np.int8), size=(m, k))
+    qa[0] = far
+    qw = rng.choice(np.array([-INT8_MAX, INT8_MAX], np.int8), size=(k, n))
+    qw[:, 0] = INT8_MAX
+    return qa, qw
+
+
+def int64_reference(qa, zero_point, qw, scale_a, scale_w):
+    acc = (qa.astype(np.int64) - zero_point) @ qw.astype(np.int64)
+    return (acc.astype(np.float64) * (float(scale_a) * scale_w.astype(np.float64))).astype(
+        np.float32
+    )
 
 
 class TestMatmul:
@@ -211,6 +243,54 @@ class TestInt8Matmul:
         a = QTensor(np.full((1, 4), 127, np.int8), np.float32(1.0), 0)
         b = QTensor(np.full((4, 1), 127, np.int8), np.float32(1.0), 0)
         assert int8_matmul(a, b)[0, 0] == 4 * 127 * 127
+
+    @pytest.mark.parametrize("zero_point", [INT8_MIN, INT8_MAX])
+    def test_worst_case_exact_at_k_1024(self, zero_point):
+        qa, qw = worst_case_operands(3, 1024, 4, zero_point, seed=11)
+        scale_w = np.full(4, 0.5, np.float32)
+        a = QTensor(qa, np.float32(0.25), zero_point)
+        b = QTensor(qw, scale_w, 0, channel_axis=1)
+        want = int64_reference(qa, zero_point, qw, 0.25, scale_w)
+        assert np.array_equal(int8_matmul(a, b), want)
+
+    @pytest.mark.parametrize("zero_point", [INT8_MIN, INT8_MAX])
+    @pytest.mark.parametrize("k", [512, 513, F32_EXACT_K, F32_EXACT_K + 1])
+    def test_quantized_linear_worst_case_exact(self, k, zero_point):
+        qa, qw = worst_case_operands(3, k, 4, zero_point, seed=k)
+        scale_w = np.array([0.5, 0.25, 2.0, 1.0], np.float32)
+        packed = pack_weight(QTensor(qw, scale_w, 0, channel_axis=1))
+        # float32 exactly while K * 255 * 127 < 2^24, float64 beyond
+        assert packed.data.dtype == (np.float32 if k <= F32_EXACT_K else np.float64)
+        scale = np.float32(0.125)
+        # real values that quantize back to qa under (scale, zero_point)
+        x = ((qa.astype(np.float32) - zero_point) * scale).astype(np.float32)
+        bias = np.array([1.0, -2.0, 0.5, 0.0], np.float32)
+        got = quantized_linear(x, scale, zero_point, packed, bias)
+        want = int64_reference(qa, zero_point, qw, scale, scale_w) + bias
+        assert np.array_equal(got, want)
+
+    def test_quantized_linear_matches_per_call_path(self):
+        rng = seeded_rng(12)
+        x = rng.uniform(-3, 3, size=(2, 5, 16)).astype(np.float32)
+        w = quantize_linear(rng.uniform(-1, 1, size=(16, 7)).astype(np.float32),
+                            rng.uniform(0.002, 0.01, size=7), 0, channel_axis=1)
+        bias = rng.normal(size=7).astype(np.float32)
+        for scale, zp in ((6.0 / 255, -3), (0.01, 127), (0.05, INT8_MIN)):
+            q = quantize_linear(x.reshape(-1, 16), scale, zp)
+            want = (int8_matmul(q, w) + bias).reshape(2, 5, 7)
+            got = quantized_linear(x, scale, zp, pack_weight(w), bias)
+            assert np.array_equal(got, want)
+
+    def test_quantized_linear_validates_qparams(self):
+        packed = pack_weight(QTensor(np.ones((3, 2), np.int8), np.float32(1.0), 0))
+        x = np.ones((1, 3), np.float32)
+        bias = np.zeros(2, np.float32)
+        with pytest.raises(InputError):
+            quantized_linear(x, 0.0, 0, packed, bias)
+        with pytest.raises(InputError):
+            quantized_linear(x, 1.0, 128, packed, bias)
+        with pytest.raises(InputError):
+            pack_weight(QTensor(np.ones((3, 2), np.int8), np.float32(1.0), 5))
 
     def test_accumulator_capacity_guard(self):
         k = MAX_ACCUM_K + 1
