@@ -11,7 +11,9 @@ runs as mean with a 95% confidence half-width.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
+import logging
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -68,13 +70,27 @@ KNOWN_OPS = ("static-quant", "dynamic-quant", "l1-prune", "l2-prune", "qat")
 # Quantization steps divide the energy estimate by the INT8 precision factor.
 Q_FACTOR = 4.0
 
+log = logging.getLogger(__name__)
+
+
+@functools.cache
+def _warn_unpinned() -> None:
+    log.warning(
+        "threadpoolctl is not installed: BLAS threads are not pinned to one, "
+        "so inference timings do not follow the single-thread protocol"
+    )
+
 
 @contextlib.contextmanager
 def single_thread():
-    """Pin BLAS pools to one thread for timing fidelity (no-op if unavailable)."""
+    """Pin BLAS pools to one thread for timing fidelity.
+
+    Without threadpoolctl this pins nothing and logs one warning per process.
+    """
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
+        _warn_unpinned()
         yield
         return
     with threadpool_limits(limits=1):
@@ -307,6 +323,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
             "flops_g": [],
             "sparsity": [],
             "energy_factor": [],
+            "params": [],
         }
         for n in names
     }
@@ -345,6 +362,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
         stats["flops_g"].append(_flops_g(model))
         stats["sparsity"].append(_sparsity(model))
         stats["energy_factor"].append(1.0)
+        stats["params"].append(count_params(model.config))
 
         for pipeline in config.optimizations:
             name = "+".join(pipeline)
@@ -364,6 +382,8 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
             stats["flops_g"].append(_flops_g(optimized))
             stats["sparsity"].append(_sparsity(optimized))
             stats["energy_factor"].append(energy_factor)
+            # structured pruning shrinks the config, so count this row's own
+            stats["params"].append(count_params(optimized.config))
 
     base_acc = ci95(per_cfg["baseline"]["acc"]).mean
     base_time = ci95(per_cfg["baseline"]["time_s"]).mean
@@ -396,7 +416,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
                 ee_gflops_per_j=ee,
                 accuracy_retention_pct=ar,
                 overall_score=overall,
-                params=int(count_params(mcfg)),
+                params=int(round(np.mean(stats["params"]))),
                 sparsity=float(np.mean(stats["sparsity"])),
             )
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -234,6 +234,48 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, p, h * dh)
 
 
+def attention_context(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads: int
+) -> np.ndarray:
+    """Scaled dot-product attention of [B, P, a] projections, merged to [B, P, a].
+
+    This is the attention core of every forward: float, int8 and the
+    calibration observers all read the context it returns. At these sizes
+    it is bound by passes over the [B, H, P, P] scores, not by FLOPs, so it
+    makes as few as it can:
+
+    - 1/sqrt(dh) is folded into q, a [B, P, a] pass instead of one over the
+      scores.
+    - The scores are built key-major, ``k @ q^T`` shaped [B, H, key, query],
+      so the softmax runs over axis -2. Its max and sum then combine whole
+      query rows elementwise, which numpy does 2-3x faster than one short
+      reduction per row along the last axis.
+    - The softmax normalizes the scores in place, and the product with v
+      reads them through the transposed view (BLAS takes the transpose, so
+      nothing is copied) and writes straight into the merged-head layout.
+    """
+    dh = q.shape[-1] // num_heads
+    scores = np.matmul(
+        _split_heads(k, num_heads),
+        _split_heads(q * (1.0 / math.sqrt(dh)), num_heads).swapaxes(-1, -2),
+    )
+    softmax(scores, axis=-2, out=scores)
+    ctx = np.empty(q.shape, dtype=np.result_type(scores, v))
+    np.matmul(
+        scores.swapaxes(-1, -2),
+        _split_heads(v, num_heads),
+        out=_split_heads(ctx, num_heads),
+    )
+    return ctx
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # x @ w + b with the bias added in place on the fresh product
+    out = x @ w
+    out += b
+    return out
+
+
 def multi_head_attention(
     x: np.ndarray,
     wq: np.ndarray,
@@ -245,14 +287,19 @@ def multi_head_attention(
     wo: np.ndarray,
     bo: np.ndarray,
     num_heads: int,
+    on_context=None,
 ) -> np.ndarray:
-    """Scaled dot-product attention over a [B, P, d] batch."""
-    q = _split_heads(x @ wq + bq, num_heads)
-    k = _split_heads(x @ wk + bk, num_heads)
-    v = _split_heads(x @ wv + bv, num_heads)
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    weights = softmax(np.matmul(q, k.swapaxes(-1, -2)) * scale, axis=-1)
-    return _merge_heads(np.matmul(weights, v)) @ wo + bo
+    """Multi-head self-attention sublayer over a [B, P, d] batch.
+
+    ``on_context``, when given, is called with the merged [B, P, a] context
+    (``attention_context``), the very array the output projection reads.
+    """
+    ctx = attention_context(
+        _affine(x, wq, bq), _affine(x, wk, bk), _affine(x, wv, bv), num_heads
+    )
+    if on_context is not None:
+        on_context(ctx)
+    return _affine(ctx, wo, bo)
 
 
 def attention_forward(model: TransformerModel, layer: int, x: np.ndarray) -> np.ndarray:
@@ -300,46 +347,45 @@ def forward_batch(
     if site_hook:
         site_hook("embed.in", cols)
     w2d = p["patch_embed.weight"].reshape(cfg.model_dim, -1).T
-    h = cols @ w2d + p["patch_embed.bias"]
-    h = h + positional_encoding(cfg.num_patches, cfg.model_dim)
+    # h and every sublayer output are fresh arrays, so the bias adds, ReLU,
+    # dropout and residual adds below all run in place
+    h = _affine(cols, w2d, p["patch_embed.bias"])
+    h += positional_encoding(cfg.num_patches, cfg.model_dim)
 
     def drop(t):
         if not train or cfg.dropout == 0.0:
             return t
         keep = 1.0 - cfg.dropout
-        mask = (rng.random(t.shape) < keep).astype(t.dtype) / keep
-        return t * mask
+        t *= (rng.random(t.shape) < keep).astype(t.dtype) / keep
+        return t
 
     for l in range(cfg.num_layers):
         pre = f"layers.{l}."
         n1 = layer_norm(h, p[pre + "norm1.gamma"], p[pre + "norm1.beta"])
+        on_context = None
         if site_hook:
             site_hook(f"layers.{l}.attn.qkv.in", n1)
-        attn = multi_head_attention(
-            n1,
-            p[pre + "attn.wq"], p[pre + "attn.bq"],
-            p[pre + "attn.wk"], p[pre + "attn.bk"],
-            p[pre + "attn.wv"], p[pre + "attn.bv"],
-            p[pre + "attn.wo"], p[pre + "attn.bo"],
-            cfg.heads_at(l),
+            on_context = partial(site_hook, f"layers.{l}.attn.proj.in")
+        h += drop(
+            multi_head_attention(
+                n1,
+                p[pre + "attn.wq"], p[pre + "attn.bq"],
+                p[pre + "attn.wk"], p[pre + "attn.bk"],
+                p[pre + "attn.wv"], p[pre + "attn.bv"],
+                p[pre + "attn.wo"], p[pre + "attn.bo"],
+                cfg.heads_at(l),
+                on_context,
+            )
         )
-        if site_hook:
-            # re-derive the out-projection input for observers
-            q = _split_heads(n1 @ p[pre + "attn.wq"] + p[pre + "attn.bq"], cfg.heads_at(l))
-            k = _split_heads(n1 @ p[pre + "attn.wk"] + p[pre + "attn.bk"], cfg.heads_at(l))
-            v = _split_heads(n1 @ p[pre + "attn.wv"] + p[pre + "attn.bv"], cfg.heads_at(l))
-            w = softmax(np.matmul(q, k.swapaxes(-1, -2)) / math.sqrt(q.shape[-1]), axis=-1)
-            site_hook(f"layers.{l}.attn.proj.in", _merge_heads(np.matmul(w, v)))
-        h = h + drop(attn)
 
         n2 = layer_norm(h, p[pre + "norm2.gamma"], p[pre + "norm2.beta"])
         if site_hook:
             site_hook(f"layers.{l}.ffn.in", n2)
-        mid = relu(n2 @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"])
+        mid = _affine(n2, p[pre + "ffn.w1"], p[pre + "ffn.b1"])
+        relu(mid, out=mid)
         if site_hook:
             site_hook(f"layers.{l}.ffn.mid.in", mid)
-        ffn = mid @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"]
-        h = h + drop(ffn)
+        h += drop(_affine(mid, p[pre + "ffn.w2"], p[pre + "ffn.b2"]))
 
     pooled = h.mean(axis=1)
     if site_hook:

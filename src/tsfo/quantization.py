@@ -25,7 +25,7 @@ from .errors import CalibrationError, InputError
 from .model import (
     ModelConfig,
     TransformerModel,
-    _merge_heads,
+    attention_context,
     forward_batch,
     positional_encoding,
 )
@@ -42,7 +42,6 @@ from .tensor import (
     quantized_linear,
     relu,
     round_half_away,
-    softmax,
 )
 
 _SCALE_FLOOR = 1e-8
@@ -258,8 +257,10 @@ def quantized_forward_batch(qmodel: QuantizedModel, xs: np.ndarray) -> np.ndarra
     weights: it quantizes its input (calibrated affine map in static mode,
     per-call symmetric scale in dynamic mode), runs the exact integer GEMM,
     rescales to float32 and adds the dequantized bias. The Q/K/V projections
-    share one call. Attention scores, softmax, norms, pooling, and residual
-    adds stay in float.
+    share one call, and ``model.attention_context`` (the float forward's
+    attention core) reads its three [B, P, a] column slices without a copy.
+    Attention scores, softmax, norms, pooling, and residual adds stay in
+    float; the residual adds and the ReLU run in place.
     """
     cfg = qmodel.config
     pack = qmodel.pack
@@ -280,16 +281,13 @@ def quantized_forward_batch(qmodel: QuantizedModel, xs: np.ndarray) -> np.ndarra
         heads = cfg.heads_at(l)
         n1 = layer_norm(h, pack[pre + "norm1.gamma"], pack[pre + "norm1.beta"])
         qkv = linear(pre + "attn.qkv.in", n1, pre + "attn.wqkv", pre + "attn.bqkv")
-        # [B, P, 3a] -> three [B, H, P, dh] views
-        q, k, v = qkv.reshape(*qkv.shape[:2], 3, heads, -1).transpose(2, 0, 3, 1, 4)
-        weights_f = softmax(
-            np.matmul(q, k.swapaxes(-1, -2)) / math.sqrt(q.shape[-1]), axis=-1
-        )
-        ctx = _merge_heads(np.matmul(weights_f, v))
+        a = cfg.attn_width(l)
+        ctx = attention_context(qkv[..., :a], qkv[..., a : 2 * a], qkv[..., 2 * a :], heads)
         h += linear(pre + "attn.proj.in", ctx, pre + "attn.wo", pre + "attn.bo")
 
         n2 = layer_norm(h, pack[pre + "norm2.gamma"], pack[pre + "norm2.beta"])
-        mid = relu(linear(pre + "ffn.in", n2, pre + "ffn.w1", pre + "ffn.b1"))
+        mid = linear(pre + "ffn.in", n2, pre + "ffn.w1", pre + "ffn.b1")
+        relu(mid, out=mid)
         h += linear(pre + "ffn.mid.in", mid, pre + "ffn.w2", pre + "ffn.b2")
 
     pooled = h.mean(axis=1)

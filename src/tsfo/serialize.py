@@ -12,22 +12,27 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import TimeSeriesDataset
-from .errors import ParseError
-from .model import ModelConfig, TransformerModel
-from .quantization import QuantizedModel
-from .tensor import QTensor
+from .errors import ParseError, TsfoError
+from .model import ModelConfig, TransformerModel, param_shapes
+from .quantization import QuantizedModel, activation_sites
+from .tensor import INT8_MAX, INT8_MIN, QTensor
 
 MAGIC = b"TSFO"
 VERSION = 1
+# format version (u32) and header length (u64), after the magic
+_PREAMBLE = struct.Struct("<IQ")
 
 _DTYPES = {"f32": np.dtype("<f4"), "i8": np.dtype("<i1"), "i64": np.dtype("<i8")}
 _DTYPE_NAMES = {v: k for k, v in _DTYPES.items()}
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -68,42 +73,130 @@ def write_container(path, kind: str, meta: dict, tensors: list[tuple]) -> None:
     ).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(header)))
+        fh.write(_PREAMBLE.pack(VERSION, len(header)))
         fh.write(header)
         for payload in payloads:
             fh.write(payload)
 
 
+def _read_exact(fh, n: int, remaining: int, what: str, path) -> bytes:
+    if n > remaining:
+        raise ParseError(f"{path}: {what} needs {n} bytes, only {remaining} left")
+    return fh.read(n)
+
+
+def _is_scale(v) -> bool:
+    # positive and finite in float32; comparisons keep huge JSON ints exact
+    return type(v) in (int, float) and 0 < v <= _F32_MAX
+
+
+def _is_qparams(v) -> bool:
+    return (
+        isinstance(v, list)
+        and len(v) == 2
+        and _is_scale(v[0])
+        and type(v[1]) is int
+        and INT8_MIN <= v[1] <= INT8_MAX
+    )
+
+
+def _check_entry(entry, path) -> None:
+    """Raise ParseError unless ``entry`` is a well-formed manifest entry."""
+    if not isinstance(entry, dict):
+        raise ParseError(f"{path}: manifest entry is not an object")
+    name = entry.get("name")
+    if not isinstance(name, str):
+        raise ParseError(f"{path}: manifest entry without a string name")
+    dtype = entry.get("dtype")
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
+        raise ParseError(f"{path}: {name!r} has unknown dtype {dtype!r}")
+    shape = entry.get("shape")
+    if not isinstance(shape, list) or not all(type(v) is int and v >= 0 for v in shape):
+        raise ParseError(f"{path}: {name!r} has a malformed shape {shape!r}")
+
+
+def _qinfo(entry: dict, path) -> tuple | None:
+    """(scale, zero_point, channel_axis) of a quantized entry, None for a plain one.
+
+    A scale vector is checked and converted as one array: per-element Python
+    checks would cost milliseconds on a T2 model's thousands of scales.
+    """
+    if "scale" not in entry:
+        return None
+    name = entry["name"]
+    scale = entry["scale"]
+    if isinstance(scale, list):
+        try:
+            values = np.asarray(scale, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):  # not numbers, ragged, huge ints
+            values = None
+        ok = (
+            values is not None
+            and values.ndim == 1
+            and bool((values > 0).all() and (values <= _F32_MAX).all())
+        )
+    else:
+        ok = _is_scale(scale)
+    if not ok:
+        raise ParseError(f"{path}: {name!r} has a scale that is not positive float32")
+    zero_point = entry.get("zero_point")
+    if type(zero_point) is not int:
+        raise ParseError(f"{path}: {name!r} has a scale but no integer zero_point")
+    axis = entry.get("channel_axis")
+    if axis is not None and type(axis) is not int:
+        raise ParseError(f"{path}: {name!r} has a malformed channel_axis")
+    return (values.astype(np.float32) if isinstance(scale, list) else scale), zero_point, axis
+
+
 def read_container(path) -> tuple[str, dict, dict[str, tuple]]:
-    """Return (kind, meta, tensors) where tensors maps name -> (array, qinfo)."""
+    """Return (kind, meta, tensors) where tensors maps name -> (array, qinfo).
+
+    A malformed file raises ``ParseError``, never a stray ``KeyError`` or
+    ``MemoryError``: the header and every payload are bounded by the bytes
+    left in the file before anything is allocated, the header and manifest
+    schema are checked, and bytes past the last payload are rejected.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        remaining = os.fstat(fh.fileno()).st_size - len(MAGIC) - _PREAMBLE.size
+        magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ParseError(f"{path}: not a TSFO container (magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
+        if remaining < 0:
+            raise ParseError(f"{path}: truncated container preamble")
+        version, header_len = _PREAMBLE.unpack(fh.read(_PREAMBLE.size))
         if version != VERSION:
             raise ParseError(f"{path}: unsupported container version {version}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
+        raw = _read_exact(fh, header_len, remaining, "header", path)
+        remaining -= header_len
         try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            header = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"{path}: bad container header ({exc})") from None
+        if not (
+            isinstance(header, dict)
+            and isinstance(header.get("kind"), str)
+            and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("tensors"), list)
+        ):
+            raise ParseError(f"{path}: header needs a string kind, a meta object and a tensor list")
         tensors = {}
         for entry in header["tensors"]:
+            _check_entry(entry, path)
+            name = entry["name"]
+            if name in tensors:
+                raise ParseError(f"{path}: duplicate tensor {name!r}")
             dtype = _DTYPES[entry["dtype"]]
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * dtype.itemsize)
-            if len(raw) != count * dtype.itemsize:
-                raise ParseError(f"{path}: truncated payload for {entry['name']!r}")
-            arr = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-            qinfo = None
-            if "scale" in entry:
-                scale = entry["scale"]
-                scale = np.asarray(scale, dtype=np.float32) if isinstance(scale, list) else scale
-                qinfo = (scale, entry["zero_point"], entry.get("channel_axis"))
-            tensors[entry["name"]] = (arr, qinfo)
+            nbytes = math.prod(shape) * dtype.itemsize
+            raw = _read_exact(fh, nbytes, remaining, f"payload of {name!r}", path)
+            remaining -= nbytes
+            try:
+                arr = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            except ValueError as exc:  # more axes than numpy supports
+                raise ParseError(f"{path}: {name!r} has an unusable shape ({exc})") from None
+            tensors[name] = (arr, _qinfo(entry, path))
+        if remaining:
+            raise ParseError(f"{path}: {remaining} bytes past the last payload")
     return header["kind"], header["meta"], tensors
 
 
@@ -163,48 +256,107 @@ def save_dataset(dataset: TimeSeriesDataset, path) -> None:
     write_container(path, "dataset", meta, tensors)
 
 
+def _check_shapes(kind: str, got: dict[str, tuple], want: dict[str, tuple]) -> None:
+    if got != want:
+        diff = sorted(set(got) ^ set(want)) or [n for n in want if got[n] != want[n]]
+        raise ParseError(f"{kind} tensors do not match the config (first: {diff[0]!r})")
+
+
+def _config_for(meta: dict, tensor_count: int) -> ModelConfig:
+    config = _config_from_meta(meta["config"])
+    # every layer holds several tensors; checked before the per-layer shape
+    # table is built, so a corrupt layer count cannot make that table huge
+    if config.num_layers > tensor_count:
+        raise ParseError(f"config lists {config.num_layers} layers for {tensor_count} tensors")
+    return config
+
+
+def _load_model(meta: dict, tensors: dict) -> TransformerModel:
+    config = _config_for(meta, len(tensors))
+    params = {}
+    masks = {}
+    for name, (arr, _) in tensors.items():
+        if name.startswith("mask/"):
+            masks[name[len("mask/"):]] = arr.astype(np.float32)
+        elif arr.dtype != np.float32:
+            raise ParseError(f"parameter {name!r} is {arr.dtype}, not float32")
+        else:
+            params[name] = arr
+    _check_shapes("model", {n: a.shape for n, a in params.items()}, param_shapes(config))
+    for name, m in masks.items():
+        if name not in params or m.shape != params[name].shape:
+            raise ParseError(f"mask {name!r} does not match a parameter")
+    return TransformerModel(config=config, params=params, masks=masks or None)
+
+
+def _load_quantized(meta: dict, tensors: dict) -> QuantizedModel:
+    config = _config_for(meta, len(tensors))
+    weights = {}
+    for name, (arr, qinfo) in tensors.items():
+        if qinfo is None:
+            raise ParseError(f"weight {name!r} has no quantization parameters")
+        weights[name] = QTensor(arr, *qinfo)
+    _check_shapes(
+        "quantized model", {n: q.shape for n, q in weights.items()}, param_shapes(config)
+    )
+    for name, q in weights.items():
+        # the layouts QuantizedModel.pack accepts: symmetric, the conv kernel
+        # per output channel, other matrices per tensor or per column
+        axes = {3: (0,), 2: (None, 1)}.get(q.data.ndim)
+        if axes and (q.zero_point != 0 or q.channel_axis not in axes):
+            raise ParseError(f"weight {name!r} is not quantized in a layout inference can pack")
+    mode = meta["mode"]
+    if mode not in ("static", "dynamic"):
+        raise ParseError(f"unknown quantization mode {mode!r}")
+    act = meta.get("act_qparams")
+    if act is not None:
+        if not isinstance(act, dict) or not all(map(_is_qparams, act.values())):
+            raise ParseError("act_qparams must map sites to [scale, int8 zero point]")
+        act = {site: (float(s), z) for site, (s, z) in act.items()}
+    if mode == "static" and (act is None or set(act) != set(activation_sites(config))):
+        raise ParseError("static model does not calibrate every activation site")
+    return QuantizedModel(config=config, weights=weights, mode=mode, act_qparams=act)
+
+
+def _load_dataset(meta: dict, tensors: dict) -> TimeSeriesDataset:
+    instances = tensors["instances"][0]
+    labels = tensors["labels"][0]
+    if instances.dtype != np.float32 or labels.dtype != np.int64 or labels.ndim != 1:
+        raise ParseError("dataset needs float32 instances and 1-D int64 labels")
+    subjects = meta.get("subjects")
+    if subjects is not None:
+        subjects = np.array(subjects)
+        if subjects.shape != labels.shape:
+            raise ParseError("subjects and labels disagree in length")
+    split = meta.get("predefined_split")
+    return TimeSeriesDataset(
+        name=meta["name"],
+        instances=instances,
+        labels=labels,
+        label_map=meta["label_map"],
+        subjects=subjects,
+        predefined_split=(
+            (np.array(split[0]), np.array(split[1])) if split is not None else None
+        ),
+    )
+
+
+_LOADERS = {"model": _load_model, "quantized_model": _load_quantized, "dataset": _load_dataset}
+
+
 def load(path):
-    """Load any TSFO container and return the matching object."""
+    """Load any TSFO container and return the matching object.
+
+    Content that does not describe a valid object of its kind (a missing
+    meta field, a config that fails validation, tensors that do not match
+    the config, a bad scale) raises ``ParseError``, as a malformed container
+    does.
+    """
     kind, meta, tensors = read_container(path)
-    if kind == "model":
-        params = {}
-        masks = {}
-        for name, (arr, _) in tensors.items():
-            if name.startswith("mask/"):
-                masks[name[len("mask/"):]] = arr.astype(np.float32)
-            else:
-                params[name] = arr
-        return TransformerModel(
-            config=_config_from_meta(meta["config"]),
-            params=params,
-            masks=masks or None,
-        )
-    if kind == "quantized_model":
-        weights = {
-            name: QTensor(arr, qinfo[0], qinfo[1], qinfo[2])
-            for name, (arr, qinfo) in tensors.items()
-        }
-        act = meta.get("act_qparams")
-        if act is not None:
-            act = {site: (float(s), int(z)) for site, (s, z) in act.items()}
-        return QuantizedModel(
-            config=_config_from_meta(meta["config"]),
-            weights=weights,
-            mode=meta["mode"],
-            act_qparams=act,
-        )
-    if kind == "dataset":
-        label_map = meta["label_map"]
-        subjects = meta.get("subjects")
-        split = meta.get("predefined_split")
-        return TimeSeriesDataset(
-            name=meta["name"],
-            instances=tensors["instances"][0],
-            labels=tensors["labels"][0],
-            label_map=label_map,
-            subjects=np.array(subjects) if subjects is not None else None,
-            predefined_split=(
-                (np.array(split[0]), np.array(split[1])) if split is not None else None
-            ),
-        )
-    raise ParseError(f"{path}: unknown container kind {kind!r}")
+    loader = _LOADERS.get(kind)
+    if loader is None:
+        raise ParseError(f"{path}: unknown container kind {kind!r}")
+    try:
+        return loader(meta, tensors)
+    except (KeyError, IndexError, TypeError, ValueError, TsfoError) as exc:
+        raise ParseError(f"{path}: malformed {kind} container ({exc})") from exc

@@ -40,15 +40,26 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax: max is subtracted before exponentiation."""
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Stable softmax: max is subtracted before exponentiation.
+
+    Returns a fresh array and leaves ``x`` untouched, unless ``out`` is given
+    (``out=x`` normalizes in place). The shifted values are written once,
+    into that one buffer, and exponentiated and normalized there. Integer
+    input is computed in float64.
+    """
     x = np.asarray(x)
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    if x.dtype.kind != "f":
+        x = x.astype(np.float64)
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0); ``out=x`` rectifies in place."""
+    return np.maximum(x, 0, out=out)
 
 
 def layer_norm(
@@ -60,14 +71,22 @@ def layer_norm(
     """Normalize each feature vector (last axis) to zero mean / unit variance.
 
     Population variance is used. A constant input row has zero variance and
-    maps to beta.
+    maps to beta. Returns a fresh array and leaves ``x`` untouched: the
+    centred values are written once and scaled, multiplied by gamma and
+    shifted by beta in place.
     """
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
     x = np.asarray(x)
-    centered = x - x.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return gamma * (centered / np.sqrt(var + eps)) + beta
+    out = x - x.mean(axis=-1, keepdims=True)
+    var = (out * out).mean(axis=-1, keepdims=True)
+    out /= np.sqrt(var + eps)
+    if np.result_type(out, gamma, beta) != out.dtype:
+        # wider gamma or beta promote the result, as out-of-place ops would
+        return gamma * out + beta
+    out *= gamma
+    out += beta
+    return out
 
 
 def conv1d_valid(

@@ -83,6 +83,15 @@ def _layer_norm_backward(d_out, xhat, inv_std, gamma):
     return d_x, d_gamma, d_beta
 
 
+def _weight_grad(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
+    """sum over batch and patches of x^T d_out: [..., m] x [..., n] -> [m, n].
+
+    One GEMM over the flattened leading axes; ``np.einsum`` without
+    ``optimize`` would not use BLAS.
+    """
+    return x.reshape(-1, x.shape[-1]).T @ d_out.reshape(-1, d_out.shape[-1])
+
+
 def loss_and_grads(
     model: TransformerModel,
     xs: np.ndarray,
@@ -127,7 +136,9 @@ def loss_and_grads(
         kh = _split_heads(n1 @ p[pre + "attn.wk"] + p[pre + "attn.bk"], heads)
         vh = _split_heads(n1 @ p[pre + "attn.wv"] + p[pre + "attn.bv"], heads)
         alpha = 1.0 / math.sqrt(qh.shape[-1])
-        attn_w = softmax(np.matmul(qh, kh.swapaxes(-1, -2)) * alpha, axis=-1)
+        scores = np.matmul(qh, kh.swapaxes(-1, -2))
+        scores *= alpha
+        attn_w = softmax(scores, axis=-1, out=scores)
         ctx = _merge_heads(np.matmul(attn_w, vh))
         attn_out = ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"]
         mask1 = make_mask(attn_out.shape, attn_out.dtype)
@@ -164,11 +175,11 @@ def loss_and_grads(
         c = caches[l]
 
         d_z2 = d_h * c["mask2"] if c["mask2"] is not None else d_h
-        grads[pre + "ffn.w2"] = np.einsum("bpf,bpd->fd", c["r"], d_z2)
+        grads[pre + "ffn.w2"] = _weight_grad(c["r"], d_z2)
         grads[pre + "ffn.b2"] = d_z2.sum(axis=(0, 1))
         d_r = d_z2 @ p[pre + "ffn.w2"].T
         d_z1 = d_r * (c["z1"] > 0)
-        grads[pre + "ffn.w1"] = np.einsum("bpd,bpf->df", c["n2"], d_z1)
+        grads[pre + "ffn.w1"] = _weight_grad(c["n2"], d_z1)
         grads[pre + "ffn.b1"] = d_z1.sum(axis=(0, 1))
         d_n2 = d_z1 @ p[pre + "ffn.w1"].T
         d_hmid_ln, d_g2, d_b2 = _layer_norm_backward(
@@ -179,7 +190,7 @@ def loss_and_grads(
         d_hmid = d_h + d_hmid_ln
 
         d_attn = d_hmid * c["mask1"] if c["mask1"] is not None else d_hmid
-        grads[pre + "attn.wo"] = np.einsum("bpa,bpd->ad", c["ctx"], d_attn)
+        grads[pre + "attn.wo"] = _weight_grad(c["ctx"], d_attn)
         grads[pre + "attn.bo"] = d_attn.sum(axis=(0, 1))
         d_ctx = _split_heads(d_attn @ p[pre + "attn.wo"].T, c["heads"])
         d_attn_w = np.matmul(d_ctx, c["vh"].swapaxes(-1, -2))
@@ -194,11 +205,11 @@ def loss_and_grads(
         d_k = _merge_heads(d_kh)
         d_v = _merge_heads(d_vh)
         n1 = c["n1"]
-        grads[pre + "attn.wq"] = np.einsum("bpd,bpa->da", n1, d_q)
+        grads[pre + "attn.wq"] = _weight_grad(n1, d_q)
         grads[pre + "attn.bq"] = d_q.sum(axis=(0, 1))
-        grads[pre + "attn.wk"] = np.einsum("bpd,bpa->da", n1, d_k)
+        grads[pre + "attn.wk"] = _weight_grad(n1, d_k)
         grads[pre + "attn.bk"] = d_k.sum(axis=(0, 1))
-        grads[pre + "attn.wv"] = np.einsum("bpd,bpa->da", n1, d_v)
+        grads[pre + "attn.wv"] = _weight_grad(n1, d_v)
         grads[pre + "attn.bv"] = d_v.sum(axis=(0, 1))
         d_n1 = (
             d_q @ p[pre + "attn.wq"].T
@@ -212,7 +223,7 @@ def loss_and_grads(
         grads[pre + "norm1.beta"] = d_b1
         d_h = d_hmid + d_hin_ln
 
-    d_w2d = np.einsum("bpc,bpd->cd", cols, d_h)   # [C*k, d]
+    d_w2d = _weight_grad(cols, d_h)   # [C*k, d]
     grads["patch_embed.weight"] = d_w2d.T.reshape(p["patch_embed.weight"].shape)
     grads["patch_embed.bias"] = d_h.sum(axis=(0, 1))
     return loss, correct, grads

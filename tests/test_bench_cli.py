@@ -1,23 +1,30 @@
+import contextlib
 import json
+import logging
 import os
+import sys
+import types
 
 import numpy as np
 import pytest
 
+from tsfo import bench
 from tsfo.bench import (
     ExperimentConfig,
     _apply_pipeline,
+    _load_experiment_dataset,
     _model_config,
     _prune_quantized,
     emit_report,
     load_reports,
     measure_inference_seconds,
     run_experiment,
+    single_thread,
 )
 from tsfo.cli import EXIT_CONFIG, EXIT_DATA, main
 from tsfo.data import subject_wise_split, synth_generate
 from tsfo.errors import ConfigError
-from tsfo.model import build_model
+from tsfo.model import build_model, count_params
 from tsfo.pruning import PruneSpec
 from tsfo.quantization import QuantizedModel, quantized_forward_batch
 from tsfo.tensor import QTensor
@@ -111,6 +118,21 @@ class TestRunExperiment:
         _, reports = quick_reports
         by_name = {r.configuration: r for r in reports}
         assert by_name["l2-prune"].flops_g < by_name["baseline"].flops_g
+
+    def test_params_count_each_rows_own_model(self, quick_reports):
+        config, reports = quick_reports
+        by_name = {r.configuration: r for r in reports}
+        dataset = _load_experiment_dataset(config)
+        train_ds, _ = subject_wise_split(dataset, config.train_fraction, config.seed)
+        mcfg = _model_config(config, dataset)
+        # structured pruning picks its config from unit counts, not weights,
+        # so any baseline with this config prunes to the same shape
+        pruned, _ = _apply_pipeline(["l2-prune"], build_model(mcfg, 0), train_ds, config, 0)
+        assert pruned.config != mcfg
+        assert by_name["l2-prune"].params == count_params(pruned.config)
+        assert by_name["l2-prune"].params < by_name["baseline"].params
+        assert by_name["baseline"].params == count_params(mcfg)
+        assert by_name["static-quant"].params == count_params(mcfg)
 
     def test_combined_pipeline_orders_are_distinct(self, tmp_path):
         config = quick_config(
@@ -245,6 +267,39 @@ def test_measure_inference_counts_calls():
     xs = np.zeros((3, 1, 8), np.float32)
     measure_inference_seconds(fake_forward, xs, warmups=10, timed=100)
     assert len(calls) == 110
+
+
+class TestSingleThread:
+    def test_warns_once_without_threadpoolctl(self, monkeypatch, caplog):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        bench._warn_unpinned.cache_clear()
+        with caplog.at_level(logging.WARNING, logger="tsfo.bench"):
+            for _ in range(3):
+                with single_thread():
+                    pass
+            measure_inference_seconds(lambda x: x, np.zeros((1, 1, 4)), warmups=1, timed=100)
+        warnings = [r for r in caplog.records if r.name == "tsfo.bench"]
+        assert len(warnings) == 1
+        assert warnings[0].levelno == logging.WARNING
+        assert "threadpoolctl" in warnings[0].getMessage()
+
+    def test_pins_silently_with_threadpoolctl(self, monkeypatch, caplog):
+        seen = []
+
+        @contextlib.contextmanager
+        def threadpool_limits(limits=None):
+            seen.append(limits)
+            yield
+
+        monkeypatch.setitem(
+            sys.modules, "threadpoolctl", types.SimpleNamespace(threadpool_limits=threadpool_limits)
+        )
+        bench._warn_unpinned.cache_clear()
+        with caplog.at_level(logging.WARNING, logger="tsfo.bench"):
+            with single_thread():
+                pass
+        assert seen == [1]
+        assert not [r for r in caplog.records if r.name == "tsfo.bench"]
 
 
 class TestCli:

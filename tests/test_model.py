@@ -176,6 +176,90 @@ class TestAttention:
         assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
 
 
+def reference_context(q, k, v, heads):
+    """Straight-line float64 attention core: one query row at a time."""
+    q, k, v = (np.asarray(t, dtype=np.float64) for t in (q, k, v))
+    b, p, a = q.shape
+    dh = a // heads
+    out = np.zeros((b, p, a))
+    for n in range(b):
+        for h in range(heads):
+            sl = slice(h * dh, (h + 1) * dh)
+            for i in range(p):
+                scores = np.array([q[n, i, sl] @ k[n, j, sl] for j in range(p)]) / math.sqrt(dh)
+                weights = np.exp(scores - scores.max())
+                out[n, i, sl] = (weights / weights.sum()) @ v[n, :, sl]
+    return out
+
+
+def pruned_heads_config():
+    return tiny_config(
+        num_layers=2, num_heads=4, model_dim=16, seq_len=12, heads_per_layer=(2, 1)
+    )
+
+
+class TestAttentionCore:
+    @pytest.mark.parametrize(
+        "b, p, heads, dh",
+        [(2, 5, 1, 8), (3, 6, 4, 4), (2, 1, 3, 4), (1, 1, 1, 2), (1, 24, 8, 8)],
+    )
+    def test_matches_float64_reference(self, b, p, heads, dh):
+        rng = seeded_rng(40 + p)
+        q, k, v = (rng.normal(size=(b, p, heads * dh)).astype(np.float32) for _ in range(3))
+        got = model_mod.attention_context(q, k, v, heads)
+        assert got.shape == q.shape and got.dtype == np.float32
+        assert np.abs(got - reference_context(q, k, v, heads)).max() <= 1e-6
+
+    def test_inputs_untouched(self):
+        rng = seeded_rng(41)
+        qkv = [rng.normal(size=(2, 6, 8)).astype(np.float32) for _ in range(3)]
+        before = [t.copy() for t in qkv]
+        model_mod.attention_context(*qkv, 2)
+        assert all(np.array_equal(t, c) for t, c in zip(qkv, before))
+
+    def test_pruned_heads_per_layer(self):
+        m = build_model(pruned_heads_config(), 42)
+        x = seeded_rng(43).normal(size=(6, 16)).astype(np.float32)
+        p64 = {name: arr.astype(np.float64) for name, arr in m.params.items()}
+        for layer in range(2):
+            pre = f"layers.{layer}.attn."
+            want = reference_attention(
+                x.astype(np.float64),
+                *(p64[pre + n] for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")),
+                m.config.heads_at(layer),
+            )
+            assert np.abs(attention_forward(m, layer, x) - want).max() <= 1e-6
+
+    def test_proj_hook_array_reproduces_sublayer(self):
+        m = build_model(pruned_heads_config(), 44)
+        xs = seeded_rng(45).normal(size=(3, 1, 12)).astype(np.float32)
+        seen = {}
+        forward_batch(m, xs, site_hook=lambda site, act: seen.setdefault(site, act))
+        p = m.params
+        for layer in range(2):
+            pre = f"layers.{layer}.attn."
+            out = model_mod.multi_head_attention(
+                seen[pre + "qkv.in"],
+                *(p[pre + n] for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")),
+                m.config.heads_at(layer),
+            )
+            ctx = seen[pre + "proj.in"]
+            assert ctx.shape == (3, 6, m.config.attn_width(layer))
+            assert np.array_equal(ctx @ p[pre + "wo"] + p[pre + "bo"], out)
+
+    def test_hooked_forward_computes_attention_once(self, monkeypatch):
+        m = build_model(pruned_heads_config(), 46)
+        xs = seeded_rng(47).normal(size=(2, 1, 12)).astype(np.float32)
+        calls = []
+        real = model_mod.softmax
+        monkeypatch.setattr(model_mod, "softmax", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        plain = forward_batch(m, xs)
+        assert len(calls) == 2
+        hooked = forward_batch(m, xs, site_hook=lambda site, act: None)
+        assert len(calls) == 4
+        assert np.array_equal(plain, hooked)
+
+
 def reference_forward(m, x):
     """Straight-line single-instance forward, written independently."""
     cfg = m.config

@@ -3,12 +3,20 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsfo.data import synth_generate
 from tsfo.errors import ParseError
 from tsfo.model import ModelConfig, build_model, forward_batch
 from tsfo.pruning import PruneSpec, prune_unstructured
-from tsfo.quantization import calibrate, quantize_static, quantized_forward_batch
+from tsfo.quantization import (
+    QuantizedModel,
+    calibrate,
+    quantize_dynamic,
+    quantize_static,
+    quantized_forward_batch,
+)
 from tsfo.serialize import (
     MAGIC,
     load,
@@ -146,3 +154,169 @@ class TestContainerFormat:
         path.write_bytes(raw[:-8])
         with pytest.raises(ParseError):
             read_container(path)
+
+
+def split_container(raw: bytes) -> tuple[dict, bytes]:
+    (header_len,) = struct.unpack("<Q", raw[8:16])
+    return json.loads(raw[16 : 16 + header_len]), raw[16 + header_len :]
+
+
+def join_container(header: dict, payload: bytes) -> bytes:
+    blob = json.dumps(header).encode("utf-8")
+    return MAGIC + struct.pack("<IQ", 1, len(blob)) + blob + payload
+
+
+@pytest.fixture(scope="module")
+def containers(tmp_path_factory):
+    """Valid container bytes of every kind, and a path to write fuzzed bytes to."""
+    out = tmp_path_factory.mktemp("containers")
+    m = build_model(small_config(), 12)
+    masked, _, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
+    calib = seeded_rng(13).normal(size=(4, 1, 16)).astype(np.float32)
+    raw = {}
+    for kind, obj, save in (
+        ("model", masked, save_model),
+        ("static", quantize_static(m, calibrate(m, calib)), save_quantized),
+        ("dynamic", quantize_dynamic(m), save_quantized),
+        ("dataset", synth_generate(2, 3, 16, 0.1, seed=14), save_dataset),
+    ):
+        save(obj, out / kind)
+        raw[kind] = (out / kind).read_bytes()
+    return raw, out / "fuzzed.tsfo"
+
+
+def loads_or_parse_error(path, raw: bytes) -> None:
+    """The only failure a malformed container may produce is ParseError.
+
+    A quantized model that loads must also pack, the first step of serving it.
+    """
+    path.write_bytes(raw)
+    try:
+        obj = load(path)
+    except ParseError:
+        return
+    if isinstance(obj, QuantizedModel):
+        assert obj.pack
+
+
+def json_paths(node, prefix=()):
+    """Every path into a parsed JSON value, the root's empty path first."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_paths(child, prefix + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+KINDS = ["model", "static", "dynamic", "dataset"]
+
+
+class TestMalformedContainers:
+    def edited(self, containers, kind, edit):
+        header, payload = split_container(containers[0][kind])
+        edit(header)
+        return join_container(header, payload)
+
+    def expect_parse_error(self, containers, raw, reader=load):
+        path = containers[1]
+        path.write_bytes(raw)
+        with pytest.raises(ParseError):
+            reader(path)
+
+    @pytest.mark.parametrize("key", ["tensors", "kind", "meta"])
+    def test_header_key_missing(self, containers, key):
+        raw = self.edited(containers, "model", lambda h: h.pop(key))
+        self.expect_parse_error(containers, raw, read_container)
+
+    @pytest.mark.parametrize("key", ["name", "dtype", "shape"])
+    def test_manifest_key_missing(self, containers, key):
+        raw = self.edited(containers, "static", lambda h: h["tensors"][3].pop(key))
+        self.expect_parse_error(containers, raw, read_container)
+
+    def test_zero_point_missing(self, containers):
+        raw = self.edited(containers, "static", lambda h: h["tensors"][0].pop("zero_point"))
+        self.expect_parse_error(containers, raw, read_container)
+
+    def test_huge_header_length(self, containers):
+        raw = containers[0]["model"]
+        self.expect_parse_error(containers, raw[:8] + struct.pack("<Q", 2**40) + raw[16:])
+
+    def test_huge_manifest_shape(self, containers):
+        def grow(header):
+            header["tensors"][0]["shape"] = [2**20, 2**20]
+
+        self.expect_parse_error(containers, self.edited(containers, "model", grow))
+
+    def test_truncated_preamble(self, containers):
+        self.expect_parse_error(containers, containers[0]["model"][:10])
+
+    def test_trailing_bytes(self, containers):
+        self.expect_parse_error(containers, containers[0]["model"] + b"\x00")
+
+    def test_config_disagrees_with_tensors(self, containers):
+        def deeper(header):
+            header["meta"]["config"]["num_layers"] += 1
+
+        self.expect_parse_error(containers, self.edited(containers, "model", deeper))
+
+    def test_weight_layout_inference_cannot_pack(self, containers):
+        def per_row(header):
+            entry = next(e for e in header["tensors"] if e["name"] == "layers.0.attn.wq")
+            entry["channel_axis"] = 0
+
+        self.expect_parse_error(containers, self.edited(containers, "dynamic", per_row))
+
+    def test_static_model_without_calibration(self, containers):
+        def drop(header):
+            header["meta"]["act_qparams"] = None
+
+        self.expect_parse_error(containers, self.edited(containers, "static", drop))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unedited_containers_load(self, containers, kind):
+        path = containers[1]
+        path.write_bytes(containers[0][kind])
+        load(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(KINDS), data=st.data())
+    def test_truncated(self, containers, kind, data):
+        raw = containers[0][kind]
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        loads_or_parse_error(containers[1], raw[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(KINDS), data=st.data())
+    def test_byte_mutated(self, containers, kind, data):
+        raw = bytearray(containers[0][kind])
+        # the header is where a flipped byte can change structure, so aim
+        # half of the mutations inside it
+        (header_len,) = struct.unpack("<Q", raw[8:16])
+        ends = st.sampled_from([16 + header_len, len(raw)])
+        for _ in range(data.draw(st.integers(1, 8))):
+            pos = data.draw(ends.flatmap(lambda end: st.integers(0, end - 1)))
+            raw[pos] = data.draw(st.integers(0, 255))
+        loads_or_parse_error(containers[1], bytes(raw))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(KINDS), data=st.data())
+    def test_header_edited(self, containers, kind, data):
+        header, payload = split_container(containers[0][kind])
+        path = data.draw(st.sampled_from(list(json_paths(header))[1:]))
+        parent = header
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(json_values)
+        loads_or_parse_error(containers[1], join_container(header, payload))

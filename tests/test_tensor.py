@@ -112,6 +112,61 @@ class TestLayerNorm:
         assert np.allclose(out, [5.0, 5.0], atol=1e-2)
 
 
+def parent_softmax(x, axis=-1):
+    """The out-of-place formula softmax replaced; outputs must not change."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def parent_layer_norm(x, gamma, beta, eps=1e-5):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return gamma * (centered / np.sqrt(var + eps)) + beta
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestInPlaceKernels:
+    """softmax and layer_norm work in place on one fresh buffer: same bits, input untouched."""
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_softmax_bit_identical(self, dtype, axis):
+        x = (seeded_rng(31).normal(size=(3, 4, 24, 24)) * 5).astype(dtype)
+        before = x.copy()
+        out = softmax(x, axis=axis)
+        assert out.dtype == dtype
+        assert np.array_equal(out, parent_softmax(before, axis))
+        assert np.array_equal(x, before)
+        assert not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_softmax_out_normalizes_in_place(self, dtype, axis):
+        x = seeded_rng(32).normal(size=(2, 6, 5)).astype(dtype)
+        want = parent_softmax(x, axis)
+        assert softmax(x, axis=axis, out=x) is x
+        assert np.array_equal(x, want)
+
+    @pytest.mark.parametrize("shape", [(7,), (24, 64), (4, 24, 96)])
+    def test_layer_norm_bit_identical(self, dtype, shape):
+        rng = seeded_rng(33)
+        x = (rng.normal(size=shape) * 3 + 1).astype(dtype)
+        gamma = rng.normal(size=shape[-1:]).astype(dtype)
+        beta = rng.normal(size=shape[-1:]).astype(dtype)
+        before = x.copy()
+        out = layer_norm(x, gamma, beta)
+        assert out.dtype == dtype
+        assert np.array_equal(out, parent_layer_norm(before, gamma, beta))
+        assert np.array_equal(x, before)
+        assert not np.shares_memory(out, x)
+
+    def test_layer_norm_wider_params_promote(self, dtype):
+        x = seeded_rng(34).normal(size=(3, 8)).astype(np.float32)
+        gamma = np.full(8, 1.5, dtype)
+        beta = np.full(8, 0.25, dtype)
+        out = layer_norm(x, gamma, beta)
+        assert out.dtype == dtype
+        assert np.array_equal(out, parent_layer_norm(x, gamma, beta))
+
+
 class TestConv1d:
     def test_kernel_one_identity(self):
         x = np.array([[1.0, 2.0, 3.0]], dtype=np.float32)
