@@ -4,6 +4,7 @@ from .bench import ExperimentConfig, emit_report, load_reports, run_experiment
 from .data import (
     TimeSeriesDataset,
     WindowSpec,
+    load_ucr,
     load_ucr_delimited,
     min_max_normalize,
     resample_linear,
@@ -54,8 +55,8 @@ from .pruning import (
     prune_structured,
     prune_unstructured,
     pruned_energy_estimate,
-    score_units_l2,
-    score_weights_l1,
+    score_units,
+    score_weights,
     select_prune_set,
     sparsity,
 )

@@ -138,7 +138,9 @@ def _load_experiment_dataset(config: ExperimentConfig) -> TimeSeriesDataset:
     if config.dataset_path is not None:
         from .cli import load_any_dataset
 
-        return normalize_dataset(load_any_dataset(config.dataset_path))
+        return normalize_dataset(
+            load_any_dataset(config.dataset_path, config.train_fraction, config.seed)
+        )
     spec = dict(config.synth)
     spec.setdefault("seed", config.seed)
     return synth_generate(

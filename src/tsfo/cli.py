@@ -13,7 +13,7 @@ import os
 import sys
 
 from .bench import ExperimentConfig, emit_report, load_reports, run_experiment
-from .data import load_ucr_delimited, normalize_dataset, subject_wise_split, synth_generate
+from .data import load_ucr, normalize_dataset, subject_wise_split, synth_generate
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -37,8 +37,12 @@ EXIT_DATA = 3
 EXIT_COMPUTE = 4
 
 
-def load_any_dataset(path):
-    """Load either a TSFO dataset container or a UCR-style delimited file."""
+def load_any_dataset(path, train_fraction: float = 0.7, seed: int = 0):
+    """Load either a TSFO dataset container or a UCR-style delimited file.
+
+    A UCR file comes with a train/test split (``data.load_ucr``); the
+    fraction and seed only matter when it has no ``_TEST`` sibling.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == MAGIC:
@@ -48,7 +52,7 @@ def load_any_dataset(path):
         if not isinstance(obj, TimeSeriesDataset):
             raise InputError(f"{path} is a TSFO container but not a dataset")
         return obj
-    return load_ucr_delimited(path)
+    return load_ucr(path, train_fraction, seed)
 
 
 def _cap_threads():
@@ -71,7 +75,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    dataset = normalize_dataset(load_any_dataset(args.data))
+    dataset = normalize_dataset(load_any_dataset(args.data, args.train_fraction, args.seed))
     train_ds, val_ds = subject_wise_split(dataset, args.train_fraction, args.seed)
     cfg = preset_config(
         args.preset,
@@ -101,13 +105,13 @@ def _cmd_prune(args) -> int:
     if args.granularity == "weight":
         model, masks, report = prune_unstructured(model, spec)
         if args.fine_tune_epochs and args.data:
-            dataset = normalize_dataset(load_any_dataset(args.data))
+            dataset = normalize_dataset(load_any_dataset(args.data, seed=args.seed))
             train_ds, _ = subject_wise_split(dataset, 0.7, args.seed)
             model = fine_tune(model, masks, train_ds, args.fine_tune_epochs)
     else:
         model, report = prune_structured(model, spec)
         if args.fine_tune_epochs and args.data:
-            dataset = normalize_dataset(load_any_dataset(args.data))
+            dataset = normalize_dataset(load_any_dataset(args.data, seed=args.seed))
             train_ds, _ = subject_wise_split(dataset, 0.7, args.seed)
             model, _ = train(
                 model,

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -262,6 +263,49 @@ def window_dataset(dataset: TimeSeriesDataset, spec: WindowSpec) -> TimeSeriesDa
         label_map=dataset.label_map,
         subjects=np.array(subjects) if subjects is not None else None,
     )
+
+
+def load_ucr(path, train_fraction: float = 0.7, seed: int = 0) -> TimeSeriesDataset:
+    """Load a UCR file with a train/test split recorded in ``predefined_split``.
+
+    ``<name>_TRAIN.<ext>`` is paired with its ``<name>_TEST.<ext>`` sibling
+    (``load_ucr_pair``), keeping the archive's split. Any other file, or a
+    TRAIN file without that sibling, gets a seeded stratified split
+    (``stratified_split``) and one warning.
+    """
+    folder, base = os.path.split(os.fspath(path))
+    head, found, tail = base.rpartition("_TRAIN")
+    test_path = os.path.join(folder, head + "_TEST" + tail)
+    if found and os.path.isfile(test_path):
+        return load_ucr_pair(path, test_path)
+    dataset = load_ucr_delimited(path)
+    log.warning(
+        "%s has no _TRAIN/_TEST pair; recorded a %.2f/%.2f per-class split, seed %d",
+        path, train_fraction, 1.0 - train_fraction, seed,
+    )
+    split = stratified_split(dataset.labels, train_fraction, seed)
+    return replace(dataset, predefined_split=split)
+
+
+def stratified_split(
+    labels: np.ndarray, train_fraction: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded (train_idx, test_idx) taking round(fraction * n) of each class to train.
+
+    Each class with two or more instances keeps at least one on each side.
+    """
+    if not 0.0 < train_fraction < 1.0:
+        raise InputError("train_fraction must be in (0, 1)")
+    rng = seeded_rng(seed)
+    train = []
+    for cls in np.unique(labels):
+        idx = rng.permutation(np.flatnonzero(labels == cls))
+        train.append(idx[: min(max(round(train_fraction * len(idx)), 1), max(len(idx) - 1, 1))])
+    train_idx = np.sort(np.concatenate(train))
+    test_idx = np.setdiff1d(np.arange(len(labels)), train_idx)
+    if len(test_idx) == 0:
+        raise InputError("a stratified split needs a class with at least two instances")
+    return train_idx, test_idx
 
 
 def subject_wise_split(

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import functools
+import importlib.util
 import math
+import os
+import platform
+import subprocess
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +143,56 @@ TIME_DERIVED_FIELDS = (
 )
 
 
+# Thread-count variables that BLAS libraries read at start-up.
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+)
+
+
+def _git_commit() -> str | None:
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, timeout=10, check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() or None
+
+
+@functools.cache
+def _environment() -> dict:
+    try:
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": build.get("name"), "version": build.get("version")}
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        blas = {"name": None, "version": None}
+    thread_env = {var: os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ}
+    if importlib.util.find_spec("threadpoolctl") is not None:
+        method = "threadpoolctl"  # bench.single_thread pins every timed region
+    elif thread_env and all(value == "1" for value in thread_env.values()):
+        method = "env vars"
+    else:
+        method = "none"
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "cpu_count": os.cpu_count(),
+        "blas_threads_pinned": method != "none",
+        "pinning_method": method,
+        "thread_env": thread_env,
+        "git_commit": _git_commit(),
+    }
+
+
+def environment() -> dict:
+    """How this process measures: Python, numpy and BLAS builds, cores, BLAS
+    thread pinning (threadpoolctl, thread-count env vars or none) and the git
+    commit of the source when there is one. Computed once per process."""
+    return copy.deepcopy(_environment())
+
+
 @dataclass
 class MetricsReport:
     """Per-configuration benchmark outcome.
@@ -184,5 +240,5 @@ class MetricsReport:
         out = dict(self.__dict__)
         out["inference_ms"] = self.inference_ms.to_dict()
         out["overall_score"] = round_sig(self.overall_score, 4)
-        out["provenance"] = dict(self.PROVENANCE)
+        out["provenance"] = {**self.PROVENANCE, "environment": environment()}
         return out

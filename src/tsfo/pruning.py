@@ -75,10 +75,6 @@ def score_weights(model: TransformerModel, method: str = "l1") -> dict[str, np.n
     return {n: np.abs(model.params[n]).ravel() for n in prunable_pools(model)}
 
 
-def score_weights_l1(model: TransformerModel) -> dict[str, np.ndarray]:
-    return score_weights(model, "l1")
-
-
 def score_units(
     model: TransformerModel,
     granularity: str,
@@ -123,10 +119,6 @@ def score_units(
                 vals.append(norm(group))
             scores[pre + "attn"] = np.array(vals, dtype=np.float64)
     return scores
-
-
-def score_units_l2(model: TransformerModel, granularity: str) -> dict[str, np.ndarray]:
-    return score_units(model, granularity, "l2")
 
 
 def select_prune_set(

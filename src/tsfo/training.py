@@ -20,10 +20,12 @@ import numpy as np
 from .errors import InputError, ShapeError
 from .model import (
     TransformerModel,
-    _merge_heads,
+    _key_rows,
     _split_heads,
+    attention_weights,
     forward_batch,
     positional_encoding,
+    weighted_values,
 )
 from .tensor import im2col_batch, relu, seeded_rng, softmax
 
@@ -104,6 +106,7 @@ def loss_and_grads(
     Returns (mean loss, correct count, gradient dict keyed like params).
     Dropout masks are drawn once in the forward pass and reused in the
     backward pass, so the gradients are exact for the sampled network.
+    Attention goes through ``model.attention_weights``; its backward keeps that layout.
     """
     cfg = model.config
     p = model.params
@@ -130,16 +133,12 @@ def loss_and_grads(
     caches = []
     for l in range(cfg.num_layers):
         pre = f"layers.{l}."
-        heads = cfg.heads_at(l)
         n1, n1hat, inv1 = _layer_norm_cache(h, p[pre + "norm1.gamma"], p[pre + "norm1.beta"])
-        qh = _split_heads(n1 @ p[pre + "attn.wq"] + p[pre + "attn.bq"], heads)
-        kh = _split_heads(n1 @ p[pre + "attn.wk"] + p[pre + "attn.bk"], heads)
-        vh = _split_heads(n1 @ p[pre + "attn.wv"] + p[pre + "attn.bv"], heads)
-        alpha = 1.0 / math.sqrt(qh.shape[-1])
-        scores = np.matmul(qh, kh.swapaxes(-1, -2))
-        scores *= alpha
-        attn_w = softmax(scores, axis=-1, out=scores)
-        ctx = _merge_heads(np.matmul(attn_w, vh))
+        q = n1 @ p[pre + "attn.wq"] + p[pre + "attn.bq"]
+        k = n1 @ p[pre + "attn.wk"] + p[pre + "attn.bk"]
+        v = n1 @ p[pre + "attn.wv"] + p[pre + "attn.bv"]
+        attn_w = attention_weights(q, k, cfg.heads_at(l))
+        ctx = weighted_values(attn_w, v)
         attn_out = ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"]
         mask1 = make_mask(attn_out.shape, attn_out.dtype)
         h_mid = h + (attn_out * mask1 if mask1 is not None else attn_out)
@@ -152,10 +151,9 @@ def loss_and_grads(
         h_out = h_mid + (z2 * mask2 if mask2 is not None else z2)
 
         caches.append(
-            dict(h_in=h, n1=n1, n1hat=n1hat, inv1=inv1, qh=qh, kh=kh, vh=vh,
-                 alpha=alpha, attn_w=attn_w, ctx=ctx, mask1=mask1,
-                 h_mid=h_mid, n2=n2, n2hat=n2hat, inv2=inv2, z1=z1, r=r,
-                 mask2=mask2, heads=heads)
+            dict(h_in=h, n1=n1, n1hat=n1hat, inv1=inv1, q=q, k=k, v=v, attn_w=attn_w,
+                 ctx=ctx, mask1=mask1, h_mid=h_mid, n2=n2, n2hat=n2hat, inv2=inv2, z1=z1,
+                 r=r, mask2=mask2)
         )
         h = h_out
 
@@ -192,18 +190,20 @@ def loss_and_grads(
         d_attn = d_hmid * c["mask1"] if c["mask1"] is not None else d_hmid
         grads[pre + "attn.wo"] = _weight_grad(c["ctx"], d_attn)
         grads[pre + "attn.bo"] = d_attn.sum(axis=(0, 1))
-        d_ctx = _split_heads(d_attn @ p[pre + "attn.wo"].T, c["heads"])
-        d_attn_w = np.matmul(d_ctx, c["vh"].swapaxes(-1, -2))
-        d_vh = np.matmul(c["attn_w"].swapaxes(-1, -2), d_ctx)
-        # softmax backward per attention row
-        d_scores = c["attn_w"] * (
-            d_attn_w - np.sum(d_attn_w * c["attn_w"], axis=-1, keepdims=True)
-        )
-        d_qh = np.matmul(d_scores, c["kh"]) * c["alpha"]
-        d_kh = np.matmul(d_scores.swapaxes(-1, -2), c["qh"]) * c["alpha"]
-        d_q = _merge_heads(d_qh)
-        d_k = _merge_heads(d_kh)
-        d_v = _merge_heads(d_vh)
+        w = c["attn_w"]
+        heads = w.shape[1]
+        d_ctx = _split_heads(d_attn @ p[pre + "attn.wo"].T, heads)
+        qh, kh, vh = (_split_heads(c[t], heads) for t in "qkv")
+        d_q, d_k, d_v = (np.empty(c[t].shape, np.result_type(w, d_ctx)) for t in "qkv")
+        np.matmul(w, d_ctx, out=_split_heads(d_v, heads))
+        # softmax backward over the keys in the core's layout; d_s takes its 1/sqrt(dh)
+        d_s = np.empty_like(w, dtype=d_v.dtype)
+        np.matmul(vh, d_ctx.swapaxes(-1, -2) * (1.0 / math.sqrt(qh.shape[-1])), out=d_s)
+        d_rows, w_rows = _key_rows(d_s), _key_rows(w)
+        d_rows -= (d_rows * w_rows).sum(axis=0)
+        d_rows *= w_rows
+        np.matmul(d_s, qh, out=_split_heads(d_k, heads))
+        np.matmul(d_s.swapaxes(-1, -2), kh, out=_split_heads(d_q, heads))
         n1 = c["n1"]
         grads[pre + "attn.wq"] = _weight_grad(n1, d_q)
         grads[pre + "attn.bq"] = d_q.sum(axis=(0, 1))

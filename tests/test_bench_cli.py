@@ -352,6 +352,42 @@ class TestCli:
                      "--data", ds_path, "--out", q_path]) == 0
         assert main(["eval", "--model", q_path, "--data", ds_path]) == 0
 
+    def test_ucr_pair_end_to_end(self, tmp_path):
+        rng = np.random.default_rng(0)
+
+        def write(path, rows):
+            labels = np.arange(rows) % 2 + 1
+            series = rng.normal(size=(rows, 32)) + labels[:, None]
+            path.write_text("".join(
+                f"{l}\t" + "\t".join(f"{v:.4f}" for v in s) + "\n" for l, s in zip(labels, series)
+            ))
+
+        train_path = tmp_path / "Toy_TRAIN.tsv"
+        write(train_path, 20)
+        write(tmp_path / "Toy_TEST.tsv", 10)
+        data = str(train_path)
+        run_dir = str(tmp_path / "m")
+        assert main(["train", "--data", data, "--epochs", "1", "--out", run_dir]) == 0
+        model_path = os.path.join(run_dir, "model.tsfo")
+        pruned_path = str(tmp_path / "pruned.tsfo")
+        assert main(["prune", "--model", model_path, "--granularity", "head", "--method", "l2",
+                     "--data", data, "--fine-tune-epochs", "1", "--out", pruned_path]) == 0
+        q_path = str(tmp_path / "q.tsfo")
+        assert main(["quantize", "--model", pruned_path, "--data", data, "--out", q_path]) == 0
+        assert main(["eval", "--model", q_path, "--data", data]) == 0
+        config = {
+            "dataset": data, "preset": "custom",
+            "model": {"num_layers": 1, "num_heads": 2, "model_dim": 16, "ffn_dim": 32,
+                      "patch_size": 8, "patch_stride": 8},
+            "optimizations": [["static-quant"]], "runs": 1, "epochs": 1,
+            "out": str(tmp_path / "bench"),
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["bench", "--config", str(cfg_path)]) == 0
+        rows = load_reports(str(tmp_path / "bench" / "reports.json"))
+        assert [r["configuration"] for r in rows] == ["baseline", "static-quant"]
+
     def test_missing_dataset_exit_code(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path / "x")]) == EXIT_DATA

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from tsfo.data import (
     TimeSeriesDataset,
     WindowSpec,
+    load_ucr,
     load_ucr_delimited,
     load_ucr_pair,
     min_max_normalize,
     normalize_dataset,
     resample_linear,
     segment_windows,
+    stratified_split,
     subject_wise_split,
     synth_generate,
     window_count,
@@ -64,6 +66,46 @@ class TestLoader:
         assert len(ds) == 3
         tr_idx, te_idx = ds.predefined_split
         assert tr_idx.tolist() == [0, 1] and te_idx.tolist() == [2]
+
+    def test_train_file_resolves_its_test_sibling(self, tmp_path, caplog):
+        train = tmp_path / "X_TRAIN.tsv"
+        train.write_text("1\t0.0\t1.0\n2\t2.0\t3.0\n")
+        (tmp_path / "X_TEST.tsv").write_text("2\t4.0\t5.0\n")
+        with caplog.at_level(logging.WARNING):
+            ds = load_ucr(train)
+        assert not caplog.records
+        want = load_ucr_pair(train, tmp_path / "X_TEST.tsv")
+        assert np.array_equal(ds.instances, want.instances)
+        assert [a.tolist() for a in ds.predefined_split] == [[0, 1], [2]]
+
+    @pytest.mark.parametrize("name", ["X_TRAIN.tsv", "X.tsv"])
+    def test_lone_file_gets_seeded_stratified_split(self, tmp_path, caplog, name):
+        path = tmp_path / name
+        labels = [1] * 10 + [2] * 5
+        path.write_text("".join(f"{l}\t{i}.0\t{-i}.0\n" for i, l in enumerate(labels)))
+        with caplog.at_level(logging.WARNING):
+            ds = load_ucr(path, train_fraction=0.6, seed=3)
+        assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == 1
+        tr, te = ds.predefined_split
+        assert np.bincount(ds.labels[tr]).tolist() == [6, 3]
+        assert np.bincount(ds.labels[te]).tolist() == [4, 2]
+        assert [a.tolist() for a in load_ucr(path, 0.6, seed=3).predefined_split] == [
+            tr.tolist(), te.tolist()
+        ]
+        train_ds, test_ds = subject_wise_split(ds, 0.6, seed=0)
+        assert len(train_ds) == 9 and len(test_ds) == 6
+
+
+class TestStratifiedSplit:
+    def test_every_class_on_both_sides(self):
+        labels = np.array([0] * 2 + [1] * 7 + [2] * 3)
+        tr, te = stratified_split(labels, 0.9, seed=1)
+        assert set(labels[tr]) == set(labels[te]) == {0, 1, 2}
+        assert sorted(tr.tolist() + te.tolist()) == list(range(12))
+
+    def test_single_instance_classes_cannot_split(self):
+        with pytest.raises(InputError):
+            stratified_split(np.array([0, 1, 2]), 0.5, seed=0)
 
 
 UCR_DIR = os.environ.get("TSFO_UCR_DIR")

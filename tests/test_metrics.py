@@ -1,9 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
+from tsfo import metrics
 from tsfo.errors import InputError
 from tsfo.metrics import (
     EnergyParams,
+    MetricsReport,
     RunStats,
     attention_complexity,
     ci95,
@@ -179,6 +183,71 @@ def test_round_sig():
     assert round_sig(14.5178, 4) == 14.52
     assert round_sig(0.00123456, 4) == 0.001235
     assert round_sig(0.0, 4) == 0.0
+
+
+def dummy_report():
+    return MetricsReport(
+        configuration="baseline", accuracy_pct=90.0, accuracy_ci_half=1.0,
+        accuracy_drop_pct=0.0, inference_ms=ci95([1.0, 2.0]), modeled_energy_j=1.0,
+        measured_energy_j=1.0, memory_mb=1.0, flops_g=0.1, speedup=1.0,
+        energy_saving_pct=0.0, ee_gflops_per_j=1.0, accuracy_retention_pct=100.0,
+        overall_score=100.0,
+    )
+
+
+class TestEnvironment:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        metrics._environment.cache_clear()
+        yield
+        metrics._environment.cache_clear()
+
+    def test_block_in_every_report_row(self):
+        env = dummy_report().to_dict()["provenance"]["environment"]
+        assert set(env) == {
+            "python", "numpy", "blas", "cpu_count", "blas_threads_pinned",
+            "pinning_method", "thread_env", "git_commit",
+        }
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["pinning_method"] in ("threadpoolctl", "env vars", "none")
+        assert env["blas_threads_pinned"] == (env["pinning_method"] != "none")
+
+    def test_computed_once_and_same_for_every_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metrics, "_git_commit", lambda: calls.append(1) or "abc123")
+        report = dummy_report()
+        first = report.to_dict()["provenance"]["environment"]
+        first["cpu_count"] = -1  # a caller's edit must not leak into the cache
+        second = report.to_dict()["provenance"]["environment"]
+        assert calls == [1]
+        assert second["git_commit"] == "abc123" and second["cpu_count"] == os.cpu_count()
+        assert second == dummy_report().to_dict()["provenance"]["environment"]
+
+    @pytest.mark.parametrize(
+        "has_threadpoolctl, env, method",
+        [
+            (True, {}, "threadpoolctl"),
+            (False, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, "env vars"),
+            (False, {"OPENBLAS_NUM_THREADS": "4"}, "none"),
+            (False, {}, "none"),
+        ],
+    )
+    def test_pinning_method(self, monkeypatch, has_threadpoolctl, env, method):
+        for var in metrics.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        real = metrics.importlib.util.find_spec
+        monkeypatch.setattr(
+            metrics.importlib.util, "find_spec",
+            lambda name: (object() if has_threadpoolctl else None)
+            if name == "threadpoolctl" else real(name),
+        )
+        env_block = metrics.environment()
+        assert env_block["pinning_method"] == method
+        assert env_block["blas_threads_pinned"] == (method != "none")
+        assert env_block["thread_env"] == env
 
 
 def test_runstats_serialization():

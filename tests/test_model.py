@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import tsfo.model as model_mod
+import tsfo.training as training_mod
 from tsfo.errors import ConfigError, ShapeError
 from tsfo.model import (
     ModelConfig,
@@ -19,7 +21,7 @@ from tsfo.model import (
     positional_encoding,
     preset_config,
 )
-from tsfo.tensor import seeded_rng
+from tsfo.tensor import seeded_rng, softmax
 
 
 def tiny_config(**overrides):
@@ -192,6 +194,20 @@ def reference_context(q, k, v, heads):
     return out
 
 
+def key_major_context(q, k, v, heads):
+    """The core the key-outermost layout replaced: scores stored [B, H, key, query]."""
+    dh = q.shape[-1] // heads
+
+    def split(x):
+        return x.reshape(x.shape[0], x.shape[1], heads, dh).transpose(0, 2, 1, 3)
+
+    scores = np.matmul(split(k), split(q * (1.0 / math.sqrt(dh))).swapaxes(-1, -2))
+    softmax(scores, axis=-2, out=scores)
+    ctx = np.empty(q.shape, dtype=np.result_type(scores, v))
+    np.matmul(scores.swapaxes(-1, -2), split(v), out=split(ctx))
+    return ctx
+
+
 def pruned_heads_config():
     return tiny_config(
         num_layers=2, num_heads=4, model_dim=16, seq_len=12, heads_per_layer=(2, 1)
@@ -258,6 +274,51 @@ class TestAttentionCore:
         hooked = forward_batch(m, xs, site_hook=lambda site, act: None)
         assert len(calls) == 4
         assert np.array_equal(plain, hooked)
+
+    @pytest.mark.parametrize("b, heads, dh", [(1, 8, 8), (64, 8, 8), (64, 16, 6), (64, 10, 6)])
+    def test_equals_key_major_core(self, b, heads, dh):
+        rng = seeded_rng(50 + b + heads)
+        q, k, v = (rng.normal(size=(b, 24, heads * dh)).astype(np.float32) for _ in range(3))
+        assert np.array_equal(
+            model_mod.attention_context(q, k, v, heads), key_major_context(q, k, v, heads)
+        )
+
+    @pytest.mark.parametrize("b", [1, 64])
+    def test_pruned_forward_equals_key_major_core(self, monkeypatch, b):
+        # 24 patches, as in the presets, so that reduction order shows in the bits
+        m = build_model(dataclasses.replace(pruned_heads_config(), seq_len=48), 51)
+        xs = seeded_rng(52).normal(size=(b, 1, 48)).astype(np.float32)
+        got = forward_batch(m, xs)
+        monkeypatch.setattr(model_mod, "attention_context", key_major_context)
+        assert np.array_equal(got, forward_batch(m, xs))
+
+    def test_weights_stored_key_outermost_and_normalized_over_keys(self):
+        rng = seeded_rng(53)
+        q, k = (rng.normal(size=(3, 7, 12)).astype(np.float32) for _ in range(2))
+        w = model_mod.attention_weights(q, k, 3)
+        assert w.shape == (3, 3, 7, 7) and w.dtype == np.float32
+        # [B, H, key, query] is a view of one [key, B, H, query] buffer
+        assert w.transpose(2, 0, 1, 3).flags.c_contiguous
+        assert np.allclose(w.sum(axis=2), 1.0, atol=1e-6)
+        assert np.all(w >= 0)
+
+    def test_training_uses_the_core_once_per_layer(self, monkeypatch):
+        assert training_mod.attention_weights is model_mod.attention_weights
+        m = build_model(pruned_heads_config(), 54)
+        xs = seeded_rng(55).normal(size=(4, 1, 12)).astype(np.float32)
+        ys = np.array([0, 1, 1, 0])
+        weights, softmaxes = [], []
+        real_weights, real_softmax = training_mod.attention_weights, training_mod.softmax
+        monkeypatch.setattr(
+            training_mod, "attention_weights",
+            lambda *a: weights.append(1) or real_weights(*a),
+        )
+        monkeypatch.setattr(
+            training_mod, "softmax", lambda *a, **kw: softmaxes.append(1) or real_softmax(*a, **kw)
+        )
+        training_mod.loss_and_grads(m, xs, ys)
+        assert len(weights) == m.config.num_layers
+        assert len(softmaxes) == 1  # the loss's; attention normalizes inside the core
 
 
 def reference_forward(m, x):

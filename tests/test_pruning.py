@@ -11,9 +11,7 @@ from tsfo.pruning import (
     prune_unstructured,
     pruned_energy_estimate,
     score_units,
-    score_units_l2,
     score_weights,
-    score_weights_l1,
     select_prune_set,
     sparsity,
 )
@@ -33,13 +31,13 @@ class TestWeightScores:
     def test_absolute_value(self):
         m = build_model(small_config(), 0)
         m.params["layers.0.ffn.w1"][0, 0] = -3.0
-        scores = score_weights_l1(m)
+        scores = score_weights(m, "l1")
         assert scores["layers.0.ffn.w1"][0] == 3.0
 
     def test_ties_for_equal_weights(self):
         m = build_model(small_config(), 0)
         m.params["layers.0.ffn.w1"][:] = 0.25
-        scores = score_weights_l1(m)
+        scores = score_weights(m, "l1")
         assert np.all(scores["layers.0.ffn.w1"] == 0.25)
 
     def test_hand_computed_list(self):
@@ -47,7 +45,7 @@ class TestWeightScores:
         w = np.array([0.5, -0.1, 0.0, 2.0, -1.5], dtype=np.float32)
         m.params["classifier.weight"] = w  # not prunable; use an ffn row instead
         m.params["layers.0.ffn.w1"][0, :5] = w
-        scores = score_weights_l1(m)["layers.0.ffn.w1"]
+        scores = score_weights(m, "l1")["layers.0.ffn.w1"]
         assert np.allclose(scores[:5], [0.5, 0.1, 0.0, 2.0, 1.5])
 
     def test_biases_and_norms_excluded(self):
@@ -62,7 +60,7 @@ class TestUnitScores:
         m = build_model(small_config(), 0)
         m.params["layers.0.ffn.w1"][:, 2] = 0
         m.params["layers.0.ffn.w2"][2, :] = 0
-        scores = score_units_l2(m, "neuron")
+        scores = score_units(m, "neuron", "l2")
         assert scores["layers.0.ffn"][2] == 0.0
         assert np.all(scores["layers.0.ffn"][np.arange(6) != 2] > 0)
 
@@ -71,18 +69,18 @@ class TestUnitScores:
         m = build_model(cfg, 0)
         m.params["layers.0.ffn.w1"] = np.array([[1.0, 0.0], [2.0, 3.0]], np.float32)
         m.params["layers.0.ffn.w2"] = np.array([[2.0, 0.0], [0.0, 4.0]], np.float32)
-        scores = score_units_l2(m, "neuron")["layers.0.ffn"]
+        scores = score_units(m, "neuron", "l2")["layers.0.ffn"]
         assert scores[0] == pytest.approx(np.sqrt(1 + 4 + 4))
         assert scores[1] == pytest.approx(np.sqrt(9 + 16))
 
     def test_head_scaling_homogeneous(self):
         m = build_model(small_config(), 1)
-        before = score_units_l2(m, "head")["layers.0.attn"]
+        before = score_units(m, "head", "l2")["layers.0.attn"]
         dh = m.config.head_dim
         for w in ("wq", "wk", "wv"):
             m.params[f"layers.0.attn.{w}"][:, :dh] *= 3.0
         m.params["layers.0.attn.wo"][:dh, :] *= 3.0
-        after = score_units_l2(m, "head")["layers.0.attn"]
+        after = score_units(m, "head", "l2")["layers.0.attn"]
         assert after[0] == pytest.approx(3.0 * before[0], rel=1e-6)
         assert np.allclose(after[1:], before[1:])
 
