@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration errors, 3 data/input errors,
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import logging
 import os
@@ -41,8 +42,18 @@ def load_any_dataset(path, train_fraction: float = 0.7, seed: int = 0):
     """Load either a TSFO dataset container or a UCR-style delimited file.
 
     A UCR file comes with a train/test split (``data.load_ucr``); the
-    fraction and seed only matter when it has no ``_TEST`` sibling.
+    fraction and seed only matter when it has no ``_TEST`` sibling. A UCR
+    archive folder ``<dir>/<name>`` stands for its ``<name>_TRAIN.*`` file
+    (``.tsv`` or ``.txt`` first when there are several).
     """
+    if os.path.isdir(path):
+        folder = os.path.normpath(path)
+        name = os.path.basename(folder)
+        pattern = os.path.join(glob.escape(folder), glob.escape(name) + "_TRAIN.*")
+        found = sorted(glob.glob(pattern), key=lambda p: (not p.endswith((".tsv", ".txt")), p))
+        if not found:
+            raise InputError(f"{path} is a directory without a {name}_TRAIN.* file")
+        path = found[0]
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == MAGIC:
@@ -146,11 +157,17 @@ def _cmd_eval(args) -> int:
     dataset = normalize_dataset(load_any_dataset(args.data))
     from .bench import _accuracy
 
+    # a dataset with a train/test split is scored on its held-out side only
+    split = "all"
+    if dataset.predefined_split is not None:
+        dataset = dataset.subset(dataset.predefined_split[1], ":test")
+        split = "test"
     acc = _accuracy(obj, dataset)
-    print(f"accuracy: {acc:.4f} ({len(dataset)} instances)")
+    rows = "the test side of its split" if split == "test" else "every row"
+    print(f"accuracy: {acc:.4f} ({len(dataset)} instances, {rows})")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump({"accuracy": acc, "instances": len(dataset)}, fh)
+            json.dump({"accuracy": acc, "instances": len(dataset), "split": split}, fh)
     return EXIT_OK
 
 

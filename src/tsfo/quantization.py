@@ -246,7 +246,8 @@ def quantize_dynamic(model: TransformerModel) -> QuantizedModel:
 
 
 def _dynamic_qparams(x: np.ndarray) -> tuple[float, int]:
-    scale = max(float(np.abs(x).max()), _SCALE_FLOOR) / 127.0
+    # max(|x|) without an |x| temporary; a NaN in x still gives a NaN scale
+    scale = max(float(x.max()), -float(x.min()), _SCALE_FLOOR) / 127.0
     return scale, 0
 
 

@@ -192,6 +192,27 @@ def _broadcast_scale(q: QTensor) -> np.ndarray:
     return q.scale.reshape(shape)
 
 
+# built once: a fresh np.float32(0.5) per call adds about 3% to the
+# quantize pass of a single-instance site
+_HALF = np.float32(0.5)
+
+
+def _quantize_folded(x: np.ndarray, s, zero_point: int) -> np.ndarray:
+    """clip(round_half_away(x / s), -128 - z, 127 - z) = q - z, in x's float type.
+
+    The rounding rule of every int8 quantizer; ``quantized_linear`` says why
+    it is exact. It writes one float64 buffer and the result.
+    """
+    r = np.divide(x, s, dtype=np.float64)
+    # np.maximum/np.minimum rather than np.clip, whose Python-level dispatch
+    # costs more than the clamp itself at single-instance sizes
+    np.maximum(r, INT8_MIN - zero_point, out=r)
+    np.minimum(r, INT8_MAX - zero_point, out=r)
+    q = np.copysign(_HALF, x)
+    r += q
+    return np.trunc(r, out=q)
+
+
 def quantize_linear(
     x: np.ndarray,
     scale,
@@ -200,8 +221,12 @@ def quantize_linear(
 ) -> QTensor:
     """Quantize real values to int8: q = clamp(round(x/s) + z, -128, 127).
 
-    Rounding is half-away-from-zero.
+    Rounding is half-away-from-zero, by the rule ``quantized_linear`` uses:
+    x / s is clamped to [-128 - z, 127 - z] and rounded, then z is added.
+    As z is an integer, round(clip(r, -128 - z, 127 - z)) + z is the
+    formula above. Per-channel scales go through the same rule.
     """
+    x = np.asarray(x)
     scale = np.asarray(scale, dtype=np.float32)
     if np.any(scale <= 0):
         raise InputError("scale must be positive")
@@ -211,9 +236,10 @@ def quantize_linear(
         s = scale.reshape(shape)
     else:
         s = scale
-    q = round_half_away(np.asarray(x, dtype=np.float64) / s) + zero_point
-    q = np.clip(q, INT8_MIN, INT8_MAX).astype(np.int8)
-    return QTensor(q, scale, zero_point, channel_axis)
+    # the leading axis keeps a 0-d x an array, which the rule writes into
+    q = _quantize_folded(x[np.newaxis], s, zero_point)[0]
+    q += zero_point
+    return QTensor(q.astype(np.int8), scale, zero_point, channel_axis)
 
 
 def dequantize_linear(q: QTensor) -> np.ndarray:
@@ -313,10 +339,18 @@ def quantized_linear(
     """``x @ W + bias`` in float32, with x quantized per tensor and W packed int8.
 
     Bit-identical to ``quantize_linear`` -> ``int8_matmul`` -> ``+ bias``:
-    x is divided in float64 by the float32-rounded scale and rounded half
-    away from zero, exactly as ``quantize_linear`` does. The zero point is
-    folded into the clamp bounds, clip(r, -128 - z, 127 - z) = q - z, so the
-    GEMM needs no zero-point correction. x may carry leading batch axes.
+    both quantize with ``_quantize_folded``. x is divided by the
+    float32-rounded scale in float64 and clamped to [-128 - z, 127 - z],
+    the zero point folded into the bounds (clip(r, -128 - z, 127 - z) =
+    q - z, so the GEMM needs no zero-point correction). Clamping before
+    rounding is exact: the bounds are integers and rounding is monotone.
+    Then |r| <= 255, so adding copysign(0.5, x) in float64 errs by at most
+    2^-44, and truncating that sum into a buffer of x's float type (the GEMM
+    operand) rounds halves away from zero; s > 0, so r has the sign of x.
+    The divide stays in float64: the exact quotient of two float32 values
+    is a half-integer or about 2^-26 away from one, while a float32
+    quotient can land on a half-integer that the exact one misses and then
+    round the wrong way. x may carry leading batch axes.
     """
     s = np.float32(scale)
     if not s > 0:
@@ -324,11 +358,7 @@ def quantized_linear(
     if not INT8_MIN <= zero_point <= INT8_MAX:
         raise InputError(f"zero_point {zero_point} outside int8 range")
     lead = x.shape[:-1]
-    q = round_half_away(np.divide(x.reshape(-1, x.shape[-1]), s, dtype=np.float64))
-    # np.maximum/np.minimum rather than np.clip, whose Python-level dispatch
-    # costs more than the clamp itself at single-instance sizes
-    np.maximum(q, INT8_MIN - zero_point, out=q)
-    np.minimum(q, INT8_MAX - zero_point, out=q)
+    q = _quantize_folded(x.reshape(-1, x.shape[-1]), s, zero_point)
     acc = q.astype(packed.data.dtype, copy=False) @ packed.data
     # the rescale runs in float64 and rounds once into the float32 output
     out = np.multiply(

@@ -24,11 +24,21 @@ from tsfo.bench import (
 from tsfo.cli import EXIT_CONFIG, EXIT_DATA, main
 from tsfo.data import subject_wise_split, synth_generate
 from tsfo.errors import ConfigError
-from tsfo.model import build_model, count_params
+from tsfo.model import build_model, count_params, preset_config
 from tsfo.pruning import PruneSpec
 from tsfo.quantization import QuantizedModel, quantized_forward_batch
+from tsfo.serialize import save_dataset, save_model
 from tsfo.tensor import QTensor
 from tsfo.metrics import TIME_DERIVED_FIELDS
+
+
+def write_ucr(path, rows, rng):
+    """A two-class UCR-format file: label, then 32 tab-separated values per row."""
+    labels = np.arange(rows) % 2 + 1
+    series = rng.normal(size=(rows, 32)) + labels[:, None]
+    path.write_text("".join(
+        f"{l}\t" + "\t".join(f"{v:.4f}" for v in s) + "\n" for l, s in zip(labels, series)
+    ))
 
 
 def quick_config(out_dir, **overrides):
@@ -354,17 +364,9 @@ class TestCli:
 
     def test_ucr_pair_end_to_end(self, tmp_path):
         rng = np.random.default_rng(0)
-
-        def write(path, rows):
-            labels = np.arange(rows) % 2 + 1
-            series = rng.normal(size=(rows, 32)) + labels[:, None]
-            path.write_text("".join(
-                f"{l}\t" + "\t".join(f"{v:.4f}" for v in s) + "\n" for l, s in zip(labels, series)
-            ))
-
         train_path = tmp_path / "Toy_TRAIN.tsv"
-        write(train_path, 20)
-        write(tmp_path / "Toy_TEST.tsv", 10)
+        write_ucr(train_path, 20, rng)
+        write_ucr(tmp_path / "Toy_TEST.tsv", 10, rng)
         data = str(train_path)
         run_dir = str(tmp_path / "m")
         assert main(["train", "--data", data, "--epochs", "1", "--out", run_dir]) == 0
@@ -387,6 +389,46 @@ class TestCli:
         assert main(["bench", "--config", str(cfg_path)]) == 0
         rows = load_reports(str(tmp_path / "bench" / "reports.json"))
         assert [r["configuration"] for r in rows] == ["baseline", "static-quant"]
+
+    def test_eval_scores_the_test_side_of_a_split(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        train_path = tmp_path / "Toy_TRAIN.tsv"
+        write_ucr(train_path, 20, rng)
+        write_ucr(tmp_path / "Toy_TEST.tsv", 10, rng)
+        model_path = str(tmp_path / "model.tsfo")
+        cfg = preset_config("T1", seq_len=32, num_classes=2, in_channels=1, patch_size=8)
+        save_model(build_model(cfg, 0), model_path)
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--model", model_path, "--data", str(train_path),
+                     "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        assert (result["instances"], result["split"]) == (10, "test")
+        assert "(10 instances, the test side of its split)" in capsys.readouterr().out
+
+        # a container without a split is scored on every row
+        ds_path = str(tmp_path / "ds.tsfo")
+        save_dataset(synth_generate(2, 6, 32, 0.05, 0), ds_path)
+        assert main(["eval", "--model", model_path, "--data", ds_path, "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        assert (result["instances"], result["split"]) == (12, "all")
+
+    def test_ucr_archive_folder(self, tmp_path):
+        rng = np.random.default_rng(2)
+        folder = tmp_path / "Toy"
+        folder.mkdir()
+        write_ucr(folder / "Toy_TRAIN.tsv", 20, rng)
+        write_ucr(folder / "Toy_TEST.tsv", 10, rng)
+        run_dir = str(tmp_path / "m")
+        assert main(["train", "--data", str(folder), "--epochs", "1", "--out", run_dir]) == 0
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--model", os.path.join(run_dir, "model.tsfo"),
+                     "--data", str(folder) + os.sep, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["instances"] == 10
+
+        empty = tmp_path / "Empty"
+        empty.mkdir()
+        (empty / "Other_TRAIN.tsv").write_text("1\t0.5\n")
+        assert main(["train", "--data", str(empty), "--out", str(tmp_path / "x")]) == EXIT_DATA
 
     def test_missing_dataset_exit_code(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.tsv"),

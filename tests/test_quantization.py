@@ -8,6 +8,7 @@ from tsfo.errors import CalibrationError, InputError
 from tsfo.model import ModelConfig, build_model, forward_batch
 from tsfo.quantization import (
     QuantScheme,
+    _dynamic_qparams,
     calibrate,
     fake_quant,
     fake_quant_ste_mask,
@@ -241,6 +242,18 @@ class TestDynamic:
         assert np.array_equal(out, dm.dequantized_param("classifier.bias"))
         bias_scale = float(dm.weights["classifier.bias"].scale)
         assert np.abs(out - [0.5, -0.25, 1.0]).max() <= bias_scale / 2 * (1 + 1e-5)
+
+    def test_scale_is_absmax_over_127(self):
+        rng = seeded_rng(31)
+        blocks = [rng.normal(size=(24, 64)).astype(np.float32) for _ in range(20)]
+        for b in blocks[:10]:
+            # one negative extreme, larger in magnitude than every positive value
+            b.flat[rng.integers(b.size)] = -4 * np.abs(b).max()
+        blocks += [np.zeros((3, 5), np.float32), -np.ones((2, 2), np.float32)]
+        for b in blocks:
+            want = max(float(np.abs(b).max()), 1e-8) / 127.0
+            assert _dynamic_qparams(b) == (want, 0)
+        assert math.isnan(_dynamic_qparams(np.array([1.0, np.nan], np.float32))[0])
 
     def test_requires_dynamic_mode(self):
         m = build_model(small_config(), 8)

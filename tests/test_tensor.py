@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,6 +212,10 @@ class TestQuantize:
         q = quantize_linear(np.array([1.27], np.float32), 0.01, -128)
         assert q.data[0] == -1
 
+    def test_scalar_input(self):
+        assert quantize_linear(np.float32(0.3), 0.01, 3).data == 33
+        assert quantize_linear(-0.3, 0.01, -3).data == -33
+
     def test_saturation(self):
         q = quantize_linear(np.array([1e9], np.float32), 0.01, 0)
         assert q.data[0] == 127
@@ -260,6 +266,125 @@ class TestQuantize:
                 0,
                 channel_axis=1,
             )
+
+
+def reference_folded(x, s, zero_point):
+    """The rounding rule written the long way: round_half_away(x / s) in
+    float64, then clamp to [-128 - z, 127 - z]. Returns q - z in float64."""
+    q = round_half_away(np.divide(x, s, dtype=np.float64))
+    return np.clip(q, INT8_MIN - zero_point, INT8_MAX - zero_point)
+
+
+def tie_cases(s, n):
+    """Float32 values at and next to the quantization ties (n + 1/2) * s and
+    the steps n * s, plus signed zeros, infinities and values far out of range."""
+    n = np.asarray(n, dtype=np.float64)
+    base = np.concatenate([((n + 0.5) * s).astype(np.float32), (n * s).astype(np.float32)])
+    up = np.nextafter(base, np.float32(np.inf))
+    down = np.nextafter(base, np.float32(-np.inf))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 1e30, -1e30, 3e38, -3e38], np.float32)
+    return np.concatenate([base, up, down, special])
+
+
+def scaled_identity(k):
+    """127 times the [k, k] identity, packed: quantized_linear through it
+    returns 127 (q - z) s, and K > F32_EXACT_K packs it in float64."""
+    return pack_weight(QTensor(np.eye(k, dtype=np.int8) * INT8_MAX, np.float32(1.0), 0))
+
+
+def identity_linear(x, scale, zero_point):
+    k = x.shape[-1]
+    return quantized_linear(x, scale, zero_point, scaled_identity(k), np.zeros(k, np.float32))
+
+
+def identity_reference(folded, s):
+    """identity_linear's output for q - z; the product with the identity
+    spreads a NaN over its row, as the GEMM does."""
+    return ((folded @ np.eye(folded.shape[-1])) * INT8_MAX * float(s)).astype(np.float32)
+
+
+ZERO_POINTS = (INT8_MIN, -3, 0, 5, INT8_MAX)
+TIE_SCALES = (0.013, 1.0, 2.0**-7, 0.3, 6.0 / 255, 1e-8, 3.7e3)
+
+
+class TestQuantizeRule:
+    """quantize_linear and quantized_linear against the rule written out."""
+
+    @pytest.mark.parametrize("zero_point", ZERO_POINTS)
+    @pytest.mark.parametrize("scale", TIE_SCALES)
+    def test_quantize_linear_matches_reference(self, scale, zero_point):
+        s = np.float32(scale)
+        x = tie_cases(s, np.arange(-300, 301))
+        want = (reference_folded(x, s, zero_point) + zero_point).astype(np.int8)
+        assert np.array_equal(quantize_linear(x, s, zero_point).data, want)
+
+    @pytest.mark.parametrize("zero_point", ZERO_POINTS)
+    @pytest.mark.parametrize("scale", TIE_SCALES)
+    def test_quantized_linear_matches_reference(self, scale, zero_point):
+        s = np.float32(scale)
+        x = np.append(tie_cases(s, np.arange(-300, 301)), np.float32(np.nan))
+        x = np.resize(x, (len(x) // 8 + 1, 8))
+        want = identity_reference(reference_folded(x, s, zero_point), s)
+        assert np.array_equal(identity_linear(x, s, zero_point), want, equal_nan=True)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_per_channel_matches_reference(self, axis):
+        rng = seeded_rng(21)
+        scales = rng.uniform(1e-3, 0.1, size=7).astype(np.float32)
+        n = np.arange(-140, 141)
+        # channel j holds the ties and steps of scales[j]
+        x = np.stack([tie_cases(s, n) for s in scales], axis=axis)
+        shape = [1, 1]
+        shape[axis] = len(scales)
+        want = reference_folded(x, scales.reshape(shape), 0).astype(np.int8)
+        got = quantize_linear(x, scales, 0, channel_axis=axis)
+        assert np.array_equal(got.data, want)
+
+    @pytest.mark.parametrize("zero_point", [INT8_MIN, 0, INT8_MAX])
+    def test_float64_packed_path_matches_reference(self, zero_point):
+        s = np.float32(0.0173)
+        k = F32_EXACT_K + 82
+        assert scaled_identity(k).data.dtype == np.float64
+        x = np.resize(tie_cases(s, np.arange(-300, 301)), (5, k))
+        got = identity_linear(x, s, zero_point)
+        want = identity_reference(reference_folded(x, s, zero_point), s)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(2.0**-20, 1e4, width=32),
+        st.integers(-400, 400),
+        st.integers(INT8_MIN, INT8_MAX),
+    )
+    def test_ties_match_reference(self, scale, n, zero_point):
+        s = np.float32(scale)
+        x = tie_cases(s, [n - 1, n, n + 1])
+        want = reference_folded(x, s, zero_point)
+        assert np.array_equal(
+            quantize_linear(x, s, zero_point).data, (want + zero_point).astype(np.int8)
+        )
+        got = identity_linear(x.reshape(1, -1), s, zero_point)
+        assert np.array_equal(got, identity_reference(want.reshape(1, -1), s))
+
+    def test_quantized_linear_peak_memory(self):
+        # one float64 and one float32 copy of x at most while it is quantized
+        rng = seeded_rng(13)
+        x = rng.normal(size=(1536, 384)).astype(np.float32)
+        w = quantize_linear(rng.uniform(-1, 1, size=(384, 96)).astype(np.float32), 1 / 127)
+        packed = pack_weight(w)
+        bias = np.zeros(96, np.float32)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = quantized_linear(x, 0.02, 3, packed, bias)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < x.size * (8 + 4 + 4) + out.nbytes
 
 
 class TestInt8Matmul:
