@@ -37,14 +37,12 @@ from .metrics import (
 from .model import (
     ModelConfig,
     TransformerModel,
-    attention_forward,
     build_model,
     count_flops,
     count_params,
     flop_breakdown,
     forward,
     forward_batch,
-    patch_embed,
     positional_encoding,
     preset_config,
 )
@@ -67,7 +65,6 @@ from .quantization import (
     calibrate,
     fake_quant,
     quantize_dynamic,
-    quantize_dynamic_forward,
     quantize_static,
     quantized_energy_estimate,
     quantized_forward,
@@ -77,11 +74,9 @@ from .quantization import (
 from .serialize import load, save_dataset, save_model, save_quantized
 from .tensor import (
     QTensor,
-    conv1d_valid,
     dequantize_linear,
     int8_matmul,
     layer_norm,
-    matmul,
     quantize_linear,
     seeded_rng,
     softmax,
@@ -91,9 +86,7 @@ from .training import (
     CosineSchedule,
     TrainConfig,
     adam_step,
-    backward,
     cosine_lr,
-    cross_entropy,
     evaluate,
     fine_tune,
     train,

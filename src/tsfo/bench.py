@@ -2,8 +2,9 @@
 
 The timing protocol is fixed: per configuration, 10 warm-up inferences are
 followed by at least 100 timed single-instance inferences pinned to one BLAS
-thread, and the median is taken. The baseline is always measured in the same
-process as its optimized variants so speed-up ratios compare like with like.
+thread, and the median is taken. The baseline and its optimized variants are
+timed in the same process, taking turns on every instance, so speed-up ratios
+compare like with like even when the host changes speed.
 Runs execute sequentially; per-configuration statistics aggregate across
 runs as mean with a 95% confidence half-width.
 """
@@ -42,7 +43,7 @@ from .model import (
     build_model,
     count_flops,
     count_params,
-    forward_batch,
+    forward,
     preset_config,
 )
 from .pruning import (
@@ -60,7 +61,6 @@ from .quantization import (
     quantize_dynamic,
     quantize_static,
     quantized_forward,
-    quantized_forward_batch,
 )
 from .tensor import QTensor
 from .training import TrainConfig, evaluate, fine_tune, train
@@ -174,40 +174,35 @@ def _model_config(config: ExperimentConfig, dataset: TimeSeriesDataset) -> Model
 
 
 def measure_inference_seconds(
-    forward_fn,
+    forward_fns: list,
     instances: np.ndarray,
     warmups: int = 10,
     timed: int = 100,
-) -> float:
-    """Median single-instance latency under the fixed timing protocol."""
+) -> list[float]:
+    """Median single-instance latency of each forward under the fixed timing protocol.
+
+    The forwards take turns on every instance, so a change of host speed
+    (some VMs switch speed for seconds at a time) falls on all of them alike
+    and cannot flip their ratios.
+    """
     n = len(instances)
+    samples = np.empty((len(forward_fns), timed))
     with single_thread():
         for i in range(warmups):
-            forward_fn(instances[i % n])
-        samples = np.empty(timed)
+            for forward_fn in forward_fns:
+                forward_fn(instances[i % n])
         for i in range(timed):
             x = instances[i % n]
-            t0 = time.perf_counter()
-            forward_fn(x)
-            samples[i] = time.perf_counter() - t0
-    return float(np.median(samples))
-
-
-def _accuracy(model_or_q, dataset: TimeSeriesDataset) -> float:
-    if isinstance(model_or_q, QuantizedModel):
-        correct = 0
-        for start in range(0, len(dataset), 128):
-            xs = dataset.instances[start : start + 128]
-            logits = quantized_forward_batch(model_or_q, xs)
-            correct += int(np.sum(np.argmax(logits, axis=1) == dataset.labels[start : start + 128]))
-        return correct / len(dataset)
-    return evaluate(model_or_q, dataset)
+            for j, forward_fn in enumerate(forward_fns):
+                t0 = time.perf_counter()
+                forward_fn(x)
+                samples[j, i] = time.perf_counter() - t0
+    return [float(np.median(s)) for s in samples]
 
 
 def _forward_fn(model_or_q):
-    if isinstance(model_or_q, QuantizedModel):
-        return lambda x: quantized_forward(model_or_q, x)
-    return lambda x: forward_batch(model_or_q, x[None])[0]
+    run = quantized_forward if isinstance(model_or_q, QuantizedModel) else forward
+    return lambda x: run(model_or_q, x)
 
 
 def _prune_quantized(qmodel: QuantizedModel, spec: PruneSpec) -> tuple[QuantizedModel, int]:
@@ -342,7 +337,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
     run_seeds = [config.seed + run for run in range(config.runs)]
     if config.parallel_train and config.runs > 1:
         # training is a pure function of its seed, so pool scheduling cannot
-        # change any result; timing below still runs one config at a time
+        # change any result; timing below runs in this thread alone
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=min(4, config.runs)) as pool:
@@ -351,41 +346,26 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
         baselines = [train_baseline(seed) for seed in run_seeds]
 
     for run_seed, model in zip(run_seeds, baselines):
-        base_time = measure_inference_seconds(
-            _forward_fn(model),
+        rows = [(model, 1.0)] + [
+            _apply_pipeline(pipeline, model, train_ds, config, run_seed)
+            for pipeline in config.optimizations
+        ]
+        times = measure_inference_seconds(
+            [_forward_fn(obj) for obj, _ in rows],
             test_ds.instances,
             config.warmup_inferences,
             config.timed_inferences,
         )
-        stats = per_cfg["baseline"]
-        stats["acc"].append(_accuracy(model, test_ds) * 100.0)
-        stats["time_s"].append(base_time)
-        stats["mem"].append(payload_bytes(model))
-        stats["flops_g"].append(_flops_g(model))
-        stats["sparsity"].append(_sparsity(model))
-        stats["energy_factor"].append(1.0)
-        stats["params"].append(count_params(model.config))
-
-        for pipeline in config.optimizations:
-            name = "+".join(pipeline)
-            optimized, energy_factor = _apply_pipeline(
-                pipeline, model, train_ds, config, run_seed
-            )
-            opt_time = measure_inference_seconds(
-                _forward_fn(optimized),
-                test_ds.instances,
-                config.warmup_inferences,
-                config.timed_inferences,
-            )
+        for name, (obj, energy_factor), seconds in zip(names, rows, times):
             stats = per_cfg[name]
-            stats["acc"].append(_accuracy(optimized, test_ds) * 100.0)
-            stats["time_s"].append(opt_time)
-            stats["mem"].append(payload_bytes(optimized))
-            stats["flops_g"].append(_flops_g(optimized))
-            stats["sparsity"].append(_sparsity(optimized))
+            stats["acc"].append(evaluate(obj, test_ds) * 100.0)
+            stats["time_s"].append(seconds)
+            stats["mem"].append(payload_bytes(obj))
+            stats["flops_g"].append(_flops_g(obj))
+            stats["sparsity"].append(_sparsity(obj))
             stats["energy_factor"].append(energy_factor)
-            # structured pruning shrinks the config, so count this row's own
-            stats["params"].append(count_params(optimized.config))
+            # structured pruning shrinks the config, so count each row's own
+            stats["params"].append(count_params(obj.config))
 
     base_acc = ci95(per_cfg["baseline"]["acc"]).mean
     base_time = ci95(per_cfg["baseline"]["time_s"]).mean

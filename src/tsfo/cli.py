@@ -28,7 +28,7 @@ from .model import build_model, preset_config
 from .pruning import PruneSpec, prune_structured, prune_unstructured
 from .quantization import calibrate, quantize_dynamic, quantize_static
 from .serialize import MAGIC, load, save_dataset, save_model, save_quantized
-from .training import TrainConfig, fine_tune, history_to_csv, train
+from .training import TrainConfig, evaluate, fine_tune, history_to_csv, train
 
 log = logging.getLogger("tsfo")
 
@@ -96,6 +96,7 @@ def _cmd_train(args) -> int:
         patch_size=args.patch_size,
     )
     model = build_model(cfg, args.seed)
+    model.split = {"train_fraction": args.train_fraction, "seed": args.seed}
     model, history = train(
         model,
         train_ds,
@@ -154,15 +155,14 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_eval(args) -> int:
     obj = load(args.model)
-    dataset = normalize_dataset(load_any_dataset(args.data))
-    from .bench import _accuracy
-
+    # a lone UCR file is split again as it was for training, when that was recorded
+    dataset = normalize_dataset(load_any_dataset(args.data, **(obj.split or {})))
     # a dataset with a train/test split is scored on its held-out side only
     split = "all"
     if dataset.predefined_split is not None:
         dataset = dataset.subset(dataset.predefined_split[1], ":test")
         split = "test"
-    acc = _accuracy(obj, dataset)
+    acc = evaluate(obj, dataset)
     rows = "the test side of its split" if split == "test" else "every row"
     print(f"accuracy: {acc:.4f} ({len(dataset)} instances, {rows})")
     if args.out:

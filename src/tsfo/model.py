@@ -8,18 +8,21 @@ mean-pooled before the linear classifier.
 
 Parameters live in a flat ``name -> ndarray`` dict so that gradients, masks,
 optimizer state, and serialization can all share one keying scheme.
+
+``encode`` is the one definition of that graph. Float and pruned models run
+it on ``FloatOps``; int8 inference, calibration and training on subclasses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache, partial
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import conv1d_valid, im2col_batch, layer_norm, relu, seeded_rng, softmax
+from .tensor import im2col_batch, layer_norm, relu, seeded_rng, softmax
 
 
 @dataclass(frozen=True)
@@ -119,10 +122,12 @@ class TransformerModel:
     config: ModelConfig
     params: dict[str, np.ndarray]
     masks: dict[str, np.ndarray] | None = None
+    # train_fraction and seed of the dataset split the model was trained on
+    split: dict | None = None
 
     def copy(self) -> "TransformerModel":
-        return TransformerModel(
-            config=self.config,
+        return replace(
+            self,
             params={k: v.copy() for k, v in self.params.items()},
             masks={k: v.copy() for k, v in self.masks.items()} if self.masks else None,
         )
@@ -211,17 +216,6 @@ def positional_encoding(num_positions: int, dim: int) -> np.ndarray:
     return _pe_table(num_positions, dim)
 
 
-def patch_embed(model: TransformerModel, x: np.ndarray) -> np.ndarray:
-    """Embed a [C, T] series into [P, d] patch vectors via the conv layer."""
-    out = conv1d_valid(
-        x,
-        model.params["patch_embed.weight"],
-        model.params["patch_embed.bias"],
-        model.config.patch_stride,
-    )
-    return out.T
-
-
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
     # [B, P, a] -> [B, H, P, a/H]
     b, p, a = x.shape
@@ -276,133 +270,80 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def multi_head_attention(
-    x: np.ndarray,
-    wq: np.ndarray,
-    bq: np.ndarray,
-    wk: np.ndarray,
-    bk: np.ndarray,
-    wv: np.ndarray,
-    bv: np.ndarray,
-    wo: np.ndarray,
-    bo: np.ndarray,
-    num_heads: int,
-    on_context=None,
-) -> np.ndarray:
-    """Multi-head self-attention sublayer over a [B, P, d] batch.
+class FloatOps:
+    """``encode``'s steps that read parameters, on float ones: ``x @ W + b``.
 
-    ``on_context``, when given, is called with the merged [B, P, a] context
-    (``attention_context``), the very array the output projection reads.
+    A site is named by its input, as ``quantization.activation_sites`` lists
+    them; a prefix names the parameters of a norm or an attention sublayer.
+    Outputs are fresh arrays.
     """
-    ctx = attention_context(
-        _affine(x, wq, bq), _affine(x, wk, bk), _affine(x, wv, bv), num_heads
-    )
-    if on_context is not None:
-        on_context(ctx)
-    return _affine(ctx, wo, bo)
+
+    def __init__(self, params: dict):
+        self.params = params
+
+    def linear(self, site: str, x: np.ndarray, weight: str, bias: str) -> np.ndarray:
+        w = self.params[weight]
+        if w.ndim == 3:  # the conv kernel [d, C, k] as its [C*k, d] matmul
+            w = w.reshape(w.shape[0], -1).T
+        return _affine(x, w, self.params[bias])
+
+    def qkv(self, prefix: str, x: np.ndarray) -> tuple:
+        """The [B, P, a] query, key and value projections of an attention sublayer."""
+        p = self.params
+        return (
+            _affine(x, p[prefix + "wq"], p[prefix + "bq"]),
+            _affine(x, p[prefix + "wk"], p[prefix + "bk"]),
+            _affine(x, p[prefix + "wv"], p[prefix + "bv"]),
+        )
+
+    def attend(self, prefix: str, q, k, v, heads: int) -> np.ndarray:
+        return attention_context(q, k, v, heads)
+
+    def norm(self, x: np.ndarray, prefix: str) -> np.ndarray:
+        return layer_norm(x, self.params[prefix + "gamma"], self.params[prefix + "beta"])
 
 
-def attention_forward(model: TransformerModel, layer: int, x: np.ndarray) -> np.ndarray:
-    """Run one layer's attention sublayer on [P, d] input (no norm/residual)."""
-    if x.ndim != 2 or x.shape[1] != model.config.model_dim:
-        raise ShapeError(f"expected [P, {model.config.model_dim}], got {x.shape}")
-    p = model.params
-    pre = f"layers.{layer}.attn."
-    out = multi_head_attention(
-        x[None],
-        p[pre + "wq"], p[pre + "bq"],
-        p[pre + "wk"], p[pre + "bk"],
-        p[pre + "wv"], p[pre + "bv"],
-        p[pre + "wo"], p[pre + "bo"],
-        model.config.heads_at(layer),
-    )
-    return out[0]
+def encode(cfg: ModelConfig, xs: np.ndarray, ops: FloatOps) -> np.ndarray:
+    """Logits for a [B, C, T] batch: the encoder graph every model runs.
 
-
-def forward_batch(
-    model: TransformerModel,
-    xs: np.ndarray,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-    site_hook=None,
-) -> np.ndarray:
-    """Logits for a [B, C, T] batch.
-
-    Dropout (inverted scaling) is applied to each sublayer output only when
-    ``train`` is true, in which case ``rng`` must be supplied. ``site_hook``,
-    when given, receives ``(site_name, activation)`` for the input of every
-    weight-bearing matmul; calibration and activation oracles hook in here.
+    ``ops`` supplies the steps that read parameters (see ``FloatOps``).
     """
-    cfg = model.config
     if xs.ndim != 3 or xs.shape[1] != cfg.in_channels or xs.shape[2] != cfg.seq_len:
         raise ShapeError(
             f"expected batch [B, {cfg.in_channels}, {cfg.seq_len}], got {xs.shape}"
         )
-    if train and cfg.dropout > 0 and rng is None:
-        raise ConfigError("train-mode forward with dropout needs an rng")
-    p = model.params
-    b = xs.shape[0]
-
+    # h and every sublayer output are fresh arrays, so the positional add,
+    # the ReLU and the residual adds below all run in place
     cols = im2col_batch(xs, cfg.patch_size, cfg.patch_stride)
-    if site_hook:
-        site_hook("embed.in", cols)
-    w2d = p["patch_embed.weight"].reshape(cfg.model_dim, -1).T
-    # h and every sublayer output are fresh arrays, so the bias adds, ReLU,
-    # dropout and residual adds below all run in place
-    h = _affine(cols, w2d, p["patch_embed.bias"])
+    h = ops.linear("embed.in", cols, "patch_embed.weight", "patch_embed.bias")
     h += positional_encoding(cfg.num_patches, cfg.model_dim)
-
-    def drop(t):
-        if not train or cfg.dropout == 0.0:
-            return t
-        keep = 1.0 - cfg.dropout
-        t *= (rng.random(t.shape) < keep).astype(t.dtype) / keep
-        return t
-
     for l in range(cfg.num_layers):
         pre = f"layers.{l}."
-        n1 = layer_norm(h, p[pre + "norm1.gamma"], p[pre + "norm1.beta"])
-        on_context = None
-        if site_hook:
-            site_hook(f"layers.{l}.attn.qkv.in", n1)
-            on_context = partial(site_hook, f"layers.{l}.attn.proj.in")
-        h += drop(
-            multi_head_attention(
-                n1,
-                p[pre + "attn.wq"], p[pre + "attn.bq"],
-                p[pre + "attn.wk"], p[pre + "attn.bk"],
-                p[pre + "attn.wv"], p[pre + "attn.bv"],
-                p[pre + "attn.wo"], p[pre + "attn.bo"],
-                cfg.heads_at(l),
-                on_context,
-            )
+        attn = pre + "attn."
+        # q, k, v and the context are passed straight on rather than bound to
+        # locals, which would keep them alive through the feed-forward block
+        h += ops.linear(
+            attn + "proj.in",
+            ops.attend(attn, *ops.qkv(attn, ops.norm(h, pre + "norm1.")), cfg.heads_at(l)),
+            attn + "wo",
+            attn + "bo",
         )
-
-        n2 = layer_norm(h, p[pre + "norm2.gamma"], p[pre + "norm2.beta"])
-        if site_hook:
-            site_hook(f"layers.{l}.ffn.in", n2)
-        mid = _affine(n2, p[pre + "ffn.w1"], p[pre + "ffn.b1"])
+        mid = ops.linear(
+            pre + "ffn.in", ops.norm(h, pre + "norm2."), pre + "ffn.w1", pre + "ffn.b1"
+        )
         relu(mid, out=mid)
-        if site_hook:
-            site_hook(f"layers.{l}.ffn.mid.in", mid)
-        h += drop(_affine(mid, p[pre + "ffn.w2"], p[pre + "ffn.b2"]))
-
-    pooled = h.mean(axis=1)
-    if site_hook:
-        site_hook("classifier.in", pooled)
-    return pooled @ p["classifier.weight"] + p["classifier.bias"]
+        h += ops.linear(pre + "ffn.mid.in", mid, pre + "ffn.w2", pre + "ffn.b2")
+    return ops.linear("classifier.in", h.mean(axis=1), "classifier.weight", "classifier.bias")
 
 
-def forward(
-    model: TransformerModel,
-    x: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def forward_batch(model: TransformerModel, xs: np.ndarray) -> np.ndarray:
+    """Logits for a [B, C, T] batch (eval mode: no dropout)."""
+    return encode(model.config, xs, FloatOps(model.params))
+
+
+def forward(model: TransformerModel, x: np.ndarray) -> np.ndarray:
     """Logits [K] for a single [C, T] instance."""
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
-    return forward_batch(model, x[None], train=(mode == "train"), rng=rng)[0]
+    return forward_batch(model, x[None])[0]
 
 
 def count_params(config: ModelConfig) -> int:

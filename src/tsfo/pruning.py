@@ -273,7 +273,7 @@ def prune_structured(
         new_cfg = replace(cfg, heads_per_layer=tuple(head_counts))
 
     # masks describe the old shapes; structured removal invalidates them
-    new_model = TransformerModel(config=new_cfg, params=new_params, masks=None)
+    new_model = replace(model, config=new_cfg, params=new_params, masks=None)
     params_after = count_params(new_cfg)
     removed = params_before - params_after
     report = PruneReport(

@@ -9,8 +9,13 @@ matmuls are integerized.
 
 A ``QuantizedModel`` packs its int8 weights once, on first use: each weight
 matrix is laid out for ``quantized_linear`` (wq, wk and wv fused into one
-matrix) and every vector is dequantized. Inference then makes one
-``quantized_linear`` call per weight-bearing site.
+matrix) and every vector is dequantized. Inference runs ``model.encode``
+with one ``quantized_linear`` call per weight-bearing site; calibration runs
+it with the float ops and an observer per site.
+
+QAT is weight-only fake quantization: ``training.train(weight_fake_quant=True)``
+trains on fake-quantized weight matrices, and the activations are quantized
+afterwards, from calibration, by ``quantize_static``.
 """
 
 from __future__ import annotations
@@ -22,25 +27,16 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CalibrationError, InputError
-from .model import (
-    ModelConfig,
-    TransformerModel,
-    attention_context,
-    forward_batch,
-    positional_encoding,
-)
+from .model import FloatOps, ModelConfig, TransformerModel, encode
 from .tensor import (
     INT8_MAX,
     INT8_MIN,
     PackedWeight,
     QTensor,
     dequantize_linear,
-    im2col_batch,
-    layer_norm,
     pack_weight,
     quantize_linear,
     quantized_linear,
-    relu,
     round_half_away,
 )
 
@@ -125,13 +121,26 @@ def calibrate(
     if len(xs) == 0:
         raise InputError("calibration needs at least one instance")
     observers = {s: CalibrationObserver(s) for s in activation_sites(model.config)}
-
-    def hook(site, activation):
-        observers[site].update(activation)
-
+    ops = _ObservedOps(model.params, observers)
     for start in range(0, len(xs), batch_size):
-        forward_batch(model, xs[start : start + batch_size], site_hook=hook)
+        encode(model.config, xs[start : start + batch_size], ops)
     return observers
+
+
+class _ObservedOps(FloatOps):
+    """The float ops, handing each site's input to ``observers[site].update``."""
+
+    def __init__(self, params: dict, observers: dict):
+        super().__init__(params)
+        self.observers = observers
+
+    def linear(self, site, x, weight, bias):
+        self.observers[site].update(x)
+        return super().linear(site, x, weight, bias)
+
+    def qkv(self, prefix, x):
+        self.observers[prefix + "qkv.in"].update(x)
+        return super().qkv(prefix, x)
 
 
 def quantize_weight(arr: np.ndarray) -> QTensor:
@@ -163,6 +172,7 @@ class QuantizedModel:
     weights: dict[str, QTensor]
     mode: str                                   # static | dynamic
     act_qparams: dict[str, tuple[float, int]] | None = None
+    split: dict | None = None                   # the float model's TransformerModel.split
 
     @cached_property
     def pack(self) -> dict[str, PackedWeight | np.ndarray]:
@@ -235,14 +245,14 @@ def quantize_static(
         )
     weights = {name: quantize_weight(arr) for name, arr in model.params.items()}
     return QuantizedModel(
-        config=model.config, weights=weights, mode="static", act_qparams=act_qparams
+        model.config, weights, mode="static", act_qparams=act_qparams, split=model.split
     )
 
 
 def quantize_dynamic(model: TransformerModel) -> QuantizedModel:
     """Int8 weights only; activation scales are computed at call time."""
     weights = {name: quantize_weight(arr) for name, arr in model.params.items()}
-    return QuantizedModel(config=model.config, weights=weights, mode="dynamic")
+    return QuantizedModel(model.config, weights, mode="dynamic", split=model.split)
 
 
 def _dynamic_qparams(x: np.ndarray) -> tuple[float, int]:
@@ -251,48 +261,37 @@ def _dynamic_qparams(x: np.ndarray) -> tuple[float, int]:
     return scale, 0
 
 
-def quantized_forward_batch(qmodel: QuantizedModel, xs: np.ndarray) -> np.ndarray:
-    """Int8 inference for a [B, C, T] batch.
+class _Int8Ops(FloatOps):
+    """One ``quantized_linear`` per site on the pack; norms use its dequantized vectors.
 
-    Every weight-bearing site is one ``quantized_linear`` call on the packed
-    weights: it quantizes its input (calibrated affine map in static mode,
-    per-call symmetric scale in dynamic mode), runs the exact integer GEMM,
-    rescales to float32 and adds the dequantized bias. The Q/K/V projections
-    share one call, and ``model.attention_context`` (the float forward's
-    attention core) reads its three [B, P, a] column slices without a copy.
-    Attention scores, softmax, norms, pooling, and residual adds stay in
-    float; the residual adds and the ReLU run in place.
+    Activations take the calibrated affine map in static mode and a per-call
+    symmetric scale in dynamic mode. Q, K and V share one call, and the
+    attention core reads its three [B, P, a] column slices without a copy.
     """
-    cfg = qmodel.config
-    pack = qmodel.pack
 
-    def linear(site, activation, weight_name, bias_name):
-        if qmodel.mode == "static":
-            scale, zp = qmodel.act_qparams[site]
+    def __init__(self, qmodel: QuantizedModel):
+        super().__init__(qmodel.pack)
+        self.act_qparams = qmodel.act_qparams if qmodel.mode == "static" else None
+
+    def linear(self, site, x, weight, bias):
+        if self.act_qparams is None:
+            scale, zp = _dynamic_qparams(x)
         else:
-            scale, zp = _dynamic_qparams(activation)
-        return quantized_linear(activation, scale, zp, pack[weight_name], pack[bias_name])
+            scale, zp = self.act_qparams[site]
+        return quantized_linear(x, scale, zp, self.params[weight], self.params[bias])
 
-    cols = im2col_batch(xs, cfg.patch_size, cfg.patch_stride)
-    h = linear("embed.in", cols, "patch_embed.weight", "patch_embed.bias")
-    h += positional_encoding(cfg.num_patches, cfg.model_dim)
+    def qkv(self, prefix, x):
+        qkv = self.linear(prefix + "qkv.in", x, prefix + "wqkv", prefix + "bqkv")
+        a = qkv.shape[-1] // 3
+        return qkv[..., :a], qkv[..., a : 2 * a], qkv[..., 2 * a :]
 
-    for l in range(cfg.num_layers):
-        pre = f"layers.{l}."
-        heads = cfg.heads_at(l)
-        n1 = layer_norm(h, pack[pre + "norm1.gamma"], pack[pre + "norm1.beta"])
-        qkv = linear(pre + "attn.qkv.in", n1, pre + "attn.wqkv", pre + "attn.bqkv")
-        a = cfg.attn_width(l)
-        ctx = attention_context(qkv[..., :a], qkv[..., a : 2 * a], qkv[..., 2 * a :], heads)
-        h += linear(pre + "attn.proj.in", ctx, pre + "attn.wo", pre + "attn.bo")
 
-        n2 = layer_norm(h, pack[pre + "norm2.gamma"], pack[pre + "norm2.beta"])
-        mid = linear(pre + "ffn.in", n2, pre + "ffn.w1", pre + "ffn.b1")
-        relu(mid, out=mid)
-        h += linear(pre + "ffn.mid.in", mid, pre + "ffn.w2", pre + "ffn.b2")
+def quantized_forward_batch(qmodel: QuantizedModel, xs: np.ndarray) -> np.ndarray:
+    """Int8 inference for a [B, C, T] batch: ``model.encode`` on ``_Int8Ops``.
 
-    pooled = h.mean(axis=1)
-    return linear("classifier.in", pooled, "classifier.weight", "classifier.bias")
+    Attention scores, softmax, norms, pooling, and residual adds stay in float.
+    """
+    return encode(qmodel.config, xs, _Int8Ops(qmodel))
 
 
 def quantized_forward(qmodel: QuantizedModel, x: np.ndarray) -> np.ndarray:
@@ -300,22 +299,9 @@ def quantized_forward(qmodel: QuantizedModel, x: np.ndarray) -> np.ndarray:
     return quantized_forward_batch(qmodel, x[None])[0]
 
 
-def quantize_dynamic_forward(qmodel: QuantizedModel, x: np.ndarray) -> np.ndarray:
-    """Dynamic-PTQ inference; the model must have been built without observers."""
-    if qmodel.mode != "dynamic":
-        raise InputError("model was not quantized in dynamic mode")
-    return quantized_forward(qmodel, x)
-
-
 def fake_quant(x: np.ndarray, scale, zero_point: int = 0, channel_axis=None) -> np.ndarray:
     """Quantize-then-dequantize in float, simulating int8 rounding/clamping."""
     return dequantize_linear(quantize_linear(x, scale, zero_point, channel_axis))
-
-
-def fake_quant_ste_mask(x: np.ndarray, scale, zero_point: int = 0) -> np.ndarray:
-    """Straight-through gradient mask: 1 inside the representable range, 0 clamped."""
-    q = round_half_away(np.asarray(x, dtype=np.float64) / np.asarray(scale)) + zero_point
-    return ((q >= INT8_MIN) & (q <= INT8_MAX)).astype(np.float32)
 
 
 def fake_quant_weight(arr: np.ndarray) -> np.ndarray:

@@ -100,6 +100,19 @@ def _is_qparams(v) -> bool:
     )
 
 
+def _split(meta: dict) -> dict | None:
+    """The recorded training split of a model container, if it has one."""
+    split = meta.get("split")
+    if split is not None and not (
+        isinstance(split, dict)
+        and set(split) == {"train_fraction", "seed"}
+        and 0 < split["train_fraction"] < 1
+        and type(split["seed"]) is int
+    ):
+        raise ParseError(f"split needs a train_fraction in (0, 1) and an int seed: {split!r}")
+    return split
+
+
 def _check_entry(entry, path) -> None:
     """Raise ParseError unless ``entry`` is a well-formed manifest entry."""
     if not isinstance(entry, dict):
@@ -222,7 +235,10 @@ def save_model(model: TransformerModel, path) -> None:
         tensors += [
             (f"mask/{name}", m.astype(np.int8), None) for name, m in model.masks.items()
         ]
-    write_container(path, "model", {"config": _config_to_meta(model.config)}, tensors)
+    meta = {"config": _config_to_meta(model.config)}
+    if model.split is not None:
+        meta["split"] = model.split
+    write_container(path, "model", meta, tensors)
 
 
 def save_quantized(qmodel: QuantizedModel, path) -> None:
@@ -231,6 +247,8 @@ def save_quantized(qmodel: QuantizedModel, path) -> None:
         "mode": qmodel.mode,
         "act_qparams": qmodel.act_qparams,
     }
+    if qmodel.split is not None:
+        meta["split"] = qmodel.split
     tensors = [
         (name, q.data, (q.scale, q.zero_point, q.channel_axis))
         for name, q in qmodel.weights.items()
@@ -286,7 +304,7 @@ def _load_model(meta: dict, tensors: dict) -> TransformerModel:
     for name, m in masks.items():
         if name not in params or m.shape != params[name].shape:
             raise ParseError(f"mask {name!r} does not match a parameter")
-    return TransformerModel(config=config, params=params, masks=masks or None)
+    return TransformerModel(config=config, params=params, masks=masks or None, split=_split(meta))
 
 
 def _load_quantized(meta: dict, tensors: dict) -> QuantizedModel:
@@ -315,7 +333,9 @@ def _load_quantized(meta: dict, tensors: dict) -> QuantizedModel:
         act = {site: (float(s), z) for site, (s, z) in act.items()}
     if mode == "static" and (act is None or set(act) != set(activation_sites(config))):
         raise ParseError("static model does not calibrate every activation site")
-    return QuantizedModel(config=config, weights=weights, mode=mode, act_qparams=act)
+    return QuantizedModel(
+        config=config, weights=weights, mode=mode, act_qparams=act, split=_split(meta)
+    )
 
 
 def _load_dataset(meta: dict, tensors: dict) -> TimeSeriesDataset:

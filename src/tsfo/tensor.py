@@ -31,15 +31,6 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two rank-2 arrays."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return np.matmul(a, b)
-
-
 def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Stable softmax: max is subtracted before exponentiation.
 
@@ -87,41 +78,6 @@ def layer_norm(
     out *= gamma
     out += beta
     return out
-
-
-def conv1d_valid(
-    x: np.ndarray,
-    w: np.ndarray,
-    b: np.ndarray,
-    stride: int = 1,
-) -> np.ndarray:
-    """Valid (no padding) 1-D cross-correlation.
-
-    x is [C_in, T], w is [C_out, C_in, k], b is [C_out]; the result is
-    [C_out, T'] with T' = floor((T - k) / stride) + 1.
-    """
-    if x.ndim != 2 or w.ndim != 3:
-        raise ShapeError(f"conv1d_valid expects x[C,T], w[O,C,k]; got {x.shape}, {w.shape}")
-    c_in, t = x.shape
-    c_out, c_w, k = w.shape
-    if c_w != c_in:
-        raise ShapeError(f"channel mismatch: x has {c_in}, w has {c_w}")
-    if k > t:
-        raise ShapeError(f"kernel size {k} exceeds series length {t}")
-    if stride < 1:
-        raise InputError(f"stride must be >= 1, got {stride}")
-    cols = im2col(x, k, stride)                      # [T', C*k]
-    out = cols @ w.reshape(c_out, c_in * k).T + b    # [T', C_out]
-    return np.ascontiguousarray(out.T)
-
-
-def im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Unfold [C, T] into the [T', C*k] patch matrix used by conv1d_valid."""
-    c, t = x.shape
-    n = (t - k) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)[:, ::stride]
-    # windows is [C, T', k]; flatten per patch in (channel, offset) order
-    return np.ascontiguousarray(windows.transpose(1, 0, 2).reshape(n, c * k))
 
 
 def im2col_batch(xs: np.ndarray, k: int, stride: int) -> np.ndarray:

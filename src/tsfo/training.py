@@ -1,9 +1,12 @@
 """Loss, hand-derived gradients, Adam with cosine annealing, training loops.
 
-The backward pass is written out by hand against the forward graph in
-``model.py`` (conv patch embedding, positional add, pre-norm attention and
-feed-forward blocks with residuals, mean pooling, linear classifier). Every
-gradient is checked against central finite differences in the test suite.
+The forward pass is ``model.encode`` on ops that record what the backward
+reads: every site's input, each layer's q, k, v and attention weights, each
+norm's normalized input and inverse deviation, and the dropout masks. The
+backward is written out by hand against that graph (conv patch embedding,
+positional add, pre-norm attention and feed-forward blocks with residuals,
+mean pooling, linear classifier) and reads only the tape. Every gradient is
+checked against central finite differences in the test suite.
 
 Training is deterministic for a fixed seed: batch shuffling and dropout masks
 come from one seeded generator, and reductions run in a fixed order.
@@ -19,38 +22,17 @@ import numpy as np
 
 from .errors import InputError, ShapeError
 from .model import (
+    FloatOps,
     TransformerModel,
     _key_rows,
     _split_heads,
     attention_weights,
+    encode,
     forward_batch,
-    positional_encoding,
     weighted_values,
 )
-from .tensor import im2col_batch, relu, seeded_rng, softmax
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """Negative log-likelihood of ``label`` under softmax(logits)."""
-    k = logits.shape[-1]
-    if not 0 <= label < k:
-        raise InputError(f"label {label} out of range for {k} classes")
-    return float(-log_softmax(logits)[label])
-
-
-def cross_entropy_grad(logits: np.ndarray, label: int) -> np.ndarray:
-    """d loss / d logits = softmax(logits) - onehot(label)."""
-    k = logits.shape[-1]
-    if not 0 <= label < k:
-        raise InputError(f"label {label} out of range for {k} classes")
-    g = softmax(logits)
-    g[label] -= 1.0
-    return g
+from .quantization import QuantizedModel, fake_quant_weight, quantized_forward_batch
+from .tensor import seeded_rng, softmax
 
 
 def _batch_ce(logits: np.ndarray, labels: np.ndarray):
@@ -58,21 +40,14 @@ def _batch_ce(logits: np.ndarray, labels: np.ndarray):
     b, k = logits.shape
     if np.any(labels < 0) or np.any(labels >= k):
         raise InputError("label out of range")
-    logp = log_softmax(logits)
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     loss = -float(np.mean(logp[np.arange(b), labels]))
     grad = softmax(logits)
     grad[np.arange(b), labels] -= 1.0
     grad /= b
     correct = int(np.sum(np.argmax(logits, axis=1) == labels))
     return loss, grad, correct
-
-
-def _layer_norm_cache(x, gamma, beta, eps=1e-5):
-    mean = np.mean(x, axis=-1, keepdims=True)
-    var = np.mean((x - mean) ** 2, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv_std
-    return gamma * xhat + beta, xhat, inv_std
 
 
 def _layer_norm_backward(d_out, xhat, inv_std, gamma):
@@ -94,6 +69,49 @@ def _weight_grad(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ d_out.reshape(-1, d_out.shape[-1])
 
 
+class _Tape(FloatOps):
+    """The float ops, recording in ``saved`` what the backward reads.
+
+    ``saved`` maps each site to its input, ``<attn prefix>core`` to the
+    layer's (q, k, v, attention weights) and each norm prefix to (normalized
+    input, inverse deviation). Given an rng, the outputs of the two residual
+    branches are scaled by inverted dropout masks, drawn in forward order and
+    saved as ``<site> mask``.
+    """
+
+    def __init__(self, params: dict, dropout: float, rng: np.random.Generator | None):
+        super().__init__(params)
+        self.keep = 1.0 - dropout
+        self.rng = rng
+        self.saved: dict = {}
+
+    def linear(self, site, x, weight, bias):
+        self.saved[site] = x
+        out = super().linear(site, x, weight, bias)
+        # these two sites read a residual branch's input; dropout scales the branch
+        if self.rng is not None and site.endswith(("attn.proj.in", "ffn.mid.in")):
+            mask = (self.rng.random(out.shape) < self.keep).astype(out.dtype) / self.keep
+            out *= mask
+            self.saved[site + " mask"] = mask
+        return out
+
+    def qkv(self, prefix, x):
+        self.saved[prefix + "qkv.in"] = x
+        return super().qkv(prefix, x)
+
+    def attend(self, prefix, q, k, v, heads):
+        weights = attention_weights(q, k, heads)
+        self.saved[prefix + "core"] = q, k, v, weights
+        return weighted_values(weights, v)
+
+    def norm(self, x, prefix):
+        centred = x - np.mean(x, axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(np.mean(centred**2, axis=-1, keepdims=True) + 1e-5)
+        xhat = centred * inv_std
+        self.saved[prefix] = (xhat, inv_std)
+        return self.params[prefix + "gamma"] * xhat + self.params[prefix + "beta"]
+
+
 def loss_and_grads(
     model: TransformerModel,
     xs: np.ndarray,
@@ -110,91 +128,49 @@ def loss_and_grads(
     """
     cfg = model.config
     p = model.params
-    if xs.ndim != 3 or xs.shape[1] != cfg.in_channels or xs.shape[2] != cfg.seq_len:
-        raise ShapeError(f"batch shape {xs.shape} does not match config")
     use_dropout = train and cfg.dropout > 0.0
     if use_dropout and rng is None:
         raise InputError("train-mode gradients with dropout need an rng")
-    b = xs.shape[0]
-    num_patches = cfg.num_patches
+    tape = _Tape(p, cfg.dropout, rng if use_dropout else None)
+    loss, d_logits, correct = _batch_ce(encode(cfg, xs, tape), ys)
+    saved = tape.saved
 
-    def make_mask(shape, dtype):
-        if not use_dropout:
-            return None
-        keep = 1.0 - cfg.dropout
-        return (rng.random(shape) < keep).astype(dtype) / keep
-
-    # ---- forward with cache ----
-    cols = im2col_batch(xs, cfg.patch_size, cfg.patch_stride)
-    w2d = p["patch_embed.weight"].reshape(cfg.model_dim, -1).T
-    h = cols @ w2d + p["patch_embed.bias"]
-    h = h + positional_encoding(num_patches, cfg.model_dim).astype(h.dtype)
-
-    caches = []
-    for l in range(cfg.num_layers):
-        pre = f"layers.{l}."
-        n1, n1hat, inv1 = _layer_norm_cache(h, p[pre + "norm1.gamma"], p[pre + "norm1.beta"])
-        q = n1 @ p[pre + "attn.wq"] + p[pre + "attn.bq"]
-        k = n1 @ p[pre + "attn.wk"] + p[pre + "attn.bk"]
-        v = n1 @ p[pre + "attn.wv"] + p[pre + "attn.bv"]
-        attn_w = attention_weights(q, k, cfg.heads_at(l))
-        ctx = weighted_values(attn_w, v)
-        attn_out = ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"]
-        mask1 = make_mask(attn_out.shape, attn_out.dtype)
-        h_mid = h + (attn_out * mask1 if mask1 is not None else attn_out)
-
-        n2, n2hat, inv2 = _layer_norm_cache(h_mid, p[pre + "norm2.gamma"], p[pre + "norm2.beta"])
-        z1 = n2 @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"]
-        r = relu(z1)
-        z2 = r @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"]
-        mask2 = make_mask(z2.shape, z2.dtype)
-        h_out = h_mid + (z2 * mask2 if mask2 is not None else z2)
-
-        caches.append(
-            dict(h_in=h, n1=n1, n1hat=n1hat, inv1=inv1, q=q, k=k, v=v, attn_w=attn_w,
-                 ctx=ctx, mask1=mask1, h_mid=h_mid, n2=n2, n2hat=n2hat, inv2=inv2, z1=z1,
-                 r=r, mask2=mask2)
-        )
-        h = h_out
-
-    pooled = h.mean(axis=1)
-    logits = pooled @ p["classifier.weight"] + p["classifier.bias"]
-    loss, d_logits, correct = _batch_ce(logits, ys)
-
-    # ---- backward ----
     grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-    grads["classifier.weight"] = pooled.T @ d_logits
+    grads["classifier.weight"] = saved["classifier.in"].T @ d_logits
     grads["classifier.bias"] = d_logits.sum(axis=0)
     d_pooled = d_logits @ p["classifier.weight"].T
-    d_h = np.repeat(d_pooled[:, None, :], num_patches, axis=1) / num_patches
+    d_h = np.repeat(d_pooled[:, None, :], cfg.num_patches, axis=1) / cfg.num_patches
 
     for l in reversed(range(cfg.num_layers)):
         pre = f"layers.{l}."
-        c = caches[l]
+        attn = pre + "attn."
 
-        d_z2 = d_h * c["mask2"] if c["mask2"] is not None else d_h
-        grads[pre + "ffn.w2"] = _weight_grad(c["r"], d_z2)
+        mask = saved.get(pre + "ffn.mid.in mask")
+        d_z2 = d_h * mask if mask is not None else d_h
+        r = saved[pre + "ffn.mid.in"]
+        grads[pre + "ffn.w2"] = _weight_grad(r, d_z2)
         grads[pre + "ffn.b2"] = d_z2.sum(axis=(0, 1))
         d_r = d_z2 @ p[pre + "ffn.w2"].T
-        d_z1 = d_r * (c["z1"] > 0)
-        grads[pre + "ffn.w1"] = _weight_grad(c["n2"], d_z1)
+        d_z1 = d_r * (r > 0)   # r = relu(z1), so r > 0 exactly where z1 > 0
+        grads[pre + "ffn.w1"] = _weight_grad(saved[pre + "ffn.in"], d_z1)
         grads[pre + "ffn.b1"] = d_z1.sum(axis=(0, 1))
         d_n2 = d_z1 @ p[pre + "ffn.w1"].T
         d_hmid_ln, d_g2, d_b2 = _layer_norm_backward(
-            d_n2, c["n2hat"], c["inv2"], p[pre + "norm2.gamma"]
+            d_n2, *saved[pre + "norm2."], p[pre + "norm2.gamma"]
         )
         grads[pre + "norm2.gamma"] = d_g2
         grads[pre + "norm2.beta"] = d_b2
         d_hmid = d_h + d_hmid_ln
 
-        d_attn = d_hmid * c["mask1"] if c["mask1"] is not None else d_hmid
-        grads[pre + "attn.wo"] = _weight_grad(c["ctx"], d_attn)
-        grads[pre + "attn.bo"] = d_attn.sum(axis=(0, 1))
-        w = c["attn_w"]
+        mask = saved.get(attn + "proj.in mask")
+        d_attn = d_hmid * mask if mask is not None else d_hmid
+        grads[attn + "wo"] = _weight_grad(saved[attn + "proj.in"], d_attn)
+        grads[attn + "bo"] = d_attn.sum(axis=(0, 1))
+        q, k, v, w = saved[attn + "core"]
         heads = w.shape[1]
-        d_ctx = _split_heads(d_attn @ p[pre + "attn.wo"].T, heads)
-        qh, kh, vh = (_split_heads(c[t], heads) for t in "qkv")
-        d_q, d_k, d_v = (np.empty(c[t].shape, np.result_type(w, d_ctx)) for t in "qkv")
+        d_ctx = _split_heads(d_attn @ p[attn + "wo"].T, heads)
+        qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
+        d_q, d_k, d_v = (np.empty(t.shape, np.result_type(w, d_ctx)) for t in (q, k, v))
         np.matmul(w, d_ctx, out=_split_heads(d_v, heads))
         # softmax backward over the keys in the core's layout; d_s takes its 1/sqrt(dh)
         d_s = np.empty_like(w, dtype=d_v.dtype)
@@ -204,41 +180,25 @@ def loss_and_grads(
         d_rows *= w_rows
         np.matmul(d_s, qh, out=_split_heads(d_k, heads))
         np.matmul(d_s.swapaxes(-1, -2), kh, out=_split_heads(d_q, heads))
-        n1 = c["n1"]
-        grads[pre + "attn.wq"] = _weight_grad(n1, d_q)
-        grads[pre + "attn.bq"] = d_q.sum(axis=(0, 1))
-        grads[pre + "attn.wk"] = _weight_grad(n1, d_k)
-        grads[pre + "attn.bk"] = d_k.sum(axis=(0, 1))
-        grads[pre + "attn.wv"] = _weight_grad(n1, d_v)
-        grads[pre + "attn.bv"] = d_v.sum(axis=(0, 1))
-        d_n1 = (
-            d_q @ p[pre + "attn.wq"].T
-            + d_k @ p[pre + "attn.wk"].T
-            + d_v @ p[pre + "attn.wv"].T
-        )
+        n1 = saved[attn + "qkv.in"]
+        grads[attn + "wq"] = _weight_grad(n1, d_q)
+        grads[attn + "bq"] = d_q.sum(axis=(0, 1))
+        grads[attn + "wk"] = _weight_grad(n1, d_k)
+        grads[attn + "bk"] = d_k.sum(axis=(0, 1))
+        grads[attn + "wv"] = _weight_grad(n1, d_v)
+        grads[attn + "bv"] = d_v.sum(axis=(0, 1))
+        d_n1 = d_q @ p[attn + "wq"].T + d_k @ p[attn + "wk"].T + d_v @ p[attn + "wv"].T
         d_hin_ln, d_g1, d_b1 = _layer_norm_backward(
-            d_n1, c["n1hat"], c["inv1"], p[pre + "norm1.gamma"]
+            d_n1, *saved[pre + "norm1."], p[pre + "norm1.gamma"]
         )
         grads[pre + "norm1.gamma"] = d_g1
         grads[pre + "norm1.beta"] = d_b1
         d_h = d_hmid + d_hin_ln
 
-    d_w2d = _weight_grad(cols, d_h)   # [C*k, d]
+    d_w2d = _weight_grad(saved["embed.in"], d_h)   # [C*k, d]
     grads["patch_embed.weight"] = d_w2d.T.reshape(p["patch_embed.weight"].shape)
     grads["patch_embed.bias"] = d_h.sum(axis=(0, 1))
     return loss, correct, grads
-
-
-def backward(
-    model: TransformerModel,
-    batch: tuple[np.ndarray, np.ndarray],
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> dict[str, np.ndarray]:
-    """Gradient of the mean batch loss for every parameter tensor."""
-    xs, ys = batch
-    _, _, grads = loss_and_grads(model, xs, np.asarray(ys), train=train, rng=rng)
-    return grads
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -358,6 +318,8 @@ def train(
     forward/backward runs on fake-quantized weight matrices while updates are
     applied to the float master weights (straight-through estimator; the
     symmetric scale covers the full range so no value is ever clamped).
+    That is the whole of QAT here: weight-only fake quantization, with the
+    activations quantized afterwards from calibration (``quantize_static``).
 
     Returns the model and a per-epoch history (epoch, lr, train_loss,
     train_acc, val_acc).
@@ -418,8 +380,6 @@ def _apply_mask(params: dict[str, np.ndarray], mask: dict[str, np.ndarray]):
 
 def _swap_in_fake_quant_weights(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Replace weight matrices by their fake-quantized version; return originals."""
-    from .quantization import fake_quant_weight
-
     saved = {}
     for name, arr in params.items():
         if arr.ndim >= 2 and name.endswith(_WEIGHT_MATRIX_SUFFIXES):
@@ -455,15 +415,15 @@ def fine_tune(
     return model
 
 
-def evaluate(model: TransformerModel, dataset, batch_size: int = 128) -> float:
-    """Eval-mode classification accuracy over a dataset."""
+def evaluate(model: TransformerModel | QuantizedModel, dataset, batch_size: int = 128) -> float:
+    """Eval-mode classification accuracy of a float or int8 model over a dataset."""
     n = len(dataset.instances)
     if n == 0:
         raise InputError("cannot evaluate on an empty dataset")
+    run = quantized_forward_batch if isinstance(model, QuantizedModel) else forward_batch
     correct = 0
     for start in range(0, n, batch_size):
-        xs = dataset.instances[start : start + batch_size]
-        logits = forward_batch(model, xs)
+        logits = run(model, dataset.instances[start : start + batch_size])
         correct += int(np.sum(np.argmax(logits, axis=1) == dataset.labels[start : start + batch_size]))
     return correct / n
 

@@ -21,8 +21,15 @@ from tsfo.bench import (
     run_experiment,
     single_thread,
 )
-from tsfo.cli import EXIT_CONFIG, EXIT_DATA, main
-from tsfo.data import subject_wise_split, synth_generate
+from tsfo import cli
+from tsfo.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_DATA, main
+from tsfo.data import (
+    load_ucr_delimited,
+    normalize_dataset,
+    stratified_split,
+    subject_wise_split,
+    synth_generate,
+)
 from tsfo.errors import ConfigError
 from tsfo.model import build_model, count_params, preset_config
 from tsfo.pruning import PruneSpec
@@ -275,7 +282,7 @@ def test_measure_inference_counts_calls():
         calls.append(1)
 
     xs = np.zeros((3, 1, 8), np.float32)
-    measure_inference_seconds(fake_forward, xs, warmups=10, timed=100)
+    measure_inference_seconds([fake_forward], xs, warmups=10, timed=100)
     assert len(calls) == 110
 
 
@@ -287,7 +294,7 @@ class TestSingleThread:
             for _ in range(3):
                 with single_thread():
                     pass
-            measure_inference_seconds(lambda x: x, np.zeros((1, 1, 4)), warmups=1, timed=100)
+            measure_inference_seconds([lambda x: x], np.zeros((1, 1, 4)), warmups=1, timed=100)
         warnings = [r for r in caplog.records if r.name == "tsfo.bench"]
         assert len(warnings) == 1
         assert warnings[0].levelno == logging.WARNING
@@ -411,6 +418,36 @@ class TestCli:
         assert main(["eval", "--model", model_path, "--data", ds_path, "--out", str(out)]) == 0
         result = json.loads(out.read_text())
         assert (result["instances"], result["split"]) == (12, "all")
+
+    def test_eval_reuses_the_recorded_split_of_a_lone_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "Lone.tsv"
+        write_ucr(path, 30, np.random.default_rng(3))
+        model_path = str(tmp_path / "m" / "model.tsfo")
+        assert main(["train", "--data", str(path), "--epochs", "1", "--seed", "5",
+                     "--out", str(tmp_path / "m")]) == 0
+        pruned_path, q_path = str(tmp_path / "p.tsfo"), str(tmp_path / "q.tsfo")
+        assert main(["prune", "--model", model_path, "--out", pruned_path]) == 0
+        assert main(["quantize", "--model", pruned_path, "--mode", "dynamic",
+                     "--out", q_path]) == 0
+        scored = []
+        monkeypatch.setattr(cli, "evaluate", lambda model, ds: scored.append(ds) or 0.0)
+        for evaluated in (model_path, q_path):
+            assert main(["eval", "--model", evaluated, "--data", str(path)]) == 0
+        dataset = normalize_dataset(load_ucr_delimited(path))
+        _, test_idx = stratified_split(dataset.labels, 0.7, 5)
+        assert len(test_idx) == 10
+        for ds in scored:
+            assert np.array_equal(ds.instances, dataset.instances[test_idx])
+
+    def test_int8_eval_of_a_wrong_length_exits_as_float_does(self, tmp_path):
+        model_path, q_path = str(tmp_path / "m.tsfo"), str(tmp_path / "q.tsfo")
+        save_model(build_model(preset_config("T1", seq_len=64, num_classes=2), 0), model_path)
+        assert main(["quantize", "--model", model_path, "--mode", "dynamic",
+                     "--out", q_path]) == 0
+        ds_path = str(tmp_path / "ds.tsfo")
+        save_dataset(synth_generate(2, 6, 96, 0.05, 0), ds_path)
+        codes = [main(["eval", "--model", m, "--data", ds_path]) for m in (model_path, q_path)]
+        assert codes == [EXIT_COMPUTE, EXIT_COMPUTE]
 
     def test_ucr_archive_folder(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,20 +9,21 @@ import tsfo.model as model_mod
 import tsfo.training as training_mod
 from tsfo.errors import ConfigError, ShapeError
 from tsfo.model import (
+    FloatOps,
     ModelConfig,
-    attention_forward,
     build_model,
     count_flops,
     count_params,
+    encode,
     flop_breakdown,
     forward,
     forward_batch,
     param_shapes,
-    patch_embed,
     positional_encoding,
     preset_config,
 )
-from tsfo.tensor import seeded_rng, softmax
+from tsfo.quantization import _ObservedOps, activation_sites
+from tsfo.tensor import im2col_batch, seeded_rng, softmax
 
 
 def tiny_config(**overrides):
@@ -81,6 +83,12 @@ class TestBuild:
         assert np.abs(w).max() <= bound
 
 
+def patch_embed(m, x):
+    """[C, T] series -> [P, d] patch vectors: the encoder's embedding step."""
+    cols = im2col_batch(x[None], m.config.patch_size, m.config.patch_stride)
+    return FloatOps(m.params).linear("embed.in", cols, "patch_embed.weight", "patch_embed.bias")[0]
+
+
 class TestPatchEmbed:
     @pytest.mark.parametrize(
         "t,k,s,expected", [(96, 8, 8, 12), (720, 16, 16, 45), (64, 64, 64, 1)]
@@ -129,6 +137,31 @@ def reference_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
             ctx[i] = sum(weights[j] * v[j] for j in range(p))
         out_heads.append(ctx)
     return np.concatenate(out_heads, axis=1) @ wo + bo
+
+
+def multi_head_attention(m, layer, xs):
+    """One layer's attention sublayer on [B, P, d] input, through the float ops."""
+    ops = FloatOps(m.params)
+    pre = f"layers.{layer}.attn."
+    ctx = ops.attend(pre, *ops.qkv(pre, xs), m.config.heads_at(layer))
+    return ops.linear(pre + "proj.in", ctx, pre + "wo", pre + "bo")
+
+
+def attention_forward(m, layer, x):
+    """The sublayer on one [P, d] input (no norm/residual)."""
+    return multi_head_attention(m, layer, x[None])[0]
+
+
+class Recorder(list):
+    """An observer for the calibration ops that keeps every array it is given."""
+
+    update = list.append
+
+
+def observed_encode(m, xs):
+    """Logits from the calibration ops, and each site's inputs."""
+    seen = {site: Recorder() for site in activation_sites(m.config)}
+    return encode(m.config, xs, _ObservedOps(m.params, seen)), seen
 
 
 class TestAttention:
@@ -249,16 +282,12 @@ class TestAttentionCore:
     def test_proj_hook_array_reproduces_sublayer(self):
         m = build_model(pruned_heads_config(), 44)
         xs = seeded_rng(45).normal(size=(3, 1, 12)).astype(np.float32)
-        seen = {}
-        forward_batch(m, xs, site_hook=lambda site, act: seen.setdefault(site, act))
+        _, sites = observed_encode(m, xs)
+        seen = {site: arrays[0] for site, arrays in sites.items()}
         p = m.params
         for layer in range(2):
             pre = f"layers.{layer}.attn."
-            out = model_mod.multi_head_attention(
-                seen[pre + "qkv.in"],
-                *(p[pre + n] for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")),
-                m.config.heads_at(layer),
-            )
+            out = multi_head_attention(m, layer, seen[pre + "qkv.in"])
             ctx = seen[pre + "proj.in"]
             assert ctx.shape == (3, 6, m.config.attn_width(layer))
             assert np.array_equal(ctx @ p[pre + "wo"] + p[pre + "bo"], out)
@@ -271,7 +300,7 @@ class TestAttentionCore:
         monkeypatch.setattr(model_mod, "softmax", lambda *a, **kw: calls.append(1) or real(*a, **kw))
         plain = forward_batch(m, xs)
         assert len(calls) == 2
-        hooked = forward_batch(m, xs, site_hook=lambda site, act: None)
+        hooked, _ = observed_encode(m, xs)
         assert len(calls) == 4
         assert np.array_equal(plain, hooked)
 
@@ -413,6 +442,34 @@ class TestForward:
         got = forward_batch(m, x[None])
         got_perm = forward_batch(m, x_perm[None])
         assert np.allclose(got, got_perm, atol=1e-5)
+
+
+class TestEncode:
+    def test_every_path_runs_encode_once_per_call(self, monkeypatch):
+        from tsfo import quantization
+
+        calls = []
+        real = model_mod.encode
+
+        def counted(cfg, xs, ops):
+            calls.append(type(ops).__name__)
+            return real(cfg, xs, ops)
+
+        # rebind wherever a tsfo module holds the function
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "tsfo"]:
+            if getattr(module, "encode", None) is real:
+                monkeypatch.setattr(module, "encode", counted)
+        m = build_model(pruned_heads_config(), 60)
+        xs = seeded_rng(61).normal(size=(5, 1, 12)).astype(np.float32)
+        forward_batch(m, xs)
+        assert calls == ["FloatOps"]
+        observers = quantization.calibrate(m, xs, batch_size=2)
+        assert calls[1:] == ["_ObservedOps"] * 3
+        del calls[:]
+        quantization.quantized_forward_batch(quantization.quantize_static(m, observers), xs)
+        quantization.quantized_forward_batch(quantization.quantize_dynamic(m), xs)
+        training_mod.loss_and_grads(m, xs, np.array([0, 1, 2, 0, 1]))
+        assert calls == ["_Int8Ops", "_Int8Ops", "_Tape"]
 
 
 class TestCounts:

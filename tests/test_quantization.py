@@ -5,20 +5,21 @@ import pytest
 
 from tsfo.data import synth_generate, subject_wise_split
 from tsfo.errors import CalibrationError, InputError
-from tsfo.model import ModelConfig, build_model, forward_batch
+from tsfo.model import ModelConfig, build_model, encode, forward_batch
 from tsfo.quantization import (
     QuantScheme,
     _dynamic_qparams,
+    _ObservedOps,
+    activation_sites,
     calibrate,
     fake_quant,
-    fake_quant_ste_mask,
     fake_quant_weight,
     payload_bytes,
     quantize_dynamic,
-    quantize_dynamic_forward,
     quantize_static,
     quantize_weight,
     quantized_energy_estimate,
+    quantized_forward,
     quantized_forward_batch,
     quantized_memory,
     scale_table_bytes,
@@ -37,6 +38,12 @@ from tsfo.tensor import (
     softmax,
 )
 from tsfo.training import TrainConfig, train
+
+
+class Recorder(list):
+    """An observer for the calibration ops that keeps every array it is given."""
+
+    update = list.append
 
 
 def small_config(**overrides):
@@ -103,12 +110,8 @@ class TestCalibrate:
     def test_against_store_everything_oracle(self):
         m = build_model(small_config(), 3)
         xs = seeded_rng(4).normal(size=(6, 1, 16)).astype(np.float32)
-        stored: dict[str, list] = {}
-
-        def keeper(site, act):
-            stored.setdefault(site, []).append(np.asarray(act).copy())
-
-        forward_batch(m, xs, site_hook=keeper)
+        stored = {site: Recorder() for site in activation_sites(m.config)}
+        encode(m.config, xs, _ObservedOps(m.params, stored))
         obs = calibrate(m, xs)
         for site, chunks in stored.items():
             allvals = np.concatenate([c.ravel() for c in chunks])
@@ -208,12 +211,11 @@ class TestGoldenQuantization:
 
     def test_qat_drop_not_worse_than_ptq(self, trained_tiny):
         m, train_ds, test_ds = trained_tiny
-        from tsfo.bench import _accuracy
         from tsfo.training import evaluate
 
         base = evaluate(m, test_ds)
         ptq = quantize_static(m, calibrate(m, train_ds.instances[:64]))
-        ptq_drop = base - _accuracy(ptq, test_ds)
+        ptq_drop = base - evaluate(ptq, test_ds)
         qat_model = m.copy()
         qat_model, _ = train(
             qat_model, train_ds,
@@ -221,7 +223,7 @@ class TestGoldenQuantization:
             weight_fake_quant=True,
         )
         qat = quantize_static(qat_model, calibrate(qat_model, train_ds.instances[:64]))
-        qat_drop = base - _accuracy(qat, test_ds)
+        qat_drop = base - evaluate(qat, test_ds)
         assert qat_drop <= ptq_drop + 1e-9
 
 
@@ -236,7 +238,7 @@ class TestDynamic:
             arr[:] = 0
         m.params["classifier.bias"][:] = np.array([0.5, -0.25, 1.0], np.float32)
         dm = quantize_dynamic(m)
-        out = quantize_dynamic_forward(dm, np.zeros((1, 16), np.float32))
+        out = quantized_forward(dm, np.zeros((1, 16), np.float32))
         # biases are int8 like every other parameter, so the logits equal the
         # dequantized bias exactly and the float bias within scale/2
         assert np.array_equal(out, dm.dequantized_param("classifier.bias"))
@@ -255,13 +257,6 @@ class TestDynamic:
             assert _dynamic_qparams(b) == (want, 0)
         assert math.isnan(_dynamic_qparams(np.array([1.0, np.nan], np.float32))[0])
 
-    def test_requires_dynamic_mode(self):
-        m = build_model(small_config(), 8)
-        qm = quantize_static(m, calibrate(m, np.ones((2, 1, 16), np.float32)))
-        with pytest.raises(InputError):
-            quantize_dynamic_forward(qm, np.zeros((1, 16), np.float32))
-
-
 class TestFakeQuant:
     def test_grid_points_are_fixed(self):
         scale = 0.05
@@ -278,13 +273,13 @@ class TestFakeQuant:
         x = np.array([10 * scale * 127], np.float32)
         y = fake_quant(x, scale, 0)
         assert y[0] == pytest.approx(127 * scale)
-        assert fake_quant_ste_mask(x, scale, 0)[0] == 0.0
+        # a clamped value has slope 0, so its straight-through gradient is 0
+        h = scale
+        assert fake_quant(x + h, scale, 0)[0] == fake_quant(x - h, scale, 0)[0]
 
     def test_ste_matches_identity_fd_inside_range(self):
         scale = 0.1
         for x0, expect in ((0.73, 1.0), (50.0, 0.0)):
-            mask = fake_quant_ste_mask(np.array([x0]), scale, 0)[0]
-            assert mask == expect
             # finite differences of the identity map: slope 1 inside, 0 outside
             h = scale  # step one full grid cell so rounding cannot hide the slope
             fd = (

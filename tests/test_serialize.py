@@ -70,6 +70,20 @@ class TestModelRoundTrip:
         assert np.array_equal(forward_batch(back, xs), forward_batch(pruned, xs))
 
 
+    def test_split_record_survives(self, tmp_path):
+        m = build_model(small_config(), 4)
+        path = tmp_path / "m.tsfo"
+        save_model(m, path)
+        assert load(path).split is None
+        m.split = {"train_fraction": 0.6, "seed": 5}
+        save_model(m, path)
+        assert load(path).split == m.split
+        q = quantize_dynamic(m)
+        q.split = m.split
+        save_quantized(q, path)
+        assert load(path).split == m.split
+
+
 class TestQuantizedRoundTrip:
     def test_static_model_identical_inference(self, tmp_path):
         m = build_model(small_config(), 4)
@@ -280,6 +294,17 @@ class TestMalformedContainers:
             header["meta"]["act_qparams"] = None
 
         self.expect_parse_error(containers, self.edited(containers, "static", drop))
+
+    @pytest.mark.parametrize(
+        "split", [[0.7, 5], {"train_fraction": 0.7}, {"train_fraction": 1.5, "seed": 5},
+                  {"train_fraction": 0.7, "seed": "5"}],
+    )
+    @pytest.mark.parametrize("kind", ["model", "static"])
+    def test_malformed_split_record(self, containers, kind, split):
+        def record(header):
+            header["meta"]["split"] = split
+
+        self.expect_parse_error(containers, self.edited(containers, kind, record))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_unedited_containers_load(self, containers, kind):

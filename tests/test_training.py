@@ -12,12 +12,10 @@ from tsfo.tensor import seeded_rng
 from tsfo.training import (
     CosineSchedule,
     TrainConfig,
+    _batch_ce,
     adam_step,
-    backward,
     clip_global_norm,
     cosine_lr,
-    cross_entropy,
-    cross_entropy_grad,
     evaluate,
     fine_tune,
     history_to_csv,
@@ -40,6 +38,16 @@ def model_in_f64(cfg, seed):
     m = build_model(cfg, seed)
     m.params = {k: v.astype(np.float64) for k, v in m.params.items()}
     return m
+
+
+def cross_entropy(logits, label):
+    """Loss of one instance, through the batch loss."""
+    return _batch_ce(np.asarray(logits)[None], np.array([label]))[0]
+
+
+def cross_entropy_grad(logits, label):
+    """d loss / d logits of one instance, through the batch loss."""
+    return _batch_ce(np.asarray(logits)[None], np.array([label]))[1][0]
 
 
 class TestCrossEntropy:
@@ -78,8 +86,6 @@ class TestBackward:
         # same graph: compare losses computed from the two forward paths
         loss, _, _ = loss_and_grads(m, xs, ys)
         logits = forward_batch(m, xs)
-        from tsfo.training import _batch_ce
-
         want, _, _ = _batch_ce(logits, ys)
         assert abs(loss - want) < 1e-6
 
@@ -114,7 +120,7 @@ class TestBackward:
         m.params["classifier.weight"][:] = 0
         m.params["classifier.bias"][:] = np.array([100.0, 0.0, 0.0], np.float32)
         xs = seeded_rng(5).normal(size=(2, 1, 6)).astype(np.float32)
-        grads = backward(m, (xs, np.array([0, 0])))
+        _, _, grads = loss_and_grads(m, xs, np.array([0, 0]))
         assert all(np.allclose(g, 0.0) for g in grads.values())
 
     def test_masked_weights_receive_gradient_but_stay_zero(self):
@@ -123,7 +129,7 @@ class TestBackward:
         m, masks, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
         xs = seeded_rng(6).normal(size=(4, 1, 6)).astype(np.float32)
         ys = np.array([0, 1, 2, 0])
-        grads = backward(m, (xs, ys))
+        _, _, grads = loss_and_grads(m, xs, ys)
         name = "layers.0.ffn.w1"
         pruned_coords = masks[name] == 0
         assert np.any(grads[name][pruned_coords] != 0)
