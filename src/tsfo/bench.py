@@ -7,6 +7,9 @@ timed in the same process, taking turns on every instance, so speed-up ratios
 compare like with like even when the host changes speed.
 Runs execute sequentially; per-configuration statistics aggregate across
 runs as mean with a 95% confidence half-width.
+The dataset is split once (``data.subject_wise_split``): training, fine-tuning
+and calibration read the train side, and every report row is scored and timed
+on the test side.
 """
 
 from __future__ import annotations
@@ -118,8 +121,6 @@ class ExperimentConfig:
     calibration_size: int = 64
     warmup_inferences: int = 10
     timed_inferences: int = 100
-    # trains the per-run baselines concurrently; measurement stays sequential
-    parallel_train: bool = False
 
     def __post_init__(self):
         if self.runs < 1:
@@ -138,9 +139,7 @@ def _load_experiment_dataset(config: ExperimentConfig) -> TimeSeriesDataset:
     if config.dataset_path is not None:
         from .cli import load_any_dataset
 
-        return normalize_dataset(
-            load_any_dataset(config.dataset_path, config.train_fraction, config.seed)
-        )
+        return normalize_dataset(load_any_dataset(config.dataset_path))
     spec = dict(config.synth)
     spec.setdefault("seed", config.seed)
     return synth_generate(
@@ -171,6 +170,16 @@ def _model_config(config: ExperimentConfig, dataset: TimeSeriesDataset) -> Model
         patch_size=overrides.get("patch_size", patch),
         patch_stride=overrides.get("patch_stride"),
     )
+
+
+def calibration_rows(dataset: TimeSeriesDataset, size: int) -> np.ndarray:
+    """Up to ``size`` instances at evenly spaced rows of ``dataset``.
+
+    Spreading them over the rows, not taking the first ones, lets a
+    class-ordered dataset calibrate on every class.
+    """
+    n = len(dataset)
+    return dataset.instances[np.linspace(0, n - 1, min(size, n)).round().astype(np.int64)]
 
 
 def measure_inference_seconds(
@@ -252,7 +261,7 @@ def _apply_pipeline(
     current = baseline.copy()
     energy_factor = 1.0
     base_params = count_params(baseline.config)
-    calib = train_ds.instances[: config.calibration_size]
+    calib = calibration_rows(train_ds, config.calibration_size)
     ft_cfg = TrainConfig(batch_size=config.batch_size, lr_max=3e-4, seed=run_seed + 1)
 
     for op in pipeline:
@@ -289,9 +298,7 @@ def _apply_pipeline(
                 current, report = prune_structured(current, spec)
             removed = base_params - count_params(current.config)
             energy_factor *= 1.0 - removed / base_params
-            current, _ = train(
-                current, train_ds, replace(ft_cfg, epochs=config.fine_tune_epochs)
-            )
+            current = fine_tune(current, None, train_ds, config.fine_tune_epochs, ft_cfg)
         else:  # pragma: no cover - guarded by ExperimentConfig validation
             raise ConfigError(f"unknown optimization {op!r}")
     return current, energy_factor
@@ -325,27 +332,13 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
         for n in names
     }
 
-    def train_baseline(run_seed: int) -> TransformerModel:
-        model = build_model(mcfg, run_seed)
+    for run in range(config.runs):
+        run_seed = config.seed + run
         model, _ = train(
-            model,
+            build_model(mcfg, run_seed),
             train_ds,
             TrainConfig(epochs=config.epochs, batch_size=config.batch_size, seed=run_seed),
         )
-        return model
-
-    run_seeds = [config.seed + run for run in range(config.runs)]
-    if config.parallel_train and config.runs > 1:
-        # training is a pure function of its seed, so pool scheduling cannot
-        # change any result; timing below runs in this thread alone
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(4, config.runs)) as pool:
-            baselines = list(pool.map(train_baseline, run_seeds))
-    else:
-        baselines = [train_baseline(seed) for seed in run_seeds]
-
-    for run_seed, model in zip(run_seeds, baselines):
         rows = [(model, 1.0)] + [
             _apply_pipeline(pipeline, model, train_ds, config, run_seed)
             for pipeline in config.optimizations

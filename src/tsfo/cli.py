@@ -1,5 +1,9 @@
 """Command-line entry point: synth, train, prune, quantize, eval, bench, report.
 
+Every command splits its dataset as recorded in the model (``_split_rows``):
+``prune`` fine-tunes and ``quantize`` calibrates on the train side, and
+``eval`` scores the test side.
+
 Exit codes: 0 success, 2 configuration errors, 3 data/input errors,
 4 compute errors. Set TSFO_MAX_THREADS to cap BLAS worker threads.
 """
@@ -13,8 +17,8 @@ import logging
 import os
 import sys
 
-from .bench import ExperimentConfig, emit_report, load_reports, run_experiment
-from .data import load_ucr, normalize_dataset, subject_wise_split, synth_generate
+from .bench import ExperimentConfig, calibration_rows, emit_report, load_reports, run_experiment
+from .data import TimeSeriesDataset, load_ucr, normalize_dataset, subject_wise_split, synth_generate
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -24,9 +28,9 @@ from .errors import (
     TsfoError,
 )
 from .metrics import EnergyParams, MetricsReport, RunStats
-from .model import build_model, preset_config
+from .model import TransformerModel, build_model, preset_config
 from .pruning import PruneSpec, prune_structured, prune_unstructured
-from .quantization import calibrate, quantize_dynamic, quantize_static
+from .quantization import QuantizedModel, calibrate, quantize_dynamic, quantize_static
 from .serialize import MAGIC, load, save_dataset, save_model, save_quantized
 from .training import TrainConfig, evaluate, fine_tune, history_to_csv, train
 
@@ -38,13 +42,13 @@ EXIT_DATA = 3
 EXIT_COMPUTE = 4
 
 
-def load_any_dataset(path, train_fraction: float = 0.7, seed: int = 0):
+def load_any_dataset(path):
     """Load either a TSFO dataset container or a UCR-style delimited file.
 
-    A UCR file comes with a train/test split (``data.load_ucr``); the
-    fraction and seed only matter when it has no ``_TEST`` sibling. A UCR
-    archive folder ``<dir>/<name>`` stands for its ``<name>_TRAIN.*`` file
-    (``.tsv`` or ``.txt`` first when there are several).
+    A UCR file is read by ``data.load_ucr``, which keeps the archive's split
+    of a ``_TRAIN``/``_TEST`` pair. A UCR archive folder ``<dir>/<name>``
+    stands for its ``<name>_TRAIN.*`` file (``.tsv`` or ``.txt`` first when
+    there are several).
     """
     if os.path.isdir(path):
         folder = os.path.normpath(path)
@@ -57,13 +61,28 @@ def load_any_dataset(path, train_fraction: float = 0.7, seed: int = 0):
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == MAGIC:
-        obj = load(path)
-        from .data import TimeSeriesDataset
+        return _load_kind(path, TimeSeriesDataset)
+    return load_ucr(path)
 
-        if not isinstance(obj, TimeSeriesDataset):
-            raise InputError(f"{path} is a TSFO container but not a dataset")
-        return obj
-    return load_ucr(path, train_fraction, seed)
+
+def _load_kind(path, *kinds):
+    """Load a TSFO container, rejecting any other kind as a data error."""
+    obj = load(path)
+    if not isinstance(obj, kinds):
+        wanted = " or ".join(kind.__name__ for kind in kinds)
+        raise InputError(f"{path} holds a {type(obj).__name__}, not a {wanted}")
+    return obj
+
+
+def _split_rows(path, split):
+    """(train, test) sides of the dataset at ``path``, split as recorded in a model.
+
+    ``split`` is a model's ``{"train_fraction", "seed"}``; a model without
+    one gets fraction 0.7 and seed 0, the ``train`` defaults. Subject ids or
+    a predefined archive split take precedence (``data.subject_wise_split``).
+    """
+    dataset = normalize_dataset(load_any_dataset(path))
+    return subject_wise_split(dataset, **(split or {"train_fraction": 0.7, "seed": 0}))
 
 
 def _cap_threads():
@@ -86,17 +105,17 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    dataset = normalize_dataset(load_any_dataset(args.data, args.train_fraction, args.seed))
-    train_ds, val_ds = subject_wise_split(dataset, args.train_fraction, args.seed)
+    split = {"train_fraction": args.train_fraction, "seed": args.seed}
+    train_ds, val_ds = _split_rows(args.data, split)
     cfg = preset_config(
         args.preset,
-        seq_len=dataset.seq_len,
-        num_classes=dataset.num_classes,
-        in_channels=dataset.channels,
+        seq_len=train_ds.seq_len,
+        num_classes=train_ds.num_classes,
+        in_channels=train_ds.channels,
         patch_size=args.patch_size,
     )
     model = build_model(cfg, args.seed)
-    model.split = {"train_fraction": args.train_fraction, "seed": args.seed}
+    model.split = split
     model, history = train(
         model,
         train_ds,
@@ -112,24 +131,18 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    model = load(args.model)
+    model = _load_kind(args.model, TransformerModel)
     spec = PruneSpec(args.method, args.granularity, args.scope, args.sparsity)
     if args.granularity == "weight":
         model, masks, report = prune_unstructured(model, spec)
-        if args.fine_tune_epochs and args.data:
-            dataset = normalize_dataset(load_any_dataset(args.data, seed=args.seed))
-            train_ds, _ = subject_wise_split(dataset, 0.7, args.seed)
-            model = fine_tune(model, masks, train_ds, args.fine_tune_epochs)
     else:
         model, report = prune_structured(model, spec)
-        if args.fine_tune_epochs and args.data:
-            dataset = normalize_dataset(load_any_dataset(args.data, seed=args.seed))
-            train_ds, _ = subject_wise_split(dataset, 0.7, args.seed)
-            model, _ = train(
-                model,
-                train_ds,
-                TrainConfig(epochs=args.fine_tune_epochs, lr_max=3e-4, seed=args.seed),
-            )
+        masks = None
+    if args.fine_tune_epochs and args.data:
+        train_ds, _ = _split_rows(args.data, model.split)
+        model = fine_tune(
+            model, masks, train_ds, args.fine_tune_epochs, TrainConfig(lr_max=3e-4, seed=args.seed)
+        )
     save_model(model, args.out)
     report_path = args.out + ".prune.json"
     with open(report_path, "w") as fh:
@@ -139,12 +152,12 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_quantize(args) -> int:
-    model = load(args.model)
+    model = _load_kind(args.model, TransformerModel)
     if args.mode == "static":
         if not args.data:
             raise InputError("static quantization needs --data for calibration")
-        dataset = normalize_dataset(load_any_dataset(args.data))
-        observers = calibrate(model, dataset.instances[: args.calibration_size])
+        train_ds, _ = _split_rows(args.data, model.split)
+        observers = calibrate(model, calibration_rows(train_ds, args.calibration_size))
         qmodel = quantize_static(model, observers)
     else:
         qmodel = quantize_dynamic(model)
@@ -154,20 +167,13 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    obj = load(args.model)
-    # a lone UCR file is split again as it was for training, when that was recorded
-    dataset = normalize_dataset(load_any_dataset(args.data, **(obj.split or {})))
-    # a dataset with a train/test split is scored on its held-out side only
-    split = "all"
-    if dataset.predefined_split is not None:
-        dataset = dataset.subset(dataset.predefined_split[1], ":test")
-        split = "test"
-    acc = evaluate(obj, dataset)
-    rows = "the test side of its split" if split == "test" else "every row"
-    print(f"accuracy: {acc:.4f} ({len(dataset)} instances, {rows})")
+    obj = _load_kind(args.model, TransformerModel, QuantizedModel)
+    _, test_ds = _split_rows(args.data, obj.split)
+    acc = evaluate(obj, test_ds)
+    print(f"accuracy: {acc:.4f} ({len(test_ds)} instances, the test side of its split)")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump({"accuracy": acc, "instances": len(dataset), "split": split}, fh)
+            json.dump({"accuracy": acc, "instances": len(test_ds), "split": "test"}, fh)
     return EXIT_OK
 
 
@@ -202,8 +208,6 @@ def _cmd_bench(args) -> int:
         cfg_kwargs["optimizations"] = _parse_opt(args.opt)
     if args.out is not None:
         cfg_kwargs["out_dir"] = args.out
-    if args.parallel_train:
-        cfg_kwargs["parallel_train"] = True
     config = ExperimentConfig(**cfg_kwargs)
     reports = run_experiment(config)
     written = []
@@ -263,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparsity", type=float, default=0.4)
     p.add_argument("--data", help="dataset for optional fine-tuning")
     p.add_argument("--fine-tune-epochs", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of fine-tuning")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_prune)
 
@@ -289,10 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparsity", type=float)
     p.add_argument("--opt", action="append", help="pipeline, comma-separated ops; repeatable")
     p.add_argument("--out")
-    p.add_argument(
-        "--parallel-train", action="store_true",
-        help="train per-run baselines concurrently (timing stays sequential)",
-    )
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("report", help="re-emit saved reports in another format")

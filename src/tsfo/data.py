@@ -3,6 +3,7 @@
 Input files are UCR-style delimited text: one series per line, class label in
 the first field, values tab- or comma-separated with dot decimal points.
 Datasets are immutable after construction and safe to share across readers.
+Loaders only read; ``subject_wise_split`` alone decides a train/test split.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -265,26 +266,20 @@ def window_dataset(dataset: TimeSeriesDataset, spec: WindowSpec) -> TimeSeriesDa
     )
 
 
-def load_ucr(path, train_fraction: float = 0.7, seed: int = 0) -> TimeSeriesDataset:
-    """Load a UCR file with a train/test split recorded in ``predefined_split``.
+def load_ucr(path) -> TimeSeriesDataset:
+    """Load a UCR file, with the archive's split when it is one half of a pair.
 
     ``<name>_TRAIN.<ext>`` is paired with its ``<name>_TEST.<ext>`` sibling
-    (``load_ucr_pair``), keeping the archive's split. Any other file, or a
-    TRAIN file without that sibling, gets a seeded stratified split
-    (``stratified_split``) and one warning.
+    (``load_ucr_pair``), which records the archive's split in
+    ``predefined_split``. Any other file, or a TRAIN file without that
+    sibling, is loaded alone and ``subject_wise_split`` splits it.
     """
     folder, base = os.path.split(os.fspath(path))
     head, found, tail = base.rpartition("_TRAIN")
     test_path = os.path.join(folder, head + "_TEST" + tail)
     if found and os.path.isfile(test_path):
         return load_ucr_pair(path, test_path)
-    dataset = load_ucr_delimited(path)
-    log.warning(
-        "%s has no _TRAIN/_TEST pair; recorded a %.2f/%.2f per-class split, seed %d",
-        path, train_fraction, 1.0 - train_fraction, seed,
-    )
-    split = stratified_split(dataset.labels, train_fraction, seed)
-    return replace(dataset, predefined_split=split)
+    return load_ucr_delimited(path)
 
 
 def stratified_split(
@@ -313,12 +308,14 @@ def subject_wise_split(
     train_fraction: float,
     seed: int,
 ) -> tuple[TimeSeriesDataset, TimeSeriesDataset]:
-    """Partition by subject so no household spans train and test.
+    """The one place a dataset is split into its train and test sides.
 
-    Subjects are shuffled with a seeded generator and the first
+    With subject ids, the split is by subject so no household spans train
+    and test: subjects are shuffled with a seeded generator and the first
     round(fraction * S) of them (clamped so both sides stay nonempty) become
-    the training side. Datasets without subject ids fall back to their
-    predefined archive split, with a warning.
+    the training side. Without them, the predefined archive split is used,
+    with a warning. Failing both, the rows get a seeded per-class split
+    (``stratified_split``), with one warning.
     """
     if not 0.0 < train_fraction < 1.0:
         raise InputError("train_fraction must be in (0, 1)")
@@ -329,8 +326,14 @@ def subject_wise_split(
                 dataset.name,
             )
             train_idx, test_idx = dataset.predefined_split
-            return dataset.subset(train_idx, ":train"), dataset.subset(test_idx, ":test")
-        raise InputError("dataset has neither subject ids nor a predefined split")
+        else:
+            log.warning(
+                "dataset %s has no subject ids and no predefined split; "
+                "using a %.2f/%.2f per-class split, seed %d",
+                dataset.name, train_fraction, 1.0 - train_fraction, seed,
+            )
+            train_idx, test_idx = stratified_split(dataset.labels, train_fraction, seed)
+        return dataset.subset(train_idx, ":train"), dataset.subset(test_idx, ":test")
     subjects = np.array(sorted(set(dataset.subjects.tolist())))
     if len(subjects) < 2:
         raise InputError("subject-wise split needs at least two subjects")

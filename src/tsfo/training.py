@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -390,28 +390,20 @@ def _swap_in_fake_quant_weights(params: dict[str, np.ndarray]) -> dict[str, np.n
 
 def fine_tune(
     model: TransformerModel,
-    masks: dict[str, np.ndarray],
+    masks: dict[str, np.ndarray] | None,
     dataset,
     epochs: int,
     cfg: TrainConfig | None = None,
-    val_dataset=None,
 ) -> TransformerModel:
-    """Recovery training that keeps the pruned coordinates at exactly zero."""
+    """Recovery training after pruning, ``cfg`` run for ``epochs`` epochs.
+
+    Coordinates zeroed in ``masks`` stay exactly zero; a structurally pruned
+    model, whose removed units are gone from its shapes, passes ``None``.
+    """
     if epochs == 0:
         return model
-    base = cfg if cfg is not None else TrainConfig(lr_max=3e-4)
-    ft_cfg = TrainConfig(
-        epochs=epochs,
-        batch_size=base.batch_size,
-        lr_max=base.lr_max,
-        lr_min=base.lr_min,
-        beta1=base.beta1,
-        beta2=base.beta2,
-        eps=base.eps,
-        clip_norm=base.clip_norm,
-        seed=base.seed,
-    )
-    model, _ = train(model, dataset, ft_cfg, val_dataset=val_dataset, mask=masks)
+    ft_cfg = replace(cfg if cfg is not None else TrainConfig(lr_max=3e-4), epochs=epochs)
+    model, _ = train(model, dataset, ft_cfg, mask=masks)
     return model
 
 

@@ -15,6 +15,7 @@ from tsfo.bench import (
     _load_experiment_dataset,
     _model_config,
     _prune_quantized,
+    calibration_rows,
     emit_report,
     load_reports,
     measure_inference_seconds,
@@ -33,8 +34,8 @@ from tsfo.data import (
 from tsfo.errors import ConfigError
 from tsfo.model import build_model, count_params, preset_config
 from tsfo.pruning import PruneSpec
-from tsfo.quantization import QuantizedModel, quantized_forward_batch
-from tsfo.serialize import save_dataset, save_model
+from tsfo.quantization import QuantizedModel, quantize_dynamic, quantized_forward_batch
+from tsfo.serialize import save_dataset, save_model, save_quantized
 from tsfo.tensor import QTensor
 from tsfo.metrics import TIME_DERIVED_FIELDS
 
@@ -225,18 +226,42 @@ class TestDeterminism:
             assert da == db
 
 
-class TestParallelTrain:
-    def test_parallel_baseline_training_matches_sequential(self, tmp_path):
-        seq = run_experiment(quick_config(tmp_path / "s", runs=2, epochs=2))
-        par = run_experiment(
-            quick_config(tmp_path / "p", runs=2, epochs=2, parallel_train=True)
-        )
-        for rs, rp in zip(seq, par):
-            ds, dp = rs.to_dict(), rp.to_dict()
-            for field in TIME_DERIVED_FIELDS:
-                ds.pop(field, None)
-                dp.pop(field, None)
-            assert ds == dp
+def classes_of(rows, dataset):
+    """The classes of the rows of ``dataset`` that ``rows`` are copies of."""
+    flat = dataset.instances.reshape(len(dataset), -1)
+    found = [np.flatnonzero((flat == row.ravel()).all(axis=1)) for row in rows]
+    assert all(len(idx) == 1 for idx in found), "a row is not a train-side row"
+    return sorted({int(dataset.labels[idx[0]]) for idx in found})
+
+
+class TestCalibrationRows:
+    def test_spread_over_the_rows(self):
+        ds = synth_generate(2, 5, 32, 0.05, 0)
+        assert np.array_equal(calibration_rows(ds, 64), ds.instances)
+        assert np.array_equal(calibration_rows(ds, 4), ds.instances[[0, 3, 6, 9]])
+
+    def test_class_ordered_train_side_gives_every_class(self, tmp_path, monkeypatch):
+        dataset = synth_generate(3, 40, 96, 0.05, 1)   # rows ordered by class
+        seen = []
+        real = bench.calibrate
+        spy = lambda model, xs: seen.append(xs) or real(model, xs)
+        monkeypatch.setattr(bench, "calibrate", spy)
+        monkeypatch.setattr(cli, "calibrate", spy)
+
+        config = quick_config(tmp_path, calibration_size=16)
+        train_ds, _ = subject_wise_split(dataset, 0.7, 1)
+        model = build_model(_model_config(config, dataset), 0)
+        _apply_pipeline(["static-quant"], model, train_ds, config, 0)
+        assert classes_of(seen.pop(), train_ds) == [0, 1, 2]
+
+        # tsfo quantize calibrates on the train side of the model's split
+        ds_path, model_path = str(tmp_path / "ds.tsfo"), str(tmp_path / "m.tsfo")
+        save_dataset(dataset, ds_path)
+        save_model(build_model(preset_config("T1", seq_len=96, num_classes=3), 0), model_path)
+        assert main(["quantize", "--model", model_path, "--data", ds_path,
+                     "--calibration-size", "16", "--out", str(tmp_path / "q.tsfo")]) == 0
+        train_ds, _ = subject_wise_split(normalize_dataset(dataset), 0.7, 0)
+        assert classes_of(seen.pop(), train_ds) == [0, 1, 2]
 
 
 class TestEmitReport:
@@ -412,12 +437,16 @@ class TestCli:
         assert (result["instances"], result["split"]) == (10, "test")
         assert "(10 instances, the test side of its split)" in capsys.readouterr().out
 
-        # a container without a split is scored on every row
+        # a container with subject ids is scored on its test households; the
+        # model records no split, so it is the default fraction 0.7, seed 0
         ds_path = str(tmp_path / "ds.tsfo")
-        save_dataset(synth_generate(2, 6, 32, 0.05, 0), ds_path)
+        dataset = synth_generate(2, 6, 32, 0.05, 0)
+        save_dataset(dataset, ds_path)
         assert main(["eval", "--model", model_path, "--data", ds_path, "--out", str(out)]) == 0
         result = json.loads(out.read_text())
-        assert (result["instances"], result["split"]) == (12, "all")
+        _, test_ds = subject_wise_split(normalize_dataset(dataset), 0.7, 0)
+        assert len(test_ds) < len(dataset)
+        assert (result["instances"], result["split"]) == (len(test_ds), "test")
 
     def test_eval_reuses_the_recorded_split_of_a_lone_file(self, tmp_path, monkeypatch):
         path = tmp_path / "Lone.tsv"
@@ -438,6 +467,44 @@ class TestCli:
         assert len(test_idx) == 10
         for ds in scored:
             assert np.array_equal(ds.instances, dataset.instances[test_idx])
+
+    def test_prune_fine_tunes_on_the_recorded_train_side(self, tmp_path, monkeypatch):
+        path = tmp_path / "Lone.tsv"
+        write_ucr(path, 30, np.random.default_rng(3))
+        model_path = str(tmp_path / "m" / "model.tsfo")
+        assert main(["train", "--data", str(path), "--epochs", "1", "--seed", "5",
+                     "--out", str(tmp_path / "m")]) == 0
+        tuned = []
+        monkeypatch.setattr(
+            cli, "fine_tune", lambda model, masks, ds, *rest: tuned.append(ds) or model
+        )
+        for granularity in ("weight", "head"):
+            assert main(["prune", "--model", model_path, "--granularity", granularity,
+                         "--method", "l2", "--data", str(path), "--fine-tune-epochs", "1",
+                         "--out", str(tmp_path / "p.tsfo")]) == 0
+        dataset = normalize_dataset(load_ucr_delimited(path))
+        train_idx, _ = stratified_split(dataset.labels, 0.7, 5)
+        for ds in tuned:
+            assert np.array_equal(ds.instances, dataset.instances[train_idx])
+        assert len(tuned) == 2
+
+    def test_a_wrong_container_kind_as_model_is_a_data_error(self, tmp_path):
+        ds_path, model_path, q_path = (str(tmp_path / n) for n in ("d.tsfo", "m.tsfo", "q.tsfo"))
+        save_dataset(synth_generate(2, 6, 32, 0.05, 0), ds_path)
+        model = build_model(preset_config("T1", seq_len=32, num_classes=2, patch_size=8), 0)
+        save_model(model, model_path)
+        save_quantized(quantize_dynamic(model), q_path)
+        out = str(tmp_path / "out.tsfo")
+        codes = [main(argv) for argv in (
+            ["eval", "--model", ds_path, "--data", ds_path],
+            ["prune", "--model", ds_path, "--out", out],
+            ["prune", "--model", q_path, "--out", out],
+            ["quantize", "--model", q_path, "--mode", "dynamic", "--out", out],
+        )]
+        assert codes == [EXIT_DATA] * 4
+        # the kinds each command takes still work
+        assert main(["eval", "--model", q_path, "--data", ds_path]) == 0
+        assert main(["prune", "--model", model_path, "--out", out]) == 0
 
     def test_int8_eval_of_a_wrong_length_exits_as_float_does(self, tmp_path):
         model_path, q_path = str(tmp_path / "m.tsfo"), str(tmp_path / "q.tsfo")

@@ -83,16 +83,22 @@ class TestLoader:
         path = tmp_path / name
         labels = [1] * 10 + [2] * 5
         path.write_text("".join(f"{l}\t{i}.0\t{-i}.0\n" for i, l in enumerate(labels)))
+        ds = load_ucr(path)
+        assert ds.predefined_split is None
         with caplog.at_level(logging.WARNING):
-            ds = load_ucr(path, train_fraction=0.6, seed=3)
+            train_ds, test_ds = subject_wise_split(ds, 0.6, seed=3)
         assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == 1
-        tr, te = ds.predefined_split
+        # the first value of each row is its index
+        tr = train_ds.instances[:, 0, 0].astype(int)
+        te = test_ds.instances[:, 0, 0].astype(int)
+        assert [tr.tolist(), te.tolist()] == [
+            a.tolist() for a in stratified_split(ds.labels, 0.6, seed=3)
+        ]
+        assert tr.tolist() == [0, 1, 2, 4, 6, 9, 10, 11, 14]
         assert np.bincount(ds.labels[tr]).tolist() == [6, 3]
         assert np.bincount(ds.labels[te]).tolist() == [4, 2]
-        assert [a.tolist() for a in load_ucr(path, 0.6, seed=3).predefined_split] == [
-            tr.tolist(), te.tolist()
-        ]
-        train_ds, test_ds = subject_wise_split(ds, 0.6, seed=0)
+        again, _ = subject_wise_split(load_ucr(path), 0.6, seed=3)
+        assert np.array_equal(again.instances, train_ds.instances)
         assert len(train_ds) == 9 and len(test_ds) == 6
 
 
@@ -282,11 +288,19 @@ class TestSubjectSplit:
         assert "predefined" in caplog.text
         assert len(tr) == 2 and len(te) == 1
 
-    def test_no_subjects_no_predefined_rejected(self):
-        ds = synth_generate(2, 3, 32, 0.0, seed=0)
+    def test_no_subjects_no_predefined_falls_back_to_stratified(self, caplog):
+        ds = synth_generate(2, 3, 32, 0.05, seed=0)
         ds.subjects = None
+        with caplog.at_level(logging.WARNING):
+            train, test = subject_wise_split(ds, 0.5, seed=0)
+        assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == 1
+        tr, te = stratified_split(ds.labels, 0.5, seed=0)
+        assert np.array_equal(train.instances, ds.instances[tr])
+        assert np.array_equal(test.instances, ds.instances[te])
+        # classes of one instance each cannot be split
+        lone = TimeSeriesDataset("lone", ds.instances[[0, 3]], np.array([0, 1]))
         with pytest.raises(InputError):
-            subject_wise_split(ds, 0.5, seed=0)
+            subject_wise_split(lone, 0.5, seed=0)
 
 
 def nearest_neighbor_accuracy(train, test):

@@ -1,4 +1,5 @@
-"""Static checks on the package sources: no dead imports, no dead private helpers."""
+"""Static checks on the package sources: no dead imports, no dead private helpers,
+and one function that decides a train/test split."""
 
 import ast
 import pathlib
@@ -61,3 +62,39 @@ def test_no_unreferenced_private_definitions():
         and node.name not in referenced
     ]
     assert not dead, f"private definitions nothing in src/ refers to: {dead}"
+
+
+def callers_of(trees, name):
+    """(module, top-level definition) of every call to ``name``."""
+    found = set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    found.add((module, getattr(top, "name", None)))
+    return found
+
+
+def test_one_function_decides_the_split():
+    trees = {path.name: parse(path) for path in MODULES}
+    assert callers_of(trees, "stratified_split") == {("data.py", "subject_wise_split")}
+    readers = {
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "predefined_split"
+    }
+    assert readers <= {"data.py", "serialize.py"}, f"modules that read a split: {readers}"
+    loaders = {
+        (module, node.name): node.args
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and (module, node.name) in {("data.py", "load_ucr"), ("cli.py", "load_any_dataset")}
+    }
+    assert len(loaders) == 2
+    for loader, args in loaders.items():
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        assert len(params) == 1 and not (args.vararg or args.kwarg), f"{loader} takes more than a path"
