@@ -20,7 +20,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -133,6 +133,54 @@ class ExperimentConfig:
                     raise ConfigError(f"unknown optimization {op!r} (choose from {KNOWN_OPS})")
         if self.timed_inferences < 100:
             raise ConfigError("timing protocol requires at least 100 timed inferences")
+
+
+SYNTH_REQUIRED = ("classes", "per_class", "length")
+SYNTH_KEYS = SYNTH_REQUIRED + ("noise", "seed")
+# a preset's model block may override only its patching
+PRESET_MODEL_KEYS = ("patch_size", "patch_stride")
+
+
+def _check_keys(block: str, given, allowed, required=()) -> None:
+    if not isinstance(given, dict):
+        raise ConfigError(f"{block} must be a JSON object, got {type(given).__name__}")
+    unknown = sorted(set(given) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {block} key {unknown[0]!r} (choose from {sorted(allowed)})")
+    missing = [k for k in required if k not in given]
+    if missing:
+        raise ConfigError(f"{block} is missing key {missing[0]!r}")
+
+
+def experiment_config(raw: dict) -> ExperimentConfig:
+    """An ExperimentConfig from a JSON mapping: the one place its keys are checked.
+
+    Besides the fields of ``ExperimentConfig``, ``dataset`` takes a path or a
+    synth spec (bare or as ``{"synth": {...}}``) and ``out`` the output
+    directory; ``energy`` holds ``EnergyParams`` fields. An unknown key in
+    any block, or a synth spec without classes, per_class or length, is a
+    ConfigError that names the key.
+    """
+    names = {f.name for f in fields(ExperimentConfig)}
+    _check_keys("config", raw, names | {"dataset", "out"})
+    raw = dict(raw)
+    dataset = raw.pop("dataset", None)
+    if isinstance(dataset, str):
+        raw["dataset_path"] = dataset
+    elif isinstance(dataset, dict):
+        raw["synth"] = dataset.get("synth", dataset)
+    if "out" in raw:
+        raw["out_dir"] = raw.pop("out")
+    if "energy" in raw:
+        _check_keys("energy", raw["energy"], {f.name for f in fields(EnergyParams)})
+        raw["energy"] = EnergyParams(**raw["energy"])
+    if raw.get("synth") is not None:
+        _check_keys("synth", raw["synth"], SYNTH_KEYS, required=SYNTH_REQUIRED)
+    if raw.get("model") is not None:
+        custom = raw.get("preset") == "custom"
+        allowed = {f.name for f in fields(ModelConfig)} if custom else PRESET_MODEL_KEYS
+        _check_keys("model", raw["model"], allowed)
+    return ExperimentConfig(**raw)
 
 
 def _load_experiment_dataset(config: ExperimentConfig) -> TimeSeriesDataset:

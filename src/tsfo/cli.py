@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 
-from .bench import ExperimentConfig, calibration_rows, emit_report, load_reports, run_experiment
+from .bench import calibration_rows, emit_report, experiment_config, load_reports, run_experiment
 from .data import TimeSeriesDataset, load_ucr, normalize_dataset, subject_wise_split, synth_generate
 from .errors import (
     CalibrationError,
@@ -27,7 +27,7 @@ from .errors import (
     PruneSpecError,
     TsfoError,
 )
-from .metrics import EnergyParams, MetricsReport, RunStats
+from .metrics import MetricsReport, RunStats
 from .model import TransformerModel, build_model, preset_config
 from .pruning import PruneSpec, prune_structured, prune_unstructured
 from .quantization import QuantizedModel, calibrate, quantize_dynamic, quantize_static
@@ -182,33 +182,24 @@ def _parse_opt(values) -> list[list[str]]:
 
 
 def _cmd_bench(args) -> int:
-    cfg_kwargs = {}
+    raw = {}
     if args.config:
         with open(args.config) as fh:
-            raw = json.load(fh)
-        dataset = raw.pop("dataset", None)
-        if isinstance(dataset, str):
-            cfg_kwargs["dataset_path"] = dataset
-        elif isinstance(dataset, dict):
-            cfg_kwargs["synth"] = dataset.get("synth", dataset)
-        if "energy" in raw:
-            cfg_kwargs["energy"] = EnergyParams(**raw.pop("energy"))
-        if "out" in raw:
-            cfg_kwargs["out_dir"] = raw.pop("out")
-        cfg_kwargs.update(raw)
-    if args.seed is not None:
-        cfg_kwargs["seed"] = args.seed
-    if args.runs is not None:
-        cfg_kwargs["runs"] = args.runs
-    if args.preset is not None:
-        cfg_kwargs["preset"] = args.preset
-    if args.sparsity is not None:
-        cfg_kwargs["sparsity"] = args.sparsity
-    if args.opt:
-        cfg_kwargs["optimizations"] = _parse_opt(args.opt)
-    if args.out is not None:
-        cfg_kwargs["out_dir"] = args.out
-    config = ExperimentConfig(**cfg_kwargs)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{args.config} is not valid JSON: {exc}") from exc
+    overrides = {
+        "seed": args.seed,
+        "runs": args.runs,
+        "preset": args.preset,
+        "sparsity": args.sparsity,
+        "optimizations": _parse_opt(args.opt) if args.opt else None,
+        "out": args.out,
+    }
+    if isinstance(raw, dict):  # experiment_config rejects any other JSON value
+        raw.update({k: v for k, v in overrides.items() if v is not None})
+    config = experiment_config(raw)
     reports = run_experiment(config)
     written = []
     for fmt in ("json", "csv", "markdown"):

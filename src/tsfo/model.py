@@ -333,7 +333,8 @@ def encode(cfg: ModelConfig, xs: np.ndarray, ops: FloatOps) -> np.ndarray:
         )
         relu(mid, out=mid)
         h += ops.linear(pre + "ffn.mid.in", mid, pre + "ffn.w2", pre + "ffn.b2")
-    return ops.linear("classifier.in", h.mean(axis=1), "classifier.weight", "classifier.bias")
+    pooled = np.add.reduce(h, axis=1) / cfg.num_patches  # h.mean(axis=1), bit for bit
+    return ops.linear("classifier.in", pooled, "classifier.weight", "classifier.bias")
 
 
 def forward_batch(model: TransformerModel, xs: np.ndarray) -> np.ndarray:

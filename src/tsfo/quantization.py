@@ -256,8 +256,10 @@ def quantize_dynamic(model: TransformerModel) -> QuantizedModel:
 
 
 def _dynamic_qparams(x: np.ndarray) -> tuple[float, int]:
-    # max(|x|) without an |x| temporary; a NaN in x still gives a NaN scale
-    scale = max(float(x.max()), -float(x.min()), _SCALE_FLOOR) / 127.0
+    # max(|x|) without an |x| temporary; a NaN in x still gives a NaN scale.
+    # The ufunc reductions are x.max() and x.min() without their Python wrappers.
+    scale = max(float(np.maximum.reduce(x, axis=None)), -float(np.minimum.reduce(x, axis=None)),
+                _SCALE_FLOOR) / 127.0
     return scale, 0
 
 

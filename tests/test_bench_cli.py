@@ -422,6 +422,33 @@ class TestCli:
         rows = load_reports(str(tmp_path / "bench" / "reports.json"))
         assert [r["configuration"] for r in rows] == ["baseline", "static-quant"]
 
+    CUSTOM_MODEL = {"num_layers": 1, "num_heads": 2, "model_dim": 16, "ffn_dim": 32}
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            ({"parallel_train": True}, "parallel_train"),
+            ({"energy": {"volts": 1.0}}, "volts"),
+            ({"preset": "custom", "model": {**CUSTOM_MODEL, "layers": 3}}, "layers"),
+            ({"dataset": {"synth": {"classes": 3, "per_class": 12}}}, "length"),
+        ],
+        ids=["top-level", "energy", "custom-model", "synth-without-length"],
+    )
+    def test_bad_config_key_is_a_config_error(self, tmp_path, caplog, edit, key):
+        config = {"dataset": {"synth": {"classes": 3, "per_class": 12, "length": 96}},
+                  "runs": 1, "epochs": 1, "out": str(tmp_path / "bench"), **edit}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["bench", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert "configuration error: " in caplog.text and repr(key) in caplog.text
+        assert not (tmp_path / "bench").exists()
+
+    def test_malformed_config_json_is_a_config_error(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"runs": 1,')
+        assert main(["bench", "--config", str(cfg_path)]) == EXIT_CONFIG
+
     def test_eval_scores_the_test_side_of_a_split(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         train_path = tmp_path / "Toy_TRAIN.tsv"

@@ -471,6 +471,31 @@ class TestEncode:
         training_mod.loss_and_grads(m, xs, np.array([0, 1, 2, 0, 1]))
         assert calls == ["_Int8Ops", "_Int8Ops", "_Tape"]
 
+    def test_single_instance_forward_call_budget(self):
+        """A T1 batch-1 forward makes at most 480 Python and C calls (462 today).
+
+        At batch 1 most of a forward's time is fixed per-call cost, not FLOPs,
+        so the call count is what single-instance latency is made of. Routing
+        the reductions through ``ndarray.mean``/``max``/``sum`` and the patch
+        unfold through ``sliding_window_view`` made 813; this bound keeps such
+        overhead from creeping back unseen.
+        """
+        m = build_model(preset_config("T1", seq_len=192, num_classes=4), 0)
+        x = seeded_rng(62).normal(size=(1, 192)).astype(np.float32)
+        forward(m, x)  # warm the positional table and any lazy imports
+        events = []
+
+        def count(frame, event, arg):
+            if event in ("call", "c_call"):
+                events.append(event)
+
+        sys.setprofile(count)
+        try:
+            forward(m, x)
+        finally:
+            sys.setprofile(None)
+        assert len(events) <= 480
+
 
 class TestCounts:
     def test_enumeration_oracle_random_configs(self):

@@ -155,15 +155,22 @@ class TestInPlaceKernels:
         assert softmax(x, axis=axis, out=x) is x
         assert np.array_equal(x, want)
 
-    @pytest.mark.parametrize("shape", [(7,), (24, 64), (4, 24, 96)])
-    def test_layer_norm_bit_identical(self, dtype, shape):
+    @pytest.mark.parametrize(
+        "shape, integer",
+        [((7,), False), ((24, 64), False), ((4, 24, 96), False), ((1, 24, 64), False),
+         ((24, 64), True)],
+        ids=["shape0", "shape1", "shape2", "batch1", "int64"],
+    )
+    def test_layer_norm_bit_identical(self, dtype, shape, integer):
         rng = seeded_rng(33)
-        x = (rng.normal(size=shape) * 3 + 1).astype(dtype)
+        x = rng.normal(size=shape) * 3 + 1
+        # integer input is normalized in float64, whatever gamma's type
+        x = np.rint(x * 100).astype(np.int64) if integer else x.astype(dtype)
         gamma = rng.normal(size=shape[-1:]).astype(dtype)
         beta = rng.normal(size=shape[-1:]).astype(dtype)
         before = x.copy()
         out = layer_norm(x, gamma, beta)
-        assert out.dtype == dtype
+        assert out.dtype == (np.float64 if integer else dtype)
         assert np.array_equal(out, parent_layer_norm(before, gamma, beta))
         assert np.array_equal(x, before)
         assert not np.shares_memory(out, x)
@@ -175,6 +182,39 @@ class TestInPlaceKernels:
         out = layer_norm(x, gamma, beta)
         assert out.dtype == dtype
         assert np.array_equal(out, parent_layer_norm(x, gamma, beta))
+
+
+def parent_im2col_batch(xs, k, stride):
+    """The sliding_window_view formula im2col_batch replaced; outputs must not change."""
+    b, c, t = xs.shape
+    n = (t - k) // stride + 1
+    windows = np.lib.stride_tricks.sliding_window_view(xs, k, axis=2)[:, :, ::stride]
+    return np.ascontiguousarray(windows.transpose(0, 2, 1, 3).reshape(b, n, c * k))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestIm2col:
+    @pytest.mark.parametrize("k, stride", [(8, 4), (8, 8), (4, 8)], ids=["overlap", "tile", "gap"])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("length", [48, 50])
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "every-other"])
+    def test_matches_sliding_window_formula(self, dtype, k, stride, channels, length, strided):
+        xs = seeded_rng(35).normal(size=(2, channels, 2 * length)).astype(dtype)
+        xs = xs[:, :, ::2] if strided else np.ascontiguousarray(xs[:, :, :length])
+        before = xs.copy()
+        cols = im2col_batch(xs, k, stride)
+        assert cols.dtype == dtype
+        assert cols.shape == (2, (length - k) // stride + 1, channels * k)
+        assert cols.flags.c_contiguous
+        assert np.array_equal(cols, parent_im2col_batch(before, k, stride))
+        assert np.array_equal(xs, before)
+
+    def test_tiling_one_channel_is_a_read_only_view(self, dtype):
+        xs = seeded_rng(36).normal(size=(2, 1, 192)).astype(dtype)
+        cols = im2col_batch(xs, 8, 8)
+        assert np.shares_memory(cols, xs)
+        assert not cols.flags.writeable
+        assert np.array_equal(cols, xs.reshape(2, 24, 8))
 
 
 class TestConv1d:
