@@ -89,6 +89,7 @@ from .training import (
     cosine_lr,
     evaluate,
     fine_tune,
+    fit,
     train,
 )
 

@@ -66,7 +66,7 @@ from .quantization import (
     quantized_forward,
 )
 from .tensor import QTensor
-from .training import TrainConfig, evaluate, fine_tune, train
+from .training import TrainConfig, evaluate, fine_tune, fit
 
 KNOWN_OPS = ("static-quant", "dynamic-quant", "l1-prune", "l2-prune", "qat")
 
@@ -133,6 +133,12 @@ class ExperimentConfig:
                     raise ConfigError(f"unknown optimization {op!r} (choose from {KNOWN_OPS})")
         if self.timed_inferences < 100:
             raise ConfigError("timing protocol requires at least 100 timed inferences")
+        if self.synth is not None:
+            _check_keys("synth", self.synth, SYNTH_KEYS, required=SYNTH_REQUIRED)
+        if self.model is not None:
+            custom = self.preset == "custom"
+            allowed = {f.name for f in fields(ModelConfig)} if custom else PRESET_MODEL_KEYS
+            _check_keys("model", self.model, allowed)
 
 
 SYNTH_REQUIRED = ("classes", "per_class", "length")
@@ -153,13 +159,14 @@ def _check_keys(block: str, given, allowed, required=()) -> None:
 
 
 def experiment_config(raw: dict) -> ExperimentConfig:
-    """An ExperimentConfig from a JSON mapping: the one place its keys are checked.
+    """An ExperimentConfig from a JSON mapping, every key of it checked.
 
     Besides the fields of ``ExperimentConfig``, ``dataset`` takes a path or a
     synth spec (bare or as ``{"synth": {...}}``) and ``out`` the output
     directory; ``energy`` holds ``EnergyParams`` fields. An unknown key in
     any block, or a synth spec without classes, per_class or length, is a
-    ConfigError that names the key.
+    ConfigError that names the key (``ExperimentConfig`` itself checks the
+    synth and model blocks, however it is built).
     """
     names = {f.name for f in fields(ExperimentConfig)}
     _check_keys("config", raw, names | {"dataset", "out"})
@@ -174,12 +181,6 @@ def experiment_config(raw: dict) -> ExperimentConfig:
     if "energy" in raw:
         _check_keys("energy", raw["energy"], {f.name for f in fields(EnergyParams)})
         raw["energy"] = EnergyParams(**raw["energy"])
-    if raw.get("synth") is not None:
-        _check_keys("synth", raw["synth"], SYNTH_KEYS, required=SYNTH_REQUIRED)
-    if raw.get("model") is not None:
-        custom = raw.get("preset") == "custom"
-        allowed = {f.name for f in fields(ModelConfig)} if custom else PRESET_MODEL_KEYS
-        _check_keys("model", raw["model"], allowed)
     return ExperimentConfig(**raw)
 
 
@@ -235,8 +236,9 @@ def measure_inference_seconds(
     instances: np.ndarray,
     warmups: int = 10,
     timed: int = 100,
-) -> list[float]:
-    """Median single-instance latency of each forward under the fixed timing protocol.
+) -> list[tuple[float, float]]:
+    """(median, interquartile range) of each forward's single-instance latency
+    under the fixed timing protocol.
 
     The forwards take turns on every instance, so a change of host speed
     (some VMs switch speed for seconds at a time) falls on all of them alike
@@ -254,7 +256,8 @@ def measure_inference_seconds(
                 t0 = time.perf_counter()
                 forward_fn(x)
                 samples[j, i] = time.perf_counter() - t0
-    return [float(np.median(s)) for s in samples]
+    q1, median, q3 = np.percentile(samples, [25, 50, 75], axis=1)
+    return [(float(m), float(hi - lo)) for lo, m, hi in zip(q1, median, q3)]
 
 
 def _forward_fn(model_or_q):
@@ -318,9 +321,7 @@ def _apply_pipeline(
                 raise ConfigError(f"{op} after quantization is not meaningful")
             if op == "qat":
                 qat_cfg = replace(ft_cfg, epochs=config.fine_tune_epochs)
-                current, _ = train(
-                    current, train_ds, qat_cfg, weight_fake_quant=True
-                )
+                current = fit(current, train_ds, qat_cfg, weight_fake_quant=True)
                 current = quantize_static(current, calibrate(current, calib))
             elif op == "static-quant":
                 current = quantize_static(current, calibrate(current, calib))
@@ -371,6 +372,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
         n: {
             "acc": [],
             "time_s": [],
+            "iqr_s": [],
             "mem": [],
             "flops_g": [],
             "sparsity": [],
@@ -382,7 +384,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
 
     for run in range(config.runs):
         run_seed = config.seed + run
-        model, _ = train(
+        model = fit(
             build_model(mcfg, run_seed),
             train_ds,
             TrainConfig(epochs=config.epochs, batch_size=config.batch_size, seed=run_seed),
@@ -391,16 +393,17 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
             _apply_pipeline(pipeline, model, train_ds, config, run_seed)
             for pipeline in config.optimizations
         ]
-        times = measure_inference_seconds(
+        timings = measure_inference_seconds(
             [_forward_fn(obj) for obj, _ in rows],
             test_ds.instances,
             config.warmup_inferences,
             config.timed_inferences,
         )
-        for name, (obj, energy_factor), seconds in zip(names, rows, times):
+        for name, (obj, energy_factor), (seconds, iqr) in zip(names, rows, timings):
             stats = per_cfg[name]
             stats["acc"].append(evaluate(obj, test_ds) * 100.0)
             stats["time_s"].append(seconds)
+            stats["iqr_s"].append(iqr)
             stats["mem"].append(payload_bytes(obj))
             stats["flops_g"].append(_flops_g(obj))
             stats["sparsity"].append(_sparsity(obj))
@@ -428,7 +431,10 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
                 accuracy_pct=acc_stats.mean,
                 accuracy_ci_half=acc_stats.ci95_half,
                 accuracy_drop_pct=base_acc - acc_stats.mean,
-                inference_ms=ci95([t * 1e3 for t in stats["time_s"]]),
+                inference_ms=replace(
+                    ci95([t * 1e3 for t in stats["time_s"]]),
+                    iqr_ms=float(np.mean(stats["iqr_s"])) * 1e3,
+                ),
                 modeled_energy_j=modeled_energy,
                 measured_energy_j=measured_energy,
                 memory_mb=float(np.mean(stats["mem"])) / 1e6,
@@ -466,6 +472,7 @@ def emit_report(reports: list[MetricsReport], fmt: str, out_dir) -> list[str]:
             ms = row.pop("inference_ms")
             row["inference_ms_mean"] = ms["mean"]
             row["inference_ms_ci95"] = ms["ci95_half"]
+            row["inference_ms_iqr"] = ms["iqr_ms"]
             row.pop("provenance")
         with open(path, "w", newline="") as fh:
             writer = _csv.DictWriter(fh, fieldnames=sorted(rows[0]))

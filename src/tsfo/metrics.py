@@ -60,12 +60,17 @@ def energy_model(params: EnergyParams, exec_time_s: float) -> float:
 
 @dataclass(frozen=True)
 class RunStats:
-    """Mean with a 95% confidence half-width (1.96 * s / sqrt(n))."""
+    """Mean with a 95% confidence half-width (1.96 * s / sqrt(n)).
+
+    A report's ``inference_ms`` also carries ``iqr_ms``: the interquartile
+    range of each run's timed samples, averaged over the runs.
+    """
 
     n: int
     mean: float
     std: float
     ci95_half: float
+    iqr_ms: float | None = None
 
     @property
     def degenerate(self) -> bool:
@@ -73,7 +78,7 @@ class RunStats:
         return self.n < 2
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "mean": self.mean, "std": self.std, "ci95_half": self.ci95_half}
+        return dict(self.__dict__)
 
 
 def ci95(samples) -> RunStats:

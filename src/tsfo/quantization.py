@@ -13,7 +13,7 @@ matrix) and every vector is dequantized. Inference runs ``model.encode``
 with one ``quantized_linear`` call per weight-bearing site; calibration runs
 it with the float ops and an observer per site.
 
-QAT is weight-only fake quantization: ``training.train(weight_fake_quant=True)``
+QAT is weight-only fake quantization: ``training.fit(weight_fake_quant=True)``
 trains on fake-quantized weight matrices, and the activations are quantized
 afterwards, from calibration, by ``quantize_static``.
 """

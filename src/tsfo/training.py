@@ -51,11 +51,11 @@ def _batch_ce(logits: np.ndarray, labels: np.ndarray):
 
 
 def _layer_norm_backward(d_out, xhat, inv_std, gamma):
-    d_gamma = np.sum(d_out * xhat, axis=tuple(range(d_out.ndim - 1)))
-    d_beta = np.sum(d_out, axis=tuple(range(d_out.ndim - 1)))
+    d_gamma = np.add.reduce(d_out * xhat, axis=tuple(range(d_out.ndim - 1)))
+    d_beta = np.add.reduce(d_out, axis=tuple(range(d_out.ndim - 1)))
     d_xhat = d_out * gamma
-    m1 = np.mean(d_xhat, axis=-1, keepdims=True)
-    m2 = np.mean(d_xhat * xhat, axis=-1, keepdims=True)
+    m1 = np.add.reduce(d_xhat, axis=-1, keepdims=True) / d_out.shape[-1]
+    m2 = np.add.reduce(d_xhat * xhat, axis=-1, keepdims=True) / d_out.shape[-1]
     d_x = inv_std * (d_xhat - m1 - xhat * m2)
     return d_x, d_gamma, d_beta
 
@@ -67,6 +67,13 @@ def _weight_grad(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     ``optimize`` would not use BLAS.
     """
     return x.reshape(-1, x.shape[-1]).T @ d_out.reshape(-1, d_out.shape[-1])
+
+
+def _input_grad(d_out: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``d_out @ weight.T`` as one GEMM over the flattened rows, not one per batch
+    row: 2-3x faster on [B, P, n], and the same bits at the T1 and T2 sizes (a
+    much smaller per-row product can take a BLAS small-matrix kernel instead)."""
+    return (d_out.reshape(-1, d_out.shape[-1]) @ weight.T).reshape(*d_out.shape[:-1], -1)
 
 
 class _Tape(FloatOps):
@@ -105,8 +112,9 @@ class _Tape(FloatOps):
         return weighted_values(weights, v)
 
     def norm(self, x, prefix):
-        centred = x - np.mean(x, axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(np.mean(centred**2, axis=-1, keepdims=True) + 1e-5)
+        d = x.shape[-1]
+        centred = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+        inv_std = 1.0 / np.sqrt(np.add.reduce(centred * centred, axis=-1, keepdims=True) / d + 1e-5)
         xhat = centred * inv_std
         self.saved[prefix] = (xhat, inv_std)
         return self.params[prefix + "gamma"] * xhat + self.params[prefix + "beta"]
@@ -150,11 +158,11 @@ def loss_and_grads(
         r = saved[pre + "ffn.mid.in"]
         grads[pre + "ffn.w2"] = _weight_grad(r, d_z2)
         grads[pre + "ffn.b2"] = d_z2.sum(axis=(0, 1))
-        d_r = d_z2 @ p[pre + "ffn.w2"].T
+        d_r = _input_grad(d_z2, p[pre + "ffn.w2"])
         d_z1 = d_r * (r > 0)   # r = relu(z1), so r > 0 exactly where z1 > 0
         grads[pre + "ffn.w1"] = _weight_grad(saved[pre + "ffn.in"], d_z1)
         grads[pre + "ffn.b1"] = d_z1.sum(axis=(0, 1))
-        d_n2 = d_z1 @ p[pre + "ffn.w1"].T
+        d_n2 = _input_grad(d_z1, p[pre + "ffn.w1"])
         d_hmid_ln, d_g2, d_b2 = _layer_norm_backward(
             d_n2, *saved[pre + "norm2."], p[pre + "norm2.gamma"]
         )
@@ -168,7 +176,7 @@ def loss_and_grads(
         grads[attn + "bo"] = d_attn.sum(axis=(0, 1))
         q, k, v, w = saved[attn + "core"]
         heads = w.shape[1]
-        d_ctx = _split_heads(d_attn @ p[attn + "wo"].T, heads)
+        d_ctx = _split_heads(_input_grad(d_attn, p[attn + "wo"]), heads)
         qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
         d_q, d_k, d_v = (np.empty(t.shape, np.result_type(w, d_ctx)) for t in (q, k, v))
         np.matmul(w, d_ctx, out=_split_heads(d_v, heads))
@@ -187,7 +195,8 @@ def loss_and_grads(
         grads[attn + "bk"] = d_k.sum(axis=(0, 1))
         grads[attn + "wv"] = _weight_grad(n1, d_v)
         grads[attn + "bv"] = d_v.sum(axis=(0, 1))
-        d_n1 = d_q @ p[attn + "wq"].T + d_k @ p[attn + "wk"].T + d_v @ p[attn + "wv"].T
+        d_n1 = _input_grad(d_q, p[attn + "wq"]) + _input_grad(d_k, p[attn + "wk"])
+        d_n1 += _input_grad(d_v, p[attn + "wv"])
         d_hin_ln, d_g1, d_b1 = _layer_norm_backward(
             d_n1, *saved[pre + "norm1."], p[pre + "norm1.gamma"]
         )
@@ -301,15 +310,8 @@ class TrainConfig:
 _WEIGHT_MATRIX_SUFFIXES = (".wq", ".wk", ".wv", ".wo", ".w1", ".w2", ".weight")
 
 
-def train(
-    model: TransformerModel,
-    dataset,
-    cfg: TrainConfig,
-    val_dataset=None,
-    mask: dict[str, np.ndarray] | None = None,
-    weight_fake_quant: bool = False,
-) -> tuple[TransformerModel, list[dict]]:
-    """Mini-batch training loop.
+def _epochs(model: TransformerModel, dataset, cfg: TrainConfig, mask, weight_fake_quant: bool):
+    """Mini-batch training loop; yields (epoch, lr, mean train loss) after each epoch.
 
     Each step: shuffled batch -> loss_and_grads -> global-norm clip -> Adam
     with a cosine-annealed learning rate over the full step budget. When
@@ -320,9 +322,7 @@ def train(
     symmetric scale covers the full range so no value is ever clamped).
     That is the whole of QAT here: weight-only fake quantization, with the
     activations quantized afterwards from calibration (``quantize_static``).
-
-    Returns the model and a per-epoch history (epoch, lr, train_loss,
-    train_acc, val_acc).
+    It evaluates nothing; ``train`` adds the history.
     """
     n = len(dataset.instances)
     if n == 0:
@@ -336,7 +336,6 @@ def train(
     xs_all = dataset.instances
     ys_all = dataset.labels
 
-    history = []
     step = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -359,14 +358,32 @@ def train(
             if mask is not None:
                 _apply_mask(model.params, mask)
             step += 1
-        lr_now = cosine_lr(schedule, min(step, schedule.total_steps))
-        row = {
-            "epoch": epoch + 1,
-            "lr": lr_now,
-            "train_loss": epoch_loss / n,
-            "train_acc": evaluate(model, dataset),
-            "val_acc": evaluate(model, val_dataset) if val_dataset is not None else "",
-        }
+        yield epoch + 1, cosine_lr(schedule, min(step, schedule.total_steps)), epoch_loss / n
+
+
+def fit(
+    model: TransformerModel, dataset, cfg: TrainConfig, mask=None, weight_fake_quant: bool = False
+) -> TransformerModel:
+    """``train`` without its history: the same steps, and nothing is evaluated."""
+    for _ in _epochs(model, dataset, cfg, mask, weight_fake_quant):
+        pass
+    return model
+
+
+def train(
+    model: TransformerModel,
+    dataset,
+    cfg: TrainConfig,
+    val_dataset=None,
+    mask: dict[str, np.ndarray] | None = None,
+    weight_fake_quant: bool = False,
+) -> tuple[TransformerModel, list[dict]]:
+    """``fit``, returning also a per-epoch history (epoch, lr, train_loss, train_acc,
+    val_acc): ``dataset`` and ``val_dataset`` are scored after every epoch."""
+    history = []
+    for epoch, lr, loss in _epochs(model, dataset, cfg, mask, weight_fake_quant):
+        row = {"epoch": epoch, "lr": lr, "train_loss": loss, "train_acc": evaluate(model, dataset)}
+        row["val_acc"] = evaluate(model, val_dataset) if val_dataset is not None else ""
         history.append(row)
     return model, history
 
@@ -403,8 +420,7 @@ def fine_tune(
     if epochs == 0:
         return model
     ft_cfg = replace(cfg if cfg is not None else TrainConfig(lr_max=3e-4), epochs=epochs)
-    model, _ = train(model, dataset, ft_cfg, mask=masks)
-    return model
+    return fit(model, dataset, ft_cfg, mask=masks)
 
 
 def evaluate(model: TransformerModel | QuantizedModel, dataset, batch_size: int = 128) -> float:

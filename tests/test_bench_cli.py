@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import json
 import logging
 import os
@@ -8,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from tsfo import bench
+from tsfo import bench, training
 from tsfo.bench import (
     ExperimentConfig,
     _apply_pipeline,
@@ -47,6 +48,9 @@ def write_ucr(path, rows, rng):
     path.write_text("".join(
         f"{l}\t" + "\t".join(f"{v:.4f}" for v in s) + "\n" for l, s in zip(labels, series)
     ))
+
+
+SYNTH = {"classes": 3, "per_class": 12, "length": 96}
 
 
 def quick_config(out_dir, **overrides):
@@ -88,6 +92,20 @@ class TestExperimentConfig:
     def test_needs_a_dataset(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(synth=None, dataset_path=None)
+
+    @pytest.mark.parametrize(
+        "fields, key",
+        [
+            ({"synth": {"classes": 3, "per_class": 12}}, "length"),
+            ({"synth": {**SYNTH, "classes_": 3}}, "classes_"),
+            ({"synth": SYNTH, "preset": "custom", "model": {"layers": 3}}, "layers"),
+            ({"synth": SYNTH, "model": {"num_layers": 3}}, "num_layers"),
+        ],
+        ids=["synth-without-length", "synth-unknown", "custom-model", "preset-model"],
+    )
+    def test_block_checks_hold_for_a_config_built_in_python(self, fields, key):
+        with pytest.raises(ConfigError, match=repr(key)):
+            run_experiment(ExperimentConfig(runs=1, epochs=1, **fields))
 
 
 class TestRunExperiment:
@@ -151,6 +169,27 @@ class TestRunExperiment:
         assert by_name["l2-prune"].params < by_name["baseline"].params
         assert by_name["baseline"].params == count_params(mcfg)
         assert by_name["static-quant"].params == count_params(mcfg)
+
+    def test_rows_carry_the_timing_spread(self, quick_reports):
+        _, reports = quick_reports
+        for r in reports:
+            assert 0.0 <= r.inference_ms.iqr_ms < float("inf")
+            assert r.to_dict()["inference_ms"]["iqr_ms"] == r.inference_ms.iqr_ms
+
+    def test_evaluates_once_per_row(self, tmp_path, monkeypatch):
+        # training reads no history here, so only the report rows are scored
+        calls = []
+        real = bench.evaluate
+
+        def counting(model, dataset):
+            calls.append(1)
+            return real(model, dataset)
+
+        monkeypatch.setattr(bench, "evaluate", counting)
+        monkeypatch.setattr(training, "evaluate", counting)
+        pipelines = [["static-quant"], ["qat"], ["l1-prune"], ["l2-prune"]]
+        run_experiment(quick_config(tmp_path, optimizations=pipelines, epochs=2))
+        assert len(calls) == 1 + len(pipelines)
 
     def test_combined_pipeline_orders_are_distinct(self, tmp_path):
         config = quick_config(
@@ -292,6 +331,15 @@ class TestEmitReport:
             assert f"| {r.configuration} " in text
         assert "Overall Score" in text
 
+    def test_csv_has_the_timing_spread(self, quick_reports, tmp_path):
+        _, reports = quick_reports
+        (path,) = emit_report(reports, "csv", tmp_path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(row["inference_ms_iqr"]) for row in rows] == [
+            r.inference_ms.iqr_ms for r in reports
+        ]
+
     def test_provenance_labels_present(self, quick_reports, tmp_path):
         _, reports = quick_reports
         (path,) = emit_report(reports, "json", tmp_path)
@@ -309,6 +357,22 @@ def test_measure_inference_counts_calls():
     xs = np.zeros((3, 1, 8), np.float32)
     measure_inference_seconds([fake_forward], xs, warmups=10, timed=100)
     assert len(calls) == 110
+
+
+def test_measure_inference_returns_median_and_iqr(monkeypatch):
+    # a clock under which the i-th timed call of forward j takes (i + 1) * (j + 1) ms
+    ticks = []
+    for i in range(100):
+        for j in range(2):
+            start = ticks[-1] if ticks else 0.0
+            ticks += [start, start + (i + 1) * (j + 1) * 1e-3]
+    monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=iter(ticks).__next__))
+    timings = measure_inference_seconds([lambda x: x] * 2, np.zeros((1, 1, 4)), 1, 100)
+    # samples 1..100 ms: median 50.5, quartiles 25.75 and 75.25
+    assert timings == [
+        pytest.approx((50.5e-3, 49.5e-3), rel=1e-9),
+        pytest.approx((101e-3, 99e-3), rel=1e-9),
+    ]
 
 
 class TestSingleThread:

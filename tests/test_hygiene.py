@@ -1,5 +1,6 @@
 """Static checks on the package sources: no dead imports, no dead private helpers,
-and one function that decides a train/test split."""
+one function that decides a train/test split, and no training history computed
+only to be thrown away."""
 
 import ast
 import pathlib
@@ -98,3 +99,21 @@ def test_one_function_decides_the_split():
     for loader, args in loaders.items():
         params = args.posonlyargs + args.args + args.kwonlyargs
         assert len(params) == 1 and not (args.vararg or args.kwarg), f"{loader} takes more than a path"
+
+
+def test_no_caller_discards_a_training_history():
+    # train scores the whole train set after every epoch to fill its history;
+    # a caller that reads no history calls fit, which evaluates nothing
+    discarded = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and "train" in {getattr(node.value.func, a, None) for a in ("id", "attr")}
+        and any(
+            isinstance(target, ast.Tuple) and getattr(target.elts[-1], "id", None) == "_"
+            for target in node.targets
+        )
+    ]
+    assert not discarded, f"train() called only to drop its history: {discarded}"

@@ -9,10 +9,14 @@ from tsfo.errors import InputError
 from tsfo.model import ModelConfig, build_model, forward_batch
 from tsfo.pruning import PruneSpec, prune_unstructured, sparsity
 from tsfo.tensor import seeded_rng
+from tsfo import training
 from tsfo.training import (
     CosineSchedule,
     TrainConfig,
+    _Tape,
     _batch_ce,
+    _input_grad,
+    _layer_norm_backward,
     adam_step,
     clip_global_norm,
     cosine_lr,
@@ -140,6 +144,69 @@ class TestBackward:
         assert np.all(m.params[name][pruned_coords] == 0)
 
 
+def mean_formula_layer_norm_backward(d_out, xhat, inv_std, gamma):
+    """The backward written with np.sum and np.mean, as it was before it called
+    np.add.reduce directly; the reference for bit identity."""
+    d_gamma = np.sum(d_out * xhat, axis=tuple(range(d_out.ndim - 1)))
+    d_beta = np.sum(d_out, axis=tuple(range(d_out.ndim - 1)))
+    d_xhat = d_out * gamma
+    m1 = np.mean(d_xhat, axis=-1, keepdims=True)
+    m2 = np.mean(d_xhat * xhat, axis=-1, keepdims=True)
+    return inv_std * (d_xhat - m1 - xhat * m2), d_gamma, d_beta
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+class TestBackwardKernels:
+    """The backward's kernels against the formulas they replace, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize(
+        "d_shape, w_shape",
+        [
+            ((24, 24, 64), (256, 64)),    # T1 ffn.w2 at batch 24
+            ((32, 24, 256), (64, 256)),   # T1 ffn.w1 at batch 32
+            ((24, 24, 64), (64, 64)),     # T1 wo, wq, wk, wv
+            ((16, 24, 96), (384, 96)),    # T2 ffn.w2 at batch 16
+            ((16, 24, 384), (96, 384)),   # T2 ffn.w1
+            ((16, 24, 96), (96, 96)),     # T2 wo, wq, wk, wv
+            ((24, 64), (256, 64)),        # [B, n]
+            ((32, 96), (96, 96)),
+        ],
+    )
+    def test_input_grad_is_the_matmul(self, d_shape, w_shape, dtype):
+        rng = seeded_rng(8)
+        d_out = rng.normal(size=d_shape).astype(dtype)
+        weight = rng.normal(size=w_shape).astype(dtype)
+        assert_same_bits(_input_grad(d_out, weight), d_out @ weight.T)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("shape", [(24, 24, 64), (16, 24, 96), (5, 3)])
+    def test_layer_norm_matches_the_mean_formula(self, shape, dtype):
+        rng = seeded_rng(9)
+        x = (rng.normal(size=shape) * 3.0 + 1.0).astype(dtype)
+        gamma = rng.normal(size=shape[-1]).astype(dtype)
+        beta = rng.normal(size=shape[-1]).astype(dtype)
+        tape = _Tape({"n.gamma": gamma, "n.beta": beta}, 0.0, None)
+        out = tape.norm(x, "n.")
+        xhat, inv_std = tape.saved["n."]
+        centred = x - np.mean(x, axis=-1, keepdims=True)
+        want_inv_std = 1.0 / np.sqrt(np.mean(centred**2, axis=-1, keepdims=True) + 1e-5)
+        want_xhat = centred * want_inv_std
+        assert_same_bits(inv_std, want_inv_std)
+        assert_same_bits(xhat, want_xhat)
+        assert_same_bits(out, gamma * want_xhat + beta)
+
+        d_out = rng.normal(size=shape).astype(dtype)
+        got = _layer_norm_backward(d_out, xhat, inv_std, gamma)
+        want = mean_formula_layer_norm_backward(d_out, xhat, inv_std, gamma)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+
+
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         params = {"w": np.array([1.0, 1.0], np.float64)}
@@ -243,7 +310,39 @@ class TestTrain:
         assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
 
 
+    def test_history_is_pinned(self):
+        # d 64, ffn 256, 24 patches: T1's per-row GEMM sizes. The literals are
+        # this seed's history from float32 OpenBLAS on x86-64; another BLAS may
+        # round the losses differently in the last bits.
+        cfg = ModelConfig(
+            num_layers=2, num_heads=4, model_dim=64, ffn_dim=256, patch_size=8,
+            patch_stride=8, seq_len=192, in_channels=1, num_classes=3, dropout=0.1,
+        )
+        train_ds, val_ds = subject_wise_split(synth_generate(3, 16, 192, 0.3, seed=5), 0.7, 5)
+        _, hist = train(
+            build_model(cfg, 3), train_ds, TrainConfig(epochs=3, batch_size=24, seed=3),
+            val_dataset=val_ds,
+        )
+        assert hist == [
+            {"epoch": 1, "lr": 0.0007525, "train_loss": 1.8515547116597493,
+             "train_acc": 0.6111111111111112, "val_acc": 0.6666666666666666},
+            {"epoch": 2, "lr": 0.00025750000000000013, "train_loss": 1.61122461160024,
+             "train_acc": 0.6666666666666666, "val_acc": 0.6666666666666666},
+            {"epoch": 3, "lr": 1e-05, "train_loss": 0.6510644654432932,
+             "train_acc": 1.0, "val_acc": 1.0},
+        ]
+
+
 class TestFineTune:
+    def test_evaluates_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "evaluate", lambda *args: calls.append(args) or 0.0)
+        train_ds, _ = golden_splits()
+        m = build_model(GOLDEN_CFG, GOLDEN_SEED)
+        m, masks, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
+        fine_tune(m, masks, train_ds, 2)
+        assert calls == []
+
     def test_zero_epochs_unchanged(self):
         m = build_model(tiny_config(), 0)
         before = {k: v.copy() for k, v in m.params.items()}
