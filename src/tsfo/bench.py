@@ -20,7 +20,8 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from collections import defaultdict
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,6 +70,8 @@ from .tensor import QTensor
 from .training import TrainConfig, evaluate, fine_tune, fit
 
 KNOWN_OPS = ("static-quant", "dynamic-quant", "l1-prune", "l2-prune", "qat")
+# the stages a row's ``stage_seconds`` can hold; the CSV report has a column for each
+STAGES = ("train", "calibrate", "quantize", "prune", "fine_tune")
 
 # Quantization steps divide the energy estimate by the INT8 precision factor.
 Q_FACTOR = 4.0
@@ -113,7 +116,7 @@ class ExperimentConfig:
     runs: int = 5                        # per-config repetitions for the CIs
     seed: int = 0
     out_dir: str = "results"
-    energy: EnergyParams = field(default_factory=EnergyParams)
+    energy: EnergyParams | dict = field(default_factory=EnergyParams)
     epochs: int = 30
     fine_tune_epochs: int = 5
     batch_size: int = 32
@@ -135,16 +138,27 @@ class ExperimentConfig:
             raise ConfigError("timing protocol requires at least 100 timed inferences")
         if self.synth is not None:
             _check_keys("synth", self.synth, SYNTH_KEYS, required=SYNTH_REQUIRED)
+        custom = self.preset == "custom"
+        if custom and self.model is None:
+            raise ConfigError("custom preset needs a model block")
         if self.model is not None:
-            custom = self.preset == "custom"
             allowed = {f.name for f in fields(ModelConfig)} if custom else PRESET_MODEL_KEYS
-            _check_keys("model", self.model, allowed)
+            required = CUSTOM_MODEL_REQUIRED if custom else ()
+            _check_keys("model", self.model, allowed, required=required)
+        if not isinstance(self.energy, EnergyParams):
+            _check_keys("energy", self.energy, {f.name for f in fields(EnergyParams)})
+            self.energy = EnergyParams(**self.energy)
 
 
 SYNTH_REQUIRED = ("classes", "per_class", "length")
 SYNTH_KEYS = SYNTH_REQUIRED + ("noise", "seed")
 # a preset's model block may override only its patching
 PRESET_MODEL_KEYS = ("patch_size", "patch_stride")
+# a custom model block gives every ModelConfig field without a default but
+# seq_len, which _model_config takes from the dataset
+CUSTOM_MODEL_REQUIRED = tuple(
+    f.name for f in fields(ModelConfig) if f.default is MISSING and f.name != "seq_len"
+)
 
 
 def _check_keys(block: str, given, allowed, required=()) -> None:
@@ -164,9 +178,10 @@ def experiment_config(raw: dict) -> ExperimentConfig:
     Besides the fields of ``ExperimentConfig``, ``dataset`` takes a path or a
     synth spec (bare or as ``{"synth": {...}}``) and ``out`` the output
     directory; ``energy`` holds ``EnergyParams`` fields. An unknown key in
-    any block, or a synth spec without classes, per_class or length, is a
+    any block, a synth spec without classes, per_class or length, or a
+    custom model block without a field ``ModelConfig`` needs is a
     ConfigError that names the key (``ExperimentConfig`` itself checks the
-    synth and model blocks, however it is built).
+    synth, model and energy blocks, however it is built).
     """
     names = {f.name for f in fields(ExperimentConfig)}
     _check_keys("config", raw, names | {"dataset", "out"})
@@ -178,9 +193,6 @@ def experiment_config(raw: dict) -> ExperimentConfig:
         raw["synth"] = dataset.get("synth", dataset)
     if "out" in raw:
         raw["out_dir"] = raw.pop("out")
-    if "energy" in raw:
-        _check_keys("energy", raw["energy"], {f.name for f in fields(EnergyParams)})
-        raw["energy"] = EnergyParams(**raw["energy"])
     return ExperimentConfig(**raw)
 
 
@@ -202,8 +214,6 @@ def _load_experiment_dataset(config: ExperimentConfig) -> TimeSeriesDataset:
 
 def _model_config(config: ExperimentConfig, dataset: TimeSeriesDataset) -> ModelConfig:
     if config.preset == "custom":
-        if not config.model:
-            raise ConfigError("custom preset needs a model block")
         fields = dict(config.model)
         fields.setdefault("seq_len", dataset.seq_len)
         fields.setdefault("in_channels", dataset.channels)
@@ -275,9 +285,7 @@ def _prune_quantized(qmodel: QuantizedModel, spec: PruneSpec) -> tuple[Quantized
         config=qmodel.config,
         params={name: qmodel.dequantized_param(name) for name in qmodel.weights},
     )
-    indices = select_prune_set(
-        {n: s for n, s in score_weights(shadow, spec.method).items()}, spec
-    )
+    indices = select_prune_set(score_weights(shadow, spec.method), spec)
     weights = dict(qmodel.weights)
     for name, idx in indices.items():
         q = qmodel.weights[name]
@@ -301,6 +309,14 @@ def _sparsity(model_or_q) -> float:
     return model_sparsity(model_or_q)
 
 
+@contextlib.contextmanager
+def _stage(stages: dict, name: str):
+    """Add the wall time of the ``with`` body to ``stages[name]``."""
+    start = time.perf_counter()
+    yield
+    stages[name] += time.perf_counter() - start
+
+
 def _apply_pipeline(
     pipeline: list[str],
     baseline: TransformerModel,
@@ -308,9 +324,11 @@ def _apply_pipeline(
     config: ExperimentConfig,
     run_seed: int,
 ):
-    """Apply optimizations in order; returns (model or qmodel, energy factor)."""
+    """Apply optimizations in order; returns (model or qmodel, energy factor,
+    seconds spent in each stage)."""
     current = baseline.copy()
     energy_factor = 1.0
+    stages: dict[str, float] = defaultdict(float)
     base_params = count_params(baseline.config)
     calib = calibration_rows(train_ds, config.calibration_size)
     ft_cfg = TrainConfig(batch_size=config.batch_size, lr_max=3e-4, seed=run_seed + 1)
@@ -319,25 +337,32 @@ def _apply_pipeline(
         if op in ("static-quant", "dynamic-quant", "qat"):
             if isinstance(current, QuantizedModel):
                 raise ConfigError(f"{op} after quantization is not meaningful")
-            if op == "qat":
+            if op == "qat":  # quantization-aware fine-tuning, then static int8
                 qat_cfg = replace(ft_cfg, epochs=config.fine_tune_epochs)
-                current = fit(current, train_ds, qat_cfg, weight_fake_quant=True)
-                current = quantize_static(current, calibrate(current, calib))
-            elif op == "static-quant":
-                current = quantize_static(current, calibrate(current, calib))
+                with _stage(stages, "fine_tune"):
+                    current = fit(current, train_ds, qat_cfg, weight_fake_quant=True)
+            if op == "dynamic-quant":
+                with _stage(stages, "quantize"):
+                    current = quantize_dynamic(current)
             else:
-                current = quantize_dynamic(current)
+                with _stage(stages, "calibrate"):
+                    observers = calibrate(current, calib)
+                with _stage(stages, "quantize"):
+                    current = quantize_static(current, observers)
             energy_factor /= Q_FACTOR
         elif op == "l1-prune":
             spec = PruneSpec("l1", "weight", "global", config.sparsity)
             if isinstance(current, QuantizedModel):
-                current, removed = _prune_quantized(current, spec)
+                with _stage(stages, "prune"):
+                    current, removed = _prune_quantized(current, spec)
                 energy_factor *= 1.0 - removed / base_params
             else:
                 current, masks, report = prune_unstructured(current, spec)
-                current = fine_tune(
-                    current, masks, train_ds, config.fine_tune_epochs, ft_cfg
-                )
+                stages["prune"] += report.transform_seconds
+                with _stage(stages, "fine_tune"):
+                    current = fine_tune(
+                        current, masks, train_ds, config.fine_tune_epochs, ft_cfg
+                    )
                 energy_factor *= 1.0 - report.params_removed / base_params
         elif op == "l2-prune":
             if isinstance(current, QuantizedModel):
@@ -345,12 +370,14 @@ def _apply_pipeline(
             for granularity in ("neuron", "head"):
                 spec = PruneSpec("l2", granularity, "layerwise", config.sparsity)
                 current, report = prune_structured(current, spec)
+                stages["prune"] += report.transform_seconds
             removed = base_params - count_params(current.config)
             energy_factor *= 1.0 - removed / base_params
-            current = fine_tune(current, None, train_ds, config.fine_tune_epochs, ft_cfg)
+            with _stage(stages, "fine_tune"):
+                current = fine_tune(current, None, train_ds, config.fine_tune_epochs, ft_cfg)
         else:  # pragma: no cover - guarded by ExperimentConfig validation
             raise ConfigError(f"unknown optimization {op!r}")
-    return current, energy_factor
+    return current, energy_factor, stages
 
 
 def _flops_g(obj) -> float:
@@ -378,29 +405,33 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
             "sparsity": [],
             "energy_factor": [],
             "params": [],
+            "stage_seconds": [],
         }
         for n in names
     }
 
     for run in range(config.runs):
         run_seed = config.seed + run
+        start = time.perf_counter()
         model = fit(
             build_model(mcfg, run_seed),
             train_ds,
             TrainConfig(epochs=config.epochs, batch_size=config.batch_size, seed=run_seed),
         )
-        rows = [(model, 1.0)] + [
+        train_s = time.perf_counter() - start
+        rows = [(model, 1.0, {})] + [
             _apply_pipeline(pipeline, model, train_ds, config, run_seed)
             for pipeline in config.optimizations
         ]
         timings = measure_inference_seconds(
-            [_forward_fn(obj) for obj, _ in rows],
+            [_forward_fn(obj) for obj, _, _ in rows],
             test_ds.instances,
             config.warmup_inferences,
             config.timed_inferences,
         )
-        for name, (obj, energy_factor), (seconds, iqr) in zip(names, rows, timings):
+        for name, (obj, energy_factor, stages), (seconds, iqr) in zip(names, rows, timings):
             stats = per_cfg[name]
+            stats["stage_seconds"].append({"train": train_s, **stages})
             stats["acc"].append(evaluate(obj, test_ds) * 100.0)
             stats["time_s"].append(seconds)
             stats["iqr_s"].append(iqr)
@@ -447,6 +478,10 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
                 overall_score=overall,
                 params=int(round(np.mean(stats["params"]))),
                 sparsity=float(np.mean(stats["sparsity"])),
+                stage_seconds={
+                    stage: float(np.mean([run[stage] for run in stats["stage_seconds"]]))
+                    for stage in stats["stage_seconds"][0]
+                },
             )
         )
     return reports
@@ -474,6 +509,8 @@ def emit_report(reports: list[MetricsReport], fmt: str, out_dir) -> list[str]:
             row["inference_ms_ci95"] = ms["ci95_half"]
             row["inference_ms_iqr"] = ms["iqr_ms"]
             row.pop("provenance")
+            stages = row.pop("stage_seconds")
+            row.update({f"stage_seconds_{s}": stages.get(s, "") for s in STAGES})
         with open(path, "w", newline="") as fh:
             writer = _csv.DictWriter(fh, fieldnames=sorted(rows[0]))
             writer.writeheader()

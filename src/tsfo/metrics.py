@@ -9,7 +9,7 @@ import math
 import os
 import platform
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,6 +145,7 @@ TIME_DERIVED_FIELDS = (
     "energy_saving_pct",
     "ee_gflops_per_j",
     "overall_score",
+    "stage_seconds",
 )
 
 
@@ -206,7 +207,9 @@ class MetricsReport:
     the closed-form pruning/quantization factors applied; it is an estimate,
     not a measurement. ``measured_energy_j`` applies the same energy model to
     this configuration's own measured wall time. The two are reported side by
-    side and are not forced to agree.
+    side and are not forced to agree. ``stage_seconds`` holds the wall time
+    of each stage that produced the row's model (train, calibrate, quantize,
+    prune, fine_tune), averaged over runs.
     """
 
     configuration: str
@@ -225,6 +228,7 @@ class MetricsReport:
     overall_score: float
     params: int = 0
     sparsity: float = 0.0
+    stage_seconds: dict[str, float] = field(default_factory=dict)
 
     PROVENANCE = {
         "accuracy_pct": "measured",
@@ -239,11 +243,13 @@ class MetricsReport:
         "ee_gflops_per_j": "modeled from measured time",
         "accuracy_retention_pct": "measured",
         "overall_score": "modeled from measured time",
+        "stage_seconds": "measured",
     }
 
     def to_dict(self) -> dict:
         out = dict(self.__dict__)
         out["inference_ms"] = self.inference_ms.to_dict()
+        out["stage_seconds"] = dict(self.stage_seconds)
         out["overall_score"] = round_sig(self.overall_score, 4)
         out["provenance"] = {**self.PROVENANCE, "environment": environment()}
         return out

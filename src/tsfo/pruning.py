@@ -89,36 +89,42 @@ def score_units(
     """
     if granularity not in ("neuron", "head"):
         raise PruneSpecError(f"unit scoring needs neuron or head, got {granularity!r}")
-    norm = (lambda g: float(np.sqrt(np.sum(g**2)))) if method == "l2" else (
-        lambda g: float(np.sum(np.abs(g)))
-    )
     cfg = model.config
     layer_ids = layers if layers is not None else range(cfg.num_layers)
     scores: dict[str, np.ndarray] = {}
     for l in layer_ids:
         pre = f"layers.{l}."
+        # one row per unit, in the group's flat order, so a row sums as the group would
         if granularity == "neuron":
-            w1 = model.params[pre + "ffn.w1"]
-            w2 = model.params[pre + "ffn.w2"]
-            scores[pre + "ffn"] = np.array(
-                [norm(np.concatenate([w1[:, j], w2[j, :]])) for j in range(w1.shape[1])],
-                dtype=np.float64,
-            )
+            w1, w2 = model.params[pre + "ffn.w1"], model.params[pre + "ffn.w2"]
+            name, groups = pre + "ffn", np.concatenate([w1.T, w2], axis=1)
         else:
-            dh = cfg.head_dim
-            wq = model.params[pre + "attn.wq"]
-            wk = model.params[pre + "attn.wk"]
-            wv = model.params[pre + "attn.wv"]
-            wo = model.params[pre + "attn.wo"]
-            vals = []
-            for h in range(cfg.heads_at(l)):
-                sl = slice(h * dh, (h + 1) * dh)
-                group = np.concatenate(
-                    [wq[:, sl].ravel(), wk[:, sl].ravel(), wv[:, sl].ravel(), wo[sl, :].ravel()]
-                )
-                vals.append(norm(group))
-            scores[pre + "attn"] = np.array(vals, dtype=np.float64)
+            heads = cfg.heads_at(l)
+            blocks = [
+                w.reshape(len(w), heads, -1).transpose(1, 0, 2).reshape(heads, -1)
+                for w in (model.params[pre + "attn." + n] for n in ("wq", "wk", "wv"))
+            ]
+            wo = model.params[pre + "attn.wo"].reshape(heads, -1)
+            name, groups = pre + "attn", np.concatenate([*blocks, wo], axis=1)
+        norms = np.sqrt(np.add.reduce(groups**2, axis=1)) if method == "l2" else (
+            np.add.reduce(np.abs(groups), axis=1)
+        )
+        scores[name] = norms.astype(np.float64)
     return scores
+
+
+def _lowest_k(vals: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the k lowest values, ranked by (value, index).
+
+    NaN ranks above every number, as ``np.sort`` places it; -0.0 and 0.0 tie.
+    """
+    kth = np.partition(vals, k - 1)[k - 1]
+    if np.isnan(kth):
+        below, tied = ~np.isnan(vals), np.isnan(vals)
+    else:
+        below, tied = vals < kth, vals == kth
+    below[np.flatnonzero(tied)[: k - np.count_nonzero(below)]] = True
+    return np.flatnonzero(below)
 
 
 def select_prune_set(
@@ -139,27 +145,13 @@ def select_prune_set(
         return {name: np.array([], dtype=np.int64) for name in scores}
 
     if spec.scope == "layerwise":
-        out = {}
-        for name, vals in scores.items():
-            k = int(np.ceil(p * len(vals)))
-            order = np.lexsort((np.arange(len(vals)), vals))
-            out[name] = np.sort(order[:k])
-        return out
+        return {n: _lowest_k(v, int(np.ceil(p * len(v)))) for n, v in scores.items()}
 
-    names = list(scores)
-    all_scores = np.concatenate([scores[n] for n in names])
-    pool_idx = np.concatenate(
-        [np.full(len(scores[n]), i, dtype=np.int64) for i, n in enumerate(names)]
-    )
-    flat_idx = np.concatenate([np.arange(len(scores[n]), dtype=np.int64) for n in names])
-    k = int(np.ceil(p * len(all_scores)))
-    order = np.lexsort((flat_idx, pool_idx, all_scores))
-    chosen = order[:k]
-    out = {}
-    for i, name in enumerate(names):
-        mine = chosen[pool_idx[chosen] == i]
-        out[name] = np.sort(flat_idx[mine])
-    return out
+    all_scores = np.concatenate(list(scores.values()))
+    chosen = _lowest_k(all_scores, int(np.ceil(p * len(all_scores))))
+    offsets = np.cumsum([0] + [len(v) for v in scores.values()])
+    bounds = np.searchsorted(chosen, offsets)
+    return {name: chosen[bounds[i] : bounds[i + 1]] - offsets[i] for i, name in enumerate(scores)}
 
 
 def apply_unstructured_mask(

@@ -38,7 +38,7 @@ from tsfo.pruning import PruneSpec
 from tsfo.quantization import QuantizedModel, quantize_dynamic, quantized_forward_batch
 from tsfo.serialize import save_dataset, save_model, save_quantized
 from tsfo.tensor import QTensor
-from tsfo.metrics import TIME_DERIVED_FIELDS
+from tsfo.metrics import TIME_DERIVED_FIELDS, EnergyParams
 
 
 def write_ucr(path, rows, rng):
@@ -100,12 +100,27 @@ class TestExperimentConfig:
             ({"synth": {**SYNTH, "classes_": 3}}, "classes_"),
             ({"synth": SYNTH, "preset": "custom", "model": {"layers": 3}}, "layers"),
             ({"synth": SYNTH, "model": {"num_layers": 3}}, "num_layers"),
+            (
+                {"synth": SYNTH, "preset": "custom", "model": {
+                    "num_layers": 1, "num_heads": 1, "model_dim": 8, "ffn_dim": 8,
+                    "patch_size": 8,
+                }},
+                "patch_stride",
+            ),
+            ({"synth": SYNTH, "energy": {"volts": 1.0}}, "volts"),
         ],
-        ids=["synth-without-length", "synth-unknown", "custom-model", "preset-model"],
+        ids=[
+            "synth-without-length", "synth-unknown", "custom-model", "preset-model",
+            "custom-model-without-patch-stride", "energy",
+        ],
     )
     def test_block_checks_hold_for_a_config_built_in_python(self, fields, key):
         with pytest.raises(ConfigError, match=repr(key)):
             run_experiment(ExperimentConfig(runs=1, epochs=1, **fields))
+
+    def test_energy_block_built_in_python_becomes_energy_params(self):
+        config = ExperimentConfig(synth=SYNTH, energy={"voltage_v": 1.0})
+        assert config.energy == EnergyParams(voltage_v=1.0)
 
 
 class TestRunExperiment:
@@ -163,7 +178,7 @@ class TestRunExperiment:
         mcfg = _model_config(config, dataset)
         # structured pruning picks its config from unit counts, not weights,
         # so any baseline with this config prunes to the same shape
-        pruned, _ = _apply_pipeline(["l2-prune"], build_model(mcfg, 0), train_ds, config, 0)
+        pruned, _, _ = _apply_pipeline(["l2-prune"], build_model(mcfg, 0), train_ds, config, 0)
         assert pruned.config != mcfg
         assert by_name["l2-prune"].params == count_params(pruned.config)
         assert by_name["l2-prune"].params < by_name["baseline"].params
@@ -175,6 +190,18 @@ class TestRunExperiment:
         for r in reports:
             assert 0.0 <= r.inference_ms.iqr_ms < float("inf")
             assert r.to_dict()["inference_ms"]["iqr_ms"] == r.inference_ms.iqr_ms
+
+    def test_rows_time_the_stages_that_made_their_model(self, quick_reports):
+        _, reports = quick_reports
+        stages = {r.configuration: r.stage_seconds for r in reports}
+        assert {name: sorted(s) for name, s in stages.items()} == {
+            "baseline": ["train"],
+            "static-quant": ["calibrate", "quantize", "train"],
+            "l2-prune": ["fine_tune", "prune", "train"],
+        }
+        assert all(t > 0 for s in stages.values() for t in s.values())
+        # every row's model comes from the one trained baseline
+        assert len({s["train"] for s in stages.values()}) == 1
 
     def test_evaluates_once_per_row(self, tmp_path, monkeypatch):
         # training reads no history here, so only the report rows are scored
@@ -219,7 +246,7 @@ class TestPrunedQuantized:
         self.baseline = build_model(_model_config(self.config, ds), 4)
 
     def pipeline(self, ops):
-        qmodel, _ = _apply_pipeline(ops, self.baseline, self.train_ds, self.config, 4)
+        qmodel, _, _ = _apply_pipeline(ops, self.baseline, self.train_ds, self.config, 4)
         return qmodel
 
     def test_pipeline_forward_matches_fresh_model(self):
@@ -339,6 +366,10 @@ class TestEmitReport:
         assert [float(row["inference_ms_iqr"]) for row in rows] == [
             r.inference_ms.iqr_ms for r in reports
         ]
+        for row, r in zip(rows, reports):
+            for stage in bench.STAGES:
+                want = repr(r.stage_seconds[stage]) if stage in r.stage_seconds else ""
+                assert row[f"stage_seconds_{stage}"] == want
 
     def test_provenance_labels_present(self, quick_reports, tmp_path):
         _, reports = quick_reports
@@ -495,8 +526,12 @@ class TestCli:
             ({"energy": {"volts": 1.0}}, "volts"),
             ({"preset": "custom", "model": {**CUSTOM_MODEL, "layers": 3}}, "layers"),
             ({"dataset": {"synth": {"classes": 3, "per_class": 12}}}, "length"),
+            ({"preset": "custom", "model": {**CUSTOM_MODEL, "patch_size": 8}}, "patch_stride"),
         ],
-        ids=["top-level", "energy", "custom-model", "synth-without-length"],
+        ids=[
+            "top-level", "energy", "custom-model", "synth-without-length",
+            "custom-model-without-patch-stride",
+        ],
     )
     def test_bad_config_key_is_a_config_error(self, tmp_path, caplog, edit, key):
         config = {"dataset": {"synth": {"classes": 3, "per_class": 12, "length": 96}},

@@ -1,8 +1,18 @@
+import sys
+
 import numpy as np
 import pytest
 
+import tsfo.pruning as pruning_mod
 from tsfo.errors import PruneSpecError
-from tsfo.model import ModelConfig, build_model, count_flops, count_params, forward_batch
+from tsfo.model import (
+    ModelConfig,
+    build_model,
+    count_flops,
+    count_params,
+    forward_batch,
+    preset_config,
+)
 from tsfo.pruning import (
     PruneSpec,
     apply_unstructured_mask,
@@ -280,3 +290,220 @@ class TestSparsity:
             zeros += int(np.sum(m.params[name] == 0))
             total += m.params[name].size
         assert sparsity(m) == zeros / total
+
+
+def lexsort_select(scores, spec):
+    """Reference selection: a full (score, pool, index) lexsort, as select_prune_set
+    once ranked, before it found the k-th score by partition."""
+    p = spec.sparsity
+    if p == 0.0:
+        return {name: np.array([], dtype=np.int64) for name in scores}
+    if spec.scope == "layerwise":
+        out = {}
+        for name, vals in scores.items():
+            k = int(np.ceil(p * len(vals)))
+            order = np.lexsort((np.arange(len(vals)), vals))
+            out[name] = np.sort(order[:k])
+        return out
+    names = list(scores)
+    all_scores = np.concatenate([scores[n] for n in names])
+    pool_idx = np.concatenate(
+        [np.full(len(scores[n]), i, dtype=np.int64) for i, n in enumerate(names)]
+    )
+    flat_idx = np.concatenate([np.arange(len(scores[n]), dtype=np.int64) for n in names])
+    k = int(np.ceil(p * len(all_scores)))
+    chosen = np.lexsort((flat_idx, pool_idx, all_scores))[:k]
+    return {
+        name: np.sort(flat_idx[chosen[pool_idx[chosen] == i]]) for i, name in enumerate(names)
+    }
+
+
+def loop_unit_scores(model, granularity, method="l2", layers=None):
+    """Reference unit scores: one concatenated group and one reduction per unit."""
+    norm = (lambda g: float(np.sqrt(np.sum(g**2)))) if method == "l2" else (
+        lambda g: float(np.sum(np.abs(g)))
+    )
+    cfg = model.config
+    scores = {}
+    for l in layers if layers is not None else range(cfg.num_layers):
+        pre = f"layers.{l}."
+        if granularity == "neuron":
+            w1, w2 = model.params[pre + "ffn.w1"], model.params[pre + "ffn.w2"]
+            groups = [np.concatenate([w1[:, j], w2[j, :]]) for j in range(w1.shape[1])]
+            name = pre + "ffn"
+        else:
+            wq, wk, wv, wo = (model.params[pre + "attn." + w] for w in ("wq", "wk", "wv", "wo"))
+            sls = [slice(h * cfg.head_dim, (h + 1) * cfg.head_dim) for h in range(cfg.heads_at(l))]
+            groups = [
+                np.concatenate([wq[:, s].ravel(), wk[:, s].ravel(), wv[:, s].ravel(), wo[s].ravel()])
+                for s in sls
+            ]
+            name = pre + "attn"
+        scores[name] = np.array([norm(g) for g in groups], dtype=np.float64)
+    return scores
+
+
+def preset_model(preset, seed=0):
+    """A preset model whose weight tensors are rescaled apart, so unit norms spread."""
+    m = build_model(preset_config(preset, seq_len=192, num_classes=4), seed)
+    rng = seeded_rng(seed + 100)
+    for name in m.params:
+        m.params[name] *= np.float32(rng.uniform(0.25, 4.0))
+    return m
+
+
+def pools_of(sizes, rng, make):
+    return {f"p{j}": make(rng, n) for j, n in enumerate(sizes)}
+
+
+def _nan_share(share):
+    def make(rng, n):
+        v = rng.normal(size=n)
+        v[rng.random(n) < share] = np.nan
+        return v
+    return make
+
+
+SELECTION_CASES = {
+    "ties": lambda rng, n: np.round(rng.uniform(0, 1, n), 2),
+    "nan": _nan_share(0.3),
+    "nan-beyond-k": _nan_share(0.8),
+    "signed-zeros": lambda rng, n: rng.choice([-0.0, 0.0, 0.25, np.nan], size=n),
+    "float32": lambda rng, n: np.round(rng.normal(size=n), 1).astype(np.float32),
+}
+
+
+class TestSameBitsAsTheLexsortPath:
+    """The partition selection and the per-layer unit scores give exactly what
+    the lexsort selection and the per-unit loop gave."""
+
+    @pytest.mark.parametrize("scope", ["global", "layerwise"])
+    @pytest.mark.parametrize("case", sorted(SELECTION_CASES))
+    def test_selection(self, scope, case):
+        rng = seeded_rng(31)
+        for trial in range(40):
+            sizes = rng.integers(1, 60, size=int(rng.integers(1, 5)))
+            scores = pools_of(sizes, rng, SELECTION_CASES[case])
+            for p in (0.01, 0.4, 0.5, 0.9, 0.99):
+                spec = PruneSpec("l1", "weight", scope, p)
+                got, want = select_prune_set(scores, spec), lexsort_select(scores, spec)
+                assert list(got) == list(want)
+                for name in want:
+                    assert np.array_equal(got[name], want[name]), (trial, p, name)
+                    assert got[name].dtype == want[name].dtype
+
+    @pytest.mark.parametrize("scope", ["global", "layerwise"])
+    @pytest.mark.parametrize("k", ["1", "n-1"])
+    def test_selection_at_the_ends(self, scope, k):
+        rng = seeded_rng(32)
+        scores = pools_of([37] * 4, rng, SELECTION_CASES["ties"])
+        n = 37 if scope == "layerwise" else 4 * 37
+        p = 0.5 / n if k == "1" else (n - 1.5) / n
+        spec = PruneSpec("l1", "weight", scope, p)
+        got, want = select_prune_set(scores, spec), lexsort_select(scores, spec)
+        for name in want:
+            assert np.array_equal(got[name], want[name])
+        pools = 4 if scope == "layerwise" else 1
+        assert sum(map(len, got.values())) == pools * (1 if k == "1" else n - 1)
+
+    @pytest.mark.parametrize("decimals", [None, 2])
+    def test_t1_sized_global_selection(self, decimals):
+        scores = score_weights(preset_model("T1"), "l1")
+        if decimals is not None:
+            scores = {n: np.round(v, decimals) for n, v in scores.items()}
+        assert sum(map(len, scores.values())) == 393_728
+        spec = PruneSpec("l1", "weight", "global", 0.4)
+        got, want = select_prune_set(scores, spec), lexsort_select(scores, spec)
+        for name in want:
+            assert np.array_equal(got[name], want[name])
+
+    @pytest.mark.parametrize("preset", ["T1", "T2"])
+    @pytest.mark.parametrize("granularity", ["neuron", "head"])
+    @pytest.mark.parametrize("method", ["l1", "l2"])
+    def test_unit_scores(self, preset, granularity, method):
+        m = preset_model(preset, seed=3)
+        self._same_scores(m, granularity, method)
+
+    def test_unit_scores_of_a_pruned_config(self):
+        m = preset_model("T1", seed=4)
+        for granularity in ("neuron", "head"):
+            m, _ = prune_structured(m, PruneSpec("l2", granularity, "layerwise", 0.4))
+        assert m.config.heads_per_layer is not None and m.config.ffn_per_layer is not None
+        for granularity in ("neuron", "head"):
+            for method in ("l1", "l2"):
+                self._same_scores(m, granularity, method)
+                self._same_scores(m, granularity, method, layers=[1])
+
+    @staticmethod
+    def _same_scores(m, granularity, method, layers=None):
+        got = score_units(m, granularity, method, layers)
+        want = loop_unit_scores(m, granularity, method, layers)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].dtype == np.float64
+            assert np.array_equal(got[name], want[name]), name
+
+    @staticmethod
+    def _on_the_reference_path(monkeypatch, fn, *args):
+        with monkeypatch.context() as patched:
+            patched.setattr(pruning_mod, "select_prune_set", lexsort_select)
+            patched.setattr(pruning_mod, "score_units", loop_unit_scores)
+            return fn(*args)
+
+    def test_unstructured_pruning(self, monkeypatch):
+        m = preset_model("T1", seed=5)
+        spec = PruneSpec("l1", "weight", "global", 0.4)
+        got, got_masks, got_report = prune_unstructured(m.copy(), spec)
+        want, want_masks, want_report = self._on_the_reference_path(
+            monkeypatch, prune_unstructured, m.copy(), spec
+        )
+        assert got.config == want.config
+        assert got.params.keys() == want.params.keys()
+        assert all(np.array_equal(got.params[n], want.params[n]) for n in want.params)
+        assert got_masks.keys() == want_masks.keys()
+        assert all(np.array_equal(got_masks[n], want_masks[n]) for n in want_masks)
+        assert got_report.params_removed == want_report.params_removed
+
+    def test_structured_pruning(self, monkeypatch):
+        m = preset_model("T1", seed=6)
+        got = want = m
+        for granularity in ("neuron", "head"):
+            spec = PruneSpec("l2", granularity, "layerwise", 0.4)
+            got, _ = prune_structured(got, spec)
+            want, _ = self._on_the_reference_path(monkeypatch, prune_structured, want, spec)
+        assert got.config == want.config
+        assert got.params.keys() == want.params.keys()
+        assert all(np.array_equal(got.params[n], want.params[n]) for n in want.params)
+
+
+def count_calls(fn, *args):
+    """Python and C function calls made while ``fn(*args)`` runs."""
+    events = []
+
+    def count(frame, event, arg):
+        if event in ("call", "c_call"):
+            events.append(event)
+
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return len(events)
+
+
+def test_pruning_call_budget():
+    """Unit scoring and global selection make a number of Python and C calls
+    that grows with layers and pools, not with units or weights.
+
+    T2 neuron scoring makes 38 calls (12 layers) and a global selection over
+    T1's 49 pools 205. A loop over units, one concatenation and reduction
+    each, made 41,498 for T2's 4,608 neurons; the lexsort selection, which
+    split its result with a mask per pool, made 651.
+    """
+    t2 = build_model(preset_config("T2", seq_len=192, num_classes=4), 0)
+    assert count_calls(score_units, t2, "neuron") <= 5 * t2.config.num_layers + 20
+    t1 = build_model(preset_config("T1", seq_len=192, num_classes=4), 0)
+    scores = score_weights(t1, "l1")
+    spec = PruneSpec("l1", "weight", "global", 0.4)
+    assert count_calls(select_prune_set, scores, spec) <= 4 * len(scores) + 60
