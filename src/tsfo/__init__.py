@@ -61,7 +61,6 @@ from .pruning import (
 from .quantization import (
     CalibrationObserver,
     QuantizedModel,
-    QuantScheme,
     calibrate,
     fake_quant,
     quantize_dynamic,

@@ -377,6 +377,9 @@ def _apply_pipeline(
                 current = fine_tune(current, None, train_ds, config.fine_tune_epochs, ft_cfg)
         else:  # pragma: no cover - guarded by ExperimentConfig validation
             raise ConfigError(f"unknown optimization {op!r}")
+    if isinstance(current, QuantizedModel):
+        with _stage(stages, "quantize"):  # not in the untimed warm-up inference
+            current.compile()
     return current, energy_factor, stages
 
 

@@ -19,6 +19,11 @@ from .model import TransformerModel, count_flops, count_params
 PRUNABLE_SUFFIXES = (".wq", ".wk", ".wv", ".wo", ".w1", ".w2", "patch_embed.weight")
 
 
+def _check_method(method: str) -> None:
+    if method not in ("l1", "l2"):
+        raise PruneSpecError(f"unknown method {method!r}")
+
+
 @dataclass(frozen=True)
 class PruneSpec:
     method: str = "l1"            # l1 | l2
@@ -28,8 +33,7 @@ class PruneSpec:
     layers: tuple[int, ...] | None = None   # optional layer filter
 
     def __post_init__(self):
-        if self.method not in ("l1", "l2"):
-            raise PruneSpecError(f"unknown method {self.method!r}")
+        _check_method(self.method)
         if self.granularity not in ("weight", "neuron", "head"):
             raise PruneSpecError(f"unknown granularity {self.granularity!r}")
         if self.scope not in ("global", "layerwise"):
@@ -70,8 +74,7 @@ def score_weights(model: TransformerModel, method: str = "l1") -> dict[str, np.n
     For a single weight the L1 and L2 norms are both its absolute value, so
     the two methods rank identically at weight granularity.
     """
-    if method not in ("l1", "l2"):
-        raise PruneSpecError(f"unknown method {method!r}")
+    _check_method(method)
     return {n: np.abs(model.params[n]).ravel() for n in prunable_pools(model)}
 
 
@@ -87,6 +90,7 @@ def score_units(
     w2; a head's group is its slice of the four projection matrices. Scores
     are the L2 (or L1) norm of the group.
     """
+    _check_method(method)
     if granularity not in ("neuron", "head"):
         raise PruneSpecError(f"unit scoring needs neuron or head, got {granularity!r}")
     cfg = model.config

@@ -8,10 +8,11 @@ softmax, and residual adds always run in float; only the weight-bearing
 matmuls are integerized.
 
 A ``QuantizedModel`` packs its int8 weights once, on first use: each weight
-matrix is laid out for ``quantized_linear`` (wq, wk and wv fused into one
-matrix) and every vector is dequantized. Inference runs ``model.encode``
-with one ``quantized_linear`` call per weight-bearing site; calibration runs
-it with the float ops and an observer per site.
+matrix is laid out for ``compiled_linear`` (wq, wk and wv fused into one
+matrix), every vector is dequantized, and a static model compiles each site's
+activation map. Inference runs ``model.encode`` with one ``compiled_linear``
+call per weight-bearing site; calibration runs it with the float ops and an
+observer per site.
 
 QAT is weight-only fake quantization: ``training.fit(weight_fake_quant=True)``
 trains on fake-quantized weight matrices, and the activations are quantized
@@ -33,26 +34,15 @@ from .tensor import (
     INT8_MIN,
     PackedWeight,
     QTensor,
+    compile_linear,
+    compiled_linear,
     dequantize_linear,
     pack_weight,
     quantize_linear,
-    quantized_linear,
     round_half_away,
 )
 
 _SCALE_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class QuantScheme:
-    bits: int = 8
-    weight_mode: str = "symmetric_per_channel"
-    activation_mode: str = "affine_per_tensor"
-
-    @property
-    def q_factor(self) -> float:
-        """Precision ratio against FP32 (4 for INT8)."""
-        return 32.0 / self.bits
 
 
 def scale_zero_point(min_val: float, max_val: float, mode: str = "affine"):
@@ -95,17 +85,17 @@ class CalibrationObserver:
         return self.batches > 0 and self.min_val <= self.max_val
 
 
-def activation_sites(config: ModelConfig) -> list[str]:
-    """The observed sites: input of every weight-bearing matmul."""
-    sites = ["embed.in"]
+def activation_sites(config: ModelConfig) -> dict[str, tuple[str, str]]:
+    """The observed sites, input of every weight-bearing matmul: the packed
+    weight and bias each one's matmul reads."""
+    sites = {"embed.in": ("patch_embed.weight", "patch_embed.bias")}
     for l in range(config.num_layers):
-        sites += [
-            f"layers.{l}.attn.qkv.in",
-            f"layers.{l}.attn.proj.in",
-            f"layers.{l}.ffn.in",
-            f"layers.{l}.ffn.mid.in",
-        ]
-    sites.append("classifier.in")
+        pre = f"layers.{l}."
+        sites[pre + "attn.qkv.in"] = (pre + "attn.wqkv", pre + "attn.bqkv")
+        sites[pre + "attn.proj.in"] = (pre + "attn.wo", pre + "attn.bo")
+        sites[pre + "ffn.in"] = (pre + "ffn.w1", pre + "ffn.b1")
+        sites[pre + "ffn.mid.in"] = (pre + "ffn.w2", pre + "ffn.b2")
+    sites["classifier.in"] = ("classifier.weight", "classifier.bias")
     return sites
 
 
@@ -164,8 +154,8 @@ def quantize_weight(arr: np.ndarray) -> QTensor:
 class QuantizedModel:
     """Int8 weights plus, in static mode, the calibrated activation maps.
 
-    The weights must not be modified once the model has run: inference reads
-    ``pack``, which is derived from them once. Build a new model instead.
+    Weights and activation maps must not be modified once the model has run:
+    inference reads ``pack`` and ``sites``, derived from them once.
     """
 
     config: ModelConfig
@@ -182,6 +172,22 @@ class QuantizedModel:
         (or only inspected) never holds the float copies of its weights.
         """
         return _pack(self.config, self.weights)
+
+    @cached_property
+    def sites(self) -> dict[str, tuple] | None:
+        """``compile_linear`` of each static site, built with ``pack`` on first
+        use; None if dynamic."""
+        pack = self.pack
+        if self.mode != "static":
+            return None
+        return {
+            site: compile_linear(*self.act_qparams[site], pack[weight], pack[bias])
+            for site, (weight, bias) in activation_sites(self.config).items()
+        }
+
+    def compile(self) -> None:
+        """Build ``pack`` and ``sites`` now rather than in the first inference."""
+        self.sites  # a cached property; building it builds pack
 
     def dequantized_param(self, name: str) -> np.ndarray:
         return dequantize_linear(self.weights[name])
@@ -264,23 +270,23 @@ def _dynamic_qparams(x: np.ndarray) -> tuple[float, int]:
 
 
 class _Int8Ops(FloatOps):
-    """One ``quantized_linear`` per site on the pack; norms use its dequantized vectors.
+    """One ``compiled_linear`` per site on the pack; norms use its dequantized vectors.
 
-    Activations take the calibrated affine map in static mode and a per-call
-    symmetric scale in dynamic mode. Q, K and V share one call, and the
-    attention core reads its three [B, P, a] column slices without a copy.
+    A static site reads what the model compiled for it; a dynamic one compiles
+    its per-call symmetric scale. Q, K and V share one call, and the attention
+    core reads its three [B, P, a] column slices without a copy.
     """
 
     def __init__(self, qmodel: QuantizedModel):
         super().__init__(qmodel.pack)
-        self.act_qparams = qmodel.act_qparams if qmodel.mode == "static" else None
+        self.sites = qmodel.sites
 
     def linear(self, site, x, weight, bias):
-        if self.act_qparams is None:
-            scale, zp = _dynamic_qparams(x)
+        if self.sites is None:
+            compiled = compile_linear(*_dynamic_qparams(x), self.params[weight], self.params[bias])
         else:
-            scale, zp = self.act_qparams[site]
-        return quantized_linear(x, scale, zp, self.params[weight], self.params[bias])
+            compiled = self.sites[site]
+        return compiled_linear(x, *compiled)
 
     def qkv(self, prefix, x):
         qkv = self.linear(prefix + "qkv.in", x, prefix + "wqkv", prefix + "bqkv")

@@ -151,38 +151,77 @@ class QTensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def nbytes(self) -> int:
-        return self.data.nbytes
+
+def _broadcast_scale(scale: np.ndarray, channel_axis: int | None, ndim: int) -> np.ndarray:
+    if scale.ndim == 0 or channel_axis is None:
+        return scale
+    shape = [1] * ndim
+    shape[channel_axis] = scale.shape[0]
+    return scale.reshape(shape)
 
 
-def _broadcast_scale(q: QTensor) -> np.ndarray:
-    if q.scale.ndim == 0:
-        return q.scale
-    shape = [1] * q.data.ndim
-    shape[q.channel_axis] = q.scale.shape[0]
-    return q.scale.reshape(shape)
+# Enlarges the reciprocal so that an exact tie x / s = n + 1/2 lands past it,
+# away from zero; _quantize_folded says why that makes rint exact.
+_TIE_NUDGE = 1.0 + 2.0**-38
 
 
-# built once: a fresh np.float32(0.5) per call adds about 3% to the
-# quantize pass of a single-instance site
-_HALF = np.float32(0.5)
+def _quantize_folded(x: np.ndarray, inv, lo: int, hi: int, dtype) -> np.ndarray:
+    """rint(clip(x * inv, lo, hi)) in float64, written into a fresh array of ``dtype``.
 
+    The rounding rule of every int8 quantizer. With inv = (1 + 2^-38) / s in
+    float64, for a positive float32 scale s (a scalar or a broadcastable
+    vector), and integer bounds lo = -128 - z, hi = 127 - z, it returns
+    clip(round_half_away(x / s), lo, hi) = q - z for every float32 x. A
+    float64 buffer is written once; ``dtype`` is float64 (rounded in place)
+    or the GEMM operand's float type.
 
-def _quantize_folded(x: np.ndarray, s, zero_point: int) -> np.ndarray:
-    """clip(round_half_away(x / s), -128 - z, 127 - z) = q - z, in x's float type.
+    Proof. Let t = x / s exactly and r = x * inv as computed.
 
-    The rounding rule of every int8 quantizer; ``quantized_linear`` says why
-    it is exact. It writes one float64 buffer and the result.
+    * No overflow or underflow. Every float32 is a multiple of 2^-149 below
+      2^128, so 2^-128 < inv < 2^150, and a non-zero |x| * inv lies in
+      (2^-277, 2^277), inside float64's normal range, subnormal x and s
+      included. inv and r round once each, so r = t (1 + 2^-38)(1 + e) with
+      |e| < 2^-51.99: r lies beyond t, away from zero, by |t| d with
+      2^-38.001 < d < 2^-37.999.
+    * Clamping first is exact: the bounds are integers and rint is monotone,
+      so rint(clip(r, lo, hi)) = clip(rint(r), lo, hi). Where |t| > 256, |r|
+      > 255.5 and both rint(r) and round_half_away(t) lie past both bounds
+      (|lo|, |hi| <= 255) on the same side, so they clamp alike. Where
+      |t| <= 256, |r - t| < 2^-29.9, and it is left to show rint(r) =
+      round_half_away(t).
+    * Exact ties. If t = n + 1/2, r lies beyond it by more than 2^-40 and by
+      less than 2^-29.9 < 1/2, strictly between t and the integer past it,
+      so rint(r) rounds t away from zero.
+    * Every other t lies at least 2^-25 from each half-integer h. Let 2^e
+      be the float32 spacing at s, so s = S 2^e with integer S < 2^24 (S >=
+      2^23 when s is normal; e = -149 when it is subnormal), and h s is a
+      multiple of 2^(e-1). If x is a multiple of 2^(e-1) too, x - h s is a
+      non-zero one and |t - h| = |x - h s| / s > 2^(e-1) / 2^(e+24) =
+      2^-25. Otherwise e > -149, because every float32 is a multiple of
+      2^-149, so s >= 2^(e+23) is normal; and |x| < 2^(e+22), as every float32
+      from there up is a multiple of 2^(e-1), so |x| <= 2^(e+22) - 2^(e-2),
+      the float32 just below. Then |t| < 1/2, and its distance to +-1/2,
+      (s/2 - |x|) / s, is at least (s/2 - 2^(e+22) + 2^(e-2)) / s, which
+      grows with s and equals 2^-25 at s = 2^(e+23). So r, within 2^-29.9
+      of t, is on the same side of every half-integer as t, and rint(r) is
+      the integer nearest t.
+    * Infinite x clamps to a bound. NaN stays NaN through the clamp and
+      rint: ``quantized_linear``'s GEMM spreads it over its output row, and
+      ``quantize_linear`` gives it no defined int8 payload. Which zero
+      represents q - z = 0 is not part of the contract: where the lower bound
+      is 0, a negative x clamps to +0 here while round_half_away gives -0;
+      int8 payloads and GEMM sums are the same either way.
+
+    A float64 x lacks the 2^-25 margin: it gets round_half_away(x / s)
+    except where x / s lies within 2^-29.9 of a half-integer, on the side
+    toward zero.
     """
-    r = np.divide(x, s, dtype=np.float64)
+    r = np.multiply(x, inv, dtype=np.float64)
     # np.maximum/np.minimum rather than np.clip, whose Python-level dispatch
     # costs more than the clamp itself at single-instance sizes
-    np.maximum(r, INT8_MIN - zero_point, out=r)
-    np.minimum(r, INT8_MAX - zero_point, out=r)
-    q = np.copysign(_HALF, x)
-    r += q
-    return np.trunc(r, out=q)
+    np.maximum(r, lo, out=r)
+    np.minimum(r, hi, out=r)
+    return np.rint(r, out=r if dtype == np.float64 else np.empty(r.shape, dtype))
 
 
 def quantize_linear(
@@ -193,30 +232,26 @@ def quantize_linear(
 ) -> QTensor:
     """Quantize real values to int8: q = clamp(round(x/s) + z, -128, 127).
 
-    Rounding is half-away-from-zero, by the rule ``quantized_linear`` uses:
-    x / s is clamped to [-128 - z, 127 - z] and rounded, then z is added.
-    As z is an integer, round(clip(r, -128 - z, 127 - z)) + z is the
-    formula above. Per-channel scales go through the same rule.
+    Rounding is half-away-from-zero, by ``_quantize_folded``: x / s is clamped
+    to [-128 - z, 127 - z] and rounded, then z is added. As z is an integer,
+    round(clip(r, -128 - z, 127 - z)) + z is the formula above. Per-channel
+    scales go through the same rule.
     """
     x = np.asarray(x)
     scale = np.asarray(scale, dtype=np.float32)
     if np.any(scale <= 0):
         raise InputError("scale must be positive")
-    if scale.ndim > 0 and channel_axis is not None:
-        shape = [1] * x.ndim
-        shape[channel_axis] = scale.shape[0]
-        s = scale.reshape(shape)
-    else:
-        s = scale
+    inv = _TIE_NUDGE / _broadcast_scale(scale, channel_axis, x.ndim).astype(np.float64)
     # the leading axis keeps a 0-d x an array, which the rule writes into
-    q = _quantize_folded(x[np.newaxis], s, zero_point)[0]
+    q = _quantize_folded(x[np.newaxis], inv, INT8_MIN - zero_point, INT8_MAX - zero_point,
+                         np.float64)[0]
     q += zero_point
     return QTensor(q.astype(np.int8), scale, zero_point, channel_axis)
 
 
 def dequantize_linear(q: QTensor) -> np.ndarray:
     """Inverse affine map: x_hat = (q - zero_point) * scale."""
-    s = _broadcast_scale(q)
+    s = _broadcast_scale(q.scale, q.channel_axis, q.data.ndim)
     return ((q.data.astype(np.float32) - q.zero_point) * s).astype(np.float32)
 
 
@@ -301,40 +336,43 @@ def pack_weight(w: QTensor) -> PackedWeight:
     return PackedWeight(data, scale)
 
 
-def quantized_linear(
-    x: np.ndarray,
-    scale,
-    zero_point: int,
-    packed: PackedWeight,
-    bias: np.ndarray,
-) -> np.ndarray:
-    """``x @ W + bias`` in float32, with x quantized per tensor and W packed int8.
+def compile_linear(scale, zero_point: int, packed: PackedWeight, bias: np.ndarray) -> tuple:
+    """Check an activation map once; returns ``compiled_linear``'s arguments after x.
 
-    Bit-identical to ``quantize_linear`` -> ``int8_matmul`` -> ``+ bias``:
-    both quantize with ``_quantize_folded``. x is divided by the
-    float32-rounded scale in float64 and clamped to [-128 - z, 127 - z],
-    the zero point folded into the bounds (clip(r, -128 - z, 127 - z) =
-    q - z, so the GEMM needs no zero-point correction). Clamping before
-    rounding is exact: the bounds are integers and rounding is monotone.
-    Then |r| <= 255, so adding copysign(0.5, x) in float64 errs by at most
-    2^-44, and truncating that sum into a buffer of x's float type (the GEMM
-    operand) rounds halves away from zero; s > 0, so r has the sign of x.
-    The divide stays in float64: the exact quotient of two float32 values
-    is a half-integer or about 2^-26 away from one, while a float32
-    quotient can land on a half-integer that the exact one misses and then
-    round the wrong way. x may carry leading batch axes.
+    They are the float64 reciprocal (1 + 2^-38) / s of the float32-rounded
+    scale s, the clamp bounds -128 - z and 127 - z, the packed payload, the
+    float64 rescale vector s * ``packed.scale``, and the bias.
     """
-    s = np.float32(scale)
+    s = float(np.float32(scale))
     if not s > 0:
         raise InputError("scale must be positive")
     if not INT8_MIN <= zero_point <= INT8_MAX:
         raise InputError(f"zero_point {zero_point} outside int8 range")
+    lo, hi = INT8_MIN - zero_point, INT8_MAX - zero_point
+    return _TIE_NUDGE / s, lo, hi, packed.data, s * packed.scale, bias
+
+
+def compiled_linear(x: np.ndarray, inv, lo: int, hi: int, weight: np.ndarray,
+                    rescale: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``quantized_linear`` on ``compile_linear``'s checked arguments: quantize
+    x, one exact GEMM, rescale in float64 rounded once to float32, add bias."""
     lead = x.shape[:-1]
-    q = _quantize_folded(x.reshape(-1, x.shape[-1]), s, zero_point)
-    acc = q.astype(packed.data.dtype, copy=False) @ packed.data
-    # the rescale runs in float64 and rounds once into the float32 output
-    out = np.multiply(
-        acc, float(s) * packed.scale, out=np.empty(acc.shape, np.float32), casting="unsafe"
-    )
-    out += bias
-    return out.reshape(*lead, -1)
+    q = _quantize_folded(x.reshape(-1, x.shape[-1]), inv, lo, hi, weight.dtype)
+    acc = q @ weight
+    acc *= rescale  # in float64, rounded once into acc
+    if acc.dtype != np.float32:  # the float64 GEMM of a long K
+        acc = acc.astype(np.float32)
+    acc += bias
+    return acc.reshape(*lead, -1)
+
+
+def quantized_linear(x: np.ndarray, scale, zero_point: int, packed: PackedWeight,
+                     bias: np.ndarray) -> np.ndarray:
+    """``x @ W + bias`` in float32, with x quantized per tensor and W packed int8.
+
+    Bit-identical to ``quantize_linear`` -> ``int8_matmul`` -> ``+ bias``. The
+    zero point is folded into the clamp bounds (clip(r, -128 - z, 127 - z) =
+    q - z), so the GEMM needs no zero-point correction. A caller that uses one
+    activation map many times calls ``compile_linear`` once instead.
+    """
+    return compiled_linear(x, *compile_linear(scale, zero_point, packed, bias))

@@ -266,6 +266,17 @@ class TestPrunedQuantized:
         assert np.array_equal(got, quantized_forward_batch(fresh, xs))
         assert not np.array_equal(got, quantized_forward_batch(unpruned, xs))
 
+    @pytest.mark.parametrize(
+        "ops", [["static-quant"], ["dynamic-quant"], ["static-quant", "l1-prune"]]
+    )
+    def test_int8_model_compiled_in_quantize_stage(self, ops):
+        qmodel, _, stages = _apply_pipeline(ops, self.baseline, self.train_ds, self.config, 4)
+        # pack and sites are built inside the timed quantize stage, so the
+        # untimed warm-up inference builds nothing
+        assert {"pack", "sites"} <= set(vars(qmodel))
+        assert (qmodel.sites is None) == (qmodel.mode == "dynamic")
+        assert stages["quantize"] > 0
+
     def test_prune_leaves_served_model_unchanged(self):
         qmodel = self.pipeline(["static-quant"])
         xs = self.test_ds.instances

@@ -99,6 +99,14 @@ class TestUnitScores:
         with pytest.raises(PruneSpecError):
             score_units(m, "weight")
 
+    def test_method_validated(self):
+        m = build_model(small_config(), 0)
+        for granularity in ("neuron", "head"):
+            with pytest.raises(PruneSpecError, match="unknown method 'bogus'"):
+                score_units(m, granularity, "bogus")
+        with pytest.raises(PruneSpecError, match="unknown method 'bogus'"):
+            score_weights(m, "bogus")
+
 
 def sort_oracle(scores, spec):
     """Brute-force selection: full sort of (score, pool, index) triples."""

@@ -1,13 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from tsfo.data import synth_generate, subject_wise_split
 from tsfo.errors import CalibrationError, InputError
-from tsfo.model import ModelConfig, build_model, encode, forward_batch
+from tsfo.model import (
+    ModelConfig, attention_context, build_model, encode, forward_batch, preset_config,
+)
+from tsfo.pruning import PruneSpec, prune_structured
 from tsfo.quantization import (
-    QuantScheme,
     _dynamic_qparams,
     _ObservedOps,
     activation_sites,
@@ -35,7 +38,6 @@ from tsfo.tensor import (
     quantize_linear,
     relu,
     seeded_rng,
-    softmax,
 )
 from tsfo.training import TrainConfig, train
 
@@ -294,9 +296,6 @@ class TestFakeQuant:
 
 
 class TestEnergyAndMemory:
-    def test_quant_scheme_factor(self):
-        assert QuantScheme().q_factor == 4.0
-
     def test_energy_estimate_values(self):
         assert quantized_energy_estimate(40.0, 4.0) == pytest.approx(10.0)
         assert quantized_energy_estimate(7.5, 1.0) == 7.5
@@ -337,8 +336,9 @@ def per_site_reference(qmodel, xs):
 
     Every weight-bearing matmul quantizes its input, runs ``int8_matmul``
     against the stored int8 weight, dequantizes and adds the dequantized
-    bias; Q, K and V are three separate sites. The packed forward must match
-    this bit for bit.
+    bias; Q, K and V are three separate sites. The float attention core
+    between them is ``model.attention_context``. The packed forward must
+    match this bit for bit.
     """
     cfg = qmodel.config
     w = qmodel.weights
@@ -354,10 +354,6 @@ def per_site_reference(qmodel, xs):
         q = quantize_linear(x.reshape(-1, x.shape[-1]), scale, zp)
         return int8_matmul(q, weight).reshape(*x.shape[:-1], -1)
 
-    def heads(x, n):
-        b, p, a = x.shape
-        return x.reshape(b, p, n, a // n).transpose(0, 2, 1, 3)
-
     conv = w["patch_embed.weight"]
     conv2d = QTensor(
         np.ascontiguousarray(conv.data.reshape(conv.data.shape[0], -1).T),
@@ -371,12 +367,13 @@ def per_site_reference(qmodel, xs):
         n = cfg.heads_at(l)
         n1 = layer_norm(h, param(pre + "norm1.gamma"), param(pre + "norm1.beta"))
         site = pre + "attn.qkv.in"
-        q = heads(qmm(site, n1, w[pre + "attn.wq"]) + param(pre + "attn.bq"), n)
-        k = heads(qmm(site, n1, w[pre + "attn.wk"]) + param(pre + "attn.bk"), n)
-        v = heads(qmm(site, n1, w[pre + "attn.wv"]) + param(pre + "attn.bv"), n)
-        att = softmax(np.matmul(q, k.swapaxes(-1, -2)) / math.sqrt(q.shape[-1]), axis=-1)
-        ctx = np.matmul(att, v).transpose(0, 2, 1, 3)
-        ctx = np.ascontiguousarray(ctx).reshape(*ctx.shape[:2], -1)
+        q = qmm(site, n1, w[pre + "attn.wq"]) + param(pre + "attn.bq")
+        k = qmm(site, n1, w[pre + "attn.wk"]) + param(pre + "attn.bk")
+        v = qmm(site, n1, w[pre + "attn.wv"]) + param(pre + "attn.bv")
+        # the float attention core every forward runs: dividing q k^T by
+        # sqrt(dh) after the product rounds differently from scaling q first
+        # wherever sqrt(dh) is not a power of two
+        ctx = attention_context(q, k, v, n)
         h = h + (qmm(pre + "attn.proj.in", ctx, w[pre + "attn.wo"]) + param(pre + "attn.bo"))
         n2 = layer_norm(h, param(pre + "norm2.gamma"), param(pre + "norm2.beta"))
         mid = relu(qmm(pre + "ffn.in", n2, w[pre + "ffn.w1"]) + param(pre + "ffn.b1"))
@@ -407,3 +404,88 @@ class TestPackedInference:
         qm = quantize_dynamic(build_model(small_config(ffn_dim=576), 24))
         assert qm.pack["layers.0.ffn.w2"].data.dtype == np.float64
         assert qm.pack["layers.0.ffn.w1"].data.dtype == np.float32
+
+
+def static_t_model(model, seed):
+    """``model`` quantized statically, calibrated on 16 random series."""
+    cfg = model.config
+    calib = seeded_rng(seed).normal(size=(16, cfg.in_channels, cfg.seq_len)).astype(np.float32)
+    return quantize_static(model, calibrate(model, calib))
+
+
+def t_inputs(cfg, batch, seed):
+    return seeded_rng(seed).normal(size=(batch, cfg.in_channels, cfg.seq_len)).astype(np.float32)
+
+
+class TestCompiledSites:
+    """Static inference reads sites the model compiles once; the logits stay
+    those of the per-site reference."""
+
+    @pytest.mark.parametrize("preset", ["T1", "T2"])
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_presets_match_per_site_reference(self, preset, batch):
+        qm = static_t_model(build_model(preset_config(preset, seq_len=64, num_classes=4), 41), 42)
+        xs = t_inputs(qm.config, batch, 43)
+        assert np.array_equal(quantized_forward_batch(qm, xs), per_site_reference(qm, xs))
+
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_l2_pruned_then_quantized(self, batch):
+        m = build_model(preset_config("T1", seq_len=64, num_classes=4), 44)
+        for granularity in ("neuron", "head"):
+            m, _ = prune_structured(m, PruneSpec("l2", granularity, "layerwise", 0.4))
+        assert m.config.heads_per_layer and m.config.ffn_per_layer
+        qm = static_t_model(m, 45)
+        xs = t_inputs(qm.config, batch, 46)
+        assert np.array_equal(quantized_forward_batch(qm, xs), per_site_reference(qm, xs))
+
+    def test_save_load_round_trip(self, tmp_path):
+        from tsfo.serialize import load, save_quantized
+
+        qm = static_t_model(build_model(preset_config("T1", seq_len=64, num_classes=4), 47), 48)
+        xs = t_inputs(qm.config, 64, 49)
+        want = quantized_forward_batch(qm, xs)
+        save_quantized(qm, tmp_path / "q.tsfo")
+        loaded = load(tmp_path / "q.tsfo")
+        assert "sites" not in vars(loaded)  # compiled on first use
+        assert np.array_equal(quantized_forward_batch(loaded, xs), want)
+        assert np.array_equal(want, per_site_reference(loaded, xs))
+
+    def test_compiled_once_per_model(self):
+        m = build_model(small_config(), 50)
+        qm = static_t_model(m, 51)
+        qm.compile()
+        sites = qm.sites
+        quantized_forward_batch(qm, t_inputs(qm.config, 2, 52))
+        assert qm.sites is sites and list(sites) == list(activation_sites(qm.config))
+        assert quantize_dynamic(m).sites is None
+
+
+def forward_calls(qmodel, x):
+    """Python and C calls of one ``quantized_forward`` of a warm model."""
+    quantized_forward(qmodel, x)
+    events = []
+
+    def count(frame, event, arg):
+        if event in ("call", "c_call"):
+            events.append(event)
+
+    sys.setprofile(count)
+    try:
+        quantized_forward(qmodel, x)
+    finally:
+        sys.setprofile(None)
+    return len(events)
+
+
+def test_quantized_forward_call_budget():
+    """A T1 batch-1 int8 forward: at most 600 calls static (590 today), 760 dynamic.
+
+    A static site reads the arguments its model compiled once, so it skips
+    the scale, bound and rescale work each call used to redo (624 calls).
+    The dynamic path compiles its scale on every call and must stay lean: a
+    per-call record or one more helper per site would cost 34 calls.
+    """
+    m = build_model(preset_config("T1", seq_len=192, num_classes=4), 0)
+    x = seeded_rng(62).normal(size=(1, 192)).astype(np.float32)
+    assert forward_calls(static_t_model(m, 63), x) <= 600
+    assert forward_calls(quantize_dynamic(m), x) <= 760

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -426,6 +428,107 @@ class TestQuantizeRule:
             if not tracing:
                 tracemalloc.stop()
         assert peak < x.size * (8 + 4 + 4) + out.nbytes
+
+
+def fraction_half_away(x, s):
+    """round_half_away(x / s) in exact rational arithmetic."""
+    t = Fraction(x) / Fraction(s)
+    n = math.floor(abs(t) + Fraction(1, 2))
+    return n if t >= 0 else -n
+
+
+def ratio_half_away(xs, s):
+    """``fraction_half_away`` over a float32 array, in integer arithmetic, and
+    clamped to [-256, 256], past every clamp bound: with x = a / b and
+    s = c / d, floor(|x / s| + 1/2) = (2 |a| d + b c) // (2 b c)."""
+    c, d = float(s).as_integer_ratio()
+    out = []
+    for x in xs.tolist():
+        a, b = x.as_integer_ratio()
+        n = min((2 * abs(a) * d + b * c) // (2 * b * c), 256)
+        out.append(n if a >= 0 else -n)
+    return np.array(out, dtype=np.int64)
+
+
+def check_exact(xs, s, zero_point, rounded):
+    """quantize_linear and quantized_linear of float32 ``xs`` against the
+    exact half-away rounding ``rounded`` of xs / s, clamped."""
+    want = np.clip(rounded, INT8_MIN - zero_point, INT8_MAX - zero_point)
+    assert np.array_equal(quantize_linear(xs, s, zero_point).data, want + zero_point)
+    rows = xs.reshape(-1, 3) if len(xs) % 3 == 0 else xs.reshape(1, -1)
+    with np.errstate(over="ignore"):  # 127 (q - z) s may pass float32's range
+        got = identity_linear(rows, s, zero_point)
+        assert np.array_equal(got, identity_reference(want.reshape(rows.shape).astype(float), s))
+
+
+F32 = np.finfo(np.float32)
+# the smallest subnormal, the smallest normal and a value near the largest
+EDGE_VALUES = [float(np.float32(v)) for v in (1e-45, F32.tiny, 3e38)]
+SWEEP_SCALES = np.geomspace(1e-44, 1e35, 500).astype(np.float32)
+
+
+def sweep_values(s):
+    """The float32 nearest each tie (n + 1/2) s, |n| <= 300, and its two neighbours."""
+    ties = ((np.arange(-300, 301) + 0.5) * float(s)).astype(np.float32)
+    return np.concatenate(
+        [ties, np.nextafter(ties, np.float32(np.inf)), np.nextafter(ties, np.float32(-np.inf))]
+    )
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """[scales, values] float32 sweep values and their exact roundings."""
+    xs = np.stack([sweep_values(s) for s in SWEEP_SCALES])
+    return xs, np.stack([ratio_half_away(x, s) for x, s in zip(xs, SWEEP_SCALES)])
+
+
+class TestQuantizeRuleExact:
+    """quantize_linear and quantized_linear against exact rational rounding of x / s."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(width=32, allow_nan=False, allow_infinity=False),
+                st.sampled_from(EDGE_VALUES + [-v for v in EDGE_VALUES]),
+            ),
+            max_size=12,
+        ),
+        st.one_of(
+            st.floats(min_value=EDGE_VALUES[0], width=32, allow_infinity=False),
+            st.sampled_from(EDGE_VALUES),
+        ),
+        st.lists(st.tuples(st.integers(-300, 300), st.integers(-1, 1)), max_size=6),
+    )
+    def test_matches_fraction_oracle(self, values, scale, near_ties):
+        s = np.float32(scale)
+        # the float32 nearest the tie (n + 1/2) s, moved by step ulps
+        ties = []
+        for n, step in near_ties:
+            with np.errstate(over="ignore"):
+                x = np.float32((n + 0.5) * scale)
+            ties.append(np.nextafter(x, np.float32(step * np.inf)) if step else x)
+        xs = np.array(values + [x for x in ties if np.isfinite(x)], np.float32)
+        if xs.size == 0:
+            return
+        rounded = np.array([max(-256, min(fraction_half_away(x, scale), 256)) for x in xs.tolist()])
+        # the sweep's integer oracle agrees with this one
+        assert np.array_equal(ratio_half_away(xs, s), rounded)
+        for zero_point in ZERO_POINTS:
+            check_exact(xs, s, zero_point, rounded)
+
+    @pytest.mark.parametrize("zero_point", ZERO_POINTS)
+    def test_tie_sweep(self, sweep, zero_point):
+        for s, xs, rounded in zip(SWEEP_SCALES, *sweep):
+            check_exact(xs, s, zero_point, rounded)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_per_channel_tie_sweep(self, sweep, axis):
+        xs, rounded = sweep
+        want = np.clip(rounded, INT8_MIN, INT8_MAX).astype(np.int8)
+        if axis == 1:
+            xs, want = xs.T, want.T
+        assert np.array_equal(quantize_linear(xs, SWEEP_SCALES, 0, channel_axis=axis).data, want)
 
 
 class TestInt8Matmul:
