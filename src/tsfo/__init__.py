@@ -7,11 +7,9 @@ from .data import (
     load_ucr,
     load_ucr_delimited,
     min_max_normalize,
-    resample_linear,
     segment_windows,
     subject_wise_split,
     synth_generate,
-    window_dataset,
 )
 from .errors import (
     CalibrationError,
@@ -62,12 +60,10 @@ from .quantization import (
     CalibrationObserver,
     QuantizedModel,
     calibrate,
-    fake_quant,
     quantize_dynamic,
     quantize_static,
     quantized_energy_estimate,
     quantized_forward,
-    quantized_memory,
     scale_zero_point,
 )
 from .serialize import load, save_dataset, save_model, save_quantized

@@ -76,7 +76,7 @@ def _sniff_delimiter(line: str, lineno: int) -> str:
     raise ParseError(f"line {lineno}: cannot determine delimiter (need tab or comma)")
 
 
-def load_ucr_delimited(path, name: str | None = None) -> TimeSeriesDataset:
+def load_ucr_delimited(path) -> TimeSeriesDataset:
     """Parse a UCR-style file: label first, then T values per line.
 
     Labels may be arbitrary integers or strings; they are remapped to dense
@@ -113,7 +113,7 @@ def load_ucr_delimited(path, name: str | None = None) -> TimeSeriesDataset:
     labels = np.array([label_map[l] for l in raw_labels], dtype=np.int64)
     instances = np.asarray(rows, dtype=np.float32)[:, None, :]
     return TimeSeriesDataset(
-        name=name or str(path),
+        name=str(path),
         instances=instances,
         labels=labels,
         label_map=label_map,
@@ -127,14 +127,14 @@ def _label_sort_key(label: str):
         return (1, 0.0, label)
 
 
-def load_ucr_pair(train_path, test_path, name: str | None = None) -> TimeSeriesDataset:
+def load_ucr_pair(train_path, test_path) -> TimeSeriesDataset:
     """Load a pre-split UCR train/test pair into one dataset.
 
     The archive's split is preserved in ``predefined_split`` so subject-wise
     splitting can fall back to it when no subject metadata exists.
     """
-    train = load_ucr_delimited(train_path, name=name)
-    test = load_ucr_delimited(test_path, name=name)
+    train = load_ucr_delimited(train_path)
+    test = load_ucr_delimited(test_path)
     if train.seq_len != test.seq_len:
         raise ParseError("train and test files disagree on series length")
     merged_labels = sorted(set(train.label_map) | set(test.label_map), key=_label_sort_key)
@@ -150,7 +150,7 @@ def load_ucr_pair(train_path, test_path, name: str | None = None) -> TimeSeriesD
     n_train = len(train)
     instances = np.concatenate([train.instances, test.instances], axis=0)
     return TimeSeriesDataset(
-        name=name or train.name,
+        name=train.name,
         instances=instances,
         labels=labels,
         label_map=label_map,
@@ -194,25 +194,6 @@ def normalize_dataset(dataset: TimeSeriesDataset) -> TimeSeriesDataset:
     )
 
 
-def resample_linear(series: np.ndarray, target_len: int) -> np.ndarray:
-    """Linearly interpolate a series to ``target_len`` points.
-
-    Sampling positions are uniform over the original index range, so the
-    first and last points are preserved exactly.
-    """
-    arr = np.asarray(series, dtype=np.float32)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[None, :]
-    src_len = arr.shape[-1]
-    if src_len < 2 or target_len < 2:
-        raise InputError("resampling needs source and target lengths >= 2")
-    positions = np.linspace(0.0, src_len - 1, target_len)
-    out = np.stack([np.interp(positions, np.arange(src_len), ch) for ch in arr])
-    out = out.astype(np.float32)
-    return out[0] if squeeze else out
-
-
 @dataclass(frozen=True)
 class WindowSpec:
     length: int
@@ -240,30 +221,6 @@ def segment_windows(series: np.ndarray, spec: WindowSpec) -> list[np.ndarray]:
 
 def window_count(t: int, w: int, s: int) -> int:
     return (t - w) // s + 1
-
-
-def window_dataset(dataset: TimeSeriesDataset, spec: WindowSpec) -> TimeSeriesDataset:
-    """Segment every instance; each window inherits its parent's label.
-
-    Subject ids (when present) are inherited too, so subject-wise splitting
-    stays leakage-free after windowing.
-    """
-    instances = []
-    labels = []
-    subjects = [] if dataset.subjects is not None else None
-    for i, series in enumerate(dataset.instances):
-        for win in segment_windows(series, spec):
-            instances.append(win)
-            labels.append(dataset.labels[i])
-            if subjects is not None:
-                subjects.append(dataset.subjects[i])
-    return TimeSeriesDataset(
-        name=f"{dataset.name}:w{spec.length}s{spec.stride}",
-        instances=np.stack(instances),
-        labels=np.array(labels, dtype=np.int64),
-        label_map=dataset.label_map,
-        subjects=np.array(subjects) if subjects is not None else None,
-    )
 
 
 def load_ucr(path) -> TimeSeriesDataset:
@@ -355,7 +312,6 @@ def synth_generate(
     length: int,
     noise: float,
     seed: int,
-    name: str = "synthetic",
 ) -> TimeSeriesDataset:
     """Device-like synthetic dataset for desk-scale verification.
 
@@ -390,7 +346,7 @@ def synth_generate(
             labels.append(c)
             subjects.append(f"h{i % households}")
     return TimeSeriesDataset(
-        name=name,
+        name="synthetic",
         instances=np.stack(instances),
         labels=np.array(labels, dtype=np.int64),
         label_map={c: c for c in range(num_classes)},

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, InputError, ShapeError
 from .tensor import im2col_batch, layer_norm, relu, seeded_rng, softmax
 
 
@@ -101,7 +101,6 @@ def preset_config(
     in_channels: int = 1,
     patch_size: int = 8,
     patch_stride: int | None = None,
-    dropout: float = 0.1,
 ) -> ModelConfig:
     """Build a T1 or T2 configuration for a concrete dataset shape."""
     if name not in _PRESET_DIMS:
@@ -112,7 +111,6 @@ def preset_config(
         seq_len=seq_len,
         in_channels=in_channels,
         num_classes=num_classes,
-        dropout=dropout,
         **_PRESET_DIMS[name],
     )
 
@@ -307,11 +305,15 @@ def encode(cfg: ModelConfig, xs: np.ndarray, ops: FloatOps) -> np.ndarray:
     """Logits for a [B, C, T] batch: the encoder graph every model runs.
 
     ``ops`` supplies the steps that read parameters (see ``FloatOps``).
+    A NaN or infinite input raises ``InputError`` for every model, in
+    inference, calibration and training alike.
     """
     if xs.ndim != 3 or xs.shape[1] != cfg.in_channels or xs.shape[2] != cfg.seq_len:
         raise ShapeError(
             f"expected batch [B, {cfg.in_channels}, {cfg.seq_len}], got {xs.shape}"
         )
+    if not np.logical_and.reduce(np.isfinite(xs), axis=None):
+        raise InputError("input holds a NaN or an infinite value")
     # h and every sublayer output are fresh arrays, so the positional add,
     # the ReLU and the residual adds below all run in place
     cols = im2col_batch(xs, cfg.patch_size, cfg.patch_stride)
@@ -333,7 +335,7 @@ def encode(cfg: ModelConfig, xs: np.ndarray, ops: FloatOps) -> np.ndarray:
         )
         relu(mid, out=mid)
         h += ops.linear(pre + "ffn.mid.in", mid, pre + "ffn.w2", pre + "ffn.b2")
-    pooled = np.add.reduce(h, axis=1) / cfg.num_patches  # h.mean(axis=1), bit for bit
+    pooled = np.add.reduce(h, axis=1) / h.shape[1]  # h.mean(axis=1), bit for bit
     return ops.linear("classifier.in", pooled, "classifier.weight", "classifier.bias")
 
 

@@ -30,7 +30,6 @@ class PruneSpec:
     granularity: str = "weight"   # weight | neuron | head
     scope: str = "global"         # global | layerwise
     sparsity: float = 0.0
-    layers: tuple[int, ...] | None = None   # optional layer filter
 
     def __post_init__(self):
         _check_method(self.method)
@@ -44,6 +43,9 @@ class PruneSpec:
 
 @dataclass
 class PruneReport:
+    """What a pruning step removed. The energies are modeled from a baseline
+    of 1 J: ``energy_after_j`` is the share of energy left."""
+
     achieved_sparsity: float
     params_removed: int
     flops_before: int
@@ -61,13 +63,6 @@ def prunable_pools(model: TransformerModel) -> list[str]:
     return [n for n in model.params if n.endswith(PRUNABLE_SUFFIXES)]
 
 
-def _selected_layers(model: TransformerModel, spec: PruneSpec) -> list[int]:
-    layers = range(model.config.num_layers)
-    if spec.layers is not None:
-        layers = [l for l in layers if l in spec.layers]
-    return list(layers)
-
-
 def score_weights(model: TransformerModel, method: str = "l1") -> dict[str, np.ndarray]:
     """Per-scalar magnitude scores for every prunable tensor, flattened.
 
@@ -82,7 +77,6 @@ def score_units(
     model: TransformerModel,
     granularity: str,
     method: str = "l2",
-    layers: list[int] | None = None,
 ) -> dict[str, np.ndarray]:
     """Per-unit scores: one value per FFN neuron or attention head.
 
@@ -94,9 +88,8 @@ def score_units(
     if granularity not in ("neuron", "head"):
         raise PruneSpecError(f"unit scoring needs neuron or head, got {granularity!r}")
     cfg = model.config
-    layer_ids = layers if layers is not None else range(cfg.num_layers)
     scores: dict[str, np.ndarray] = {}
-    for l in layer_ids:
+    for l in range(cfg.num_layers):
         pre = f"layers.{l}."
         # one row per unit, in the group's flat order, so a row sums as the group would
         if granularity == "neuron":
@@ -184,17 +177,11 @@ def apply_unstructured_mask(
 
 
 def prune_unstructured(
-    model: TransformerModel,
-    spec: PruneSpec,
-    baseline_energy_j: float = 1.0,
+    model: TransformerModel, spec: PruneSpec
 ) -> tuple[TransformerModel, dict[str, np.ndarray], PruneReport]:
     """Magnitude-mask pruning at the requested sparsity; shapes unchanged."""
     start = time.perf_counter()
-    scores = score_weights(model, spec.method)
-    if spec.layers is not None:
-        keep = {f"layers.{l}." for l in spec.layers}
-        scores = {n: v for n, v in scores.items() if any(n.startswith(k) for k in keep)}
-    indices = select_prune_set(scores, spec)
+    indices = select_prune_set(score_weights(model, spec.method), spec)
     params_before = count_params(model.config)
     model, masks = apply_unstructured_mask(model, indices)
     removed = int(sum(len(i) for i in indices.values()))
@@ -203,19 +190,15 @@ def prune_unstructured(
         params_removed=removed,
         flops_before=count_flops(model.config),
         flops_after=count_flops(model.config),
-        energy_before_j=baseline_energy_j,
-        energy_after_j=pruned_energy_estimate(
-            baseline_energy_j, removed / params_before
-        ),
+        energy_before_j=1.0,
+        energy_after_j=pruned_energy_estimate(1.0, removed / params_before),
         transform_seconds=time.perf_counter() - start,
     )
     return model, masks, report
 
 
 def prune_structured(
-    model: TransformerModel,
-    spec: PruneSpec,
-    baseline_energy_j: float = 1.0,
+    model: TransformerModel, spec: PruneSpec
 ) -> tuple[TransformerModel, PruneReport]:
     """Physically remove the lowest-scoring FFN neurons or attention heads.
 
@@ -226,8 +209,7 @@ def prune_structured(
         raise PruneSpecError("structured pruning needs neuron or head granularity")
     start = time.perf_counter()
     cfg = model.config
-    layer_ids = _selected_layers(model, spec)
-    scores = score_units(model, spec.granularity, spec.method, layer_ids)
+    scores = score_units(model, spec.granularity, spec.method)
     indices = select_prune_set(scores, spec)
 
     for name, idx in indices.items():
@@ -240,7 +222,7 @@ def prune_structured(
 
     if spec.granularity == "neuron":
         ffn_dims = [cfg.ffn_at(l) for l in range(cfg.num_layers)]
-        for l in layer_ids:
+        for l in range(cfg.num_layers):
             idx = indices[f"layers.{l}.ffn"]
             if len(idx) == 0:
                 continue
@@ -254,7 +236,7 @@ def prune_structured(
     else:
         dh = cfg.head_dim
         head_counts = [cfg.heads_at(l) for l in range(cfg.num_layers)]
-        for l in layer_ids:
+        for l in range(cfg.num_layers):
             idx = indices[f"layers.{l}.attn"]
             if len(idx) == 0:
                 continue
@@ -277,8 +259,8 @@ def prune_structured(
         params_removed=removed,
         flops_before=flops_before,
         flops_after=count_flops(new_cfg),
-        energy_before_j=baseline_energy_j,
-        energy_after_j=pruned_energy_estimate(baseline_energy_j, removed / params_before),
+        energy_before_j=1.0,
+        energy_after_j=pruned_energy_estimate(1.0, removed / params_before),
         transform_seconds=time.perf_counter() - start,
     )
     return new_model, report

@@ -45,22 +45,17 @@ from .tensor import (
 _SCALE_FLOOR = 1e-8
 
 
-def scale_zero_point(min_val: float, max_val: float, mode: str = "affine"):
-    """Quantization parameters for an observed [min, max] range.
+def scale_zero_point(min_val: float, max_val: float):
+    """Affine quantization parameters for an observed [min, max] range.
 
-    Affine: scale = (max - min) / 255, zero_point = round(-128 - min/scale)
-    clamped to int8. Symmetric: scale = max(|min|, |max|) / 127, zero_point 0.
-    A degenerate range (min == max) falls back to a symmetric scale of
-    max(|max|, 1e-8) / 127.
+    scale = (max - min) / 255, zero_point = round(-128 - min/scale) clamped
+    to int8. A degenerate range (min == max) falls back to a symmetric scale
+    of max(|max|, 1e-8) / 127.
     """
-    if mode not in ("affine", "symmetric"):
-        raise InputError(f"mode must be affine or symmetric, got {mode!r}")
     if min_val > max_val:
         raise InputError(f"min {min_val} exceeds max {max_val}")
     if min_val == max_val:
         return max(abs(max_val), _SCALE_FLOOR) / 127.0, 0
-    if mode == "symmetric":
-        return max(abs(min_val), abs(max_val)) / 127.0, 0
     scale = (max_val - min_val) / 255.0
     zp = int(round_half_away(np.float64(-128.0 - min_val / scale)))
     return scale, int(np.clip(zp, INT8_MIN, INT8_MAX))
@@ -246,9 +241,7 @@ def quantize_static(
         obs = observers.get(site)
         if obs is None or not obs.valid:
             raise CalibrationError(f"no valid calibration for site {site!r}")
-        act_qparams[site] = scale_zero_point(
-            min(obs.min_val, 0.0), max(obs.max_val, 0.0), "affine"
-        )
+        act_qparams[site] = scale_zero_point(min(obs.min_val, 0.0), max(obs.max_val, 0.0))
     weights = {name: quantize_weight(arr) for name, arr in model.params.items()}
     return QuantizedModel(
         model.config, weights, mode="static", act_qparams=act_qparams, split=model.split
@@ -307,11 +300,6 @@ def quantized_forward(qmodel: QuantizedModel, x: np.ndarray) -> np.ndarray:
     return quantized_forward_batch(qmodel, x[None])[0]
 
 
-def fake_quant(x: np.ndarray, scale, zero_point: int = 0, channel_axis=None) -> np.ndarray:
-    """Quantize-then-dequantize in float, simulating int8 rounding/clamping."""
-    return dequantize_linear(quantize_linear(x, scale, zero_point, channel_axis))
-
-
 def fake_quant_weight(arr: np.ndarray) -> np.ndarray:
     """Weight-space fake quantization with the same scheme as quantize_weight."""
     return dequantize_linear(quantize_weight(arr)).astype(arr.dtype)
@@ -336,21 +324,3 @@ def payload_bytes(model) -> int:
     if isinstance(model, QuantizedModel):
         return sum(q.data.nbytes for q in model.weights.values())
     return sum(arr.size * 4 for arr in model.params.values())
-
-
-def scale_table_bytes(model) -> int:
-    """Bytes of quantization metadata, counted at 4 bytes per scale entry."""
-    if not isinstance(model, QuantizedModel):
-        return 0
-    total = 0
-    for q in model.weights.values():
-        total += 4 * (q.scale.size if q.scale.ndim else 1)
-        total += 4  # zero point
-    if model.act_qparams:
-        total += 8 * len(model.act_qparams)
-    return total
-
-
-def quantized_memory(model) -> int:
-    """Exact serialized payload bytes: tensor data plus scale tables."""
-    return payload_bytes(model) + scale_table_bytes(model)

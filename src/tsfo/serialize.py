@@ -15,7 +15,6 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,38 +34,20 @@ _DTYPE_NAMES = {v: k for k, v in _DTYPES.items()}
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
-@dataclass
-class TensorEntry:
-    name: str
-    dtype: str
-    shape: tuple
-    scale: list | float | None = None
-    zero_point: int | None = None
-    channel_axis: int | None = None
-
-    def to_manifest(self) -> dict:
-        entry = {"name": self.name, "dtype": self.dtype, "shape": list(self.shape)}
-        if self.scale is not None:
-            entry["scale"] = self.scale
-            entry["zero_point"] = self.zero_point
-            if self.channel_axis is not None:
-                entry["channel_axis"] = self.channel_axis
-        return entry
-
-
 def write_container(path, kind: str, meta: dict, tensors: list[tuple]) -> None:
     """Write (name, array, qinfo) tensors; qinfo is None or (scale, zp, axis)."""
     manifest = []
     payloads = []
     for name, arr, qinfo in tensors:
         dtype = _DTYPE_NAMES[np.dtype(arr.dtype).newbyteorder("<")]
-        entry = TensorEntry(name=name, dtype=dtype, shape=arr.shape)
+        entry = {"name": name, "dtype": dtype, "shape": list(arr.shape)}
         if qinfo is not None:
             scale, zp, axis = qinfo
-            entry.scale = scale.tolist() if isinstance(scale, np.ndarray) else float(scale)
-            entry.zero_point = int(zp)
-            entry.channel_axis = axis
-        manifest.append(entry.to_manifest())
+            entry["scale"] = scale.tolist() if isinstance(scale, np.ndarray) else float(scale)
+            entry["zero_point"] = int(zp)
+            if axis is not None:
+                entry["channel_axis"] = axis
+        manifest.append(entry)
         payloads.append(np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes())
     header = json.dumps(
         {"kind": kind, "meta": meta, "tensors": manifest}, sort_keys=True

@@ -220,31 +220,20 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return total
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    base_lr: float = 1e-3
 
 
-def init_adam(
-    params: dict[str, np.ndarray],
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    base_lr: float = 1e-3,
-) -> AdamState:
+def init_adam(params: dict[str, np.ndarray]) -> AdamState:
     return AdamState(
         m={k: np.zeros_like(v) for k, v in params.items()},
         v={k: np.zeros_like(v) for k, v in params.items()},
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        base_lr=base_lr,
     )
 
 
@@ -252,24 +241,23 @@ def adam_step(
     state: AdamState,
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
-    lr_t: float | None = None,
+    lr_t: float,
 ):
-    """Bias-corrected Adam update, in place. Returns (params, state)."""
-    if lr_t is None:
-        lr_t = state.base_lr
+    """Bias-corrected Adam update (betas 0.9 and 0.999, eps 1e-8), in place.
+    Returns (params, state)."""
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - _BETA1**state.t
+    bc2 = 1.0 - _BETA2**state.t
     for name, g in grads.items():
         if g.shape != params[name].shape:
             raise ShapeError(f"gradient shape mismatch for {name}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        params[name] -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        params[name] -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
     return params, state
 
 
@@ -296,18 +284,13 @@ def cosine_lr(schedule: CosineSchedule, t: int) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Mini-batch Adam with a cosine learning rate from ``lr_max`` down to 1e-5,
+    and gradients clipped to a global norm of 1."""
+
     epochs: int = 30
     batch_size: int = 32
     lr_max: float = 1e-3
-    lr_min: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 1.0
     seed: int = 0
-
-
-_WEIGHT_MATRIX_SUFFIXES = (".wq", ".wk", ".wv", ".wo", ".w1", ".w2", ".weight")
 
 
 def _epochs(model: TransformerModel, dataset, cfg: TrainConfig, mask, weight_fake_quant: bool):
@@ -331,8 +314,8 @@ def _epochs(model: TransformerModel, dataset, cfg: TrainConfig, mask, weight_fak
         _apply_mask(model.params, mask)
     rng = seeded_rng(cfg.seed)
     batches_per_epoch = max(1, math.ceil(n / cfg.batch_size))
-    schedule = CosineSchedule(cfg.lr_max, cfg.lr_min, max(1, cfg.epochs * batches_per_epoch))
-    state = init_adam(model.params, cfg.beta1, cfg.beta2, cfg.eps, cfg.lr_max)
+    schedule = CosineSchedule(cfg.lr_max, 1e-5, max(1, cfg.epochs * batches_per_epoch))
+    state = init_adam(model.params)
     xs_all = dataset.instances
     ys_all = dataset.labels
 
@@ -353,7 +336,7 @@ def _epochs(model: TransformerModel, dataset, cfg: TrainConfig, mask, weight_fak
             else:
                 loss, _, grads = loss_and_grads(model, xs, ys, train=True, rng=rng)
             epoch_loss += loss * len(idx)
-            clip_global_norm(grads, cfg.clip_norm)
+            clip_global_norm(grads, 1.0)
             adam_step(state, model.params, grads, cosine_lr(schedule, step))
             if mask is not None:
                 _apply_mask(model.params, mask)
@@ -396,10 +379,11 @@ def _apply_mask(params: dict[str, np.ndarray], mask: dict[str, np.ndarray]):
 
 
 def _swap_in_fake_quant_weights(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Replace weight matrices by their fake-quantized version; return originals."""
+    """Replace weight matrices (every parameter of two or more axes, as
+    ``quantize_weight`` decides) by their fake-quantized version; return originals."""
     saved = {}
     for name, arr in params.items():
-        if arr.ndim >= 2 and name.endswith(_WEIGHT_MATRIX_SUFFIXES):
+        if arr.ndim >= 2:
             saved[name] = arr
             params[name] = fake_quant_weight(arr)
     return saved
@@ -423,16 +407,18 @@ def fine_tune(
     return fit(model, dataset, ft_cfg, mask=masks)
 
 
-def evaluate(model: TransformerModel | QuantizedModel, dataset, batch_size: int = 128) -> float:
-    """Eval-mode classification accuracy of a float or int8 model over a dataset."""
+def evaluate(model: TransformerModel | QuantizedModel, dataset) -> float:
+    """Eval-mode classification accuracy of a float or int8 model over a dataset,
+    in batches of 128."""
     n = len(dataset.instances)
     if n == 0:
         raise InputError("cannot evaluate on an empty dataset")
     run = quantized_forward_batch if isinstance(model, QuantizedModel) else forward_batch
     correct = 0
-    for start in range(0, n, batch_size):
-        logits = run(model, dataset.instances[start : start + batch_size])
-        correct += int(np.sum(np.argmax(logits, axis=1) == dataset.labels[start : start + batch_size]))
+    for start in range(0, n, 128):
+        rows = slice(start, start + 128)
+        logits = run(model, dataset.instances[rows])
+        correct += int(np.sum(np.argmax(logits, axis=1) == dataset.labels[rows]))
     return correct / n
 
 

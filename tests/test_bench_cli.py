@@ -671,6 +671,23 @@ class TestCli:
         (empty / "Other_TRAIN.tsv").write_text("1\t0.5\n")
         assert main(["train", "--data", str(empty), "--out", str(tmp_path / "x")]) == EXIT_DATA
 
+    def test_nan_padded_ucr_rows_are_a_data_error(self, tmp_path):
+        # UCR's variable-length sets pad the short series with NaN; no command
+        # may turn them into a NaN-driven accuracy
+        rng = np.random.default_rng(4)
+        for side, rows in (("TRAIN", 20), ("TEST", 10)):
+            path = tmp_path / f"Toy_{side}.tsv"
+            write_ucr(path, rows, rng)
+            lines = path.read_text().splitlines()
+            lines[1::2] = [line.rsplit("\t", 3)[0] + "\tNaN" * 3 for line in lines[1::2]]
+            path.write_text("\n".join(lines) + "\n")
+        data = str(tmp_path / "Toy_TRAIN.tsv")
+        assert main(["train", "--data", data, "--epochs", "1",
+                     "--out", str(tmp_path / "m")]) == EXIT_DATA
+        model_path = str(tmp_path / "model.tsfo")
+        save_model(build_model(preset_config("T1", seq_len=32, num_classes=2), 0), model_path)
+        assert main(["eval", "--model", model_path, "--data", data]) == EXIT_DATA
+
     def test_missing_dataset_exit_code(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path / "x")]) == EXIT_DATA

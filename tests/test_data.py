@@ -14,7 +14,6 @@ from tsfo.data import (
     load_ucr_pair,
     min_max_normalize,
     normalize_dataset,
-    resample_linear,
     segment_windows,
     stratified_split,
     subject_wise_split,
@@ -162,27 +161,6 @@ class TestNormalize:
         assert norm.instances.min() >= 0.0 and norm.instances.max() <= 1.0
 
 
-class TestResample:
-    def test_linear_midpoint(self):
-        assert np.allclose(resample_linear([0.0, 2.0], 3), [0.0, 1.0, 2.0])
-
-    def test_identity_length(self):
-        x = np.array([1.0, 5.0, 2.0], np.float32)
-        assert np.allclose(resample_linear(x, 3), x)
-
-    def test_hand_interpolation(self):
-        assert np.allclose(resample_linear([0.0, 1.0, 4.0], 5), [0.0, 0.5, 1.0, 2.5, 4.0])
-
-    def test_endpoints_preserved(self):
-        x = np.array([3.0, -1.0, 7.0, 2.0], np.float32)
-        out = resample_linear(x, 9)
-        assert out[0] == 3.0 and out[-1] == 2.0
-
-    def test_too_short_rejected(self):
-        with pytest.raises(InputError):
-            resample_linear([1.0], 5)
-
-
 class TestWindows:
     def test_count_and_offsets(self):
         x = np.arange(5, dtype=np.float32)[None, :]
@@ -201,18 +179,6 @@ class TestWindows:
     def test_window_longer_than_series(self):
         with pytest.raises(InputError):
             segment_windows(np.zeros((1, 3), np.float32), WindowSpec(4, 4))
-
-    def test_windows_inherit_label_and_subject(self):
-        ds = synth_generate(3, 4, 64, 0.0, seed=5)
-        from tsfo.data import window_dataset
-
-        windowed = window_dataset(ds, WindowSpec(32, 16))
-        per_series = window_count(64, 32, 16)
-        assert len(windowed) == len(ds) * per_series
-        for i in range(len(ds)):
-            chunk = slice(i * per_series, (i + 1) * per_series)
-            assert np.all(windowed.labels[chunk] == ds.labels[i])
-            assert np.all(windowed.subjects[chunk] == ds.subjects[i])
 
     def test_exhaustive_formula_to_t100(self):
         x = np.zeros((1, 100), dtype=np.float32)

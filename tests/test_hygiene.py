@@ -1,13 +1,14 @@
-"""Static checks on the package sources: no dead imports, no dead private helpers,
-one function that decides a train/test split, and no training history computed
-only to be thrown away."""
+"""Static checks on the package sources: no dead imports, no dead private or public
+definitions, one function that decides a train/test split, and no training history
+computed only to be thrown away."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tsfo"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tsfo"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -63,6 +64,37 @@ def test_no_unreferenced_private_definitions():
         and node.name not in referenced
     ]
     assert not dead, f"private definitions nothing in src/ refers to: {dead}"
+
+
+# run by TestQuantizeRule as the one-call form of compile_linear + compiled_linear
+PUBLIC_WITHOUT_CALLERS = {"quantized_linear"}
+
+
+def test_no_public_orphans():
+    """Every public top-level function or class is used by the package itself,
+    the benchmark or an acceptance criterion, not only by its own unit tests.
+
+    A use inside the definition's own body or a re-export in ``__init__`` does
+    not count.
+    """
+    users = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]:
+        tree = parse(path)
+        users |= used_names(tree) | {name for name, _ in imported_names(tree)}
+    defined = {}
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        for top in parse(path).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                defined[top.name] = path.name
+            for name in used_names(top) | {name for name, _ in imported_names(top)}:
+                if name != getattr(top, "name", None) or path.name != defined.get(name):
+                    users.add(name)
+    orphans = sorted(f"{module}:{name}" for name, module in defined.items() if name not in users)
+    assert orphans == sorted(
+        f"{defined[name]}:{name}" for name in PUBLIC_WITHOUT_CALLERS
+    ), "public definitions only their own unit tests use"
 
 
 def callers_of(trees, name):

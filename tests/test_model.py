@@ -7,7 +7,7 @@ import pytest
 
 import tsfo.model as model_mod
 import tsfo.training as training_mod
-from tsfo.errors import ConfigError, ShapeError
+from tsfo.errors import ConfigError, InputError, ShapeError
 from tsfo.model import (
     FloatOps,
     ModelConfig,
@@ -471,8 +471,41 @@ class TestEncode:
         training_mod.loss_and_grads(m, xs, np.array([0, 1, 2, 0, 1]))
         assert calls == ["_Int8Ops", "_Int8Ops", "_Tape"]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize(
+        "run", ["f32", "pruned", "int8s", "int8d", "loss_and_grads", "calibrate"]
+    )
+    def test_non_finite_input_is_an_input_error(self, run, bad):
+        """Every model, training and calibration refuse a NaN or an infinity, rather
+        than return NaN logits, clamp it to a plausible answer or fail on a NaN scale."""
+        from tsfo import quantization
+        from tsfo.pruning import PruneSpec, prune_structured
+
+        m = build_model(pruned_heads_config(), 70)
+        xs = seeded_rng(71).normal(size=(3, 1, 12)).astype(np.float32)
+        runs = {
+            "f32": lambda x: forward_batch(m, x),
+            "pruned": lambda x: forward_batch(
+                prune_structured(m, PruneSpec("l2", "neuron", "layerwise", 0.5))[0], x
+            ),
+            "int8s": lambda x: quantization.quantized_forward_batch(
+                quantization.quantize_static(m, quantization.calibrate(m, xs)), x
+            ),
+            "int8d": lambda x: quantization.quantized_forward_batch(
+                quantization.quantize_dynamic(m), x
+            ),
+            "loss_and_grads": lambda x: training_mod.loss_and_grads(m, x, np.array([0, 1, 2])),
+            "calibrate": lambda x: quantization.calibrate(m, x),
+        }
+        runs[run](xs)
+        poisoned = xs.copy()
+        poisoned[1, 0, 5] = bad
+        with pytest.raises(InputError, match="NaN or an infinite"):
+            runs[run](poisoned)
+
     def test_single_instance_forward_call_budget(self):
-        """A T1 batch-1 forward makes at most 480 Python and C calls (462 today).
+        """A T1 batch-1 forward makes at most 480 Python and C calls (462 today,
+        with the one-call check that the input is finite).
 
         At batch 1 most of a forward's time is fixed per-call cost, not FLOPs,
         so the call count is what single-instance latency is made of. Routing

@@ -15,7 +15,6 @@ from tsfo.quantization import (
     _ObservedOps,
     activation_sites,
     calibrate,
-    fake_quant,
     fake_quant_weight,
     payload_bytes,
     quantize_dynamic,
@@ -24,8 +23,6 @@ from tsfo.quantization import (
     quantized_energy_estimate,
     quantized_forward,
     quantized_forward_batch,
-    quantized_memory,
-    scale_table_bytes,
     scale_zero_point,
 )
 from tsfo.model import positional_encoding
@@ -59,27 +56,18 @@ def small_config(**overrides):
 
 class TestScaleZeroPoint:
     def test_affine_hand_computed(self):
-        scale, zp = scale_zero_point(0.0, 2.55, "affine")
+        scale, zp = scale_zero_point(0.0, 2.55)
         assert scale == pytest.approx(0.01)
         assert zp == -128
 
-    def test_symmetric_hand_computed(self):
-        scale, zp = scale_zero_point(-0.2, 0.5, "symmetric")
-        assert scale == pytest.approx(0.5 / 127)
-        assert zp == 0
-        from tsfo.tensor import quantize_linear
-
-        q = quantize_linear(np.array([0.5], np.float32), scale, zp)
-        assert q.data[0] == 127
-
     def test_degenerate_range_fallback(self):
-        scale, zp = scale_zero_point(0.0, 0.0, "affine")
+        scale, zp = scale_zero_point(0.0, 0.0)
         assert scale == pytest.approx(1e-8 / 127)
         assert zp == 0
 
     def test_min_above_max_rejected(self):
         with pytest.raises(InputError):
-            scale_zero_point(1.0, 0.5, "affine")
+            scale_zero_point(1.0, 0.5)
 
 
 class TestCalibrate:
@@ -260,36 +248,6 @@ class TestDynamic:
         assert math.isnan(_dynamic_qparams(np.array([1.0, np.nan], np.float32))[0])
 
 class TestFakeQuant:
-    def test_grid_points_are_fixed(self):
-        scale = 0.05
-        x = np.array([-0.2, 0.0, 0.15], np.float32)  # exact multiples of scale
-        assert np.allclose(fake_quant(x, scale, 0), x, atol=1e-7)
-
-    def test_idempotent(self):
-        x = seeded_rng(9).normal(size=64).astype(np.float32)
-        once = fake_quant(x, 0.013, 3)
-        assert np.array_equal(fake_quant(once, 0.013, 3), once)
-
-    def test_far_out_of_range_clamps_with_zero_ste(self):
-        scale = 0.01
-        x = np.array([10 * scale * 127], np.float32)
-        y = fake_quant(x, scale, 0)
-        assert y[0] == pytest.approx(127 * scale)
-        # a clamped value has slope 0, so its straight-through gradient is 0
-        h = scale
-        assert fake_quant(x + h, scale, 0)[0] == fake_quant(x - h, scale, 0)[0]
-
-    def test_ste_matches_identity_fd_inside_range(self):
-        scale = 0.1
-        for x0, expect in ((0.73, 1.0), (50.0, 0.0)):
-            # finite differences of the identity map: slope 1 inside, 0 outside
-            h = scale  # step one full grid cell so rounding cannot hide the slope
-            fd = (
-                fake_quant(np.array([x0 + h]), scale, 0)[0]
-                - fake_quant(np.array([x0 - h]), scale, 0)[0]
-            ) / (2 * h)
-            assert fd == pytest.approx(expect, abs=1e-6)
-
     def test_weight_fake_quant_matches_quantizer(self):
         w = seeded_rng(10).normal(size=(6, 4)).astype(np.float32)
         assert np.array_equal(fake_quant_weight(w), dequantize_linear(quantize_weight(w)))
@@ -307,17 +265,6 @@ class TestEnergyAndMemory:
         with pytest.raises(InputError):
             quantized_energy_estimate(1.0, 0.0)
 
-    def test_payload_ratio_with_overhead_below_one_percent(self):
-        # wide layers keep the per-channel scale table under 1% of the payload
-        cfg = ModelConfig(
-            num_layers=1, num_heads=4, model_dim=512, ffn_dim=512, patch_size=8,
-            patch_stride=8, seq_len=32, in_channels=1, num_classes=3,
-        )
-        m = build_model(cfg, 11)
-        qm = quantize_dynamic(m)
-        ratio = payload_bytes(m) / quantized_memory(qm)
-        assert ratio == pytest.approx(4.0, rel=0.01)
-
     def test_memory_matches_file_oracle(self, tmp_path):
         from tsfo.serialize import read_container, save_quantized
 
@@ -328,7 +275,6 @@ class TestEnergyAndMemory:
         kind, _, tensors = read_container(path)
         file_payload = sum(arr.nbytes for arr, _ in tensors.values())
         assert file_payload == payload_bytes(qm)
-        assert quantized_memory(qm) == payload_bytes(qm) + scale_table_bytes(qm)
 
 
 def per_site_reference(qmodel, xs):

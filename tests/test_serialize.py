@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -12,9 +13,11 @@ from tsfo.model import ModelConfig, build_model, forward_batch
 from tsfo.pruning import PruneSpec, prune_unstructured
 from tsfo.quantization import (
     QuantizedModel,
+    activation_sites,
     calibrate,
     quantize_dynamic,
     quantize_static,
+    quantize_weight,
     quantized_forward_batch,
 )
 from tsfo.serialize import (
@@ -126,6 +129,31 @@ class TestDatasetRoundTrip:
         assert back.name == ds.name
 
 
+# sha256 of each pinned_object container: any change to the manifest or the
+# payload layout, however small, shows here
+PINNED_SHA256 = {
+    "dataset": "489fc40147a78a26467ab22634259f12936b244f40c96796216a21580eb40510",
+    "model": "cc8b7cceb0545eb2309501fcbacd171eb4c5e3e4c8ae8f9c7cc708e65e2cdcb7",
+    "static": "571b2c7c5ac01598f86e52c126f056529a899c8d690a295e7662e6201069958c",
+}
+
+
+def pinned_object(kind):
+    """A tiny object of each container kind: a model with masks and a split, a
+    static int8 model with per-column weight scales, and a synthetic dataset."""
+    m = build_model(small_config(), 21)
+    if kind == "model":
+        m, _, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
+        m.split = {"train_fraction": 0.7, "seed": 3}
+        return m, save_model
+    if kind == "static":
+        weights = {name: quantize_weight(arr) for name, arr in m.params.items()}
+        act = {site: (0.0125, -3) for site in activation_sites(m.config)}
+        split = {"train_fraction": 0.6, "seed": 5}
+        return QuantizedModel(m.config, weights, "static", act, split), save_quantized
+    return synth_generate(2, 3, 16, 0.1, seed=22), save_dataset
+
+
 class TestContainerFormat:
     def test_magic_and_layout(self, tmp_path):
         m = build_model(small_config(), 7)
@@ -168,6 +196,14 @@ class TestContainerFormat:
         path.write_bytes(raw[:-8])
         with pytest.raises(ParseError):
             read_container(path)
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_SHA256))
+    def test_bytes_are_pinned(self, tmp_path, kind):
+        """Every byte of the manifest and payload, on fixed objects that need no BLAS."""
+        path = tmp_path / kind
+        obj, save = pinned_object(kind)
+        save(obj, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[kind]
 
 
 def split_container(raw: bytes) -> tuple[dict, bytes]:
