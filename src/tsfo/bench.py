@@ -54,6 +54,7 @@ from .pruning import (
     PruneSpec,
     prune_structured,
     prune_unstructured,
+    pruned_energy_estimate,
     score_weights,
     select_prune_set,
     sparsity as model_sparsity,
@@ -64,6 +65,7 @@ from .quantization import (
     payload_bytes,
     quantize_dynamic,
     quantize_static,
+    quantized_energy_estimate,
     quantized_forward,
 )
 from .tensor import QTensor
@@ -72,9 +74,6 @@ from .training import TrainConfig, evaluate, fine_tune, fit
 KNOWN_OPS = ("static-quant", "dynamic-quant", "l1-prune", "l2-prune", "qat")
 # the stages a row's ``stage_seconds`` can hold; the CSV report has a column for each
 STAGES = ("train", "calibrate", "quantize", "prune", "fine_tune")
-
-# Quantization steps divide the energy estimate by the INT8 precision factor.
-Q_FACTOR = 4.0
 
 log = logging.getLogger(__name__)
 
@@ -349,21 +348,21 @@ def _apply_pipeline(
                     observers = calibrate(current, calib)
                 with _stage(stages, "quantize"):
                     current = quantize_static(current, observers)
-            energy_factor /= Q_FACTOR
+            energy_factor = quantized_energy_estimate(energy_factor)
         elif op == "l1-prune":
             spec = PruneSpec("l1", "weight", "global", config.sparsity)
             if isinstance(current, QuantizedModel):
                 with _stage(stages, "prune"):
                     current, removed = _prune_quantized(current, spec)
-                energy_factor *= 1.0 - removed / base_params
             else:
                 current, masks, report = prune_unstructured(current, spec)
                 stages["prune"] += report.transform_seconds
+                removed = report.params_removed
                 with _stage(stages, "fine_tune"):
                     current = fine_tune(
                         current, masks, train_ds, config.fine_tune_epochs, ft_cfg
                     )
-                energy_factor *= 1.0 - report.params_removed / base_params
+            energy_factor = pruned_energy_estimate(energy_factor, removed / base_params)
         elif op == "l2-prune":
             if isinstance(current, QuantizedModel):
                 raise ConfigError("structured pruning after quantization is unsupported")
@@ -372,7 +371,7 @@ def _apply_pipeline(
                 current, report = prune_structured(current, spec)
                 stages["prune"] += report.transform_seconds
             removed = base_params - count_params(current.config)
-            energy_factor *= 1.0 - removed / base_params
+            energy_factor = pruned_energy_estimate(energy_factor, removed / base_params)
             with _stage(stages, "fine_tune"):
                 current = fine_tune(current, None, train_ds, config.fine_tune_epochs, ft_cfg)
         else:  # pragma: no cover - guarded by ExperimentConfig validation

@@ -56,7 +56,7 @@ class TimeSeriesDataset:
     def channels(self) -> int:
         return self.instances.shape[1]
 
-    def subset(self, idx: np.ndarray, name_suffix: str = "") -> "TimeSeriesDataset":
+    def subset(self, idx: np.ndarray, name_suffix: str) -> "TimeSeriesDataset":
         return TimeSeriesDataset(
             name=self.name + name_suffix,
             instances=self.instances[idx],
@@ -81,10 +81,13 @@ def load_ucr_delimited(path) -> TimeSeriesDataset:
 
     Labels may be arbitrary integers or strings; they are remapped to dense
     0..K-1 indices by sorted order (numeric sort when every label parses as a
-    number). Series are univariate (C = 1).
+    number). Series are univariate (C = 1). A NaN or infinite cell, such as
+    the NaN padding of a variable-length archive, is a ParseError naming its
+    line.
     """
     raw_labels: list[str] = []
     rows: list[list[float]] = []
+    linenos: list[int] = []
     width = None
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -101,6 +104,7 @@ def load_ucr_delimited(path) -> TimeSeriesDataset:
                     f"line {lineno}: expected {width} fields, found {len(fields)}"
                 )
             raw_labels.append(fields[0])
+            linenos.append(lineno)
             try:
                 rows.append([float(v) for v in fields[1:]])
             except ValueError as exc:
@@ -112,6 +116,9 @@ def load_ucr_delimited(path) -> TimeSeriesDataset:
     label_map = {lbl: i for i, lbl in enumerate(uniques)}
     labels = np.array([label_map[l] for l in raw_labels], dtype=np.int64)
     instances = np.asarray(rows, dtype=np.float32)[:, None, :]
+    finite = np.isfinite(instances).all(axis=(1, 2))
+    if not finite.all():
+        raise ParseError(f"{path}: line {linenos[np.argmin(finite)]}: NaN or infinite value")
     return TimeSeriesDataset(
         name=str(path),
         instances=instances,

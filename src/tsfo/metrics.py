@@ -72,11 +72,6 @@ class RunStats:
     ci95_half: float
     iqr_ms: float | None = None
 
-    @property
-    def degenerate(self) -> bool:
-        """True when a single sample made the half-width trivially zero."""
-        return self.n < 2
-
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
@@ -128,11 +123,11 @@ def efficiency_score(
     return ee, ar, ee * ar
 
 
-def round_sig(x: float, digits: int = 4) -> float:
-    """Round to a number of significant digits (report formatting)."""
+def round_sig(x: float) -> float:
+    """Round to 4 significant digits (report formatting)."""
     if x == 0 or not math.isfinite(x):
         return x
-    return round(x, digits - 1 - int(math.floor(math.log10(abs(x)))))
+    return round(x, 3 - int(math.floor(math.log10(abs(x)))))
 
 
 # Fields of a MetricsReport whose values depend on wall-clock measurements.
@@ -250,6 +245,6 @@ class MetricsReport:
         out = dict(self.__dict__)
         out["inference_ms"] = self.inference_ms.to_dict()
         out["stage_seconds"] = dict(self.stage_seconds)
-        out["overall_score"] = round_sig(self.overall_score, 4)
+        out["overall_score"] = round_sig(self.overall_score)
         out["provenance"] = {**self.PROVENANCE, "environment": environment()}
         return out

@@ -350,46 +350,32 @@ def forward(model: TransformerModel, x: np.ndarray) -> np.ndarray:
 
 
 def count_params(config: ModelConfig) -> int:
-    """Closed-form parameter count; equals the enumerated tensor sizes."""
-    d = config.model_dim
-    total = d * config.in_channels * config.patch_size + d
-    for l in range(config.num_layers):
-        a = config.attn_width(l)
-        f = config.ffn_at(l)
-        total += 3 * (d * a + a) + (a * d + d)   # q, k, v, o projections
-        total += 2 * d * f + f + d               # ffn
-        total += 4 * d                           # two norm (gamma, beta) pairs
-    total += d * config.num_classes + config.num_classes
-    return total
+    """Parameter count: the summed sizes of ``param_shapes``."""
+    return sum(math.prod(shape) for shape in param_shapes(config).values())
 
 
 def flop_breakdown(config: ModelConfig) -> dict:
     """Per-component FLOP counts for one inference.
 
     A multiply-accumulate counts as 2 FLOPs. Softmax, normalization, and
-    residual adds contribute only scalar ops and are excluded. The
-    ``attention_core_per_layer`` entry is the canonical quadratic/linear
-    complexity term P^2*d + P*d^2 for reference against the cost model.
+    residual adds contribute only scalar ops and are excluded.
     """
     p = config.num_patches
     d = config.model_dim
     embed_macs = p * d * config.in_channels * config.patch_size
     attn_macs = 0
     ffn_macs = 0
-    core = []
     for l in range(config.num_layers):
         a = config.attn_width(l)
         f = config.ffn_at(l)
         attn_macs += 4 * p * d * a + 2 * p * p * a
         ffn_macs += 2 * p * d * f
-        core.append(p * p * a + p * a * a)
     cls_macs = d * config.num_classes
     return {
         "patch_embed": 2 * embed_macs,
         "attention": 2 * attn_macs,
         "ffn": 2 * ffn_macs,
         "classifier": 2 * cls_macs,
-        "attention_core_per_layer": core,
         "total": 2 * (embed_macs + attn_macs + ffn_macs + cls_macs),
     }
 

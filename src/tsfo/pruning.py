@@ -43,15 +43,12 @@ class PruneSpec:
 
 @dataclass
 class PruneReport:
-    """What a pruning step removed. The energies are modeled from a baseline
-    of 1 J: ``energy_after_j`` is the share of energy left."""
+    """What a pruning step removed."""
 
     achieved_sparsity: float
     params_removed: int
     flops_before: int
     flops_after: int
-    energy_before_j: float
-    energy_after_j: float
     transform_seconds: float
 
     def to_dict(self) -> dict:
@@ -63,7 +60,7 @@ def prunable_pools(model: TransformerModel) -> list[str]:
     return [n for n in model.params if n.endswith(PRUNABLE_SUFFIXES)]
 
 
-def score_weights(model: TransformerModel, method: str = "l1") -> dict[str, np.ndarray]:
+def score_weights(model: TransformerModel, method: str) -> dict[str, np.ndarray]:
     """Per-scalar magnitude scores for every prunable tensor, flattened.
 
     For a single weight the L1 and L2 norms are both its absolute value, so
@@ -73,11 +70,7 @@ def score_weights(model: TransformerModel, method: str = "l1") -> dict[str, np.n
     return {n: np.abs(model.params[n]).ravel() for n in prunable_pools(model)}
 
 
-def score_units(
-    model: TransformerModel,
-    granularity: str,
-    method: str = "l2",
-) -> dict[str, np.ndarray]:
+def score_units(model: TransformerModel, granularity: str, method: str) -> dict[str, np.ndarray]:
     """Per-unit scores: one value per FFN neuron or attention head.
 
     A neuron's group is its incoming column of w1 plus its outgoing row of
@@ -182,16 +175,12 @@ def prune_unstructured(
     """Magnitude-mask pruning at the requested sparsity; shapes unchanged."""
     start = time.perf_counter()
     indices = select_prune_set(score_weights(model, spec.method), spec)
-    params_before = count_params(model.config)
     model, masks = apply_unstructured_mask(model, indices)
-    removed = int(sum(len(i) for i in indices.values()))
     report = PruneReport(
         achieved_sparsity=sparsity(model),
-        params_removed=removed,
+        params_removed=int(sum(len(i) for i in indices.values())),
         flops_before=count_flops(model.config),
         flops_after=count_flops(model.config),
-        energy_before_j=1.0,
-        energy_after_j=pruned_energy_estimate(1.0, removed / params_before),
         transform_seconds=time.perf_counter() - start,
     )
     return model, masks, report
@@ -252,15 +241,12 @@ def prune_structured(
 
     # masks describe the old shapes; structured removal invalidates them
     new_model = replace(model, config=new_cfg, params=new_params, masks=None)
-    params_after = count_params(new_cfg)
-    removed = params_before - params_after
+    removed = params_before - count_params(new_cfg)
     report = PruneReport(
         achieved_sparsity=removed / params_before,
         params_removed=removed,
         flops_before=flops_before,
         flops_after=count_flops(new_cfg),
-        energy_before_j=1.0,
-        energy_after_j=pruned_energy_estimate(1.0, removed / params_before),
         transform_seconds=time.perf_counter() - start,
     )
     return new_model, report

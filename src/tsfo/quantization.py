@@ -94,12 +94,8 @@ def activation_sites(config: ModelConfig) -> dict[str, tuple[str, str]]:
     return sites
 
 
-def calibrate(
-    model: TransformerModel,
-    instances: np.ndarray,
-    batch_size: int = 64,
-) -> dict[str, CalibrationObserver]:
-    """Eval-mode pass over calibration data recording per-site min/max."""
+def calibrate(model: TransformerModel, instances: np.ndarray) -> dict[str, CalibrationObserver]:
+    """Eval-mode pass over calibration data, in batches of 64, recording per-site min/max."""
     xs = np.asarray(instances)
     if xs.ndim == 2:
         xs = xs[None]
@@ -107,8 +103,8 @@ def calibrate(
         raise InputError("calibration needs at least one instance")
     observers = {s: CalibrationObserver(s) for s in activation_sites(model.config)}
     ops = _ObservedOps(model.params, observers)
-    for start in range(0, len(xs), batch_size):
-        encode(model.config, xs[start : start + batch_size], ops)
+    for start in range(0, len(xs), 64):
+        encode(model.config, xs[start : start + 64], ops)
     return observers
 
 

@@ -53,32 +53,25 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(x, 0, out=out)
 
 
-def layer_norm(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    eps: float = 1e-5,
-) -> np.ndarray:
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Normalize each feature vector (last axis) to zero mean / unit variance.
 
-    Population variance is used. A constant input row has zero variance and
-    maps to beta. Returns a fresh array and leaves ``x`` untouched: the
-    centred values are written once and scaled, multiplied by gamma and
-    shifted by beta in place. Integer input is computed in float64.
+    Population variance is used, with eps = 1e-5. A constant input row has
+    zero variance and maps to beta. Returns a fresh array and leaves ``x``
+    untouched: the centred values are written once and scaled, multiplied by
+    gamma and shifted by beta in place. Integer input is computed in float64.
 
     Each mean is ``np.add.reduce`` divided by d, which is what ``ndarray.mean``
     computes, bit for bit, minus numpy's Python ``_mean`` wrapper; on a
     [24, 64] block that wrapper costs more than the reduction itself.
     """
-    if eps <= 0:
-        raise InputError(f"eps must be positive, got {eps}")
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(np.float64)
     d = x.shape[-1]
     out = x - np.add.reduce(x, axis=-1, keepdims=True) / d
     var = np.add.reduce(out * out, axis=-1, keepdims=True) / d
-    out /= np.sqrt(var + eps)
+    out /= np.sqrt(var + 1e-5)
     if np.result_type(out, gamma, beta) != out.dtype:
         # wider gamma or beta promote the result, as out-of-place ops would
         return gamma * out + beta
@@ -206,7 +199,7 @@ def _quantize_folded(x: np.ndarray, inv, lo: int, hi: int, dtype) -> np.ndarray:
       of t, is on the same side of every half-integer as t, and rint(r) is
       the integer nearest t.
     * Infinite x clamps to a bound. NaN stays NaN through the clamp and
-      rint: ``quantized_linear``'s GEMM spreads it over its output row, and
+      rint: ``compiled_linear``'s GEMM spreads it over its output row, and
       ``quantize_linear`` gives it no defined int8 payload. Which zero
       represents q - z = 0 is not part of the contract: where the lower bound
       is 0, a negative x clamps to +0 here while round_half_away gives -0;
@@ -306,7 +299,7 @@ def int8_matmul(a: QTensor, b: QTensor) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PackedWeight:
-    """An int8 weight laid out once for ``quantized_linear``.
+    """An int8 weight laid out once for ``compiled_linear``.
 
     ``data`` is the [K, N] integer payload, stored as float32 when a float32
     GEMM against zero-point-folded activations is exact (``_exact_dtype``)
@@ -319,7 +312,7 @@ class PackedWeight:
 
 
 def pack_weight(w: QTensor) -> PackedWeight:
-    """Pack a symmetric rank-2 weight, per tensor or per column, for quantized_linear."""
+    """Pack a symmetric rank-2 weight, per tensor or per column, for compiled_linear."""
     if w.data.ndim != 2:
         raise ShapeError(f"pack_weight expects a rank-2 weight, got {w.data.shape}")
     if w.zero_point != 0 or w.channel_axis not in (None, 1):
@@ -354,8 +347,14 @@ def compile_linear(scale, zero_point: int, packed: PackedWeight, bias: np.ndarra
 
 def compiled_linear(x: np.ndarray, inv, lo: int, hi: int, weight: np.ndarray,
                     rescale: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """``quantized_linear`` on ``compile_linear``'s checked arguments: quantize
-    x, one exact GEMM, rescale in float64 rounded once to float32, add bias."""
+    """``x @ W + bias`` in float32, with x quantized per tensor and W packed int8,
+    on ``compile_linear``'s checked arguments: quantize x, one exact GEMM,
+    rescale in float64 rounded once to float32, add bias.
+
+    Bit-identical to ``quantize_linear`` -> ``int8_matmul`` -> ``+ bias``. The
+    zero point is folded into the clamp bounds (clip(r, -128 - z, 127 - z) =
+    q - z), so the GEMM needs no zero-point correction.
+    """
     lead = x.shape[:-1]
     q = _quantize_folded(x.reshape(-1, x.shape[-1]), inv, lo, hi, weight.dtype)
     acc = q @ weight
@@ -364,15 +363,3 @@ def compiled_linear(x: np.ndarray, inv, lo: int, hi: int, weight: np.ndarray,
         acc = acc.astype(np.float32)
     acc += bias
     return acc.reshape(*lead, -1)
-
-
-def quantized_linear(x: np.ndarray, scale, zero_point: int, packed: PackedWeight,
-                     bias: np.ndarray) -> np.ndarray:
-    """``x @ W + bias`` in float32, with x quantized per tensor and W packed int8.
-
-    Bit-identical to ``quantize_linear`` -> ``int8_matmul`` -> ``+ bias``. The
-    zero point is folded into the clamp bounds (clip(r, -128 - z, 127 - z) =
-    q - z), so the GEMM needs no zero-point correction. A caller that uses one
-    activation map many times calls ``compile_linear`` once instead.
-    """
-    return compiled_linear(x, *compile_linear(scale, zero_point, packed, bias))

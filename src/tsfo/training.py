@@ -354,17 +354,13 @@ def fit(
 
 
 def train(
-    model: TransformerModel,
-    dataset,
-    cfg: TrainConfig,
-    val_dataset=None,
-    mask: dict[str, np.ndarray] | None = None,
-    weight_fake_quant: bool = False,
+    model: TransformerModel, dataset, cfg: TrainConfig, val_dataset=None
 ) -> tuple[TransformerModel, list[dict]]:
-    """``fit``, returning also a per-epoch history (epoch, lr, train_loss, train_acc,
-    val_acc): ``dataset`` and ``val_dataset`` are scored after every epoch."""
+    """``fit`` without a mask or fake quantization, returning also a per-epoch history
+    (epoch, lr, train_loss, train_acc, val_acc): ``dataset`` and ``val_dataset`` are
+    scored after every epoch."""
     history = []
-    for epoch, lr, loss in _epochs(model, dataset, cfg, mask, weight_fake_quant):
+    for epoch, lr, loss in _epochs(model, dataset, cfg, None, False):
         row = {"epoch": epoch, "lr": lr, "train_loss": loss, "train_acc": evaluate(model, dataset)}
         row["val_acc"] = evaluate(model, val_dataset) if val_dataset is not None else ""
         history.append(row)
@@ -394,7 +390,7 @@ def fine_tune(
     masks: dict[str, np.ndarray] | None,
     dataset,
     epochs: int,
-    cfg: TrainConfig | None = None,
+    cfg: TrainConfig,
 ) -> TransformerModel:
     """Recovery training after pruning, ``cfg`` run for ``epochs`` epochs.
 
@@ -403,8 +399,7 @@ def fine_tune(
     """
     if epochs == 0:
         return model
-    ft_cfg = replace(cfg if cfg is not None else TrainConfig(lr_max=3e-4), epochs=epochs)
-    return fit(model, dataset, ft_cfg, mask=masks)
+    return fit(model, dataset, replace(cfg, epochs=epochs), mask=masks)
 
 
 def evaluate(model: TransformerModel | QuantizedModel, dataset) -> float:

@@ -358,7 +358,7 @@ class TestEmitReport:
 
         for row in load_reports(path):
             recomputed = row["ee_gflops_per_j"] * row["accuracy_retention_pct"]
-            assert row["overall_score"] == pytest.approx(round_sig(recomputed, 4), rel=1e-3)
+            assert row["overall_score"] == pytest.approx(round_sig(recomputed), rel=1e-3)
 
     def test_markdown_structure(self, quick_reports, tmp_path):
         _, reports = quick_reports
@@ -671,9 +671,9 @@ class TestCli:
         (empty / "Other_TRAIN.tsv").write_text("1\t0.5\n")
         assert main(["train", "--data", str(empty), "--out", str(tmp_path / "x")]) == EXIT_DATA
 
-    def test_nan_padded_ucr_rows_are_a_data_error(self, tmp_path):
+    def test_nan_padded_ucr_rows_are_a_data_error(self, tmp_path, caplog):
         # UCR's variable-length sets pad the short series with NaN; no command
-        # may turn them into a NaN-driven accuracy
+        # may turn them into a NaN-driven accuracy, and the error names the row
         rng = np.random.default_rng(4)
         for side, rows in (("TRAIN", 20), ("TEST", 10)):
             path = tmp_path / f"Toy_{side}.tsv"
@@ -682,11 +682,15 @@ class TestCli:
             lines[1::2] = [line.rsplit("\t", 3)[0] + "\tNaN" * 3 for line in lines[1::2]]
             path.write_text("\n".join(lines) + "\n")
         data = str(tmp_path / "Toy_TRAIN.tsv")
+        where = f"{data}: line 2: NaN or infinite value"
         assert main(["train", "--data", data, "--epochs", "1",
                      "--out", str(tmp_path / "m")]) == EXIT_DATA
+        assert where in caplog.text
+        caplog.clear()
         model_path = str(tmp_path / "model.tsfo")
         save_model(build_model(preset_config("T1", seq_len=32, num_classes=2), 0), model_path)
         assert main(["eval", "--model", model_path, "--data", data]) == EXIT_DATA
+        assert where in caplog.text
 
     def test_missing_dataset_exit_code(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.tsv"),

@@ -3,7 +3,11 @@ definitions, one function that decides a train/test split, and no training histo
 computed only to be thrown away."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
@@ -66,35 +70,69 @@ def test_no_unreferenced_private_definitions():
     assert not dead, f"private definitions nothing in src/ refers to: {dead}"
 
 
-# run by TestQuantizeRule as the one-call form of compile_linear + compiled_linear
-PUBLIC_WITHOUT_CALLERS = {"quantized_linear"}
+# public definitions allowed to have only unit-test callers
+PUBLIC_WITHOUT_CALLERS: set[str] = set()
+
+
+def name_uses(tree):
+    """How often a module reads each name, as ``used_names`` and ``imported_names`` see it."""
+    uses = Counter(name for name, _ in imported_names(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+    return uses
+
+
+def public_definitions(tree):
+    """(qualified name, node) of each public top-level function or class and of
+    each public method or property of a top-level class."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+            yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield f"{top.name}.{node.name}", node
 
 
 def test_no_public_orphans():
-    """Every public top-level function or class is used by the package itself,
-    the benchmark or an acceptance criterion, not only by its own unit tests.
-
-    A use inside the definition's own body or a re-export in ``__init__`` does
-    not count.
+    """Every public function, class, method or property is used by the package
+    itself, the benchmark or an acceptance criterion, not only by its own unit
+    tests. A use inside the definition's own body does not count.
     """
-    users = set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]:
-        tree = parse(path)
-        users |= used_names(tree) | {name for name, _ in imported_names(tree)}
-    defined = {}
+    users = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    trees = {path: parse(path) for path in users + MODULES}
+    uses = sum((name_uses(tree) for tree in trees.values()), Counter())
+    orphans = sorted(
+        f"{path.name}:{qualname}"
+        for path in MODULES
+        for qualname, node in public_definitions(trees[path])
+        if uses[node.name] == name_uses(node)[node.name]
+    )
+    assert orphans == sorted(PUBLIC_WITHOUT_CALLERS), "public definitions only their own unit tests use"
+
+
+def test_package_binds_only_its_version_and_modules_import_alone():
+    """``tsfo/__init__.py`` re-exports nothing, and each module imports in a
+    fresh interpreter on its own, so no import cycle can hide behind the
+    order in which a package namespace imports them."""
+    tree = parse(SRC / "__init__.py")
+    bound = [
+        ast.unparse(target)
+        for node in tree.body
+        if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
+        for target in getattr(node, "targets", [node])
+    ]
+    assert bound == ["__version__"], f"tsfo/__init__.py binds more than __version__: {bound}"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     for path in MODULES:
-        if path.name == "__init__.py":
-            continue
-        for top in parse(path).body:
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
-                defined[top.name] = path.name
-            for name in used_names(top) | {name for name, _ in imported_names(top)}:
-                if name != getattr(top, "name", None) or path.name != defined.get(name):
-                    users.add(name)
-    orphans = sorted(f"{module}:{name}" for name, module in defined.items() if name not in users)
-    assert orphans == sorted(
-        f"{defined[name]}:{name}" for name in PUBLIC_WITHOUT_CALLERS
-    ), "public definitions only their own unit tests use"
+        module = "tsfo" if path.stem == "__init__" else f"tsfo.{path.stem}"
+        done = subprocess.run(
+            [sys.executable, "-c", f"import {module}"], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, f"import {module} alone fails:\n{done.stderr}"
 
 
 def callers_of(trees, name):

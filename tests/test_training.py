@@ -267,6 +267,8 @@ GOLDEN_CFG = ModelConfig(
     patch_stride=8, seq_len=96, in_channels=1, num_classes=3, dropout=0.1,
 )
 GOLDEN_SEED = 7
+# recovery training at the lower peak rate tsfo prune and tsfo bench use
+FT_CFG = TrainConfig(lr_max=3e-4)
 
 
 def golden_splits(noise=0.05):
@@ -284,7 +286,7 @@ class TestTrain:
 
     def test_single_class_dataset_one_epoch(self):
         ds = synth_generate(3, 12, 96, 0.05, seed=1)
-        only = ds.subset(np.where(ds.labels == 0)[0])
+        only = ds.subset(np.where(ds.labels == 0)[0], "")
         m = build_model(GOLDEN_CFG, 0)
         m, hist = train(m, only, TrainConfig(epochs=1, batch_size=8, seed=0))
         assert hist[0]["train_acc"] == 1.0
@@ -340,14 +342,14 @@ class TestFineTune:
         train_ds, _ = golden_splits()
         m = build_model(GOLDEN_CFG, GOLDEN_SEED)
         m, masks, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
-        fine_tune(m, masks, train_ds, 2)
+        fine_tune(m, masks, train_ds, 2, FT_CFG)
         assert calls == []
 
     def test_zero_epochs_unchanged(self):
         m = build_model(tiny_config(), 0)
         before = {k: v.copy() for k, v in m.params.items()}
         ds = synth_generate(3, 4, 96, 0.05, seed=1)
-        out = fine_tune(m, {}, ds, 0)
+        out = fine_tune(m, {}, ds, 0, FT_CFG)
         assert all(np.array_equal(before[k], out.params[k]) for k in before)
 
     def test_sparsity_invariant_through_fine_tuning(self):
@@ -356,7 +358,7 @@ class TestFineTune:
         m, _ = train(m, train_ds, TrainConfig(epochs=3, batch_size=32, seed=GOLDEN_SEED))
         m, masks, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.6))
         s_before = sparsity(m)
-        m = fine_tune(m, masks, train_ds, 3)
+        m = fine_tune(m, masks, train_ds, 3, FT_CFG)
         assert sparsity(m) == s_before
         for name, mask in masks.items():
             assert np.all(m.params[name][mask == 0] == 0)
@@ -371,7 +373,7 @@ class TestFineTune:
         m, masks, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.9))
         pruned = evaluate(m, test_ds)
         assert pruned < base  # the golden setting really loses accuracy
-        m = fine_tune(m, masks, train_ds, 8)
+        m = fine_tune(m, masks, train_ds, 8, FT_CFG)
         recovered = evaluate(m, test_ds)
         assert recovered - pruned >= (base - pruned) / 2
 
