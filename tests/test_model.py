@@ -8,6 +8,7 @@ import pytest
 import tsfo.model as model_mod
 import tsfo.training as training_mod
 from tsfo.errors import ConfigError, InputError, ShapeError
+from tsfo.metrics import attention_complexity
 from tsfo.model import (
     FloatOps,
     ModelConfig,
@@ -563,6 +564,20 @@ class TestCounts:
 
 
 class TestFlops:
+    def test_attention_core_term(self):
+        cfg = ModelConfig(
+            num_layers=1, num_heads=8, model_dim=64, ffn_dim=256,
+            patch_size=8, patch_stride=8, seq_len=8 * 96 + 0, num_classes=3,
+        )
+        # seq_len chosen so the patch count is 96
+        assert cfg.num_patches == 96
+        p, d = cfg.num_patches, cfg.model_dim
+        core = attention_complexity(p, d)
+        assert core == 96**2 * 64 + 96 * 64**2 == 983040
+        # 2 FLOPs per MAC: scores and weighted sum (2 P^2 d MACs) plus the
+        # four d x d projections (4 P d^2 MACs) = 4 * core + 4 P d^2
+        assert flop_breakdown(cfg)["attention"] == 4 * core + 4 * p * d * d
+
     def test_halving_ffn_halves_ffn_term(self):
         full = flop_breakdown(tiny_config(ffn_dim=8))
         half = flop_breakdown(tiny_config(ffn_dim=4))
