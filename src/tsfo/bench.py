@@ -31,7 +31,7 @@ from .data import (
     subject_wise_split,
     synth_generate,
 )
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, ParseError
 from .metrics import (
     EnergyParams,
     MetricsReport,
@@ -69,7 +69,7 @@ from .quantization import (
     quantized_forward,
 )
 from .tensor import QTensor
-from .training import TrainConfig, evaluate, fine_tune, fit
+from .training import TrainConfig, evaluate, fit
 
 KNOWN_OPS = ("static-quant", "dynamic-quant", "l1-prune", "l2-prune", "qat")
 # the stages a row's ``stage_seconds`` can hold; the CSV report has a column for each
@@ -330,16 +330,17 @@ def _apply_pipeline(
     stages: dict[str, float] = defaultdict(float)
     base_params = count_params(baseline.config)
     calib = calibration_rows(train_ds, config.calibration_size)
-    ft_cfg = TrainConfig(batch_size=config.batch_size, lr_max=3e-4, seed=run_seed + 1)
+    ft_cfg = TrainConfig(
+        epochs=config.fine_tune_epochs, batch_size=config.batch_size, lr_max=3e-4, seed=run_seed + 1
+    )
 
     for op in pipeline:
         if op in ("static-quant", "dynamic-quant", "qat"):
             if isinstance(current, QuantizedModel):
                 raise ConfigError(f"{op} after quantization is not meaningful")
             if op == "qat":  # quantization-aware fine-tuning, then static int8
-                qat_cfg = replace(ft_cfg, epochs=config.fine_tune_epochs)
                 with _stage(stages, "fine_tune"):
-                    current = fit(current, train_ds, qat_cfg, weight_fake_quant=True)
+                    current = fit(current, train_ds, ft_cfg, weight_fake_quant=True)
             if op == "dynamic-quant":
                 with _stage(stages, "quantize"):
                     current = quantize_dynamic(current)
@@ -359,9 +360,7 @@ def _apply_pipeline(
                 stages["prune"] += report.transform_seconds
                 removed = report.params_removed
                 with _stage(stages, "fine_tune"):
-                    current = fine_tune(
-                        current, masks, train_ds, config.fine_tune_epochs, ft_cfg
-                    )
+                    current = fit(current, train_ds, ft_cfg, mask=masks)
             energy_factor = pruned_energy_estimate(energy_factor, removed / base_params)
         elif op == "l2-prune":
             if isinstance(current, QuantizedModel):
@@ -373,7 +372,7 @@ def _apply_pipeline(
             removed = base_params - count_params(current.config)
             energy_factor = pruned_energy_estimate(energy_factor, removed / base_params)
             with _stage(stages, "fine_tune"):
-                current = fine_tune(current, None, train_ds, config.fine_tune_epochs, ft_cfg)
+                current = fit(current, train_ds, ft_cfg)
         else:  # pragma: no cover - guarded by ExperimentConfig validation
             raise ConfigError(f"unknown optimization {op!r}")
     if isinstance(current, QuantizedModel):
@@ -565,7 +564,15 @@ def _markdown_tables(reports: list[MetricsReport]) -> str:
 
 
 def load_reports(path) -> list[dict]:
-    """Read back a JSON report file (lossless round trip of to_dict)."""
+    """Read back a JSON report file (lossless round trip of to_dict). A file
+    that is not JSON, or holds no list of rows under ``reports``, is a
+    ``ParseError`` naming it."""
     with open(path) as fh:
-        data = json.load(fh)
-    return data["reports"]
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    rows = data.get("reports") if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ParseError(f"{path} holds no list of report objects under 'reports'")
+    return rows

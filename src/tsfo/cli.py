@@ -32,7 +32,7 @@ from .model import TransformerModel, build_model, preset_config
 from .pruning import PruneSpec, prune_structured, prune_unstructured
 from .quantization import QuantizedModel, calibrate, quantize_dynamic, quantize_static
 from .serialize import MAGIC, load, save_dataset, save_model, save_quantized
-from .training import TrainConfig, evaluate, fine_tune, history_to_csv, train
+from .training import TrainConfig, evaluate, fit, history_to_csv, train
 
 log = logging.getLogger("tsfo")
 
@@ -131,6 +131,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_prune(args) -> int:
+    if args.fine_tune_epochs and not args.data:
+        raise InputError("fine-tuning needs --data to train on")
     model = _load_kind(args.model, TransformerModel)
     spec = PruneSpec(args.method, args.granularity, args.scope, args.sparsity)
     if args.granularity == "weight":
@@ -138,11 +140,10 @@ def _cmd_prune(args) -> int:
     else:
         model, report = prune_structured(model, spec)
         masks = None
-    if args.fine_tune_epochs and args.data:
+    if args.fine_tune_epochs:
         train_ds, _ = _split_rows(args.data, model.split)
-        model = fine_tune(
-            model, masks, train_ds, args.fine_tune_epochs, TrainConfig(lr_max=3e-4, seed=args.seed)
-        )
+        ft_cfg = TrainConfig(epochs=args.fine_tune_epochs, lr_max=3e-4, seed=args.seed)
+        model = fit(model, train_ds, ft_cfg, mask=masks)
     save_model(model, args.out)
     report_path = args.out + ".prune.json"
     with open(report_path, "w") as fh:
@@ -210,14 +211,15 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rows = load_reports(args.reports)
     reports = []
-    for row in rows:
+    for i, row in enumerate(load_reports(args.reports)):
         row = dict(row)
         row.pop("provenance", None)
-        ms = row.pop("inference_ms")
-        row["inference_ms"] = RunStats(**ms)
-        reports.append(MetricsReport(**row))
+        try:
+            row["inference_ms"] = RunStats(**row["inference_ms"])
+            reports.append(MetricsReport(**row))
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"{args.reports}: report {i} is malformed: {exc!r}") from exc
     for path in emit_report(reports, args.format, args.out):
         print(f"wrote {path}")
     return EXIT_OK

@@ -228,7 +228,8 @@ def _key_rows(w: np.ndarray) -> np.ndarray:
 def attention_weights(q: np.ndarray, k: np.ndarray, num_heads: int) -> np.ndarray:
     """Softmax weights [B, H, key, query] of [B, P, a] projections, stored key-outermost.
 
-    The first half of ``attention_context``; training keeps them for its backward."""
+    The first half of ``attention_context``; training keeps them for
+    ``attention_backward``."""
     b, p, a = q.shape
     weights = np.empty((p, b, num_heads, p), np.result_type(q, k)).transpose(1, 2, 0, 3)
     np.matmul(
@@ -247,6 +248,27 @@ def weighted_values(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
     ctx = np.empty(v.shape, dtype=np.result_type(weights, v))
     np.matmul(weights.swapaxes(-1, -2), _split_heads(v, heads), out=_split_heads(ctx, heads))
     return ctx
+
+
+def attention_backward(q, k, v, weights: np.ndarray, d_ctx: np.ndarray) -> tuple:
+    """Gradients (d_q, d_k, d_v), each [B, P, a], of ``weighted_values(weights, v)``
+    with ``weights = attention_weights(q, k, H)``, given the [B, P, a] gradient of
+    that context. The softmax backward runs over the keys in the weights'
+    key-outermost layout, as the forward's softmax does."""
+    heads = weights.shape[1]
+    d_ctx = _split_heads(d_ctx, heads)
+    qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
+    d_q, d_k, d_v = (np.empty(t.shape, np.result_type(weights, d_ctx)) for t in (q, k, v))
+    np.matmul(weights, d_ctx, out=_split_heads(d_v, heads))
+    # d_s, laid out as the weights are, takes the scores' 1/sqrt(dh)
+    d_s = np.empty_like(weights, dtype=d_v.dtype)
+    np.matmul(vh, d_ctx.swapaxes(-1, -2) * (1.0 / math.sqrt(qh.shape[-1])), out=d_s)
+    d_rows, w_rows = _key_rows(d_s), _key_rows(weights)
+    d_rows -= (d_rows * w_rows).sum(axis=0)
+    d_rows *= w_rows
+    np.matmul(d_s, qh, out=_split_heads(d_k, heads))
+    np.matmul(d_s.swapaxes(-1, -2), kh, out=_split_heads(d_q, heads))
+    return d_q, d_k, d_v
 
 
 def attention_context(q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads: int) -> np.ndarray:

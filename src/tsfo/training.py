@@ -2,11 +2,11 @@
 
 The forward pass is ``model.encode`` on ops that record what the backward
 reads: every site's input, each layer's q, k, v and attention weights, each
-norm's normalized input and inverse deviation, and the dropout masks. The
-backward is written out by hand against that graph (conv patch embedding,
-positional add, pre-norm attention and feed-forward blocks with residuals,
-mean pooling, linear classifier) and reads only the tape. Every gradient is
-checked against central finite differences in the test suite.
+norm's normalized input and inverse deviation, and the dropout masks. Each of
+those ops has its hand-derived reverse beside it, and the backward calls them
+in the mirror order of ``encode``, with the pooling, ReLU and residual
+steps between them. Every gradient is checked against central finite
+differences in the test suite.
 
 Training is deterministic for a fixed seed: batch shuffling and dropout masks
 come from one seeded generator, and reductions run in a fixed order.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .errors import InputError, ShapeError
 from .model import (
     FloatOps,
     TransformerModel,
-    _key_rows,
-    _split_heads,
+    attention_backward,
     attention_weights,
     encode,
     forward_batch,
@@ -50,16 +49,6 @@ def _batch_ce(logits: np.ndarray, labels: np.ndarray):
     return loss, grad, correct
 
 
-def _layer_norm_backward(d_out, xhat, inv_std, gamma):
-    d_gamma = np.add.reduce(d_out * xhat, axis=tuple(range(d_out.ndim - 1)))
-    d_beta = np.add.reduce(d_out, axis=tuple(range(d_out.ndim - 1)))
-    d_xhat = d_out * gamma
-    m1 = np.add.reduce(d_xhat, axis=-1, keepdims=True) / d_out.shape[-1]
-    m2 = np.add.reduce(d_xhat * xhat, axis=-1, keepdims=True) / d_out.shape[-1]
-    d_x = inv_std * (d_xhat - m1 - xhat * m2)
-    return d_x, d_gamma, d_beta
-
-
 def _weight_grad(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     """sum over batch and patches of x^T d_out: [..., m] x [..., n] -> [m, n].
 
@@ -77,13 +66,18 @@ def _input_grad(d_out: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 
 class _Tape(FloatOps):
-    """The float ops, recording in ``saved`` what the backward reads.
+    """The float ops, recording in ``saved`` what their reverse steps read.
 
-    ``saved`` maps each site to its input, ``<attn prefix>core`` to the
-    layer's (q, k, v, attention weights) and each norm prefix to (normalized
-    input, inverse deviation). Given an rng, the outputs of the two residual
-    branches are scaled by inverted dropout masks, drawn in forward order and
-    saved as ``<site> mask``.
+    ``saved`` maps each site to (input, weight name, bias name, dropout mask
+    or None), ``<attn prefix>qkv.in`` to that sublayer's input,
+    ``<attn prefix>core`` to the layer's (q, k, v, attention weights) and each
+    norm prefix to (normalized input, inverse deviation). Given an rng, the
+    outputs of the two residual branches are scaled by inverted dropout masks,
+    drawn in forward order.
+
+    Each step's reverse (``*_back``) takes the gradient of the step's output,
+    writes the gradients of the parameters it read into ``grads`` and returns
+    the gradient of its input.
     """
 
     def __init__(self, params: dict, dropout: float, rng: np.random.Generator | None):
@@ -91,25 +85,52 @@ class _Tape(FloatOps):
         self.keep = 1.0 - dropout
         self.rng = rng
         self.saved: dict = {}
+        self.grads: dict = {}
 
     def linear(self, site, x, weight, bias):
-        self.saved[site] = x
         out = super().linear(site, x, weight, bias)
+        mask = None
         # these two sites read a residual branch's input; dropout scales the branch
         if self.rng is not None and site.endswith(("attn.proj.in", "ffn.mid.in")):
             mask = (self.rng.random(out.shape) < self.keep).astype(out.dtype) / self.keep
             out *= mask
-            self.saved[site + " mask"] = mask
+        self.saved[site] = x, weight, bias, mask
         return out
+
+    def linear_back(self, site, d_out):
+        x, weight, bias, mask = self.saved[site]
+        if mask is not None:
+            d_out = d_out * mask
+        w = self.params[weight]
+        d_w = _weight_grad(x, d_out)
+        self.grads[bias] = np.add.reduce(d_out, axis=tuple(range(d_out.ndim - 1)))
+        if w.ndim == 3:  # the conv kernel; its input is the series, which takes no gradient
+            self.grads[weight] = d_w.T.reshape(w.shape)
+            return None
+        self.grads[weight] = d_w
+        return _input_grad(d_out, w)
 
     def qkv(self, prefix, x):
         self.saved[prefix + "qkv.in"] = x
         return super().qkv(prefix, x)
 
+    def qkv_back(self, prefix, d_q, d_k, d_v):
+        x = self.saved[prefix + "qkv.in"]
+        for name, d in zip("qkv", (d_q, d_k, d_v)):
+            self.grads[prefix + "w" + name] = _weight_grad(x, d)
+            self.grads[prefix + "b" + name] = np.add.reduce(d, axis=(0, 1))
+        p = self.params
+        d_x = _input_grad(d_q, p[prefix + "wq"]) + _input_grad(d_k, p[prefix + "wk"])
+        d_x += _input_grad(d_v, p[prefix + "wv"])
+        return d_x
+
     def attend(self, prefix, q, k, v, heads):
         weights = attention_weights(q, k, heads)
         self.saved[prefix + "core"] = q, k, v, weights
         return weighted_values(weights, v)
+
+    def attend_back(self, prefix, d_ctx):
+        return attention_backward(*self.saved[prefix + "core"], d_ctx)
 
     def norm(self, x, prefix):
         d = x.shape[-1]
@@ -119,6 +140,16 @@ class _Tape(FloatOps):
         self.saved[prefix] = (xhat, inv_std)
         return self.params[prefix + "gamma"] * xhat + self.params[prefix + "beta"]
 
+    def norm_back(self, prefix, d_out):
+        xhat, inv_std = self.saved[prefix]
+        lead = tuple(range(d_out.ndim - 1))
+        self.grads[prefix + "gamma"] = np.add.reduce(d_out * xhat, axis=lead)
+        self.grads[prefix + "beta"] = np.add.reduce(d_out, axis=lead)
+        d_xhat = d_out * self.params[prefix + "gamma"]
+        m1 = np.add.reduce(d_xhat, axis=-1, keepdims=True) / d_out.shape[-1]
+        m2 = np.add.reduce(d_xhat * xhat, axis=-1, keepdims=True) / d_out.shape[-1]
+        return inv_std * (d_xhat - m1 - xhat * m2)
+
 
 def loss_and_grads(
     model: TransformerModel,
@@ -127,87 +158,37 @@ def loss_and_grads(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ):
-    """Forward with caching, then exact reverse-mode gradients.
+    """Forward on the recording ops, then exact reverse-mode gradients.
 
     Returns (mean loss, correct count, gradient dict keyed like params).
     Dropout masks are drawn once in the forward pass and reused in the
     backward pass, so the gradients are exact for the sampled network.
-    Attention goes through ``model.attention_weights``; its backward keeps that layout.
+    The backward mirrors ``encode``, one reverse step per forward step.
     """
     cfg = model.config
-    p = model.params
     use_dropout = train and cfg.dropout > 0.0
     if use_dropout and rng is None:
         raise InputError("train-mode gradients with dropout need an rng")
-    tape = _Tape(p, cfg.dropout, rng if use_dropout else None)
+    tape = _Tape(model.params, cfg.dropout, rng if use_dropout else None)
     loss, d_logits, correct = _batch_ce(encode(cfg, xs, tape), ys)
-    saved = tape.saved
-
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-    grads["classifier.weight"] = saved["classifier.in"].T @ d_logits
-    grads["classifier.bias"] = d_logits.sum(axis=0)
-    d_pooled = d_logits @ p["classifier.weight"].T
+    # Allocating grads here, after the forward, and running the ReLU and residual
+    # steps out of place keeps glibc's heap trim and regrowth down: with grads
+    # allocated first and those steps in place, a T1 study took 2-3x the minor
+    # page faults. zeros_like also fixes the dict's order, which clipping sums in.
+    tape.grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+    d_pooled = tape.linear_back("classifier.in", d_logits)
     d_h = np.repeat(d_pooled[:, None, :], cfg.num_patches, axis=1) / cfg.num_patches
-
     for l in reversed(range(cfg.num_layers)):
         pre = f"layers.{l}."
         attn = pre + "attn."
-
-        mask = saved.get(pre + "ffn.mid.in mask")
-        d_z2 = d_h * mask if mask is not None else d_h
-        r = saved[pre + "ffn.mid.in"]
-        grads[pre + "ffn.w2"] = _weight_grad(r, d_z2)
-        grads[pre + "ffn.b2"] = d_z2.sum(axis=(0, 1))
-        d_r = _input_grad(d_z2, p[pre + "ffn.w2"])
-        d_z1 = d_r * (r > 0)   # r = relu(z1), so r > 0 exactly where z1 > 0
-        grads[pre + "ffn.w1"] = _weight_grad(saved[pre + "ffn.in"], d_z1)
-        grads[pre + "ffn.b1"] = d_z1.sum(axis=(0, 1))
-        d_n2 = _input_grad(d_z1, p[pre + "ffn.w1"])
-        d_hmid_ln, d_g2, d_b2 = _layer_norm_backward(
-            d_n2, *saved[pre + "norm2."], p[pre + "norm2.gamma"]
-        )
-        grads[pre + "norm2.gamma"] = d_g2
-        grads[pre + "norm2.beta"] = d_b2
-        d_hmid = d_h + d_hmid_ln
-
-        mask = saved.get(attn + "proj.in mask")
-        d_attn = d_hmid * mask if mask is not None else d_hmid
-        grads[attn + "wo"] = _weight_grad(saved[attn + "proj.in"], d_attn)
-        grads[attn + "bo"] = d_attn.sum(axis=(0, 1))
-        q, k, v, w = saved[attn + "core"]
-        heads = w.shape[1]
-        d_ctx = _split_heads(_input_grad(d_attn, p[attn + "wo"]), heads)
-        qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
-        d_q, d_k, d_v = (np.empty(t.shape, np.result_type(w, d_ctx)) for t in (q, k, v))
-        np.matmul(w, d_ctx, out=_split_heads(d_v, heads))
-        # softmax backward over the keys in the core's layout; d_s takes its 1/sqrt(dh)
-        d_s = np.empty_like(w, dtype=d_v.dtype)
-        np.matmul(vh, d_ctx.swapaxes(-1, -2) * (1.0 / math.sqrt(qh.shape[-1])), out=d_s)
-        d_rows, w_rows = _key_rows(d_s), _key_rows(w)
-        d_rows -= (d_rows * w_rows).sum(axis=0)
-        d_rows *= w_rows
-        np.matmul(d_s, qh, out=_split_heads(d_k, heads))
-        np.matmul(d_s.swapaxes(-1, -2), kh, out=_split_heads(d_q, heads))
-        n1 = saved[attn + "qkv.in"]
-        grads[attn + "wq"] = _weight_grad(n1, d_q)
-        grads[attn + "bq"] = d_q.sum(axis=(0, 1))
-        grads[attn + "wk"] = _weight_grad(n1, d_k)
-        grads[attn + "bk"] = d_k.sum(axis=(0, 1))
-        grads[attn + "wv"] = _weight_grad(n1, d_v)
-        grads[attn + "bv"] = d_v.sum(axis=(0, 1))
-        d_n1 = _input_grad(d_q, p[attn + "wq"]) + _input_grad(d_k, p[attn + "wk"])
-        d_n1 += _input_grad(d_v, p[attn + "wv"])
-        d_hin_ln, d_g1, d_b1 = _layer_norm_backward(
-            d_n1, *saved[pre + "norm1."], p[pre + "norm1.gamma"]
-        )
-        grads[pre + "norm1.gamma"] = d_g1
-        grads[pre + "norm1.beta"] = d_b1
-        d_h = d_hmid + d_hin_ln
-
-    d_w2d = _weight_grad(saved["embed.in"], d_h)   # [C*k, d]
-    grads["patch_embed.weight"] = d_w2d.T.reshape(p["patch_embed.weight"].shape)
-    grads["patch_embed.bias"] = d_h.sum(axis=(0, 1))
-    return loss, correct, grads
+        d_mid = tape.linear_back(pre + "ffn.mid.in", d_h)
+        d_mid = d_mid * (tape.saved[pre + "ffn.mid.in"][0] > 0)  # relu(z) > 0 where z > 0
+        d_h = d_h + tape.norm_back(pre + "norm2.", tape.linear_back(pre + "ffn.in", d_mid))
+        d_ctx = tape.linear_back(attn + "proj.in", d_h)
+        d_n1 = tape.qkv_back(attn, *tape.attend_back(attn, d_ctx))
+        d_h = d_h + tape.norm_back(pre + "norm1.", d_n1)
+    tape.linear_back("embed.in", d_h)
+    return loss, correct, tape.grads
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -383,23 +364,6 @@ def _swap_in_fake_quant_weights(params: dict[str, np.ndarray]) -> dict[str, np.n
             saved[name] = arr
             params[name] = fake_quant_weight(arr)
     return saved
-
-
-def fine_tune(
-    model: TransformerModel,
-    masks: dict[str, np.ndarray] | None,
-    dataset,
-    epochs: int,
-    cfg: TrainConfig,
-) -> TransformerModel:
-    """Recovery training after pruning, ``cfg`` run for ``epochs`` epochs.
-
-    Coordinates zeroed in ``masks`` stay exactly zero; a structurally pruned
-    model, whose removed units are gone from its shapes, passes ``None``.
-    """
-    if epochs == 0:
-        return model
-    return fit(model, dataset, replace(cfg, epochs=epochs), mask=masks)
 
 
 def evaluate(model: TransformerModel | QuantizedModel, dataset) -> float:

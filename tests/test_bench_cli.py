@@ -612,9 +612,7 @@ class TestCli:
         assert main(["train", "--data", str(path), "--epochs", "1", "--seed", "5",
                      "--out", str(tmp_path / "m")]) == 0
         tuned = []
-        monkeypatch.setattr(
-            cli, "fine_tune", lambda model, masks, ds, *rest: tuned.append(ds) or model
-        )
+        monkeypatch.setattr(cli, "fit", lambda model, ds, *rest, **kw: tuned.append(ds) or model)
         for granularity in ("weight", "head"):
             assert main(["prune", "--model", model_path, "--granularity", granularity,
                          "--method", "l2", "--data", str(path), "--fine-tune-epochs", "1",
@@ -624,6 +622,31 @@ class TestCli:
         for ds in tuned:
             assert np.array_equal(ds.instances, dataset.instances[train_idx])
         assert len(tuned) == 2
+
+    def test_prune_fine_tuning_without_data_is_a_data_error(self, tmp_path):
+        model_path, out = str(tmp_path / "m.tsfo"), str(tmp_path / "p.tsfo")
+        save_model(build_model(preset_config("T1", seq_len=32, num_classes=2), 0), model_path)
+        assert main(["prune", "--model", model_path, "--fine-tune-epochs", "1",
+                     "--out", out]) == EXIT_DATA
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: text.replace('"reports"', '"rows"'),
+            lambda text: text.replace('"inference_ms"', '"latency_ms"'),
+        ],
+        ids=["invalid-json", "no-reports-key", "row-without-inference-ms"],
+    )
+    def test_malformed_reports_file_is_a_data_error(self, quick_reports, tmp_path, caplog, malform):
+        (path,) = emit_report(quick_reports[1], "json", tmp_path)
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(malform(text))
+        assert main(["report", "--reports", path, "--out", str(tmp_path / "re")]) == EXIT_DATA
+        assert path in caplog.text
 
     def test_a_wrong_container_kind_as_model_is_a_data_error(self, tmp_path):
         ds_path, model_path, q_path = (str(tmp_path / n) for n in ("d.tsfo", "m.tsfo", "q.tsfo"))

@@ -97,6 +97,19 @@ def public_definitions(tree):
                     yield f"{top.name}.{node.name}", node
 
 
+def test_no_module_imports_a_private_name():
+    """A ``_`` name belongs to its module: another module calls a public one."""
+    imported = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert not imported, f"private names imported from another module: {imported}"
+
+
 def test_no_public_orphans():
     """Every public function, class, method or property is used by the package
     itself, the benchmark or an acceptance criterion, not only by its own unit

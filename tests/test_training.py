@@ -1,5 +1,6 @@
 import math
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +17,11 @@ from tsfo.training import (
     _Tape,
     _batch_ce,
     _input_grad,
-    _layer_norm_backward,
     adam_step,
     clip_global_norm,
     cosine_lr,
     evaluate,
-    fine_tune,
+    fit,
     history_to_csv,
     init_adam,
     loss_and_grads,
@@ -201,7 +201,8 @@ class TestBackwardKernels:
         assert_same_bits(out, gamma * want_xhat + beta)
 
         d_out = rng.normal(size=shape).astype(dtype)
-        got = _layer_norm_backward(d_out, xhat, inv_std, gamma)
+        d_x = tape.norm_back("n.", d_out)
+        got = d_x, tape.grads["n.gamma"], tape.grads["n.beta"]
         want = mean_formula_layer_norm_backward(d_out, xhat, inv_std, gamma)
         for g, w in zip(got, want):
             assert_same_bits(g, w)
@@ -336,21 +337,24 @@ class TestTrain:
 
 
 class TestFineTune:
+    """Recovery training after pruning: ``fit`` holding the pruning masks."""
+
     def test_evaluates_nothing(self, monkeypatch):
         calls = []
         monkeypatch.setattr(training, "evaluate", lambda *args: calls.append(args) or 0.0)
         train_ds, _ = golden_splits()
         m = build_model(GOLDEN_CFG, GOLDEN_SEED)
         m, masks, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
-        fine_tune(m, masks, train_ds, 2, FT_CFG)
+        fit(m, train_ds, replace(FT_CFG, epochs=2), mask=masks)
         assert calls == []
 
     def test_zero_epochs_unchanged(self):
-        m = build_model(tiny_config(), 0)
-        before = {k: v.copy() for k, v in m.params.items()}
-        ds = synth_generate(3, 4, 96, 0.05, seed=1)
-        out = fine_tune(m, {}, ds, 0, FT_CFG)
-        assert all(np.array_equal(before[k], out.params[k]) for k in before)
+        # zero epochs only re-apply masks that pruning already applied: no bit moves
+        m = build_model(GOLDEN_CFG, 0)
+        m, masks, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
+        before = {k: v.tobytes() for k, v in m.params.items()}
+        out = fit(m, golden_splits()[0], replace(FT_CFG, epochs=0), mask=masks)
+        assert {k: v.tobytes() for k, v in out.params.items()} == before
 
     def test_sparsity_invariant_through_fine_tuning(self):
         train_ds, _ = golden_splits()
@@ -358,7 +362,7 @@ class TestFineTune:
         m, _ = train(m, train_ds, TrainConfig(epochs=3, batch_size=32, seed=GOLDEN_SEED))
         m, masks, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.6))
         s_before = sparsity(m)
-        m = fine_tune(m, masks, train_ds, 3, FT_CFG)
+        m = fit(m, train_ds, replace(FT_CFG, epochs=3), mask=masks)
         assert sparsity(m) == s_before
         for name, mask in masks.items():
             assert np.all(m.params[name][mask == 0] == 0)
@@ -373,7 +377,7 @@ class TestFineTune:
         m, masks, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.9))
         pruned = evaluate(m, test_ds)
         assert pruned < base  # the golden setting really loses accuracy
-        m = fine_tune(m, masks, train_ds, 8, FT_CFG)
+        m = fit(m, train_ds, replace(FT_CFG, epochs=8), mask=masks)
         recovered = evaluate(m, test_ds)
         assert recovered - pruned >= (base - pruned) / 2
 
