@@ -250,7 +250,7 @@ def weighted_values(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
     return ctx
 
 
-def attention_backward(q, k, v, weights: np.ndarray, d_ctx: np.ndarray) -> tuple:
+def attention_backward(q, k, v, weights, d_ctx) -> tuple:
     """Gradients (d_q, d_k, d_v), each [B, P, a], of ``weighted_values(weights, v)``
     with ``weights = attention_weights(q, k, H)``, given the [B, P, a] gradient of
     that context. The softmax backward runs over the keys in the weights'

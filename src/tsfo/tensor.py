@@ -53,13 +53,12 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(x, 0, out=out)
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Normalize each feature vector (last axis) to zero mean / unit variance.
-
-    Population variance is used, with eps = 1e-5. A constant input row has
-    zero variance and maps to beta. Returns a fresh array and leaves ``x``
-    untouched: the centred values are written once and scaled, multiplied by
-    gamma and shifted by beta in place. Integer input is computed in float64.
+def standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xhat, std): each feature vector (last axis) centred and divided by
+    std = sqrt(population variance + 1e-5), the normalization of every layer
+    norm, in inference and training alike. A constant row has zero variance
+    and maps to zeros. ``xhat`` is a fresh array, written once and divided in
+    place; ``x`` is untouched. Integer input is computed in float64.
 
     Each mean is ``np.add.reduce`` divided by d, which is what ``ndarray.mean``
     computes, bit for bit, minus numpy's Python ``_mean`` wrapper; on a
@@ -69,11 +68,18 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     if x.dtype.kind != "f":
         x = x.astype(np.float64)
     d = x.shape[-1]
-    out = x - np.add.reduce(x, axis=-1, keepdims=True) / d
-    var = np.add.reduce(out * out, axis=-1, keepdims=True) / d
-    out /= np.sqrt(var + 1e-5)
-    if np.result_type(out, gamma, beta) != out.dtype:
-        # wider gamma or beta promote the result, as out-of-place ops would
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    std = np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + 1e-5)
+    xhat /= std
+    return xhat, std
+
+
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``gamma * xhat + beta`` of ``standardize(x)``, so a constant row maps to
+    beta. Returns a fresh array: xhat is multiplied and shifted in place."""
+    out = standardize(x)[0]
+    if gamma.dtype != out.dtype or beta.dtype != out.dtype:
+        # a gamma or beta of another dtype may promote the result, as out-of-place ops do
         return gamma * out + beta
     out *= gamma
     out += beta

@@ -31,7 +31,7 @@ from .model import (
     weighted_values,
 )
 from .quantization import QuantizedModel, fake_quant_weight, quantized_forward_batch
-from .tensor import seeded_rng, softmax
+from .tensor import seeded_rng, softmax, standardize
 
 
 def _batch_ce(logits: np.ndarray, labels: np.ndarray):
@@ -77,7 +77,8 @@ class _Tape(FloatOps):
 
     Each step's reverse (``*_back``) takes the gradient of the step's output,
     writes the gradients of the parameters it read into ``grads`` and returns
-    the gradient of its input.
+    the gradient of its input. ``loss_and_grads`` sets ``grads`` up after the
+    forward.
     """
 
     def __init__(self, params: dict, dropout: float, rng: np.random.Generator | None):
@@ -133,11 +134,8 @@ class _Tape(FloatOps):
         return attention_backward(*self.saved[prefix + "core"], d_ctx)
 
     def norm(self, x, prefix):
-        d = x.shape[-1]
-        centred = x - np.add.reduce(x, axis=-1, keepdims=True) / d
-        inv_std = 1.0 / np.sqrt(np.add.reduce(centred * centred, axis=-1, keepdims=True) / d + 1e-5)
-        xhat = centred * inv_std
-        self.saved[prefix] = (xhat, inv_std)
+        xhat, std = standardize(x)
+        self.saved[prefix] = xhat, 1.0 / std
         return self.params[prefix + "gamma"] * xhat + self.params[prefix + "beta"]
 
     def norm_back(self, prefix, d_out):

@@ -1,4 +1,5 @@
 import math
+import sys
 import types
 from dataclasses import replace
 
@@ -7,9 +8,9 @@ import pytest
 
 from tsfo.data import synth_generate, subject_wise_split
 from tsfo.errors import InputError
-from tsfo.model import ModelConfig, build_model, forward_batch
-from tsfo.pruning import PruneSpec, prune_unstructured, sparsity
-from tsfo.tensor import seeded_rng
+from tsfo.model import ModelConfig, build_model, encode, forward_batch, preset_config
+from tsfo.pruning import PruneSpec, prune_structured, prune_unstructured, sparsity
+from tsfo.tensor import layer_norm, seeded_rng
 from tsfo import training
 from tsfo.training import (
     CosineSchedule,
@@ -92,6 +93,39 @@ class TestBackward:
         logits = forward_batch(m, xs)
         want, _, _ = _batch_ce(logits, ys)
         assert abs(loss - want) < 1e-6
+
+    @pytest.mark.parametrize("batch", [1, 32])
+    @pytest.mark.parametrize("variant", ["T1", "T2", "T1-l2"])
+    def test_tape_logits_are_the_served_logits(self, variant, batch):
+        """Without dropout, training differentiates the very graph inference runs."""
+        m = build_model(preset_config(variant[:2], seq_len=192, num_classes=4), 0)
+        if variant.endswith("l2"):
+            for granularity in ("neuron", "head"):
+                m, _ = prune_structured(m, PruneSpec("l2", granularity, "layerwise", 0.4))
+        xs = seeded_rng(11).normal(size=(batch, 1, 192)).astype(np.float32)
+        logits = encode(m.config, xs, _Tape(m.params, m.config.dropout, None))
+        assert np.array_equal(logits, forward_batch(m, xs))
+
+    def test_training_step_call_budget(self):
+        """A T1 batch-32 ``loss_and_grads`` with dropout makes at most 2,300 Python
+        and C calls (2,109 today): one reverse step per forward step, with no
+        per-parameter or per-head Python loop, as in the forward's call budget."""
+        m = build_model(preset_config("T1", seq_len=192, num_classes=4), 0)
+        xs = seeded_rng(63).normal(size=(32, 1, 192)).astype(np.float32)
+        ys = np.arange(32) % 4
+        loss_and_grads(m, xs, ys, train=True, rng=seeded_rng(1))  # warm lazy imports
+        events = []
+
+        def count(frame, event, arg):
+            if event in ("call", "c_call"):
+                events.append(event)
+
+        sys.setprofile(count)
+        try:
+            loss_and_grads(m, xs, ys, train=True, rng=seeded_rng(1))
+        finally:
+            sys.setprofile(None)
+        assert len(events) <= 2300
 
     def test_finite_differences_tiny_model(self):
         # L=1, H=1, d=4, P=3, K=3 in float64 so the oracle itself is clean
@@ -194,11 +228,12 @@ class TestBackwardKernels:
         out = tape.norm(x, "n.")
         xhat, inv_std = tape.saved["n."]
         centred = x - np.mean(x, axis=-1, keepdims=True)
-        want_inv_std = 1.0 / np.sqrt(np.mean(centred**2, axis=-1, keepdims=True) + 1e-5)
-        want_xhat = centred * want_inv_std
-        assert_same_bits(inv_std, want_inv_std)
+        want_std = np.sqrt(np.mean(centred**2, axis=-1, keepdims=True) + 1e-5)
+        want_xhat = centred / want_std
+        assert_same_bits(inv_std, 1.0 / want_std)
         assert_same_bits(xhat, want_xhat)
         assert_same_bits(out, gamma * want_xhat + beta)
+        assert_same_bits(out, layer_norm(x, gamma, beta))
 
         d_out = rng.normal(size=shape).astype(dtype)
         d_x = tape.norm_back("n.", d_out)
@@ -327,11 +362,11 @@ class TestTrain:
             val_dataset=val_ds,
         )
         assert hist == [
-            {"epoch": 1, "lr": 0.0007525, "train_loss": 1.8515547116597493,
+            {"epoch": 1, "lr": 0.0007525, "train_loss": 1.8515546321868896,
              "train_acc": 0.6111111111111112, "val_acc": 0.6666666666666666},
-            {"epoch": 2, "lr": 0.00025750000000000013, "train_loss": 1.61122461160024,
+            {"epoch": 2, "lr": 0.00025750000000000013, "train_loss": 1.6112247705459595,
              "train_acc": 0.6666666666666666, "val_acc": 0.6666666666666666},
-            {"epoch": 3, "lr": 1e-05, "train_loss": 0.6510644654432932,
+            {"epoch": 3, "lr": 1e-05, "train_loss": 0.6510646343231201,
              "train_acc": 1.0, "val_acc": 1.0},
         ]
 
