@@ -125,8 +125,10 @@ class ExperimentConfig:
     timed_inferences: int = 100
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
+        for name, least in (("runs", 1), ("batch_size", 1), ("calibration_size", 1),
+                            ("epochs", 0), ("fine_tune_epochs", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.dataset_path is None and self.synth is None:
             raise ConfigError("need a dataset path or a synth spec")
         for pipeline in self.optimizations:

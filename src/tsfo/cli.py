@@ -105,6 +105,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.epochs < 1:
+        raise ConfigError(f"--epochs must be >= 1, got {args.epochs}")
     split = {"train_fraction": args.train_fraction, "seed": args.seed}
     train_ds, val_ds = _split_rows(args.data, split)
     cfg = preset_config(
@@ -131,6 +133,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_prune(args) -> int:
+    if args.fine_tune_epochs < 0:
+        raise ConfigError(f"--fine-tune-epochs must be >= 0, got {args.fine_tune_epochs}")
     if args.fine_tune_epochs and not args.data:
         raise InputError("fine-tuning needs --data to train on")
     model = _load_kind(args.model, TransformerModel)
@@ -153,6 +157,8 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_quantize(args) -> int:
+    if args.calibration_size < 1:
+        raise ConfigError(f"--calibration-size must be >= 1, got {args.calibration_size}")
     model = _load_kind(args.model, TransformerModel)
     if args.mode == "static":
         if not args.data:

@@ -11,8 +11,9 @@ A ``QuantizedModel`` packs its int8 weights once, on first use: each weight
 matrix is laid out for ``compiled_linear`` (wq, wk and wv fused into one
 matrix), every vector is dequantized, and a static model compiles each site's
 activation map. Inference runs ``model.encode`` with one ``compiled_linear``
-call per weight-bearing site; calibration runs it with the float ops and an
-observer per site.
+call per weight-bearing site: a float64 quantize pass, one exact GEMM, and a
+requantization by one float32 multiplier per output column, fl32(s_x * s_w).
+Calibration runs ``encode`` with the float ops and an observer per site.
 
 QAT is weight-only fake quantization: ``training.fit(weight_fake_quant=True)``
 trains on fake-quantized weight matrices, and the activations are quantized

@@ -273,7 +273,10 @@ def int8_matmul(a: QTensor, b: QTensor) -> np.ndarray:
     before the GEMM, and ``_exact_dtype`` picks a float type in which every
     partial sum of up to MAX_ACCUM_K terms is an exact integer, so the result
     reproduces int32 accumulation bit for bit (and is much faster than a
-    naive integer loop).
+    naive integer loop). The sums are requantized by one multiply, in the
+    GEMM's dtype, by the float32 multiplier fl32(s_a * s_b), and rounded to
+    float32: for the float32 GEMM that product is the correctly rounded
+    acc * fl32(s_a * s_b), within one float32 ulp of acc * s_a * s_b.
 
     b may carry a per-output-channel scale (channel_axis == 1).
     """
@@ -296,11 +299,8 @@ def int8_matmul(a: QTensor, b: QTensor) -> np.ndarray:
     dtype = _exact_dtype(k, FOLDED_ACT_MAX, FOLDED_ACT_MAX)
     acc = (a.data.astype(dtype) - a.zero_point) @ (b.data.astype(dtype) - b.zero_point)
 
-    s_a = float(a.scale)
-    s_b = b.scale if b.scale.ndim else float(b.scale)
-    # dtype keeps the rescale in float64 when acc is float32 and s_b a scalar
-    rescaled = np.multiply(acc, s_a * np.asarray(s_b, dtype=np.float64), dtype=np.float64)
-    return rescaled.astype(np.float32)
+    acc *= np.float32(a.scale) * b.scale  # fl32(s_a * s_b), in acc's own dtype
+    return acc.astype(np.float32, copy=False)
 
 
 @dataclass(frozen=True)
@@ -310,7 +310,7 @@ class PackedWeight:
     ``data`` is the [K, N] integer payload, stored as float32 when a float32
     GEMM against zero-point-folded activations is exact (``_exact_dtype``)
     and as float64 otherwise; ``scale`` is the [N] per-column scale in
-    float64.
+    float32.
     """
 
     data: np.ndarray
@@ -331,7 +331,7 @@ def pack_weight(w: QTensor) -> PackedWeight:
     # measured rather than assumed to be 127: a loaded payload may hold -128
     b_max = int(np.abs(w.data.astype(np.int16)).max(initial=0))
     data = w.data.astype(_exact_dtype(k, FOLDED_ACT_MAX, b_max))
-    scale = np.broadcast_to(w.scale.astype(np.float64), (n,)).copy()
+    scale = np.broadcast_to(w.scale, (n,)).copy()
     return PackedWeight(data, scale)
 
 
@@ -340,22 +340,24 @@ def compile_linear(scale, zero_point: int, packed: PackedWeight, bias: np.ndarra
 
     They are the float64 reciprocal (1 + 2^-38) / s of the float32-rounded
     scale s, the clamp bounds -128 - z and 127 - z, the packed payload, the
-    float64 rescale vector s * ``packed.scale``, and the bias.
+    float32 requantization multipliers s * ``packed.scale`` (each correctly
+    rounded), and the bias.
     """
-    s = float(np.float32(scale))
+    s = np.float32(scale)
     if not s > 0:
         raise InputError("scale must be positive")
     if not INT8_MIN <= zero_point <= INT8_MAX:
         raise InputError(f"zero_point {zero_point} outside int8 range")
     lo, hi = INT8_MIN - zero_point, INT8_MAX - zero_point
-    return _TIE_NUDGE / s, lo, hi, packed.data, s * packed.scale, bias
+    return _TIE_NUDGE / float(s), lo, hi, packed.data, s * packed.scale, bias
 
 
 def compiled_linear(x: np.ndarray, inv, lo: int, hi: int, weight: np.ndarray,
                     rescale: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """``x @ W + bias`` in float32, with x quantized per tensor and W packed int8,
     on ``compile_linear``'s checked arguments: quantize x, one exact GEMM,
-    rescale in float64 rounded once to float32, add bias.
+    requantize by one multiply in the GEMM's dtype rounded once to float32,
+    add bias.
 
     Bit-identical to ``quantize_linear`` -> ``int8_matmul`` -> ``+ bias``. The
     zero point is folded into the clamp bounds (clip(r, -128 - z, 127 - z) =
@@ -364,7 +366,7 @@ def compiled_linear(x: np.ndarray, inv, lo: int, hi: int, weight: np.ndarray,
     lead = x.shape[:-1]
     q = _quantize_folded(x.reshape(-1, x.shape[-1]), inv, lo, hi, weight.dtype)
     acc = q @ weight
-    acc *= rescale  # in float64, rounded once into acc
+    acc *= rescale
     if acc.dtype != np.float32:  # the float64 GEMM of a long K
         acc = acc.astype(np.float32)
     acc += bias

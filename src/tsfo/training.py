@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ShapeError
+from .errors import ConfigError, InputError, ShapeError
 from .model import (
     FloatOps,
     TransformerModel,
@@ -270,6 +270,12 @@ class TrainConfig:
     batch_size: int = 32
     lr_max: float = 1e-3
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def _epochs(model: TransformerModel, dataset, cfg: TrainConfig, mask, weight_fake_quant: bool):

@@ -141,7 +141,7 @@ def test_criterion_3_gradient_correctness():
 
 # ---------------------------------------------------------------- criterion 4
 def test_criterion_4_quantization_fidelity():
-    with criterion(4, "round-trip <= scale/2; int8 GEMM vs float oracle; payload /4"):
+    with criterion(4, "round-trip <= scale/2; int8 GEMMs vs float oracle; payload /4"):
         rng = seeded_rng(4)
         # (a) quantize/dequantize round trip on 1e5 random in-range values
         lo, hi = -4.0, 6.0
@@ -166,11 +166,29 @@ def test_criterion_4_quantization_fidelity():
             want = dequantize_linear(a) @ dequantize_linear(b)
             assert np.abs(got - want).max() <= 1e-4 * max(np.abs(want).max(), 1.0)
 
-        # (c) int8 payload is exactly a quarter of the fp32 payload
+        # (c) the served kernel: compiled_linear through every compiled site of
+        # a static T1 model, on inputs inside the site's calibrated range,
+        # against its dequantized input and packed weight in float
         from tsfo.model import preset_config
-        from tsfo.quantization import payload_bytes, quantize_dynamic
+        from tsfo.quantization import (
+            activation_sites, calibrate, payload_bytes, quantize_dynamic, quantize_static,
+        )
+        from tsfo.tensor import compiled_linear
 
         model = build_model(preset_config("T1", seq_len=96, num_classes=7), 0)
+        calib = rng.normal(size=(16, 1, 96)).astype(np.float32)
+        static = quantize_static(model, calibrate(model, calib))
+        for site, (weight, bias) in activation_sites(model.config).items():
+            s, zp = static.act_qparams[site]
+            packed = static.pack[weight]
+            x = rng.uniform((-128 - zp) * s, (127 - zp) * s,
+                            size=(24, packed.data.shape[0])).astype(np.float32)
+            got = compiled_linear(x, *static.sites[site])
+            w = packed.data.astype(np.float32) * packed.scale
+            want = dequantize_linear(quantize_linear(x, s, zp)) @ w + static.pack[bias]
+            assert np.abs(got - want).max() <= 1e-4 * max(np.abs(want).max(), 1.0)
+
+        # (d) int8 payload is exactly a quarter of the fp32 payload
         qmodel = quantize_dynamic(model)
         ratio = payload_bytes(model) / payload_bytes(qmodel)
         assert abs(ratio - 4.0) <= 0.04

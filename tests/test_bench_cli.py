@@ -630,6 +630,46 @@ class TestCli:
                      "--out", out]) == EXIT_DATA
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("flags", [["--epochs", "0"], ["--batch-size", "0"]],
+                             ids=["zero-epochs", "zero-batch-size"])
+    def test_train_without_a_step_is_a_config_error(self, tmp_path, flags):
+        ds_path = str(tmp_path / "d.tsfo")
+        save_dataset(synth_generate(2, 6, 32, 0.05, 0), ds_path)
+        out = tmp_path / "m"
+        assert main(["train", "--data", ds_path, *flags, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_negative_fine_tune_epochs_is_a_config_error(self, tmp_path):
+        ds_path, model_path, out = (str(tmp_path / n) for n in ("d.tsfo", "m.tsfo", "p.tsfo"))
+        save_dataset(synth_generate(2, 6, 32, 0.05, 0), ds_path)
+        save_model(build_model(preset_config("T1", seq_len=32, num_classes=2), 0), model_path)
+        assert main(["prune", "--model", model_path, "--data", ds_path,
+                     "--fine-tune-epochs", "-2", "--out", out]) == EXIT_CONFIG
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_quantize_without_calibration_rows_is_a_config_error(self, tmp_path, size):
+        ds_path, model_path, out = (str(tmp_path / n) for n in ("d.tsfo", "m.tsfo", "q.tsfo"))
+        save_dataset(synth_generate(2, 6, 32, 0.05, 0), ds_path)
+        save_model(build_model(preset_config("T1", seq_len=32, num_classes=2), 0), model_path)
+        assert main(["quantize", "--model", model_path, "--mode", "static", "--data", ds_path,
+                     "--calibration-size", size, "--out", out]) == EXIT_CONFIG
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("batch_size", 0), ("calibration_size", 0), ("epochs", -1), ("fine_tune_epochs", -1)],
+    )
+    def test_bench_size_below_its_least_is_a_config_error(self, tmp_path, caplog, key, value):
+        config = {"dataset": {"synth": {"classes": 3, "per_class": 12, "length": 96}},
+                  "runs": 1, "epochs": 1, "out": str(tmp_path / "bench"), key: value}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["bench", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert f"{key} must be >= " in caplog.text
+        assert not (tmp_path / "bench").exists()
+
     @pytest.mark.parametrize(
         "malform",
         [

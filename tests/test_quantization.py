@@ -405,6 +405,14 @@ class TestCompiledSites:
         assert qm.sites is sites and list(sites) == list(activation_sites(qm.config))
         assert quantize_dynamic(m).sites is None
 
+    def test_sites_requantize_by_float32_multipliers(self):
+        qm = static_t_model(build_model(preset_config("T1", seq_len=64, num_classes=4), 53), 54)
+        for site, (weight, _) in activation_sites(qm.config).items():
+            col_scales = qm.pack[weight].scale
+            rescale = qm.sites[site][4]
+            assert col_scales.dtype == np.float32 and rescale.dtype == np.float32
+            assert np.array_equal(rescale, np.float32(qm.act_qparams[site][0]) * col_scales)
+
 
 def forward_calls(qmodel, x):
     """Python and C calls of one ``quantized_forward`` of a warm model."""

@@ -632,6 +632,79 @@ class TestInt8Matmul:
             int8_matmul(a, b)
 
 
+def integer_sums(qa, zero_point, qw):
+    """The exact GEMM of (qa - z) and qw, accumulated in int64, as float64."""
+    return ((qa.astype(np.int64) - zero_point) @ qw.astype(np.int64)).astype(np.float64)
+
+
+def multiplier_reference(qa, zero_point, qw, scale_a, scale_w):
+    """The requantization rule written out: the int64 sums times the float32
+    multiplier fl32(s_a * s_w), in float64, rounded to float32. Below 2^24 the
+    float64 product is exact, so this is the correctly rounded float32 product."""
+    multiplier = np.float32(scale_a) * scale_w
+    return (integer_sums(qa, zero_point, qw) * multiplier.astype(np.float64)).astype(np.float32)
+
+
+def float64_rescale_reference(qa, zero_point, qw, scale_a, scale_w):
+    """The int64 sums times s_a * s_w (exact in float64), rounded once to float32."""
+    rescale = np.float64(scale_a) * scale_w.astype(np.float64)
+    return (integer_sums(qa, zero_point, qw) * rescale).astype(np.float32)
+
+
+def requantize_operands(k, per_column, seed):
+    """Random int8 operands and scales spread log-uniformly over [2^-20, 2^5),
+    none a power of two, for a [16, k] x [k, 24] GEMM."""
+    rng = seeded_rng(seed)
+    qa = rng.integers(INT8_MIN, INT8_MAX + 1, size=(16, k), dtype=np.int8)
+    qw = rng.integers(-INT8_MAX, INT8_MAX + 1, size=(k, 24), dtype=np.int8)
+    qw[0, 0] = INT8_MAX  # so pack_weight sees the full weight range
+    scales = np.float32(2.0) ** rng.uniform(-20, 5, size=25).astype(np.float32)
+    assert not np.any(np.frexp(scales)[0] == 0.5)
+    scale_a, scale_w = scales[0], scales[1:] if per_column else scales[1]
+    return qa, qw, scale_a, scale_w
+
+
+class TestRequantize:
+    """Every int8 GEMM requantizes by one float32 multiplier per column."""
+
+    @pytest.mark.parametrize("per_column", [True, False], ids=["per-column", "per-tensor"])
+    @pytest.mark.parametrize("k", [96, F32_EXACT_K + 1], ids=["float32-gemm", "float64-gemm"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_compiled_linear_is_int8_matmul_is_the_multiplier_rule(self, k, per_column, seed):
+        zero_point = -3
+        qa, qw, scale_a, scale_w = requantize_operands(k, per_column, seed)
+        w = QTensor(qw, scale_w, 0, channel_axis=1 if per_column else None)
+        packed = pack_weight(w)
+        assert packed.data.dtype == (np.float32 if k <= F32_EXACT_K else np.float64)
+        # real values that quantize back to qa under (scale_a, zero_point)
+        x = ((qa.astype(np.float32) - zero_point) * scale_a).astype(np.float32)
+        bias = seeded_rng(seed + 100).normal(size=24).astype(np.float32)
+
+        matmul_out = int8_matmul(QTensor(qa, scale_a, zero_point), w)
+        served = quantized_linear(x, scale_a, zero_point, packed, bias)
+        assert np.array_equal(served, matmul_out + bias)
+
+        col_scales = np.broadcast_to(scale_w, (24,))
+        want = multiplier_reference(qa, zero_point, qw, scale_a, col_scales)
+        assert np.array_equal(matmul_out, want)
+        assert np.array_equal(served, want + bias)
+
+        # at most one float32 step from the float64 rescale it replaced
+        old = float64_rescale_reference(qa, zero_point, qw, scale_a, col_scales)
+        assert np.all(np.abs(matmul_out - old) <= np.abs(np.spacing(old)))
+
+    def test_multipliers_are_float32(self):
+        qa, qw, scale_a, scale_w = requantize_operands(32, True, 7)
+        packed = pack_weight(QTensor(qw, scale_w, 0, channel_axis=1))
+        assert packed.scale.dtype == np.float32
+        assert np.array_equal(packed.scale, scale_w)
+        rescale = compile_linear(scale_a, 5, packed, np.zeros(24, np.float32))[4]
+        assert rescale.dtype == np.float32
+        assert np.array_equal(rescale, np.float32(scale_a) * scale_w)
+        per_tensor = pack_weight(QTensor(qw, scale_w[0], 0))
+        assert per_tensor.scale.dtype == np.float32 and per_tensor.scale.shape == (24,)
+
+
 def test_kernels_deterministic():
     rng = seeded_rng(5)
     a = rng.normal(size=(16, 16)).astype(np.float32)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tsfo.data import synth_generate, subject_wise_split
-from tsfo.errors import InputError
+from tsfo.errors import ConfigError, InputError
 from tsfo.model import ModelConfig, build_model, encode, forward_batch, preset_config
 from tsfo.pruning import PruneSpec, prune_structured, prune_unstructured, sparsity
 from tsfo.tensor import layer_norm, seeded_rng
@@ -319,6 +319,13 @@ class TestTrain:
         )
         with pytest.raises(InputError):
             train(build_model(tiny_config(), 0), stub, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("fields", [{"epochs": -1}, {"batch_size": 0}],
+                             ids=["negative-epochs", "zero-batch-size"])
+    def test_config_without_a_valid_step_count_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            TrainConfig(**fields)
+        assert TrainConfig(epochs=0).epochs == 0  # a fit that trains nothing stays valid
 
     def test_single_class_dataset_one_epoch(self):
         ds = synth_generate(3, 12, 96, 0.05, seed=1)
