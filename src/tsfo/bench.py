@@ -31,7 +31,7 @@ from .data import (
     subject_wise_split,
     synth_generate,
 )
-from .errors import ConfigError, InputError, ParseError
+from .errors import ConfigError, InputError, ParseError, PruneSpecError
 from .metrics import (
     EnergyParams,
     MetricsReport,
@@ -102,6 +102,12 @@ def single_thread():
         yield
 
 
+# what a field of each annotated type must hold; bools are not ints here
+_FIELD_TYPES = {
+    "int": ("an int", (int,)), "float": ("a number", (int, float)), "str": ("a string", (str,))
+}
+
+
 @dataclass
 class ExperimentConfig:
     dataset_path: str | None = None
@@ -125,12 +131,23 @@ class ExperimentConfig:
     timed_inferences: int = 100
 
     def __post_init__(self):
+        for f in fields(self):  # the annotations say which fields hold ints, numbers, strings
+            value = getattr(self, f.name)
+            if f.type in _FIELD_TYPES and type(value) not in _FIELD_TYPES[f.type][1]:
+                raise ConfigError(f"{f.name} must be {_FIELD_TYPES[f.type][0]}, got {value!r}")
         for name, least in (("runs", 1), ("batch_size", 1), ("calibration_size", 1),
                             ("epochs", 0), ("fine_tune_epochs", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        try:
+            PruneSpec(sparsity=self.sparsity)
+        except PruneSpecError as exc:
+            raise ConfigError(str(exc)) from None
         if self.dataset_path is None and self.synth is None:
             raise ConfigError("need a dataset path or a synth spec")
+        if not (isinstance(self.optimizations, list)
+                and all(isinstance(p, list) for p in self.optimizations)):
+            raise ConfigError(f"optimizations must be a list of op lists: {self.optimizations!r}")
         for pipeline in self.optimizations:
             for op in pipeline:
                 if op not in KNOWN_OPS:

@@ -6,8 +6,9 @@ information, and each encoder block applies multi-head self-attention and a
 ReLU feed-forward network, both with residual connections. Patch outputs are
 mean-pooled before the linear classifier.
 
-Parameters live in a flat ``name -> ndarray`` dict so that gradients, masks,
-optimizer state, and serialization can all share one keying scheme.
+Parameters live in a flat ``name -> ndarray`` dict of C-contiguous arrays, so
+that gradients, prune masks, optimizer state, and serialization can all share
+one keying scheme; a float model is exactly those arrays.
 
 ``encode`` is the one definition of that graph. Float and pruned models run
 it on ``FloatOps``; int8 inference, calibration and training on subclasses.
@@ -119,16 +120,11 @@ def preset_config(
 class TransformerModel:
     config: ModelConfig
     params: dict[str, np.ndarray]
-    masks: dict[str, np.ndarray] | None = None
     # train_fraction and seed of the dataset split the model was trained on
     split: dict | None = None
 
     def copy(self) -> "TransformerModel":
-        return replace(
-            self,
-            params={k: v.copy() for k, v in self.params.items()},
-            masks={k: v.copy() for k, v in self.masks.items()} if self.masks else None,
-        )
+        return replace(self, params={k: v.copy() for k, v in self.params.items()})
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple]:
@@ -163,19 +159,14 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple]:
     return shapes
 
 
-def _init_fans(name: str, shape: tuple) -> tuple[int, int]:
-    if name == "patch_embed.weight":
-        d, c, k = shape
-        return c * k, d
-    return shape[0], shape[1]
-
-
 def build_model(config: ModelConfig, rng: np.random.Generator | int) -> TransformerModel:
     """Initialize all weights; deterministic for a fixed seed.
 
-    Weight matrices use scaled uniform init with bound sqrt(6/(fan_in+fan_out));
-    biases start at zero, norm gains at one. Tensors are drawn in the fixed
-    order of ``param_shapes``, which pins the random stream.
+    A parameter's init follows its rank: norm gains start at one, every
+    other 1-D parameter at zero, and the [in, out] matrices and the [d, C, k]
+    conv kernel use scaled uniform init with bound sqrt(6/(fan_in+fan_out)).
+    Tensors are drawn in the fixed order of ``param_shapes``, which pins the
+    random stream.
     """
     if isinstance(rng, (int, np.integer)):
         rng = seeded_rng(rng)
@@ -183,10 +174,10 @@ def build_model(config: ModelConfig, rng: np.random.Generator | int) -> Transfor
     for name, shape in param_shapes(config).items():
         if name.endswith(".gamma"):
             params[name] = np.ones(shape, dtype=np.float32)
-        elif name.endswith((".beta", ".bias", ".bq", ".bk", ".bv", ".bo", ".b1", ".b2")):
+        elif len(shape) == 1:
             params[name] = np.zeros(shape, dtype=np.float32)
         else:
-            fan_in, fan_out = _init_fans(name, shape)
+            fan_in, fan_out = (math.prod(shape[1:]), shape[0]) if len(shape) == 3 else shape
             bound = math.sqrt(6.0 / (fan_in + fan_out))
             params[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
     return TransformerModel(config=config, params=params)

@@ -148,25 +148,20 @@ def apply_unstructured_mask(
     model: TransformerModel,
     indices: dict[str, np.ndarray],
 ) -> tuple[TransformerModel, dict[str, np.ndarray]]:
-    """Zero the selected weights and record a keep-mask for fine-tuning.
+    """Zero the selected weights in place; shapes are untouched.
 
-    Shapes are untouched; the masks (1 = keep, 0 = pruned) are stored on the
-    model and returned. Masks accumulate across repeated calls.
+    Returns the model and, for each pool, the keep-mask ``w != 0`` that
+    ``fit(mask=)`` holds during fine-tuning. Earlier zeros stay zero, so
+    repeated calls accumulate.
     """
-    masks = model.masks if model.masks is not None else {}
     for name, idx in indices.items():
         if name not in model.params:
             raise InputError(f"unknown parameter {name!r}")
         arr = model.params[name]
         if len(idx) and (idx.min() < 0 or idx.max() >= arr.size):
             raise InputError(f"prune index out of range for {name}")
-        mask = masks.get(name, np.ones(arr.shape, dtype=np.float32))
-        flat = mask.ravel()
-        flat[idx] = 0.0
-        masks[name] = flat.reshape(arr.shape)
-        arr *= masks[name]
-    model.masks = masks
-    return model, masks
+        arr.reshape(-1)[idx] *= 0  # a view, as every parameter is C-contiguous
+    return model, {name: model.params[name] != 0 for name in indices}
 
 
 def prune_unstructured(
@@ -208,39 +203,24 @@ def prune_structured(
     flops_before = count_flops(cfg)
     params_before = count_params(cfg)
     new_params = {k: v.copy() for k, v in model.params.items()}
-
+    # a unit is one FFN neuron, or one head's head_dim columns; np.take
+    # returns each kept slice as a fresh C-contiguous array
     if spec.granularity == "neuron":
-        ffn_dims = [cfg.ffn_at(l) for l in range(cfg.num_layers)]
-        for l in range(cfg.num_layers):
-            idx = indices[f"layers.{l}.ffn"]
-            if len(idx) == 0:
-                continue
-            keep = np.setdiff1d(np.arange(ffn_dims[l]), idx)
-            pre = f"layers.{l}.ffn."
-            new_params[pre + "w1"] = new_params[pre + "w1"][:, keep]
-            new_params[pre + "b1"] = new_params[pre + "b1"][keep]
-            new_params[pre + "w2"] = new_params[pre + "w2"][keep, :]
-            ffn_dims[l] = len(keep)
-        new_cfg = replace(cfg, ffn_per_layer=tuple(ffn_dims))
+        unit, width, field, axes = "ffn", 1, "ffn_per_layer", {"w1": 1, "b1": 0, "w2": 0}
+        counts = [cfg.ffn_at(l) for l in range(cfg.num_layers)]
     else:
-        dh = cfg.head_dim
-        head_counts = [cfg.heads_at(l) for l in range(cfg.num_layers)]
-        for l in range(cfg.num_layers):
-            idx = indices[f"layers.{l}.attn"]
-            if len(idx) == 0:
-                continue
-            keep_heads = np.setdiff1d(np.arange(head_counts[l]), idx)
-            cols = np.concatenate([np.arange(h * dh, (h + 1) * dh) for h in keep_heads])
-            pre = f"layers.{l}.attn."
-            for w, bias in (("wq", "bq"), ("wk", "bk"), ("wv", "bv")):
-                new_params[pre + w] = new_params[pre + w][:, cols]
-                new_params[pre + bias] = new_params[pre + bias][cols]
-            new_params[pre + "wo"] = new_params[pre + "wo"][cols, :]
-            head_counts[l] = len(keep_heads)
-        new_cfg = replace(cfg, heads_per_layer=tuple(head_counts))
-
-    # masks describe the old shapes; structured removal invalidates them
-    new_model = replace(model, config=new_cfg, params=new_params, masks=None)
+        unit, width, field = "attn", cfg.head_dim, "heads_per_layer"
+        axes = {"wq": 1, "bq": 0, "wk": 1, "bk": 0, "wv": 1, "bv": 0, "wo": 0}
+        counts = [cfg.heads_at(l) for l in range(cfg.num_layers)]
+    for l in range(cfg.num_layers):
+        keep = np.setdiff1d(np.arange(counts[l]), indices[f"layers.{l}.{unit}"])
+        cols = (keep[:, None] * width + np.arange(width)).ravel()
+        for name, axis in axes.items():
+            key = f"layers.{l}.{unit}.{name}"
+            new_params[key] = np.take(new_params[key], cols, axis=axis)
+        counts[l] = len(keep)
+    new_cfg = replace(cfg, **{field: tuple(counts)})
+    new_model = replace(model, config=new_cfg, params=new_params)
     removed = params_before - count_params(new_cfg)
     report = PruneReport(
         achieved_sparsity=removed / params_before,

@@ -314,9 +314,8 @@ def quantized_energy_estimate(energy_float32_j: float, q_factor: float = 4.0) ->
 def payload_bytes(model) -> int:
     """Parameter payload bytes as serialized (4 per f32 element, 1 per int8).
 
-    Prune masks are auxiliary file content, not parameters, and are excluded;
-    an unstructured-pruned model therefore reports the same payload as its
-    dense baseline.
+    An unstructured-pruned model keeps its zeros in place, so it reports the
+    same payload as its dense baseline.
     """
     if isinstance(model, QuantizedModel):
         return sum(q.data.nbytes for q in model.weights.values())

@@ -89,8 +89,11 @@ def _split(meta: dict) -> dict | None:
         and set(split) == {"train_fraction", "seed"}
         and 0 < split["train_fraction"] < 1
         and type(split["seed"]) is int
+        and split["seed"] >= 0
     ):
-        raise ParseError(f"split needs a train_fraction in (0, 1) and an int seed: {split!r}")
+        raise ParseError(
+            f"split needs a train_fraction in (0, 1) and a non-negative int seed: {split!r}"
+        )
     return split
 
 
@@ -212,10 +215,6 @@ def _config_from_meta(meta: dict) -> ModelConfig:
 
 def save_model(model: TransformerModel, path) -> None:
     tensors = [(name, arr, None) for name, arr in model.params.items()]
-    if model.masks:
-        tensors += [
-            (f"mask/{name}", m.astype(np.int8), None) for name, m in model.masks.items()
-        ]
     meta = {"config": _config_to_meta(model.config)}
     if model.split is not None:
         meta["split"] = model.split
@@ -272,20 +271,13 @@ def _config_for(meta: dict, tensor_count: int) -> ModelConfig:
 
 def _load_model(meta: dict, tensors: dict) -> TransformerModel:
     config = _config_for(meta, len(tensors))
-    params = {}
-    masks = {}
-    for name, (arr, _) in tensors.items():
-        if name.startswith("mask/"):
-            masks[name[len("mask/"):]] = arr.astype(np.float32)
-        elif arr.dtype != np.float32:
+    # older files also carry prune masks as mask/<name>; the weights' zeros say the same
+    params = {n: arr for n, (arr, _) in tensors.items() if not n.startswith("mask/")}
+    for name, arr in params.items():
+        if arr.dtype != np.float32:
             raise ParseError(f"parameter {name!r} is {arr.dtype}, not float32")
-        else:
-            params[name] = arr
     _check_shapes("model", {n: a.shape for n, a in params.items()}, param_shapes(config))
-    for name, m in masks.items():
-        if name not in params or m.shape != params[name].shape:
-            raise ParseError(f"mask {name!r} does not match a parameter")
-    return TransformerModel(config=config, params=params, masks=masks or None, split=_split(meta))
+    return TransformerModel(config=config, params=params, split=_split(meta))
 
 
 def _load_quantized(meta: dict, tensors: dict) -> QuantizedModel:

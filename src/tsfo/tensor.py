@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InputError, ShapeError
+from .errors import CapacityError, ConfigError, InputError, ShapeError
 
 INT8_MIN = -128
 INT8_MAX = 127
@@ -27,7 +27,11 @@ FOLDED_ACT_MAX = INT8_MAX - INT8_MIN
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
-    """Deterministic PCG64 generator: identical seed, identical stream."""
+    """Deterministic PCG64 generator: identical seed, identical stream.
+
+    Every seed passes through here; a negative one is a ``ConfigError``."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -285,9 +285,10 @@ def _epochs(model: TransformerModel, dataset, cfg: TrainConfig, mask, weight_fak
     with a cosine-annealed learning rate over the full step budget. When
     ``mask`` is given it is re-applied after every optimizer step so pruned
     coordinates stay exactly zero. When ``weight_fake_quant`` is set, each
-    forward/backward runs on fake-quantized weight matrices while updates are
-    applied to the float master weights (straight-through estimator; the
-    symmetric scale covers the full range so no value is ever clamped).
+    forward/backward runs on a model whose weight matrices are fake-quantized
+    copies, while updates are applied to the float master weights
+    (straight-through estimator; the symmetric scale covers the full range so
+    no value is ever clamped).
     That is the whole of QAT here: weight-only fake quantization, with the
     activations quantized afterwards from calibration (``quantize_static``).
     It evaluates nothing; ``train`` adds the history.
@@ -312,14 +313,11 @@ def _epochs(model: TransformerModel, dataset, cfg: TrainConfig, mask, weight_fak
             idx = order[start : start + cfg.batch_size]
             xs = xs_all[idx]
             ys = ys_all[idx]
-            if weight_fake_quant:
-                saved = _swap_in_fake_quant_weights(model.params)
-                try:
-                    loss, _, grads = loss_and_grads(model, xs, ys, train=True, rng=rng)
-                finally:
-                    model.params.update(saved)
-            else:
-                loss, _, grads = loss_and_grads(model, xs, ys, train=True, rng=rng)
+            seen = model
+            if weight_fake_quant:  # arrays of two or more axes, as quantize_weight decides
+                fq = {k: fake_quant_weight(w) if w.ndim > 1 else w for k, w in model.params.items()}
+                seen = replace(model, params=fq)
+            loss, _, grads = loss_and_grads(seen, xs, ys, train=True, rng=rng)
             epoch_loss += loss * len(idx)
             clip_global_norm(grads, 1.0)
             adam_step(state, model.params, grads, cosine_lr(schedule, step))
@@ -357,17 +355,6 @@ def _apply_mask(params: dict[str, np.ndarray], mask: dict[str, np.ndarray]):
         if name not in params or m.shape != params[name].shape:
             raise InputError(f"mask shape mismatch for {name}")
         params[name] *= m.astype(params[name].dtype)
-
-
-def _swap_in_fake_quant_weights(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Replace weight matrices (every parameter of two or more axes, as
-    ``quantize_weight`` decides) by their fake-quantized version; return originals."""
-    saved = {}
-    for name, arr in params.items():
-        if arr.ndim >= 2:
-            saved[name] = arr
-            params[name] = fake_quant_weight(arr)
-    return saved
 
 
 def evaluate(model: TransformerModel | QuantizedModel, dataset) -> float:

@@ -671,6 +671,64 @@ class TestCli:
         assert not (tmp_path / "bench").exists()
 
     @pytest.mark.parametrize(
+        "key, value",
+        [("epochs", "3"), ("sparsity", "0.4"), ("runs", None), ("seed", 1.5),
+         ("batch_size", True), ("train_fraction", "0.7"), ("sparsity", 1.5),
+         ("sparsity", -0.1), ("optimizations", "static-quant"),
+         ("optimizations", [["static-quant"], "qat"]), ("out", 5), ("preset", ["T1"])],
+    )
+    def test_bench_value_of_a_wrong_type_or_range_is_a_config_error(
+        self, tmp_path, caplog, key, value
+    ):
+        config = {"dataset": {"synth": {"classes": 3, "per_class": 12, "length": 96}},
+                  "runs": 1, "epochs": 1, "out": str(tmp_path / "bench"), key: value}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["bench", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert "configuration error: " in caplog.text and key in caplog.text
+        assert not (tmp_path / "bench").exists()
+
+    @pytest.mark.parametrize("sparsity", ["1.5", "-0.1"])
+    def test_bench_sparsity_out_of_range_fails_before_training(
+        self, tmp_path, monkeypatch, sparsity
+    ):
+        fits = []
+        monkeypatch.setattr(bench, "fit", lambda model, *rest, **kw: fits.append(model) or model)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"dataset": SYNTH, "runs": 1, "epochs": 1,
+                                        "optimizations": [["l1-prune"]]}))
+        assert main(["bench", "--config", str(cfg_path), "--sparsity", sparsity,
+                     "--out", str(tmp_path / "bench")]) == EXIT_CONFIG
+        assert fits == []
+
+    @pytest.mark.parametrize("command", ["synth", "train", "bench"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, caplog, command):
+        ds_path, out = str(tmp_path / "d.tsfo"), str(tmp_path / "out")
+        save_dataset(synth_generate(2, 6, 32, 0.05, 0), ds_path)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"dataset": ds_path, "runs": 1, "epochs": 1}))
+        argv = {
+            "synth": ["synth", "--seed", "-3"],
+            "train": ["train", "--data", ds_path, "--epochs", "1", "--seed", "-1"],
+            "bench": ["bench", "--config", str(cfg_path), "--seed", "-1"],
+        }[command]
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main([*argv, "--out", out]) == EXIT_CONFIG
+        assert "configuration error: seed must be >= 0, got -" in caplog.text
+        assert not os.path.exists(out)
+
+    def test_negative_split_seed_in_a_model_file_is_a_data_error(self, tmp_path, caplog):
+        ds_path, model_path = str(tmp_path / "d.tsfo"), str(tmp_path / "m.tsfo")
+        save_dataset(synth_generate(2, 6, 32, 0.05, 0), ds_path)
+        model = build_model(preset_config("T1", seq_len=32, num_classes=2), 0)
+        model.split = {"train_fraction": 0.7, "seed": -1}
+        save_model(model, model_path)
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["eval", "--model", model_path, "--data", ds_path]) == EXIT_DATA
+        assert "non-negative int seed" in caplog.text
+
+    @pytest.mark.parametrize(
         "malform",
         [
             lambda text: text[: len(text) // 2],

@@ -50,15 +50,25 @@ class TestModelRoundTrip:
             assert np.array_equal(back.params[name], m.params[name])
             assert back.params[name].dtype == np.float32
 
-    def test_masks_survive(self, tmp_path):
+    def test_zeros_survive(self, tmp_path):
+        """A pruned model's zeros are its masks: they survive a round trip, and a
+        file of the earlier format, which also carried each keep-mask as an i8
+        ``mask/<name>`` tensor, loads to the same params."""
         m = build_model(small_config(), 1)
         m, masks, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
-        path = tmp_path / "m.tsfo"
+        path, old = tmp_path / "m.tsfo", tmp_path / "old.tsfo"
         save_model(m, path)
-        back = load(path)
-        assert set(back.masks) == set(masks)
-        for name in masks:
-            assert np.array_equal(back.masks[name], masks[name])
+        header, payload = split_container(path.read_bytes())
+        assert not any(entry["name"].startswith("mask/") for entry in header["tensors"])
+        header["tensors"] += [
+            {"name": f"mask/{n}", "dtype": "i8", "shape": list(k.shape)} for n, k in masks.items()
+        ]
+        payload += b"".join(keep.astype(np.int8).tobytes() for keep in masks.values())
+        old.write_bytes(join_container(header, payload))
+        for back in (load(path), load(old)):
+            assert back.params.keys() == m.params.keys()
+            assert all(back.params[n].tobytes() == m.params[n].tobytes() for n in m.params)
+            assert all(np.array_equal(back.params[n] != 0, keep) for n, keep in masks.items())
 
     def test_structured_config_survives(self, tmp_path):
         from tsfo.pruning import prune_structured
@@ -133,14 +143,15 @@ class TestDatasetRoundTrip:
 # payload layout, however small, shows here
 PINNED_SHA256 = {
     "dataset": "489fc40147a78a26467ab22634259f12936b244f40c96796216a21580eb40510",
-    "model": "cc8b7cceb0545eb2309501fcbacd171eb4c5e3e4c8ae8f9c7cc708e65e2cdcb7",
+    "model": "7dd35dc6881388111b9c7585ae4d8d051a09c1e845612c75f086c8766fa3d97d",
     "static": "571b2c7c5ac01598f86e52c126f056529a899c8d690a295e7662e6201069958c",
 }
 
 
 def pinned_object(kind):
-    """A tiny object of each container kind: a model with masks and a split, a
-    static int8 model with per-column weight scales, and a synthetic dataset."""
+    """A tiny object of each container kind: an L1-pruned model with a split (its
+    zeros are its only masks), a static int8 model with per-column weight
+    scales, and a synthetic dataset."""
     m = build_model(small_config(), 21)
     if kind == "model":
         m, _, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
