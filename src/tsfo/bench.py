@@ -27,6 +27,8 @@ import numpy as np
 
 from .data import (
     TimeSeriesDataset,
+    check_synth_args,
+    check_train_fraction,
     normalize_dataset,
     subject_wise_split,
     synth_generate,
@@ -139,9 +141,10 @@ class ExperimentConfig:
                             ("epochs", 0), ("fine_tune_epochs", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        try:
+        try:  # the range rules of sparsity and the split live where they are applied
             PruneSpec(sparsity=self.sparsity)
-        except PruneSpecError as exc:
+            check_train_fraction(self.train_fraction)
+        except (PruneSpecError, InputError) as exc:
             raise ConfigError(str(exc)) from None
         if self.dataset_path is None and self.synth is None:
             raise ConfigError("need a dataset path or a synth spec")
@@ -156,6 +159,14 @@ class ExperimentConfig:
             raise ConfigError("timing protocol requires at least 100 timed inferences")
         if self.synth is not None:
             _check_keys("synth", self.synth, SYNTH_KEYS, required=SYNTH_REQUIRED)
+            for key, value in self.synth.items():
+                what, types = _FIELD_TYPES["float" if key == "noise" else "int"]
+                if type(value) not in types:
+                    raise ConfigError(f"synth {key} must be {what}, got {value!r}")
+            try:
+                check_synth_args(**_synth_args(self.synth))
+            except InputError as exc:
+                raise ConfigError(f"synth: {exc}") from None
         custom = self.preset == "custom"
         if custom and self.model is None:
             raise ConfigError("custom preset needs a model block")
@@ -196,10 +207,12 @@ def experiment_config(raw: dict) -> ExperimentConfig:
     Besides the fields of ``ExperimentConfig``, ``dataset`` takes a path or a
     synth spec (bare or as ``{"synth": {...}}``) and ``out`` the output
     directory; ``energy`` holds ``EnergyParams`` fields. An unknown key in
-    any block, a synth spec without classes, per_class or length, or a
-    custom model block without a field ``ModelConfig`` needs is a
-    ConfigError that names the key (``ExperimentConfig`` itself checks the
-    synth, model and energy blocks, however it is built).
+    any block, a synth spec without classes, per_class or length, a synth
+    value of the wrong type, or a custom model block without a field
+    ``ModelConfig`` needs is a ConfigError that names the key
+    (``ExperimentConfig`` itself checks the synth, model and energy blocks,
+    however it is built). So is a synth value that ``synth_generate`` would
+    refuse, before any data is built.
     """
     names = {f.name for f in fields(ExperimentConfig)}
     _check_keys("config", raw, names | {"dataset", "out"})
@@ -219,15 +232,13 @@ def _load_experiment_dataset(config: ExperimentConfig) -> TimeSeriesDataset:
         from .cli import load_any_dataset
 
         return normalize_dataset(load_any_dataset(config.dataset_path))
-    spec = dict(config.synth)
-    spec.setdefault("seed", config.seed)
-    return synth_generate(
-        num_classes=spec["classes"],
-        per_class=spec["per_class"],
-        length=spec["length"],
-        noise=spec.get("noise", 0.05),
-        seed=spec["seed"],
-    )
+    return synth_generate(**_synth_args(config.synth), seed=config.synth.get("seed", config.seed))
+
+
+def _synth_args(synth: dict) -> dict:
+    """``synth_generate``'s arguments from a synth block, all but the seed."""
+    return dict(num_classes=synth["classes"], per_class=synth["per_class"],
+                length=synth["length"], noise=synth.get("noise", 0.05))
 
 
 def _model_config(config: ExperimentConfig, dataset: TimeSeriesDataset) -> ModelConfig:

@@ -246,6 +246,12 @@ def load_ucr(path) -> TimeSeriesDataset:
     return load_ucr_delimited(path)
 
 
+def check_train_fraction(train_fraction: float) -> None:
+    """The rule of every split's train fraction: strictly between 0 and 1."""
+    if not 0.0 < train_fraction < 1.0:
+        raise InputError("train_fraction must be in (0, 1)")
+
+
 def stratified_split(
     labels: np.ndarray, train_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -253,8 +259,7 @@ def stratified_split(
 
     Each class with two or more instances keeps at least one on each side.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise InputError("train_fraction must be in (0, 1)")
+    check_train_fraction(train_fraction)
     rng = seeded_rng(seed)
     train = []
     for cls in np.unique(labels):
@@ -281,8 +286,7 @@ def subject_wise_split(
     with a warning. Failing both, the rows get a seeded per-class split
     (``stratified_split``), with one warning.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise InputError("train_fraction must be in (0, 1)")
+    check_train_fraction(train_fraction)
     if dataset.subjects is None:
         if dataset.predefined_split is not None:
             log.warning(
@@ -313,6 +317,18 @@ def subject_wise_split(
     )
 
 
+def check_synth_args(num_classes: int, per_class: int, length: int, noise: float) -> None:
+    """The ranges ``synth_generate`` takes, checked without building anything."""
+    if num_classes < 2:
+        raise InputError("need at least two classes")
+    if per_class < 1:
+        raise InputError("need at least one instance per class")
+    if length < 16:
+        raise InputError("series length must be at least 16")
+    if noise < 0:
+        raise InputError("noise sigma must be nonnegative")
+
+
 def synth_generate(
     num_classes: int,
     per_class: int,
@@ -327,14 +343,7 @@ def synth_generate(
     assigned round-robin over ceil(per_class / 5) synthetic households, so
     every household sees every class.
     """
-    if num_classes < 2:
-        raise InputError("need at least two classes")
-    if per_class < 1:
-        raise InputError("need at least one instance per class")
-    if length < 16:
-        raise InputError("series length must be at least 16")
-    if noise < 0:
-        raise InputError("noise sigma must be nonnegative")
+    check_synth_args(num_classes, per_class, length, noise)
     rng = seeded_rng(seed)
     t = np.arange(length)
     households = max(1, math.ceil(per_class / 5))

@@ -313,13 +313,20 @@ class FloatOps:
     def norm(self, x: np.ndarray, prefix: str) -> np.ndarray:
         return layer_norm(x, self.params[prefix + "gamma"], self.params[prefix + "beta"])
 
+    def relu(self, site: str, x: np.ndarray) -> np.ndarray:
+        """The ReLU in front of ``site``, in place on the fresh ``x``; int8 ops
+        may leave it to that site's clamp (see ``quantization._Int8Ops``)."""
+        return relu(x, out=x)
+
 
 def encode(cfg: ModelConfig, xs: np.ndarray, ops: FloatOps) -> np.ndarray:
     """Logits for a [B, C, T] batch: the encoder graph every model runs.
 
-    ``ops`` supplies the steps that read parameters (see ``FloatOps``).
-    A NaN or infinite input raises ``InputError`` for every model, in
-    inference, calibration and training alike.
+    ``ops`` supplies the steps that read parameters (see ``FloatOps``) and
+    the ReLU in front of each ``ffn.mid.in`` site, which int8 ops may fold
+    into that site's quantizer. A NaN or infinite input raises
+    ``InputError`` for every model, in inference, calibration and training
+    alike.
     """
     if xs.ndim != 3 or xs.shape[1] != cfg.in_channels or xs.shape[2] != cfg.seq_len:
         raise ShapeError(
@@ -343,10 +350,9 @@ def encode(cfg: ModelConfig, xs: np.ndarray, ops: FloatOps) -> np.ndarray:
             attn + "wo",
             attn + "bo",
         )
-        mid = ops.linear(
+        mid = ops.relu(pre + "ffn.mid.in", ops.linear(
             pre + "ffn.in", ops.norm(h, pre + "norm2."), pre + "ffn.w1", pre + "ffn.b1"
-        )
-        relu(mid, out=mid)
+        ))
         h += ops.linear(pre + "ffn.mid.in", mid, pre + "ffn.w2", pre + "ffn.b2")
     pooled = np.add.reduce(h, axis=1) / h.shape[1]  # h.mean(axis=1), bit for bit
     return ops.linear("classifier.in", pooled, "classifier.weight", "classifier.bias")

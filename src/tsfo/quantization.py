@@ -265,6 +265,11 @@ class _Int8Ops(FloatOps):
     A static site reads what the model compiled for it; a dynamic one compiles
     its per-call symmetric scale. Q, K and V share one call, and the attention
     core reads its three [B, P, a] column slices without a copy.
+
+    A static site whose lower clamp bound -128 - z is 0 (zero point -128, as
+    calibrating a ReLU's output gives) clamps a negative input to its ReLU's
+    0, so the ReLU is skipped there. A dynamic site, whose scale reads the
+    negatives, and a static one with any other zero point rectify.
     """
 
     def __init__(self, qmodel: QuantizedModel):
@@ -277,6 +282,11 @@ class _Int8Ops(FloatOps):
         else:
             compiled = self.sites[site]
         return compiled_linear(x, *compiled)
+
+    def relu(self, site, x):
+        if self.sites is not None and self.sites[site][1] == 0:  # lo: the clamp rectifies
+            return x
+        return super().relu(site, x)
 
     def qkv(self, prefix, x):
         qkv = self.linear(prefix + "qkv.in", x, prefix + "wqkv", prefix + "bqkv")

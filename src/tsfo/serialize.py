@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .data import TimeSeriesDataset
+from .data import TimeSeriesDataset, check_train_fraction
 from .errors import ParseError, TsfoError
 from .model import ModelConfig, TransformerModel, param_shapes
 from .quantization import QuantizedModel, activation_sites
@@ -84,16 +84,16 @@ def _is_qparams(v) -> bool:
 def _split(meta: dict) -> dict | None:
     """The recorded training split of a model container, if it has one."""
     split = meta.get("split")
-    if split is not None and not (
+    if split is None:
+        return None
+    if not (
         isinstance(split, dict)
         and set(split) == {"train_fraction", "seed"}
-        and 0 < split["train_fraction"] < 1
         and type(split["seed"]) is int
         and split["seed"] >= 0
     ):
-        raise ParseError(
-            f"split needs a train_fraction in (0, 1) and a non-negative int seed: {split!r}"
-        )
+        raise ParseError(f"split needs a train_fraction and a non-negative int seed: {split!r}")
+    check_train_fraction(split["train_fraction"])  # ``load`` makes its error a ParseError
     return split
 
 

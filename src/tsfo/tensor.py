@@ -169,14 +169,21 @@ _TIE_NUDGE = 1.0 + 2.0**-38
 
 
 def _quantize_folded(x: np.ndarray, inv, lo: int, hi: int, dtype) -> np.ndarray:
-    """rint(clip(x * inv, lo, hi)) in float64, written into a fresh array of ``dtype``.
+    """rint(clip(x * inv, lo, hi)) in float64, returned as a fresh array of ``dtype``.
 
     The rounding rule of every int8 quantizer. With inv = (1 + 2^-38) / s in
     float64, for a positive float32 scale s (a scalar or a broadcastable
     vector), and integer bounds lo = -128 - z, hi = 127 - z, it returns
-    clip(round_half_away(x / s), lo, hi) = q - z for every float32 x. A
-    float64 buffer is written once; ``dtype`` is float64 (rounded in place)
-    or the GEMM operand's float type.
+    clip(round_half_away(x / s), lo, hi) = q - z for every float32 x, of any
+    shape; ``x`` is untouched. ``dtype`` is float64 or the GEMM operand's
+    float type.
+
+    x is widened by one cast into a fresh float64 buffer (a copy even of a
+    float64 x), multiplied, clamped and rounded in place, and narrowed once:
+    numpy's buffered mixed-dtype loops cost more than this arithmetic at
+    single-instance sizes. Widening a float32 is exact, so r below is the
+    product the proof reads, and the narrowing casts integers of magnitude
+    at most 255, which every float type holds.
 
     Proof. Let t = x / s exactly and r = x * inv as computed.
 
@@ -219,12 +226,14 @@ def _quantize_folded(x: np.ndarray, inv, lo: int, hi: int, dtype) -> np.ndarray:
     except where x / s lies within 2^-29.9 of a half-integer, on the side
     toward zero.
     """
-    r = np.multiply(x, inv, dtype=np.float64)
+    r = x.astype(np.float64)
+    r *= inv
     # np.maximum/np.minimum rather than np.clip, whose Python-level dispatch
     # costs more than the clamp itself at single-instance sizes
     np.maximum(r, lo, out=r)
     np.minimum(r, hi, out=r)
-    return np.rint(r, out=r if dtype == np.float64 else np.empty(r.shape, dtype))
+    np.rint(r, out=r)
+    return r.astype(dtype, copy=False)
 
 
 def quantize_linear(
@@ -245,9 +254,7 @@ def quantize_linear(
     if np.any(scale <= 0):
         raise InputError("scale must be positive")
     inv = _TIE_NUDGE / _broadcast_scale(scale, channel_axis, x.ndim).astype(np.float64)
-    # the leading axis keeps a 0-d x an array, which the rule writes into
-    q = _quantize_folded(x[np.newaxis], inv, INT8_MIN - zero_point, INT8_MAX - zero_point,
-                         np.float64)[0]
+    q = _quantize_folded(x, inv, INT8_MIN - zero_point, INT8_MAX - zero_point, np.float64)
     q += zero_point
     return QTensor(q.astype(np.int8), scale, zero_point, channel_axis)
 
@@ -363,15 +370,16 @@ def compiled_linear(x: np.ndarray, inv, lo: int, hi: int, weight: np.ndarray,
     requantize by one multiply in the GEMM's dtype rounded once to float32,
     add bias.
 
-    Bit-identical to ``quantize_linear`` -> ``int8_matmul`` -> ``+ bias``. The
-    zero point is folded into the clamp bounds (clip(r, -128 - z, 127 - z) =
-    q - z), so the GEMM needs no zero-point correction.
+    x may have any leading shape [..., K], and the result is [..., N].
+    Bit-identical to ``quantize_linear`` -> ``int8_matmul`` -> ``+ bias`` on
+    the flattened rows: every product and partial sum of the GEMM is an exact
+    integer, so neither the row grouping nor the summation order can move a
+    bit. The zero point is folded into the clamp bounds (clip(r, -128 - z,
+    127 - z) = q - z), so the GEMM needs no zero-point correction.
     """
-    lead = x.shape[:-1]
-    q = _quantize_folded(x.reshape(-1, x.shape[-1]), inv, lo, hi, weight.dtype)
-    acc = q @ weight
+    acc = _quantize_folded(x, inv, lo, hi, weight.dtype) @ weight
     acc *= rescale
     if acc.dtype != np.float32:  # the float64 GEMM of a long K
         acc = acc.astype(np.float32)
     acc += bias
-    return acc.reshape(*lead, -1)
+    return acc

@@ -689,6 +689,48 @@ class TestCli:
         assert "configuration error: " in caplog.text and key in caplog.text
         assert not (tmp_path / "bench").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [({"noise": "x"}, "synth noise must be a number"),
+         ({"classes": "3"}, "synth classes must be an int"),
+         ({"per_class": 12.0}, "synth per_class must be an int"),
+         ({"length": True}, "synth length must be an int"),
+         ({"seed": None}, "synth seed must be an int"),
+         ({"noise": False}, "synth noise must be a number"),
+         ({"classes": 1}, "synth: need at least two classes"),
+         ({"per_class": 0}, "synth: need at least one instance per class"),
+         ({"length": 8}, "synth: series length must be at least 16"),
+         ({"noise": -0.5}, "synth: noise sigma must be nonnegative")],
+    )
+    def test_bench_synth_value_is_a_config_error_before_any_data(
+        self, tmp_path, caplog, monkeypatch, edit, message
+    ):
+        built = []
+        monkeypatch.setattr(bench, "synth_generate", lambda *args, **kw: built.append(kw))
+        config = {"dataset": {"synth": {**SYNTH, **edit}}, "runs": 1, "epochs": 1,
+                  "out": str(tmp_path / "bench")}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["bench", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert f"configuration error: {message}" in caplog.text
+        assert built == [] and not (tmp_path / "bench").exists()
+
+    @pytest.mark.parametrize("fraction", [0, 1, 1.5, -0.2, 0.0])
+    def test_bench_train_fraction_outside_0_1_is_a_config_error_before_any_data(
+        self, tmp_path, caplog, monkeypatch, fraction
+    ):
+        loads = []
+        monkeypatch.setattr(bench, "_load_experiment_dataset", loads.append)
+        config = {"dataset": SYNTH, "runs": 1, "epochs": 1, "train_fraction": fraction,
+                  "out": str(tmp_path / "bench")}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["bench", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert "configuration error: train_fraction must be in (0, 1)" in caplog.text
+        assert loads == [] and not (tmp_path / "bench").exists()
+
     @pytest.mark.parametrize("sparsity", ["1.5", "-0.1"])
     def test_bench_sparsity_out_of_range_fails_before_training(
         self, tmp_path, monkeypatch, sparsity

@@ -184,6 +184,41 @@ def test_one_function_decides_the_split():
         assert len(params) == 1 and not (args.vararg or args.kwarg), f"{loader} takes more than a path"
 
 
+def numpy_paths(tree):
+    """(line, dotted path) of every numpy module or attribute a module names:
+    its imports from numpy and its ``np.a.b`` / ``numpy.a.b`` attribute chains."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                yield node.lineno, f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Attribute):
+            parts = [node.attr]
+            value = node.value
+            while isinstance(value, ast.Attribute):
+                parts.append(value.attr)
+                value = value.value
+            if isinstance(value, ast.Name) and value.id in ("np", "numpy"):
+                yield node.lineno, ".".join(["numpy", *reversed(parts)])
+
+
+def test_no_private_numpy_api():
+    """``pyproject.toml`` allows numpy 1.24: ``np._core`` does not exist before
+    2.0, and ``numpy.core`` is private from 2.0 on, so src/ reads neither, nor
+    any other ``_`` name of numpy's."""
+    private = sorted({
+        f"{path.name}:{line} {dotted}"
+        for path in MODULES
+        for line, dotted in numpy_paths(parse(path))
+        if dotted.split(".")[0] == "numpy"
+        and any(part == "core" or (part.startswith("_") and not part.startswith("__"))
+                for part in dotted.split(".")[1:])
+    })
+    assert not private, f"private numpy names read by src/: {private}"
+
+
 def test_no_caller_discards_a_training_history():
     # train scores the whole train set after every epoch to fill its history;
     # a caller that reads no history calls fit, which evaluates nothing

@@ -506,8 +506,9 @@ class TestEncode:
             runs[run](poisoned)
 
     def test_single_instance_forward_call_budget(self):
-        """A T1 batch-1 forward makes at most 480 Python and C calls (462 today,
-        with the one-call check that the input is finite).
+        """A T1 batch-1 forward makes at most 480 Python and C calls (470 today,
+        with the one-call check that the input is finite and the ReLU as an
+        ops step).
 
         At batch 1 most of a forward's time is fixed per-call cost, not FLOPs,
         so the call count is what single-instance latency is made of. Routing

@@ -344,7 +344,7 @@ class TestMalformedContainers:
 
     @pytest.mark.parametrize(
         "split", [[0.7, 5], {"train_fraction": 0.7}, {"train_fraction": 1.5, "seed": 5},
-                  {"train_fraction": 0.7, "seed": "5"}],
+                  {"train_fraction": 0.7, "seed": "5"}, {"train_fraction": "0.7", "seed": 5}],
     )
     @pytest.mark.parametrize("kind", ["model", "static"])
     def test_malformed_split_record(self, containers, kind, split):

@@ -15,6 +15,7 @@ from tsfo.tensor import (
     INT8_MIN,
     MAX_ACCUM_K,
     QTensor,
+    _quantize_folded,
     compile_linear,
     compiled_linear,
     dequantize_linear,
@@ -377,6 +378,17 @@ class TestQuantizeRule:
         x = np.resize(x, (len(x) // 8 + 1, 8))
         want = identity_reference(reference_folded(x, s, zero_point), s)
         assert np.array_equal(identity_linear(x, s, zero_point), want, equal_nan=True)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_quantize_pass_returns_a_fresh_array(self, dtype):
+        s, zero_point = np.float32(0.3), -3
+        inv, lo, hi = compile_linear(s, zero_point, scaled_identity(4), np.zeros(4))[:3]
+        x = tie_cases(s, np.arange(-300, 301)).astype(np.float64)
+        before = x.copy()
+        got = _quantize_folded(x, inv, lo, hi, dtype)
+        assert got.dtype == dtype and not np.shares_memory(got, x)
+        assert np.array_equal(x, before)
+        assert np.array_equal(got, reference_folded(before, s, zero_point))
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_per_channel_matches_reference(self, axis):
