@@ -33,10 +33,11 @@ from .data import (
     subject_wise_split,
     synth_generate,
 )
-from .errors import ConfigError, InputError, ParseError, PruneSpecError
+from .errors import ConfigError, InputError, ParseError
 from .metrics import (
     EnergyParams,
     MetricsReport,
+    RunStats,
     ci95,
     efficiency_score,
     energy_model,
@@ -70,8 +71,9 @@ from .quantization import (
     quantized_energy_estimate,
     quantized_forward,
 )
+from .serialize import load_any_dataset
 from .tensor import QTensor
-from .training import TrainConfig, evaluate, fit
+from .training import FINE_TUNE_LR, TrainConfig, evaluate, fit
 
 KNOWN_OPS = ("static-quant", "dynamic-quant", "l1-prune", "l2-prune", "qat")
 # the stages a row's ``stage_seconds`` can hold; the CSV report has a column for each
@@ -104,9 +106,11 @@ def single_thread():
         yield
 
 
-# what a field of each annotated type must hold; bools are not ints here
+# what a config or report field of each annotated type must hold; bools are not ints here
 _FIELD_TYPES = {
-    "int": ("an int", (int,)), "float": ("a number", (int, float)), "str": ("a string", (str,))
+    "int": ("an int", (int,)), "float": ("a number", (int, float)), "str": ("a string", (str,)),
+    "float | None": ("a number or null", (int, float, type(None))),
+    "dict[str, float]": ("an object", (dict,)),
 }
 
 
@@ -137,15 +141,13 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.type in _FIELD_TYPES and type(value) not in _FIELD_TYPES[f.type][1]:
                 raise ConfigError(f"{f.name} must be {_FIELD_TYPES[f.type][0]}, got {value!r}")
-        for name, least in (("runs", 1), ("batch_size", 1), ("calibration_size", 1),
-                            ("epochs", 0), ("fine_tune_epochs", 0)):
+        for name, least in (("runs", 1), ("calibration_size", 1), ("fine_tune_epochs", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        try:  # the range rules of sparsity and the split live where they are applied
-            PruneSpec(sparsity=self.sparsity)
-            check_train_fraction(self.train_fraction)
-        except (PruneSpecError, InputError) as exc:
-            raise ConfigError(str(exc)) from None
+        # the rules of training, sparsity and the split live where they are applied
+        TrainConfig(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed)
+        PruneSpec(sparsity=self.sparsity)
+        check_train_fraction(self.train_fraction)
         if self.dataset_path is None and self.synth is None:
             raise ConfigError("need a dataset path or a synth spec")
         if not (isinstance(self.optimizations, list)
@@ -163,10 +165,7 @@ class ExperimentConfig:
                 what, types = _FIELD_TYPES["float" if key == "noise" else "int"]
                 if type(value) not in types:
                     raise ConfigError(f"synth {key} must be {what}, got {value!r}")
-            try:
-                check_synth_args(**_synth_args(self.synth))
-            except InputError as exc:
-                raise ConfigError(f"synth: {exc}") from None
+            check_synth_args(**_synth_args(self.synth))
         custom = self.preset == "custom"
         if custom and self.model is None:
             raise ConfigError("custom preset needs a model block")
@@ -229,8 +228,6 @@ def experiment_config(raw: dict) -> ExperimentConfig:
 
 def _load_experiment_dataset(config: ExperimentConfig) -> TimeSeriesDataset:
     if config.dataset_path is not None:
-        from .cli import load_any_dataset
-
         return normalize_dataset(load_any_dataset(config.dataset_path))
     return synth_generate(**_synth_args(config.synth), seed=config.synth.get("seed", config.seed))
 
@@ -248,14 +245,13 @@ def _model_config(config: ExperimentConfig, dataset: TimeSeriesDataset) -> Model
         fields.setdefault("in_channels", dataset.channels)
         fields.setdefault("num_classes", dataset.num_classes)
         return ModelConfig(**fields)
-    patch = 16 if dataset.seq_len >= 512 else 8
     overrides = dict(config.model or {})
     return preset_config(
         config.preset,
         seq_len=dataset.seq_len,
         num_classes=dataset.num_classes,
         in_channels=dataset.channels,
-        patch_size=overrides.get("patch_size", patch),
+        patch_size=overrides.get("patch_size"),
         patch_stride=overrides.get("patch_stride"),
     )
 
@@ -360,9 +356,8 @@ def _apply_pipeline(
     stages: dict[str, float] = defaultdict(float)
     base_params = count_params(baseline.config)
     calib = calibration_rows(train_ds, config.calibration_size)
-    ft_cfg = TrainConfig(
-        epochs=config.fine_tune_epochs, batch_size=config.batch_size, lr_max=3e-4, seed=run_seed + 1
-    )
+    ft_cfg = TrainConfig(epochs=config.fine_tune_epochs, batch_size=config.batch_size,
+                         lr_max=FINE_TUNE_LR, seed=run_seed + 1)
 
     for op in pipeline:
         if op in ("static-quant", "dynamic-quant", "qat"):
@@ -518,8 +513,9 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
     return reports
 
 
-def emit_report(reports: list[MetricsReport], fmt: str, out_dir) -> list[str]:
-    """Write the aggregated reports as json, csv, or markdown tables."""
+def emit_report(reports: list[dict], fmt: str, out_dir) -> list[str]:
+    """Write report rows, as ``MetricsReport.to_dict`` makes them, as json
+    (the rows as they are), csv, or markdown tables."""
     if not reports:
         raise InputError("nothing to report")
     os.makedirs(out_dir, exist_ok=True)
@@ -527,19 +523,19 @@ def emit_report(reports: list[MetricsReport], fmt: str, out_dir) -> list[str]:
     if fmt == "json":
         path = os.path.join(out_dir, "reports.json")
         with open(path, "w") as fh:
-            json.dump({"reports": [r.to_dict() for r in reports]}, fh, indent=2, sort_keys=True)
+            json.dump({"reports": reports}, fh, indent=2, sort_keys=True)
         written.append(path)
     elif fmt == "csv":
         import csv as _csv
 
         path = os.path.join(out_dir, "reports.csv")
-        rows = [r.to_dict() for r in reports]
+        rows = [dict(r) for r in reports]
         for row in rows:
             ms = row.pop("inference_ms")
             row["inference_ms_mean"] = ms["mean"]
             row["inference_ms_ci95"] = ms["ci95_half"]
             row["inference_ms_iqr"] = ms["iqr_ms"]
-            row.pop("provenance")
+            row.pop("provenance", None)
             stages = row.pop("stage_seconds")
             row.update({f"stage_seconds_{s}": stages.get(s, "") for s in STAGES})
         with open(path, "w", newline="") as fh:
@@ -557,7 +553,7 @@ def emit_report(reports: list[MetricsReport], fmt: str, out_dir) -> list[str]:
     return written
 
 
-def _markdown_tables(reports: list[MetricsReport]) -> str:
+def _markdown_tables(reports: list[dict]) -> str:
     lines = [
         "# Performance metrics",
         "",
@@ -570,12 +566,12 @@ def _markdown_tables(reports: list[MetricsReport]) -> str:
     ]
     for r in reports:
         lines.append(
-            f"| {r.configuration} "
-            f"| {r.accuracy_pct:.2f} ± {r.accuracy_ci_half:.2f} "
-            f"| {r.inference_ms.mean:.3f} ± {r.inference_ms.ci95_half:.3f} "
-            f"| {r.measured_energy_j:.4g} "
-            f"| {r.memory_mb:.3f} "
-            f"| {r.flops_g:.4g} |"
+            f"| {r['configuration']} "
+            f"| {r['accuracy_pct']:.2f} ± {r['accuracy_ci_half']:.2f} "
+            f"| {r['inference_ms']['mean']:.3f} ± {r['inference_ms']['ci95_half']:.3f} "
+            f"| {r['measured_energy_j']:.4g} "
+            f"| {r['memory_mb']:.3f} "
+            f"| {r['flops_g']:.4g} |"
         )
     lines += [
         "",
@@ -586,8 +582,8 @@ def _markdown_tables(reports: list[MetricsReport]) -> str:
     ]
     for r in reports:
         lines.append(
-            f"| {r.configuration} | {r.ee_gflops_per_j:.4g} "
-            f"| {r.accuracy_retention_pct:.1f} | {r.overall_score:.4g} |"
+            f"| {r['configuration']} | {r['ee_gflops_per_j']:.4g} "
+            f"| {r['accuracy_retention_pct']:.1f} | {r['overall_score']:.4g} |"
         )
     lines.append("")
     return "\n".join(lines)
@@ -595,14 +591,30 @@ def _markdown_tables(reports: list[MetricsReport]) -> str:
 
 def load_reports(path) -> list[dict]:
     """Read back a JSON report file (lossless round trip of to_dict). A file
-    that is not JSON, or holds no list of rows under ``reports``, is a
-    ``ParseError`` naming it."""
+    that is not JSON, holds no list under ``reports``, or a row without the
+    fields of ``MetricsReport`` and each of their types, is a ``ParseError``
+    naming it."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     rows = data.get("reports") if isinstance(data, dict) else None
-    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+    if not isinstance(rows, list):
         raise ParseError(f"{path} holds no list of report objects under 'reports'")
+    for i, row in enumerate(rows):
+        _check_row(row, MetricsReport, f"{path}: report {i}")
     return rows
+
+
+def _check_row(row, cls, where: str) -> None:
+    """Raise ParseError unless ``row`` holds exactly the fields of ``cls``, besides
+    a ``provenance``, each of its annotated type (``inference_ms`` a ``RunStats``)."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    if not isinstance(row, dict) or set(row) - {"provenance"} != set(kinds):
+        raise ParseError(f"{where} does not hold the fields of {cls.__name__}")
+    for name, kind in kinds.items():
+        if kind == "RunStats":
+            _check_row(row[name], RunStats, f"{where} {name}")
+        elif type(row[name]) not in _FIELD_TYPES[kind][1]:
+            raise ParseError(f"{where}: {name} must be {_FIELD_TYPES[kind][0]}, got {row[name]!r}")

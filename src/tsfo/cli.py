@@ -4,35 +4,27 @@ Every command splits its dataset as recorded in the model (``_split_rows``):
 ``prune`` fine-tunes and ``quantize`` calibrates on the train side, and
 ``eval`` scores the test side.
 
-Exit codes: 0 success, 2 configuration errors, 3 data/input errors,
-4 compute errors. Set TSFO_MAX_THREADS to cap BLAS worker threads.
+Exit codes: 0 success, 2 configuration errors (every flag but --patch-size is
+checked before a file is read), 3 data/input errors, 4 compute errors. Set
+TSFO_MAX_THREADS to cap BLAS worker threads.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import logging
 import os
 import sys
 
 from .bench import calibration_rows, emit_report, experiment_config, load_reports, run_experiment
-from .data import TimeSeriesDataset, load_ucr, normalize_dataset, subject_wise_split, synth_generate
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    InputError,
-    ParseError,
-    PruneSpecError,
-    TsfoError,
-)
-from .metrics import MetricsReport, RunStats
+from .data import check_train_fraction, normalize_dataset, subject_wise_split, synth_generate
+from .errors import CalibrationError, ConfigError, InputError, ParseError, TsfoError
 from .model import TransformerModel, build_model, preset_config
 from .pruning import PruneSpec, prune_structured, prune_unstructured
 from .quantization import QuantizedModel, calibrate, quantize_dynamic, quantize_static
-from .serialize import MAGIC, load, save_dataset, save_model, save_quantized
-from .training import TrainConfig, evaluate, fit, history_to_csv, train
+from .serialize import load_any_dataset, load_kind, save_dataset, save_model, save_quantized
+from .training import FINE_TUNE_LR, TrainConfig, evaluate, fit, history_to_csv, train
 
 log = logging.getLogger("tsfo")
 
@@ -40,38 +32,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_COMPUTE = 4
-
-
-def load_any_dataset(path):
-    """Load either a TSFO dataset container or a UCR-style delimited file.
-
-    A UCR file is read by ``data.load_ucr``, which keeps the archive's split
-    of a ``_TRAIN``/``_TEST`` pair. A UCR archive folder ``<dir>/<name>``
-    stands for its ``<name>_TRAIN.*`` file (``.tsv`` or ``.txt`` first when
-    there are several).
-    """
-    if os.path.isdir(path):
-        folder = os.path.normpath(path)
-        name = os.path.basename(folder)
-        pattern = os.path.join(glob.escape(folder), glob.escape(name) + "_TRAIN.*")
-        found = sorted(glob.glob(pattern), key=lambda p: (not p.endswith((".tsv", ".txt")), p))
-        if not found:
-            raise InputError(f"{path} is a directory without a {name}_TRAIN.* file")
-        path = found[0]
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == MAGIC:
-        return _load_kind(path, TimeSeriesDataset)
-    return load_ucr(path)
-
-
-def _load_kind(path, *kinds):
-    """Load a TSFO container, rejecting any other kind as a data error."""
-    obj = load(path)
-    if not isinstance(obj, kinds):
-        wanted = " or ".join(kind.__name__ for kind in kinds)
-        raise InputError(f"{path} holds a {type(obj).__name__}, not a {wanted}")
-    return obj
 
 
 def _split_rows(path, split):
@@ -107,6 +67,8 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     if args.epochs < 1:
         raise ConfigError(f"--epochs must be >= 1, got {args.epochs}")
+    train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
+    check_train_fraction(args.train_fraction)
     split = {"train_fraction": args.train_fraction, "seed": args.seed}
     train_ds, val_ds = _split_rows(args.data, split)
     cfg = preset_config(
@@ -118,12 +80,7 @@ def _cmd_train(args) -> int:
     )
     model = build_model(cfg, args.seed)
     model.split = split
-    model, history = train(
-        model,
-        train_ds,
-        TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed),
-        val_dataset=val_ds,
-    )
+    model, history = train(model, train_ds, train_cfg, val_dataset=val_ds)
     os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.tsfo")
     save_model(model, model_path)
@@ -133,12 +90,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    if args.fine_tune_epochs < 0:
-        raise ConfigError(f"--fine-tune-epochs must be >= 0, got {args.fine_tune_epochs}")
+    spec = PruneSpec(args.method, args.granularity, args.scope, args.sparsity)
+    ft_cfg = TrainConfig(epochs=args.fine_tune_epochs, lr_max=FINE_TUNE_LR, seed=args.seed)
     if args.fine_tune_epochs and not args.data:
         raise InputError("fine-tuning needs --data to train on")
-    model = _load_kind(args.model, TransformerModel)
-    spec = PruneSpec(args.method, args.granularity, args.scope, args.sparsity)
+    model = load_kind(args.model, TransformerModel)
     if args.granularity == "weight":
         model, masks, report = prune_unstructured(model, spec)
     else:
@@ -146,7 +102,6 @@ def _cmd_prune(args) -> int:
         masks = None
     if args.fine_tune_epochs:
         train_ds, _ = _split_rows(args.data, model.split)
-        ft_cfg = TrainConfig(epochs=args.fine_tune_epochs, lr_max=3e-4, seed=args.seed)
         model = fit(model, train_ds, ft_cfg, mask=masks)
     save_model(model, args.out)
     report_path = args.out + ".prune.json"
@@ -159,10 +114,10 @@ def _cmd_prune(args) -> int:
 def _cmd_quantize(args) -> int:
     if args.calibration_size < 1:
         raise ConfigError(f"--calibration-size must be >= 1, got {args.calibration_size}")
-    model = _load_kind(args.model, TransformerModel)
+    if args.mode == "static" and not args.data:
+        raise InputError("static quantization needs --data for calibration")
+    model = load_kind(args.model, TransformerModel)
     if args.mode == "static":
-        if not args.data:
-            raise InputError("static quantization needs --data for calibration")
         train_ds, _ = _split_rows(args.data, model.split)
         observers = calibrate(model, calibration_rows(train_ds, args.calibration_size))
         qmodel = quantize_static(model, observers)
@@ -174,7 +129,7 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    obj = _load_kind(args.model, TransformerModel, QuantizedModel)
+    obj = load_kind(args.model, TransformerModel, QuantizedModel)
     _, test_ds = _split_rows(args.data, obj.split)
     acc = evaluate(obj, test_ds)
     print(f"accuracy: {acc:.4f} ({len(test_ds)} instances, the test side of its split)")
@@ -207,7 +162,7 @@ def _cmd_bench(args) -> int:
     if isinstance(raw, dict):  # experiment_config rejects any other JSON value
         raw.update({k: v for k, v in overrides.items() if v is not None})
     config = experiment_config(raw)
-    reports = run_experiment(config)
+    reports = [report.to_dict() for report in run_experiment(config)]
     written = []
     for fmt in ("json", "csv", "markdown"):
         written += emit_report(reports, fmt, config.out_dir)
@@ -217,16 +172,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    reports = []
-    for i, row in enumerate(load_reports(args.reports)):
-        row = dict(row)
-        row.pop("provenance", None)
-        try:
-            row["inference_ms"] = RunStats(**row["inference_ms"])
-            reports.append(MetricsReport(**row))
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{args.reports}: report {i} is malformed: {exc!r}") from exc
-    for path in emit_report(reports, args.format, args.out):
+    for path in emit_report(load_reports(args.reports), args.format, args.out):
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -253,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--patch-size", type=int, default=8)
+    p.add_argument("--patch-size", type=int, help="default: 16 from length 512 on, else 8")
     p.add_argument("--train-fraction", type=float, default=0.7)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
@@ -309,7 +255,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PruneSpecError) as exc:
+    except ConfigError as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
     except (ParseError, InputError, FileNotFoundError) as exc:

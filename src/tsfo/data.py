@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import ConfigError, InputError, ParseError
 from .tensor import seeded_rng
 
 log = logging.getLogger(__name__)
@@ -249,7 +249,7 @@ def load_ucr(path) -> TimeSeriesDataset:
 def check_train_fraction(train_fraction: float) -> None:
     """The rule of every split's train fraction: strictly between 0 and 1."""
     if not 0.0 < train_fraction < 1.0:
-        raise InputError("train_fraction must be in (0, 1)")
+        raise ConfigError("train_fraction must be in (0, 1)")
 
 
 def stratified_split(
@@ -320,13 +320,13 @@ def subject_wise_split(
 def check_synth_args(num_classes: int, per_class: int, length: int, noise: float) -> None:
     """The ranges ``synth_generate`` takes, checked without building anything."""
     if num_classes < 2:
-        raise InputError("need at least two classes")
+        raise ConfigError("synth: need at least two classes")
     if per_class < 1:
-        raise InputError("need at least one instance per class")
+        raise ConfigError("synth: need at least one instance per class")
     if length < 16:
-        raise InputError("series length must be at least 16")
+        raise ConfigError("synth: series length must be at least 16")
     if noise < 0:
-        raise InputError("noise sigma must be nonnegative")
+        raise ConfigError("synth: noise sigma must be nonnegative")
 
 
 def synth_generate(

@@ -29,5 +29,5 @@ class CalibrationError(TsfoError):
     """Quantization calibration is missing or invalid for a required site."""
 
 
-class PruneSpecError(TsfoError):
+class PruneSpecError(ConfigError):
     """A pruning request cannot be applied to the given model."""

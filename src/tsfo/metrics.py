@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,9 @@ class EnergyParams:
     def __post_init__(self):
         for name, v in self.__dict__.items():
             if v <= 0:
-                raise InputError(f"{name} must be positive, got {v}")
+                raise ConfigError(f"{name} must be positive, got {v}")
         if self.activity_factor > 1:
-            raise InputError("activity factor cannot exceed 1")
+            raise ConfigError("activity factor cannot exceed 1")
 
 
 def attention_complexity(t: int, d: int) -> int:

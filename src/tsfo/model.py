@@ -55,8 +55,8 @@ class ModelConfig:
             raise ConfigError(
                 f"patch_size {self.patch_size} exceeds seq_len {self.seq_len}"
             )
-        if self.patch_stride < 1:
-            raise ConfigError("patch_stride must be >= 1")
+        if self.patch_size < 1 or self.patch_stride < 1:
+            raise ConfigError("patch_size and patch_stride must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         for name, per_layer in (
@@ -100,12 +100,15 @@ def preset_config(
     seq_len: int,
     num_classes: int,
     in_channels: int = 1,
-    patch_size: int = 8,
+    patch_size: int | None = None,
     patch_stride: int | None = None,
 ) -> ModelConfig:
-    """Build a T1 or T2 configuration for a concrete dataset shape."""
+    """Build a T1 or T2 configuration for a concrete dataset shape. Unless given,
+    patches are 16 steps long from ``seq_len`` 512 on and 8 below it."""
     if name not in _PRESET_DIMS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(_PRESET_DIMS)}")
+    if patch_size is None:
+        patch_size = 16 if seq_len >= 512 else 8
     return ModelConfig(
         patch_size=patch_size,
         patch_stride=patch_stride if patch_stride is not None else patch_size,

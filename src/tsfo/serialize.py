@@ -11,6 +11,7 @@ Round-trips are bit-exact.
 from __future__ import annotations
 
 import dataclasses
+import glob
 import json
 import math
 import os
@@ -18,8 +19,8 @@ import struct
 
 import numpy as np
 
-from .data import TimeSeriesDataset, check_train_fraction
-from .errors import ParseError, TsfoError
+from .data import TimeSeriesDataset, check_train_fraction, load_ucr
+from .errors import InputError, ParseError, TsfoError
 from .model import ModelConfig, TransformerModel, param_shapes
 from .quantization import QuantizedModel, activation_sites
 from .tensor import INT8_MAX, INT8_MIN, QTensor
@@ -353,3 +354,35 @@ def load(path):
         return loader(meta, tensors)
     except (KeyError, IndexError, TypeError, ValueError, TsfoError) as exc:
         raise ParseError(f"{path}: malformed {kind} container ({exc})") from exc
+
+
+def load_kind(path, *kinds):
+    """Load a TSFO container, rejecting any other kind as a data error."""
+    obj = load(path)
+    if not isinstance(obj, kinds):
+        wanted = " or ".join(kind.__name__ for kind in kinds)
+        raise InputError(f"{path} holds a {type(obj).__name__}, not a {wanted}")
+    return obj
+
+
+def load_any_dataset(path):
+    """Load either a TSFO dataset container or a UCR-style delimited file.
+
+    A UCR file is read by ``data.load_ucr``, which keeps the archive's split
+    of a ``_TRAIN``/``_TEST`` pair. A UCR archive folder ``<dir>/<name>``
+    stands for its ``<name>_TRAIN.*`` file (``.tsv`` or ``.txt`` first when
+    there are several).
+    """
+    if os.path.isdir(path):
+        folder = os.path.normpath(path)
+        name = os.path.basename(folder)
+        pattern = os.path.join(glob.escape(folder), glob.escape(name) + "_TRAIN.*")
+        found = sorted(glob.glob(pattern), key=lambda p: (not p.endswith((".tsv", ".txt")), p))
+        if not found:
+            raise InputError(f"{path} is a directory without a {name}_TRAIN.* file")
+        path = found[0]
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+    if magic == MAGIC:
+        return load_kind(path, TimeSeriesDataset)
+    return load_ucr(path)

@@ -261,6 +261,10 @@ def cosine_lr(schedule: CosineSchedule, t: int) -> float:
     return schedule.lr_min + 0.5 * span * (1.0 + math.cos(math.pi * t / schedule.total_steps))
 
 
+# peak learning rate of fine-tuning a trained model, after pruning and in QAT
+FINE_TUNE_LR = 3e-4
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Mini-batch Adam with a cosine learning rate from ``lr_max`` down to 1e-5,
@@ -276,6 +280,7 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        seeded_rng(self.seed)  # the seed rule's home: a negative seed is a ConfigError
 
 
 def _epochs(model: TransformerModel, dataset, cfg: TrainConfig, mask, weight_fake_quant: bool):

@@ -36,7 +36,7 @@ from tsfo.errors import ConfigError
 from tsfo.model import build_model, count_params, preset_config
 from tsfo.pruning import PruneSpec
 from tsfo.quantization import QuantizedModel, quantize_dynamic, quantized_forward_batch
-from tsfo.serialize import save_dataset, save_model, save_quantized
+from tsfo.serialize import load, save_dataset, save_model, save_quantized
 from tsfo.tensor import QTensor
 from tsfo.metrics import TIME_DERIVED_FIELDS, EnergyParams
 
@@ -341,10 +341,14 @@ class TestCalibrationRows:
         assert classes_of(seen.pop(), train_ds) == [0, 1, 2]
 
 
+def as_rows(reports):
+    return [r.to_dict() for r in reports]
+
+
 class TestEmitReport:
     def test_json_round_trip(self, quick_reports, tmp_path):
         _, reports = quick_reports
-        (path,) = emit_report(reports, "json", tmp_path)
+        (path,) = emit_report(as_rows(reports), "json", tmp_path)
         rows = load_reports(path)
         assert len(rows) == len(reports)
         assert rows[0]["configuration"] == "baseline"
@@ -353,7 +357,7 @@ class TestEmitReport:
 
     def test_overall_score_self_consistent(self, quick_reports, tmp_path):
         _, reports = quick_reports
-        (path,) = emit_report(reports, "json", tmp_path)
+        (path,) = emit_report(as_rows(reports), "json", tmp_path)
         from tsfo.metrics import round_sig
 
         for row in load_reports(path):
@@ -362,7 +366,7 @@ class TestEmitReport:
 
     def test_markdown_structure(self, quick_reports, tmp_path):
         _, reports = quick_reports
-        (path,) = emit_report(reports, "markdown", tmp_path)
+        (path,) = emit_report(as_rows(reports), "markdown", tmp_path)
         text = open(path).read()
         assert "| Configuration | Accuracy (%) | Inference Time (ms) |" in text
         for r in reports:
@@ -371,7 +375,7 @@ class TestEmitReport:
 
     def test_csv_has_the_timing_spread(self, quick_reports, tmp_path):
         _, reports = quick_reports
-        (path,) = emit_report(reports, "csv", tmp_path)
+        (path,) = emit_report(as_rows(reports), "csv", tmp_path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [float(row["inference_ms_iqr"]) for row in rows] == [
@@ -384,7 +388,7 @@ class TestEmitReport:
 
     def test_provenance_labels_present(self, quick_reports, tmp_path):
         _, reports = quick_reports
-        (path,) = emit_report(reports, "json", tmp_path)
+        (path,) = emit_report(as_rows(reports), "json", tmp_path)
         row = load_reports(path)[0]
         assert row["provenance"]["modeled_energy_j"] == "modeled"
         assert "measured" in row["provenance"]["inference_ms"]
@@ -639,6 +643,36 @@ class TestCli:
         assert main(["train", "--data", ds_path, *flags, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["synth", "--classes", "1"],
+         ["synth", "--length", "8"],
+         ["train", "--data", "MISSING", "--train-fraction", "1.5"],
+         ["train", "--data", "MISSING", "--batch-size", "0"],
+         ["train", "--data", "MISSING", "--seed", "-1"],
+         ["prune", "--model", "MISSING", "--sparsity", "1.5"],
+         ["prune", "--model", "MISSING", "--data", "MISSING", "--fine-tune-epochs", "-1"],
+         ["prune", "--model", "MISSING", "--seed", "-1"],
+         ["quantize", "--model", "MISSING", "--data", "MISSING", "--calibration-size", "0"]],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_bad_flag_is_a_config_error_before_any_file_is_read(self, tmp_path, caplog, argv):
+        missing = str(tmp_path / "missing.tsfo")
+        argv = [missing if arg == "MISSING" else arg for arg in argv]
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "configuration error: " in caplog.text
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_patches_a_long_series_as_bench_does(self, tmp_path):
+        dataset = synth_generate(2, 6, 720, 0.05, 0)
+        ds_path, run_dir = str(tmp_path / "d.tsfo"), tmp_path / "m"
+        save_dataset(dataset, ds_path)
+        assert main(["train", "--data", ds_path, "--epochs", "1", "--out", str(run_dir)]) == 0
+        saved = load(str(run_dir / "model.tsfo")).config
+        assert saved == _model_config(ExperimentConfig(dataset_path=ds_path), dataset)
+        assert (saved.patch_size, saved.num_patches) == (16, 45)
+
     def test_negative_fine_tune_epochs_is_a_config_error(self, tmp_path):
         ds_path, model_path, out = (str(tmp_path / n) for n in ("d.tsfo", "m.tsfo", "p.tsfo"))
         save_dataset(synth_generate(2, 6, 32, 0.05, 0), ds_path)
@@ -687,6 +721,16 @@ class TestCli:
         with caplog.at_level(logging.ERROR, logger="tsfo"):
             assert main(["bench", "--config", str(cfg_path)]) == EXIT_CONFIG
         assert "configuration error: " in caplog.text and key in caplog.text
+        assert not (tmp_path / "bench").exists()
+
+    @pytest.mark.parametrize("energy", [{"voltage_v": 0}, {"activity_factor": 1.5}])
+    def test_bench_energy_value_out_of_range_is_a_config_error(self, tmp_path, caplog, energy):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"dataset": SYNTH, "runs": 1, "epochs": 1,
+                                        "energy": energy, "out": str(tmp_path / "bench")}))
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["bench", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert "configuration error: " in caplog.text
         assert not (tmp_path / "bench").exists()
 
     @pytest.mark.parametrize(
@@ -780,13 +824,34 @@ class TestCli:
         ids=["invalid-json", "no-reports-key", "row-without-inference-ms"],
     )
     def test_malformed_reports_file_is_a_data_error(self, quick_reports, tmp_path, caplog, malform):
-        (path,) = emit_report(quick_reports[1], "json", tmp_path)
+        (path,) = emit_report(as_rows(quick_reports[1]), "json", tmp_path)
         with open(path) as fh:
             text = fh.read()
         with open(path, "w") as fh:
             fh.write(malform(text))
         assert main(["report", "--reports", path, "--out", str(tmp_path / "re")]) == EXIT_DATA
         assert path in caplog.text
+
+    def test_json_report_keeps_the_rows_as_recorded(self, quick_reports, tmp_path):
+        rows = as_rows(quick_reports[1])
+        rows[0]["provenance"]["environment"].update(git_commit="f" * 40, numpy="0.0")
+        (path,) = emit_report(rows, "json", tmp_path)
+        assert main(["report", "--reports", path, "--format", "json",
+                     "--out", str(tmp_path / "re")]) == 0
+        assert load_reports(str(tmp_path / "re" / "reports.json")) == rows
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    def test_report_with_a_string_for_a_number_is_a_data_error(
+        self, quick_reports, tmp_path, caplog, fmt
+    ):
+        rows = as_rows(quick_reports[1])
+        rows[-1]["accuracy_pct"] = "93.1"
+        (path,) = emit_report(rows, "json", tmp_path)
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["report", "--reports", path, "--format", fmt,
+                         "--out", str(tmp_path / "re")]) == EXIT_DATA
+        assert f"{path}: report {len(rows) - 1}: accuracy_pct must be a number" in caplog.text
+        assert not (tmp_path / "re").exists()
 
     def test_a_wrong_container_kind_as_model_is_a_data_error(self, tmp_path):
         ds_path, model_path, q_path = (str(tmp_path / n) for n in ("d.tsfo", "m.tsfo", "q.tsfo"))

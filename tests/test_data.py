@@ -20,7 +20,7 @@ from tsfo.data import (
     synth_generate,
     window_count,
 )
-from tsfo.errors import InputError, ParseError
+from tsfo.errors import ConfigError, InputError, ParseError
 
 
 class TestLoader:
@@ -301,7 +301,7 @@ class TestSynth:
         assert nearest_neighbor_accuracy(train, test) >= 0.95
 
     def test_validation(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError):
             synth_generate(1, 5, 64, 0.0, seed=0)
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError):
             synth_generate(3, 5, 8, 0.0, seed=0)

@@ -11,6 +11,8 @@ from collections import Counter
 
 import pytest
 
+from tsfo import errors
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "tsfo"
 MODULES = sorted(SRC.glob("*.py"))
@@ -176,12 +178,41 @@ def test_one_function_decides_the_split():
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
-        and (module, node.name) in {("data.py", "load_ucr"), ("cli.py", "load_any_dataset")}
+        and (module, node.name) in {("data.py", "load_ucr"), ("serialize.py", "load_any_dataset")}
     }
     assert len(loaders) == 2
     for loader, args in loaders.items():
         params = args.posonlyargs + args.args + args.kwonlyargs
         assert len(params) == 1 and not (args.vararg or args.kwarg), f"{loader} takes more than a path"
+
+
+def test_no_handler_turns_one_toolkit_error_into_another():
+    """The home of each rule raises its error class, so no ``except`` in src/
+    catches one ``TsfoError`` subclass and raises another. ``serialize.load``
+    alone does: its docstring makes content that fails any check a ParseError."""
+    toolkit = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.TsfoError)
+    }
+    converted = []
+    for path in MODULES:
+        for top in parse(path).body:
+            if (path.name, getattr(top, "name", None)) == ("serialize.py", "load"):
+                continue
+            for handler in ast.walk(top):
+                if not isinstance(handler, ast.ExceptHandler) or handler.type is None:
+                    continue
+                types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+                caught = {ast.unparse(t) for t in types} & toolkit
+                raised = {
+                    ast.unparse(getattr(node.exc, "func", node.exc))
+                    for node in ast.walk(handler)
+                    if isinstance(node, ast.Raise) and node.exc is not None
+                } & toolkit
+                if caught and raised - caught:
+                    converted.append(f"{path.name}:{handler.lineno} {sorted(caught)} -> "
+                                     f"{sorted(raised - caught)}")
+    assert not converted, f"handlers that change a toolkit error's class: {converted}"
 
 
 def numpy_paths(tree):

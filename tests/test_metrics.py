@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsfo import metrics
-from tsfo.errors import InputError
+from tsfo.errors import ConfigError, InputError
 from tsfo.metrics import (
     EnergyParams,
     MetricsReport,
@@ -73,9 +73,9 @@ class TestEnergyModel:
         assert energy_model(params, 0.01) == pytest.approx(0.00288)
 
     def test_validation(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError):
             EnergyParams(activity_factor=1.5)
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError):
             EnergyParams(voltage_v=0.0)
 
 

@@ -48,11 +48,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(patch_size=10, seq_len=6)
 
+    @pytest.mark.parametrize("size, stride", [(0, 2), (2, 0), (-2, 2)])
+    def test_patch_of_no_steps_is_a_config_error(self, size, stride):
+        # a zero-step patch would feed the encoder no input at all
+        with pytest.raises(ConfigError, match="patch_size and patch_stride must be >= 1"):
+            tiny_config(patch_size=size, patch_stride=stride, seq_len=8)
+
     def test_presets(self):
         t1 = preset_config("T1", seq_len=96, num_classes=7)
         assert (t1.num_layers, t1.num_heads) == (8, 8)
         t2 = preset_config("T2", seq_len=96, num_classes=7)
         assert (t2.num_layers, t2.num_heads) == (12, 16)
+
+    @pytest.mark.parametrize("preset", ["T1", "T2"])
+    def test_preset_patch_follows_the_series_length(self, preset):
+        for seq_len, patch in ((16, 8), (96, 8), (192, 8), (511, 8), (512, 16), (720, 16)):
+            cfg = preset_config(preset, seq_len=seq_len, num_classes=3)
+            assert (cfg.patch_size, cfg.patch_stride) == (patch, patch)
+        assert preset_config(preset, seq_len=720, num_classes=3, patch_size=8).patch_size == 8
 
     def test_preset_param_counts_same_order_of_magnitude(self):
         # published totals are 180,041 and 425,789; the hidden sizes are not
