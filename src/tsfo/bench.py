@@ -76,6 +76,9 @@ from .tensor import QTensor
 from .training import FINE_TUNE_LR, TrainConfig, evaluate, fit
 
 KNOWN_OPS = ("static-quant", "dynamic-quant", "l1-prune", "l2-prune", "qat")
+# the ops that leave an int8 model, after which only l1-prune may run
+QUANT_OPS = ("static-quant", "dynamic-quant", "qat")
+WARMUP_INFERENCES = 10  # untimed, before the timed ones, per the protocol
 # the stages a row's ``stage_seconds`` can hold; the CSV report has a column for each
 STAGES = ("train", "calibrate", "quantize", "prune", "fine_tune")
 
@@ -133,7 +136,6 @@ class ExperimentConfig:
     batch_size: int = 32
     train_fraction: float = 0.7
     calibration_size: int = 64
-    warmup_inferences: int = 10
     timed_inferences: int = 100
 
     def __post_init__(self):
@@ -154,9 +156,14 @@ class ExperimentConfig:
                 and all(isinstance(p, list) for p in self.optimizations)):
             raise ConfigError(f"optimizations must be a list of op lists: {self.optimizations!r}")
         for pipeline in self.optimizations:
+            quantized = False
             for op in pipeline:
                 if op not in KNOWN_OPS:
                     raise ConfigError(f"unknown optimization {op!r} (choose from {KNOWN_OPS})")
+                if quantized and op != "l1-prune":
+                    raise ConfigError(f"{op} cannot follow quantization in pipeline "
+                                      f"{'+'.join(pipeline)}: only l1-prune can")
+                quantized = quantized or op in QUANT_OPS
         if self.timed_inferences < 100:
             raise ConfigError("timing protocol requires at least 100 timed inferences")
         if self.synth is not None:
@@ -227,9 +234,13 @@ def experiment_config(raw: dict) -> ExperimentConfig:
 
 
 def _load_experiment_dataset(config: ExperimentConfig) -> TimeSeriesDataset:
+    """The study's dataset, min-max normalized whether a file or a synth block names it."""
     if config.dataset_path is not None:
-        return normalize_dataset(load_any_dataset(config.dataset_path))
-    return synth_generate(**_synth_args(config.synth), seed=config.synth.get("seed", config.seed))
+        dataset = load_any_dataset(config.dataset_path)
+    else:
+        dataset = synth_generate(**_synth_args(config.synth),
+                                 seed=config.synth.get("seed", config.seed))
+    return normalize_dataset(dataset)
 
 
 def _synth_args(synth: dict) -> dict:
@@ -269,7 +280,6 @@ def calibration_rows(dataset: TimeSeriesDataset, size: int) -> np.ndarray:
 def measure_inference_seconds(
     forward_fns: list,
     instances: np.ndarray,
-    warmups: int = 10,
     timed: int = 100,
 ) -> list[tuple[float, float]]:
     """(median, interquartile range) of each forward's single-instance latency
@@ -282,7 +292,7 @@ def measure_inference_seconds(
     n = len(instances)
     samples = np.empty((len(forward_fns), timed))
     with single_thread():
-        for i in range(warmups):
+        for i in range(WARMUP_INFERENCES):
             for forward_fn in forward_fns:
                 forward_fn(instances[i % n])
         for i in range(timed):
@@ -360,9 +370,7 @@ def _apply_pipeline(
                          lr_max=FINE_TUNE_LR, seed=run_seed + 1)
 
     for op in pipeline:
-        if op in ("static-quant", "dynamic-quant", "qat"):
-            if isinstance(current, QuantizedModel):
-                raise ConfigError(f"{op} after quantization is not meaningful")
+        if op in QUANT_OPS:  # ExperimentConfig lets only l1-prune follow these
             if op == "qat":  # quantization-aware fine-tuning, then static int8
                 with _stage(stages, "fine_tune"):
                     current = fit(current, train_ds, ft_cfg, weight_fake_quant=True)
@@ -387,9 +395,7 @@ def _apply_pipeline(
                 with _stage(stages, "fine_tune"):
                     current = fit(current, train_ds, ft_cfg, mask=masks)
             energy_factor = pruned_energy_estimate(energy_factor, removed / base_params)
-        elif op == "l2-prune":
-            if isinstance(current, QuantizedModel):
-                raise ConfigError("structured pruning after quantization is unsupported")
+        else:  # l2-prune
             for granularity in ("neuron", "head"):
                 spec = PruneSpec("l2", granularity, "layerwise", config.sparsity)
                 current, report = prune_structured(current, spec)
@@ -398,16 +404,15 @@ def _apply_pipeline(
             energy_factor = pruned_energy_estimate(energy_factor, removed / base_params)
             with _stage(stages, "fine_tune"):
                 current = fit(current, train_ds, ft_cfg)
-        else:  # pragma: no cover - guarded by ExperimentConfig validation
-            raise ConfigError(f"unknown optimization {op!r}")
     if isinstance(current, QuantizedModel):
         with _stage(stages, "quantize"):  # not in the untimed warm-up inference
             current.compile()
     return current, energy_factor, stages
 
 
-def _flops_g(obj) -> float:
-    return count_flops(obj.config) / 1e9
+def _mean(runs: list[dict], key: str) -> float:
+    """The mean over runs of one field of a row's per-run records."""
+    return float(np.mean([run[key] for run in runs]))
 
 
 def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
@@ -421,21 +426,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
     mcfg = _model_config(config, dataset)
 
     names = ["baseline"] + ["+".join(p) for p in config.optimizations]
-    per_cfg: dict[str, dict[str, list[float]]] = {
-        n: {
-            "acc": [],
-            "time_s": [],
-            "iqr_s": [],
-            "mem": [],
-            "flops_g": [],
-            "sparsity": [],
-            "energy_factor": [],
-            "params": [],
-            "stage_seconds": [],
-        }
-        for n in names
-    }
-
+    records: dict[str, list[dict]] = {name: [] for name in names}  # one per run
     for run in range(config.runs):
         run_seed = config.seed + run
         start = time.perf_counter()
@@ -450,38 +441,38 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
             for pipeline in config.optimizations
         ]
         timings = measure_inference_seconds(
-            [_forward_fn(obj) for obj, _, _ in rows],
-            test_ds.instances,
-            config.warmup_inferences,
-            config.timed_inferences,
+            [_forward_fn(obj) for obj, _, _ in rows], test_ds.instances, config.timed_inferences
         )
         for name, (obj, energy_factor, stages), (seconds, iqr) in zip(names, rows, timings):
-            stats = per_cfg[name]
-            stats["stage_seconds"].append({"train": train_s, **stages})
-            stats["acc"].append(evaluate(obj, test_ds) * 100.0)
-            stats["time_s"].append(seconds)
-            stats["iqr_s"].append(iqr)
-            stats["mem"].append(payload_bytes(obj))
-            stats["flops_g"].append(_flops_g(obj))
-            stats["sparsity"].append(_sparsity(obj))
-            stats["energy_factor"].append(energy_factor)
-            # structured pruning shrinks the config, so count each row's own
-            stats["params"].append(count_params(obj.config))
+            records[name].append({
+                "acc": evaluate(obj, test_ds) * 100.0,
+                "time_s": seconds,
+                "iqr_s": iqr,
+                "mem": payload_bytes(obj),
+                "flops_g": count_flops(obj.config) / 1e9,
+                "sparsity": _sparsity(obj),
+                "energy_factor": energy_factor,
+                # structured pruning shrinks the config, so count each row's own
+                "params": count_params(obj.config),
+                "stage_seconds": {"train": train_s, **stages},
+            })
 
-    base_acc = ci95(per_cfg["baseline"]["acc"]).mean
-    base_time = ci95(per_cfg["baseline"]["time_s"]).mean
+    base_acc = ci95([run["acc"] for run in records["baseline"]]).mean
+    base_time = ci95([run["time_s"] for run in records["baseline"]]).mean
     base_energy = energy_model(config.energy, base_time)
 
     reports = []
     for name in names:
-        stats = per_cfg[name]
-        acc_stats = ci95(stats["acc"])
-        time_stats = ci95(stats["time_s"])
+        runs = records[name]
+        acc_stats = ci95([run["acc"] for run in runs])
+        times = [run["time_s"] for run in runs]
+        time_stats = ci95(times)
         measured_energy = energy_model(config.energy, time_stats.mean)
-        modeled_energy = base_energy * float(np.mean(stats["energy_factor"]))
+        modeled_energy = base_energy * _mean(runs, "energy_factor")
         ee, ar, overall = efficiency_score(
-            float(np.mean(stats["flops_g"])), measured_energy, acc_stats.mean, base_acc
+            _mean(runs, "flops_g"), measured_energy, acc_stats.mean, base_acc
         )
+        stage_runs = [run["stage_seconds"] for run in runs]
         reports.append(
             MetricsReport(
                 configuration=name,
@@ -489,25 +480,21 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsReport]:
                 accuracy_ci_half=acc_stats.ci95_half,
                 accuracy_drop_pct=base_acc - acc_stats.mean,
                 inference_ms=replace(
-                    ci95([t * 1e3 for t in stats["time_s"]]),
-                    iqr_ms=float(np.mean(stats["iqr_s"])) * 1e3,
+                    ci95([t * 1e3 for t in times]), iqr_ms=_mean(runs, "iqr_s") * 1e3
                 ),
                 modeled_energy_j=modeled_energy,
                 measured_energy_j=measured_energy,
-                memory_mb=float(np.mean(stats["mem"])) / 1e6,
-                flops_g=float(np.mean(stats["flops_g"])),
+                memory_mb=_mean(runs, "mem") / 1e6,
+                flops_g=_mean(runs, "flops_g"),
                 # derived fields recompute exactly from their operand fields
                 speedup=speedup_ratio(base_time, time_stats.mean),
                 energy_saving_pct=energy_saving_pct(base_energy, measured_energy),
                 ee_gflops_per_j=ee,
                 accuracy_retention_pct=ar,
                 overall_score=overall,
-                params=int(round(np.mean(stats["params"]))),
-                sparsity=float(np.mean(stats["sparsity"])),
-                stage_seconds={
-                    stage: float(np.mean([run[stage] for run in stats["stage_seconds"]]))
-                    for stage in stats["stage_seconds"][0]
-                },
+                params=int(round(_mean(runs, "params"))),
+                sparsity=_mean(runs, "sparsity"),
+                stage_seconds={stage: _mean(stage_runs, stage) for stage in stage_runs[0]},
             )
         )
     return reports

@@ -59,11 +59,12 @@ class ModelConfig:
             raise ConfigError("patch_size and patch_stride must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        for name, per_layer in (
-            ("heads_per_layer", self.heads_per_layer),
-            ("ffn_per_layer", self.ffn_per_layer),
-        ):
+        for name in ("heads_per_layer", "ffn_per_layer"):
+            per_layer = getattr(self, name)
             if per_layer is not None:
+                # a tuple, however given (JSON gives a list), so configs hash and compare
+                per_layer = tuple(per_layer)
+                object.__setattr__(self, name, per_layer)
                 if len(per_layer) != self.num_layers:
                     raise ConfigError(f"{name} must list all {self.num_layers} layers")
                 if any(v < 1 for v in per_layer):

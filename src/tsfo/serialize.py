@@ -198,25 +198,9 @@ def read_container(path) -> tuple[str, dict, dict[str, tuple]]:
     return header["kind"], header["meta"], tensors
 
 
-def _config_to_meta(config: ModelConfig) -> dict:
-    meta = dataclasses.asdict(config)
-    for key in ("heads_per_layer", "ffn_per_layer"):
-        if meta[key] is not None:
-            meta[key] = list(meta[key])
-    return meta
-
-
-def _config_from_meta(meta: dict) -> ModelConfig:
-    kwargs = dict(meta)
-    for key in ("heads_per_layer", "ffn_per_layer"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = tuple(kwargs[key])
-    return ModelConfig(**kwargs)
-
-
 def save_model(model: TransformerModel, path) -> None:
     tensors = [(name, arr, None) for name, arr in model.params.items()]
-    meta = {"config": _config_to_meta(model.config)}
+    meta = {"config": dataclasses.asdict(model.config)}
     if model.split is not None:
         meta["split"] = model.split
     write_container(path, "model", meta, tensors)
@@ -224,7 +208,7 @@ def save_model(model: TransformerModel, path) -> None:
 
 def save_quantized(qmodel: QuantizedModel, path) -> None:
     meta = {
-        "config": _config_to_meta(qmodel.config),
+        "config": dataclasses.asdict(qmodel.config),
         "mode": qmodel.mode,
         "act_qparams": qmodel.act_qparams,
     }
@@ -262,7 +246,7 @@ def _check_shapes(kind: str, got: dict[str, tuple], want: dict[str, tuple]) -> N
 
 
 def _config_for(meta: dict, tensor_count: int) -> ModelConfig:
-    config = _config_from_meta(meta["config"])
+    config = ModelConfig(**meta["config"])
     # every layer holds several tensors; checked before the per-layer shape
     # table is built, so a corrupt layer count cannot make that table huge
     if config.num_layers > tensor_count:

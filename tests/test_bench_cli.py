@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import itertools
 import json
 import logging
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from tsfo import bench, training
 from tsfo.bench import (
+    KNOWN_OPS,
     ExperimentConfig,
     _apply_pipeline,
     _load_experiment_dataset,
@@ -88,6 +90,15 @@ class TestExperimentConfig:
     def test_unknown_op_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             quick_config(tmp_path, optimizations=[["compress-harder"]])
+
+    @pytest.mark.parametrize("first, second", itertools.product(KNOWN_OPS, repeat=2))
+    def test_only_l1_prune_follows_quantization(self, tmp_path, first, second):
+        if first not in ("static-quant", "dynamic-quant", "qat") or second == "l1-prune":
+            quick_config(tmp_path, optimizations=[[first, second]])
+        else:
+            with pytest.raises(ConfigError, match=f"{second} cannot follow quantization "
+                                                  f"in pipeline {first}\\+{second}"):
+                quick_config(tmp_path, optimizations=[["l1-prune"], [first, second]])
 
     def test_needs_a_dataset(self):
         with pytest.raises(ConfigError):
@@ -290,6 +301,19 @@ class TestPrunedQuantized:
 
 
 class TestDeterminism:
+    def test_inline_synth_and_its_saved_file_give_equal_reports(self, tmp_path):
+        synth = {"classes": 3, "per_class": 12, "length": 96, "noise": 0.05, "seed": 5}
+        path = str(tmp_path / "d.tsfo")
+        save_dataset(synth_generate(3, 12, 96, 0.05, 5), path)
+        inline = run_experiment(quick_config(tmp_path, synth=synth))
+        from_file = run_experiment(quick_config(tmp_path, synth=None, dataset_path=path))
+        for ra, rb in zip(inline, from_file, strict=True):
+            da, db = ra.to_dict(), rb.to_dict()
+            for field in (*TIME_DERIVED_FIELDS, "provenance"):
+                da.pop(field, None)
+                db.pop(field, None)
+            assert da == db
+
     def test_reports_bit_stable_modulo_time(self, tmp_path):
         config_a = quick_config(tmp_path / "a")
         config_b = quick_config(tmp_path / "b")
@@ -401,7 +425,7 @@ def test_measure_inference_counts_calls():
         calls.append(1)
 
     xs = np.zeros((3, 1, 8), np.float32)
-    measure_inference_seconds([fake_forward], xs, warmups=10, timed=100)
+    measure_inference_seconds([fake_forward], xs, timed=100)
     assert len(calls) == 110
 
 
@@ -413,7 +437,7 @@ def test_measure_inference_returns_median_and_iqr(monkeypatch):
             start = ticks[-1] if ticks else 0.0
             ticks += [start, start + (i + 1) * (j + 1) * 1e-3]
     monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=iter(ticks).__next__))
-    timings = measure_inference_seconds([lambda x: x] * 2, np.zeros((1, 1, 4)), 1, 100)
+    timings = measure_inference_seconds([lambda x: x] * 2, np.zeros((1, 1, 4)), 100)
     # samples 1..100 ms: median 50.5, quartiles 25.75 and 75.25
     assert timings == [
         pytest.approx((50.5e-3, 49.5e-3), rel=1e-9),
@@ -429,7 +453,7 @@ class TestSingleThread:
             for _ in range(3):
                 with single_thread():
                     pass
-            measure_inference_seconds([lambda x: x], np.zeros((1, 1, 4)), warmups=1, timed=100)
+            measure_inference_seconds([lambda x: x], np.zeros((1, 1, 4)), timed=100)
         warnings = [r for r in caplog.records if r.name == "tsfo.bench"]
         assert len(warnings) == 1
         assert warnings[0].levelno == logging.WARNING
@@ -653,12 +677,20 @@ class TestCli:
          ["prune", "--model", "MISSING", "--sparsity", "1.5"],
          ["prune", "--model", "MISSING", "--data", "MISSING", "--fine-tune-epochs", "-1"],
          ["prune", "--model", "MISSING", "--seed", "-1"],
-         ["quantize", "--model", "MISSING", "--data", "MISSING", "--calibration-size", "0"]],
+         ["quantize", "--model", "MISSING", "--data", "MISSING", "--calibration-size", "0"],
+         ["bench", "--config", "CONFIG", "--opt", "static-quant,l2-prune"],
+         ["bench", "--config", "CONFIG", "--opt", "dynamic-quant,qat"]],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )
-    def test_bad_flag_is_a_config_error_before_any_file_is_read(self, tmp_path, caplog, argv):
+    def test_bad_flag_is_a_config_error_before_any_file_is_read(
+        self, tmp_path, tmp_path_factory, caplog, argv
+    ):
         missing = str(tmp_path / "missing.tsfo")
-        argv = [missing if arg == "MISSING" else arg for arg in argv]
+        # a bench config that names the missing dataset, kept outside tmp_path
+        config = tmp_path_factory.mktemp("config") / "config.json"
+        config.write_text(json.dumps({"dataset": missing, "runs": 1, "epochs": 1}))
+        places = {"MISSING": missing, "CONFIG": str(config)}
+        argv = [places.get(arg, arg) for arg in argv]
         with caplog.at_level(logging.ERROR, logger="tsfo"):
             assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "configuration error: " in caplog.text
@@ -721,6 +753,15 @@ class TestCli:
         with caplog.at_level(logging.ERROR, logger="tsfo"):
             assert main(["bench", "--config", str(cfg_path)]) == EXIT_CONFIG
         assert "configuration error: " in caplog.text and key in caplog.text
+        assert not (tmp_path / "bench").exists()
+
+    def test_bench_warmup_count_is_not_a_config_key(self, tmp_path, caplog):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"dataset": SYNTH, "runs": 1, "epochs": 1,
+                                        "warmup_inferences": 10, "out": str(tmp_path / "bench")}))
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["bench", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert "configuration error: unknown config key 'warmup_inferences'" in caplog.text
         assert not (tmp_path / "bench").exists()
 
     @pytest.mark.parametrize("energy", [{"voltage_v": 0}, {"activity_factor": 1.5}])

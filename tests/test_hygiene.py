@@ -215,6 +215,19 @@ def test_no_handler_turns_one_toolkit_error_into_another():
     assert not converted, f"handlers that change a toolkit error's class: {converted}"
 
 
+def test_study_rules_are_checked_before_data_is_built():
+    """``ExperimentConfig`` holds every rule of a study, op order included, so the
+    functions that run a study raise nothing of their own."""
+    raising = [
+        f"bench.py:{node.lineno}"
+        for top in parse(SRC / "bench.py").body
+        if getattr(top, "name", None) in ("_apply_pipeline", "run_experiment")
+        for node in ast.walk(top)
+        if isinstance(node, ast.Raise)
+    ]
+    assert not raising, f"study code that raises after the config is built: {raising}"
+
+
 def numpy_paths(tree):
     """(line, dotted path) of every numpy module or attribute a module names:
     its imports from numpy and its ``np.a.b`` / ``numpy.a.b`` attribute chains."""

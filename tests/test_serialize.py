@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import struct
@@ -82,6 +83,17 @@ class TestModelRoundTrip:
         xs = seeded_rng(3).normal(size=(2, 1, 16)).astype(np.float32)
         assert np.array_equal(forward_batch(back, xs), forward_batch(pruned, xs))
 
+
+    def test_config_given_lists_equals_its_round_trip(self, tmp_path):
+        # a custom model block read from JSON gives its per-layer counts as lists
+        config = dataclasses.replace(small_config(), heads_per_layer=[2, 1], ffn_per_layer=[16, 8])
+        assert (config.heads_per_layer, config.ffn_per_layer) == ((2, 1), (16, 8))
+        path = tmp_path / "m.tsfo"
+        save_model(build_model(config, 0), path)
+        back = load(path).config
+        assert back == config and hash(back) == hash(config)
+        header, _ = split_container(path.read_bytes())
+        assert header["meta"]["config"]["heads_per_layer"] == [2, 1]
 
     def test_split_record_survives(self, tmp_path):
         m = build_model(small_config(), 4)
