@@ -18,16 +18,18 @@ import contextlib
 import functools
 import json
 import logging
+import math
 import os
 import time
 from collections import defaultdict
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
+from types import NoneType
 
 import numpy as np
 
 from .data import (
+    SynthSpec,
     TimeSeriesDataset,
-    check_synth_args,
     check_train_fraction,
     normalize_dataset,
     subject_wise_split,
@@ -58,8 +60,6 @@ from .pruning import (
     prune_structured,
     prune_unstructured,
     pruned_energy_estimate,
-    score_weights,
-    select_prune_set,
     sparsity as model_sparsity,
 )
 from .quantization import (
@@ -72,7 +72,7 @@ from .quantization import (
     quantized_forward,
 )
 from .serialize import load_any_dataset
-from .tensor import QTensor
+from .tensor import QTensor, dequantize_linear
 from .training import FINE_TUNE_LR, TrainConfig, evaluate, fit
 
 KNOWN_OPS = ("static-quant", "dynamic-quant", "l1-prune", "l2-prune", "qat")
@@ -109,21 +109,59 @@ def single_thread():
         yield
 
 
-# what a config or report field of each annotated type must hold; bools are not ints here
+# what a config or report field of each annotated type must hold: the types of
+# its value and, for a list, of each item; bools are not ints here
 _FIELD_TYPES = {
-    "int": ("an int", (int,)), "float": ("a number", (int, float)), "str": ("a string", (str,)),
-    "float | None": ("a number or null", (int, float, type(None))),
-    "dict[str, float]": ("an object", (dict,)),
+    "int": ("an int", (int,), None), "float": ("a number", (int, float), None),
+    "str": ("a string", (str,), None), "str | None": ("a string or null", (str, NoneType), None),
+    "float | None": ("a number or null", (int, float, NoneType), None),
+    "dict[str, float]": ("an object", (dict,), None),
+    "list[list[str]]": ("a list of op lists", (list,), (list,)),
+    "tuple[int, ...] | None": ("a list of ints or null", (list, tuple, NoneType), (int,)),
+    "dict | None": ("an object or null", (dict, NoneType), None),
+    "SynthSpec | dict | None": ("an object or null", (SynthSpec, dict, NoneType), None),
+    "EnergyParams | dict": ("an object", (EnergyParams, dict), None),
 }
+
+
+@functools.cache
+def _block_fields(cls, keys, optional) -> dict:
+    """{name: (annotated type, required)} of each field of ``cls`` a block may give."""
+    return {f.name: (f.type, f.default is f.default_factory is MISSING and f.name not in optional)
+            for f in fields(cls) if keys is None or f.name in keys}
+
+
+def _checked(block: str, given, cls, keys=None, optional=()) -> dict:
+    """``given``, once it is checked as a JSON block of dataclass ``cls`` (of the
+    fields named in ``keys``, when given): an object with no unknown key, holding
+    every field without a default but those in ``optional``, each value of the
+    field's annotated type in ``_FIELD_TYPES``, and each number finite."""
+    own = _block_fields(cls, keys, optional)
+    if not isinstance(given, dict):
+        raise ConfigError(f"{block} must be a JSON object, got {type(given).__name__}")
+    if not given.keys() <= own.keys():
+        unknown = sorted(set(given) - set(own))
+        raise ConfigError(f"unknown {block} key {unknown[0]!r} (choose from {sorted(own)})")
+    for name, (kind, required) in own.items():
+        if name not in given:
+            if required:
+                raise ConfigError(f"{block} is missing key {name!r}")
+            continue
+        value = given[name]
+        what, types, items = _FIELD_TYPES[kind]
+        if (type(value) not in types or type(value) is float and not math.isfinite(value)
+                or items and value is not None and any(type(v) not in items for v in value)):
+            raise ConfigError(f"{block} {name} must be {what}, got {value!r}")
+    return given
 
 
 @dataclass
 class ExperimentConfig:
     dataset_path: str | None = None
-    synth: dict | None = None
+    synth: SynthSpec | dict | None = None  # a dict becomes a SynthSpec
     preset: str = "T1"
-    model: dict | None = None            # custom ModelConfig fields
-    optimizations: list = field(
+    model: dict | None = None            # ModelConfig fields; a preset's, only its patching
+    optimizations: list[list[str]] = field(
         default_factory=lambda: [["static-quant"], ["dynamic-quant"], ["l1-prune"], ["l2-prune"]]
     )
     sparsity: float = 0.4
@@ -139,10 +177,7 @@ class ExperimentConfig:
     timed_inferences: int = 100
 
     def __post_init__(self):
-        for f in fields(self):  # the annotations say which fields hold ints, numbers, strings
-            value = getattr(self, f.name)
-            if f.type in _FIELD_TYPES and type(value) not in _FIELD_TYPES[f.type][1]:
-                raise ConfigError(f"{f.name} must be {_FIELD_TYPES[f.type][0]}, got {value!r}")
+        _checked("config", self.__dict__, ExperimentConfig)  # each field's annotated type
         for name, least in (("runs", 1), ("calibration_size", 1), ("fine_tune_epochs", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
@@ -152,59 +187,22 @@ class ExperimentConfig:
         check_train_fraction(self.train_fraction)
         if self.dataset_path is None and self.synth is None:
             raise ConfigError("need a dataset path or a synth spec")
-        if not (isinstance(self.optimizations, list)
-                and all(isinstance(p, list) for p in self.optimizations)):
-            raise ConfigError(f"optimizations must be a list of op lists: {self.optimizations!r}")
         for pipeline in self.optimizations:
             quantized = False
             for op in pipeline:
                 if op not in KNOWN_OPS:
                     raise ConfigError(f"unknown optimization {op!r} (choose from {KNOWN_OPS})")
-                if quantized and op != "l1-prune":
+                if quantized and op != "l1-prune":  # later ops are not checked yet
                     raise ConfigError(f"{op} cannot follow quantization in pipeline "
-                                      f"{'+'.join(pipeline)}: only l1-prune can")
+                                      f"{'+'.join(map(str, pipeline))}: only l1-prune can")
                 quantized = quantized or op in QUANT_OPS
         if self.timed_inferences < 100:
             raise ConfigError("timing protocol requires at least 100 timed inferences")
-        if self.synth is not None:
-            _check_keys("synth", self.synth, SYNTH_KEYS, required=SYNTH_REQUIRED)
-            for key, value in self.synth.items():
-                what, types = _FIELD_TYPES["float" if key == "noise" else "int"]
-                if type(value) not in types:
-                    raise ConfigError(f"synth {key} must be {what}, got {value!r}")
-            check_synth_args(**_synth_args(self.synth))
-        custom = self.preset == "custom"
-        if custom and self.model is None:
-            raise ConfigError("custom preset needs a model block")
-        if self.model is not None:
-            allowed = {f.name for f in fields(ModelConfig)} if custom else PRESET_MODEL_KEYS
-            required = CUSTOM_MODEL_REQUIRED if custom else ()
-            _check_keys("model", self.model, allowed, required=required)
-        if not isinstance(self.energy, EnergyParams):
-            _check_keys("energy", self.energy, {f.name for f in fields(EnergyParams)})
-            self.energy = EnergyParams(**self.energy)
-
-
-SYNTH_REQUIRED = ("classes", "per_class", "length")
-SYNTH_KEYS = SYNTH_REQUIRED + ("noise", "seed")
-# a preset's model block may override only its patching
-PRESET_MODEL_KEYS = ("patch_size", "patch_stride")
-# a custom model block gives every ModelConfig field without a default but
-# seq_len, which _model_config takes from the dataset
-CUSTOM_MODEL_REQUIRED = tuple(
-    f.name for f in fields(ModelConfig) if f.default is MISSING and f.name != "seq_len"
-)
-
-
-def _check_keys(block: str, given, allowed, required=()) -> None:
-    if not isinstance(given, dict):
-        raise ConfigError(f"{block} must be a JSON object, got {type(given).__name__}")
-    unknown = sorted(set(given) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {block} key {unknown[0]!r} (choose from {sorted(allowed)})")
-    missing = [k for k in required if k not in given]
-    if missing:
-        raise ConfigError(f"{block} is missing key {missing[0]!r}")
+        if isinstance(self.synth, dict):  # the block's seed defaults to the study's
+            self.synth = SynthSpec(**_checked("synth", {"seed": self.seed, **self.synth}, SynthSpec))
+        if isinstance(self.energy, dict):
+            self.energy = EnergyParams(**_checked("energy", self.energy, EnergyParams))
+        _model_config(self)  # every model rule but "patch longer than the series"
 
 
 def experiment_config(raw: dict) -> ExperimentConfig:
@@ -212,59 +210,52 @@ def experiment_config(raw: dict) -> ExperimentConfig:
 
     Besides the fields of ``ExperimentConfig``, ``dataset`` takes a path or a
     synth spec (bare or as ``{"synth": {...}}``) and ``out`` the output
-    directory; ``energy`` holds ``EnergyParams`` fields. An unknown key in
-    any block, a synth spec without classes, per_class or length, a synth
-    value of the wrong type, or a custom model block without a field
-    ``ModelConfig`` needs is a ConfigError that names the key
-    (``ExperimentConfig`` itself checks the synth, model and energy blocks,
-    however it is built). So is a synth value that ``synth_generate`` would
-    refuse, before any data is built.
+    directory. An unknown or missing key in any block, or a value of the
+    wrong type or range, is a ConfigError that names the key, raised before
+    any data is read (``ExperimentConfig`` checks every block itself).
     """
-    names = {f.name for f in fields(ExperimentConfig)}
-    _check_keys("config", raw, names | {"dataset", "out"})
-    raw = dict(raw)
-    dataset = raw.pop("dataset", None)
-    if isinstance(dataset, str):
-        raw["dataset_path"] = dataset
-    elif isinstance(dataset, dict):
-        raw["synth"] = dataset.get("synth", dataset)
-    if "out" in raw:
-        raw["out_dir"] = raw.pop("out")
-    return ExperimentConfig(**raw)
+    if isinstance(raw, dict):
+        raw = dict(raw)
+        if "dataset" in raw:
+            dataset = raw.pop("dataset")
+            if isinstance(dataset, dict):
+                raw["synth"] = dataset.get("synth", dataset)
+            else:
+                raw["dataset_path"] = dataset
+        if "out" in raw:
+            raw["out_dir"] = raw.pop("out")
+    return ExperimentConfig(**_checked("config", raw, ExperimentConfig))
 
 
 def _load_experiment_dataset(config: ExperimentConfig) -> TimeSeriesDataset:
     """The study's dataset, min-max normalized whether a file or a synth block names it."""
     if config.dataset_path is not None:
         dataset = load_any_dataset(config.dataset_path)
-    else:
-        dataset = synth_generate(**_synth_args(config.synth),
-                                 seed=config.synth.get("seed", config.seed))
+    else:  # a SynthSpec holds synth_generate's arguments in its order
+        dataset = synth_generate(*astuple(config.synth))
     return normalize_dataset(dataset)
 
 
-def _synth_args(synth: dict) -> dict:
-    """``synth_generate``'s arguments from a synth block, all but the seed."""
-    return dict(num_classes=synth["classes"], per_class=synth["per_class"],
-                length=synth["length"], noise=synth.get("noise", 0.05))
-
-
-def _model_config(config: ExperimentConfig, dataset: TimeSeriesDataset) -> ModelConfig:
-    if config.preset == "custom":
-        fields = dict(config.model)
-        fields.setdefault("seq_len", dataset.seq_len)
-        fields.setdefault("in_channels", dataset.channels)
-        fields.setdefault("num_classes", dataset.num_classes)
-        return ModelConfig(**fields)
-    overrides = dict(config.model or {})
-    return preset_config(
-        config.preset,
-        seq_len=dataset.seq_len,
-        num_classes=dataset.num_classes,
-        in_channels=dataset.channels,
-        patch_size=overrides.get("patch_size"),
-        patch_stride=overrides.get("patch_stride"),
-    )
+def _model_config(
+    config: ExperimentConfig, dataset: TimeSeriesDataset | None = None
+) -> ModelConfig:
+    """The study's ``ModelConfig`` for ``dataset``'s dimensions or, without one, for
+    stand-ins (the synth length, else the shortest series the block's patch allows;
+    one channel, two classes), so that every model rule but "patch longer than the
+    series" is checked before any data is read."""
+    custom, patching = config.preset == "custom", ("patch_size", "patch_stride")
+    # a custom block gives ModelConfig's fields but the data's; a preset's may give its patching
+    block = _checked("model", config.model or {}, ModelConfig,
+                     keys=None if custom else patching, optional=("seq_len",) if custom else patching)
+    if dataset is None:
+        seq_len = config.synth.length if config.dataset_path is None else block.get("patch_size", 8)
+        dims = dict(seq_len=seq_len, in_channels=1, num_classes=2)
+    else:
+        dims = dict(seq_len=dataset.seq_len, in_channels=dataset.channels,
+                    num_classes=dataset.num_classes)
+    if custom:
+        return ModelConfig(**{**dims, **block})
+    return preset_config(config.preset, **dims, **block)
 
 
 def calibration_rows(dataset: TimeSeriesDataset, size: int) -> np.ndarray:
@@ -311,23 +302,22 @@ def _forward_fn(model_or_q):
 
 
 def _prune_quantized(qmodel: QuantizedModel, spec: PruneSpec) -> tuple[QuantizedModel, int]:
-    """Mask int8 weights to zero; no fine-tuning is possible after quantization.
+    """Zero the int8 weights that ``prune_unstructured`` prunes in the
+    dequantized model; no fine-tuning is possible after quantization.
 
     Returns a new model built from masked copies of the payloads (the input
     is left as it was) and the number of weights removed.
     """
     shadow = TransformerModel(
         config=qmodel.config,
-        params={name: qmodel.dequantized_param(name) for name in qmodel.weights},
+        params={name: dequantize_linear(q) for name, q in qmodel.weights.items()},
     )
-    indices = select_prune_set(score_weights(shadow, spec.method), spec)
+    _, keep, report = prune_unstructured(shadow, spec)
     weights = dict(qmodel.weights)
-    for name, idx in indices.items():
+    for name, mask in keep.items():
         q = qmodel.weights[name]
-        data = q.data.copy()
-        data.reshape(-1)[idx] = 0
-        weights[name] = QTensor(data, q.scale, q.zero_point, q.channel_axis)
-    return replace(qmodel, weights=weights), int(sum(len(i) for i in indices.values()))
+        weights[name] = QTensor(q.data * mask, q.scale, q.zero_point, q.channel_axis)
+    return replace(qmodel, weights=weights), report.params_removed
 
 
 def _sparsity(model_or_q) -> float:

@@ -193,7 +193,7 @@ def min_max_normalize(series: np.ndarray) -> np.ndarray:
 def normalize_dataset(dataset: TimeSeriesDataset) -> TimeSeriesDataset:
     return TimeSeriesDataset(
         name=dataset.name,
-        instances=np.stack([min_max_normalize(x) for x in dataset.instances]),
+        instances=min_max_normalize(dataset.instances),  # each [C, T] row over its last axis
         labels=dataset.labels,
         label_map=dataset.label_map,
         subjects=dataset.subjects,
@@ -317,16 +317,26 @@ def subject_wise_split(
     )
 
 
-def check_synth_args(num_classes: int, per_class: int, length: int, noise: float) -> None:
-    """The ranges ``synth_generate`` takes, checked without building anything."""
-    if num_classes < 2:
-        raise ConfigError("synth: need at least two classes")
-    if per_class < 1:
-        raise ConfigError("synth: need at least one instance per class")
-    if length < 16:
-        raise ConfigError("synth: series length must be at least 16")
-    if noise < 0:
-        raise ConfigError("synth: noise sigma must be nonnegative")
+@dataclass(frozen=True)
+class SynthSpec:
+    """The arguments of ``synth_generate``, in its order, checked when built
+    (all but the seed, which ``seeded_rng`` checks when the data is built)."""
+
+    classes: int
+    per_class: int
+    length: int
+    noise: float = 0.05
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.classes < 2:
+            raise ConfigError("synth: need at least two classes")
+        if self.per_class < 1:
+            raise ConfigError("synth: need at least one instance per class")
+        if self.length < 16:
+            raise ConfigError("synth: series length must be at least 16")
+        if not 0 <= self.noise < math.inf:  # NaN fails too
+            raise ConfigError(f"synth: noise sigma must be nonnegative and finite, got {self.noise}")
 
 
 def synth_generate(
@@ -343,7 +353,7 @@ def synth_generate(
     assigned round-robin over ceil(per_class / 5) synthetic households, so
     every household sees every class.
     """
-    check_synth_args(num_classes, per_class, length, noise)
+    SynthSpec(num_classes, per_class, length, noise, seed)
     rng = seeded_rng(seed)
     t = np.arange(length)
     households = max(1, math.ceil(per_class / 5))

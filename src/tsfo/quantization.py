@@ -181,9 +181,6 @@ class QuantizedModel:
         """Build ``pack`` and ``sites`` now rather than in the first inference."""
         self.sites  # a cached property; building it builds pack
 
-    def dequantized_param(self, name: str) -> np.ndarray:
-        return dequantize_linear(self.weights[name])
-
 
 def _pack(config: ModelConfig, weights: dict[str, QTensor]) -> dict:
     """Everything inference needs from the int8 weights, laid out once.

@@ -1,14 +1,19 @@
 import contextlib
+import copy
 import csv
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 import types
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tsfo import bench, training
 from tsfo.bench import (
@@ -20,6 +25,7 @@ from tsfo.bench import (
     _prune_quantized,
     calibration_rows,
     emit_report,
+    experiment_config,
     load_reports,
     measure_inference_seconds,
     run_experiment,
@@ -35,7 +41,7 @@ from tsfo.data import (
     synth_generate,
 )
 from tsfo.errors import ConfigError
-from tsfo.model import build_model, count_params, preset_config
+from tsfo.model import ModelConfig, build_model, count_params, preset_config
 from tsfo.pruning import PruneSpec
 from tsfo.quantization import QuantizedModel, quantize_dynamic, quantized_forward_batch
 from tsfo.serialize import load, save_dataset, save_model, save_quantized
@@ -53,6 +59,36 @@ def write_ucr(path, rows, rng):
 
 
 SYNTH = {"classes": 3, "per_class": 12, "length": 96}
+
+# any JSON value: null, bools, ints past 64 bits, NaN and the infinities, strings,
+# and lists and objects of them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats()
+    | st.sampled_from([2**70, -1, 0, math.nan, math.inf, -math.inf]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# two valid configs, and every key of each of their blocks, with one key no block knows
+VALID_CONFIGS = {
+    "custom": {
+        "synth": {**SYNTH, "noise": 0.05, "seed": 1}, "preset": "custom",
+        "model": {"num_layers": 1, "num_heads": 2, "model_dim": 16, "ffn_dim": 32,
+                  "patch_size": 8, "patch_stride": 8},
+        "energy": {"activity_factor": 0.2, "capacitance_f": 1e-9, "voltage_v": 1.0,
+                   "frequency_hz": 1e9},
+        "runs": 1, "epochs": 1,
+    },
+    "preset": {"dataset": "missing.tsfo", "preset": "T1",
+               "model": {"patch_size": 8, "patch_stride": 4}, "runs": 1},
+}
+TOP_LEVEL_KEYS = [f.name for f in fields(ExperimentConfig)] + ["dataset", "out", "unknown"]
+CONFIG_PLACES = (
+    [(name, None, key) for name in VALID_CONFIGS for key in TOP_LEVEL_KEYS]
+    + [("custom", "synth", key) for key in (*SYNTH, "noise", "seed", "unknown")]
+    + [("custom", "energy", key) for key in (*VALID_CONFIGS["custom"]["energy"], "unknown")]
+    + [("custom", "model", f.name) for f in fields(ModelConfig)]
+    + [("preset", "model", key) for key in ("patch_size", "patch_stride", "num_heads")]
+)
 
 
 def quick_config(out_dir, **overrides):
@@ -128,6 +164,23 @@ class TestExperimentConfig:
     def test_block_checks_hold_for_a_config_built_in_python(self, fields, key):
         with pytest.raises(ConfigError, match=repr(key)):
             run_experiment(ExperimentConfig(runs=1, epochs=1, **fields))
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(place=st.sampled_from(CONFIG_PLACES), value=JSON_VALUES)
+    def test_any_value_at_any_key_builds_or_is_a_config_error(self, monkeypatch, place, value):
+        reads = []
+        monkeypatch.setattr(bench, "_load_experiment_dataset", reads.append)
+        monkeypatch.setattr(bench, "synth_generate", lambda *args: reads.append(args))
+        name, block, key = place
+        assert isinstance(experiment_config(copy.deepcopy(VALID_CONFIGS[name])), ExperimentConfig)
+        raw = copy.deepcopy(VALID_CONFIGS[name])
+        (raw if block is None else raw[block])[key] = value
+        try:
+            assert isinstance(experiment_config(raw), ExperimentConfig)
+        except ConfigError:
+            pass
+        assert reads == []
 
     def test_energy_block_built_in_python_becomes_energy_params(self):
         config = ExperimentConfig(synth=SYNTH, energy={"voltage_v": 1.0})
@@ -694,6 +747,48 @@ class TestCli:
         with caplog.at_level(logging.ERROR, logger="tsfo"):
             assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "configuration error: " in caplog.text
+        assert list(tmp_path.iterdir()) == []
+
+    CUSTOM_PATCHED = {**CUSTOM_MODEL, "patch_size": 8, "patch_stride": 8}
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [({"preset": "custom", "model": {**CUSTOM_PATCHED, "num_heads": "2"}}, "num_heads"),
+         ({"preset": "custom", "model": {**CUSTOM_PATCHED, "heads_per_layer": [2, 2]}},
+          "heads_per_layer"),
+         ({"preset": "custom", "model": {**CUSTOM_PATCHED, "num_heads": 3, "model_dim": 8}},
+          "model_dim"),
+         ({"energy": {"voltage_v": "1.2"}}, "voltage_v"),
+         ({"energy": {"voltage_v": math.nan}}, "voltage_v"),
+         ({"model": {"patch_size": "8"}}, "patch_size"),
+         ({"dataset_path": 7}, "dataset_path"),
+         ({"synth": {**SYNTH, "noise": math.nan}}, "noise"),
+         ({"synth": {**SYNTH, "noise": math.inf}}, "noise"),
+         ({"preset": "T3"}, "preset")],
+        ids=["num-heads-string", "heads-per-layer-length", "model-dim-not-divisible",
+             "voltage-string", "voltage-nan", "preset-patch-string", "dataset-path-int",
+             "synth-noise-nan", "synth-noise-infinity", "unknown-preset"],
+    )
+    def test_bad_config_value_is_a_config_error_before_any_data(
+        self, tmp_path, tmp_path_factory, caplog, monkeypatch, edit, key
+    ):
+        reads = []
+        monkeypatch.setattr(bench, "_load_experiment_dataset", reads.append)
+        monkeypatch.setattr(bench, "synth_generate", lambda *args: reads.append(args))
+        # a config that names a missing dataset, kept outside tmp_path
+        config = tmp_path_factory.mktemp("config") / "config.json"
+        config.write_text(json.dumps({"dataset_path": str(tmp_path / "missing.tsfo"),
+                                      "runs": 1, "epochs": 1, **edit}))
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["bench", "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "configuration error: " in caplog.text and key in caplog.text
+        assert reads == [] and list(tmp_path.iterdir()) == []
+
+    def test_synth_noise_nan_is_a_config_error(self, tmp_path, caplog):
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["synth", "--noise", "nan", "--out", str(tmp_path / "d.tsfo")]) == EXIT_CONFIG
+        assert "configuration error: synth: noise sigma" in caplog.text
         assert list(tmp_path.iterdir()) == []
 
     def test_train_patches_a_long_series_as_bench_does(self, tmp_path):

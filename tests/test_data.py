@@ -160,6 +160,15 @@ class TestNormalize:
         norm = normalize_dataset(ds)
         assert norm.instances.min() >= 0.0 and norm.instances.max() <= 1.0
 
+    def test_dataset_is_normalized_as_each_row_would_be(self):
+        rng = np.random.default_rng(5)
+        x = (rng.normal(size=(40, 3, 24)) * 50).astype(np.float32)
+        x[::7, 1] = 3.0  # constant channels map to the midpoint
+        x[5] = -2.0      # and so does a row of them
+        ds = TimeSeriesDataset("rows", x, np.arange(40) % 2)
+        per_row = np.stack([min_max_normalize(row) for row in x])
+        assert np.array_equal(normalize_dataset(ds).instances, per_row)
+
 
 class TestWindows:
     def test_count_and_offsets(self):

@@ -233,7 +233,7 @@ class TestDynamic:
         out = quantized_forward(dm, np.zeros((1, 16), np.float32))
         # biases are int8 like every other parameter, so the logits equal the
         # dequantized bias exactly and the float bias within scale/2
-        assert np.array_equal(out, dm.dequantized_param("classifier.bias"))
+        assert np.array_equal(out, dequantize_linear(dm.weights["classifier.bias"]))
         bias_scale = float(dm.weights["classifier.bias"].scale)
         assert np.abs(out - [0.5, -0.25, 1.0]).max() <= bias_scale / 2 * (1 + 1e-5)
 
