@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import inspect
 import json
 import logging
-import math
 import os
 import time
 from collections import defaultdict
-from dataclasses import MISSING, astuple, dataclass, field, fields, replace
-from types import NoneType
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .data import (
     subject_wise_split,
     synth_generate,
 )
-from .errors import ConfigError, InputError, ParseError
+from .errors import FIELD_TYPES, ConfigError, InputError, ParseError, check_types
 from .metrics import (
     EnergyParams,
     MetricsReport,
@@ -44,6 +43,7 @@ from .metrics import (
     efficiency_score,
     energy_model,
     energy_saving_pct,
+    pinning_method,
     speedup as speedup_ratio,
 )
 from .model import (
@@ -81,6 +81,8 @@ QUANT_OPS = ("static-quant", "dynamic-quant", "qat")
 WARMUP_INFERENCES = 10  # untimed, before the timed ones, per the protocol
 # the stages a row's ``stage_seconds`` can hold; the CSV report has a column for each
 STAGES = ("train", "calibrate", "quantize", "prune", "fine_tune")
+# the model dimensions the data gives, which no model block may give
+_DATA_DIMS = ("seq_len", "in_channels", "num_classes")
 
 log = logging.getLogger(__name__)
 
@@ -88,70 +90,46 @@ log = logging.getLogger(__name__)
 @functools.cache
 def _warn_unpinned() -> None:
     log.warning(
-        "threadpoolctl is not installed: BLAS threads are not pinned to one, "
+        "neither threadpoolctl nor thread-count variables of 1 pin BLAS threads to one, "
         "so inference timings do not follow the single-thread protocol"
     )
 
 
-@contextlib.contextmanager
 def single_thread():
-    """Pin BLAS pools to one thread for timing fidelity.
-
-    Without threadpoolctl this pins nothing and logs one warning per process.
-    """
-    try:
+    """A context that holds BLAS to one thread in a timed region, as
+    ``metrics.pinning_method`` decides: threadpoolctl pins the region, thread-count
+    variables of 1 have pinned the whole process, and with neither it logs one
+    warning per process."""
+    if pinning_method() == "threadpoolctl":
         from threadpoolctl import threadpool_limits
-    except ImportError:
+
+        return threadpool_limits(limits=1)
+    if pinning_method() == "none":
         _warn_unpinned()
-        yield
-        return
-    with threadpool_limits(limits=1):
-        yield
-
-
-# what a config or report field of each annotated type must hold: the types of
-# its value and, for a list, of each item; bools are not ints here
-_FIELD_TYPES = {
-    "int": ("an int", (int,), None), "float": ("a number", (int, float), None),
-    "str": ("a string", (str,), None), "str | None": ("a string or null", (str, NoneType), None),
-    "float | None": ("a number or null", (int, float, NoneType), None),
-    "dict[str, float]": ("an object", (dict,), None),
-    "list[list[str]]": ("a list of op lists", (list,), (list,)),
-    "tuple[int, ...] | None": ("a list of ints or null", (list, tuple, NoneType), (int,)),
-    "dict | None": ("an object or null", (dict, NoneType), None),
-    "SynthSpec | dict | None": ("an object or null", (SynthSpec, dict, NoneType), None),
-    "EnergyParams | dict": ("an object", (EnergyParams, dict), None),
-}
+    return contextlib.nullcontext()
 
 
 @functools.cache
-def _block_fields(cls, keys, optional) -> dict:
-    """{name: (annotated type, required)} of each field of ``cls`` a block may give."""
-    return {f.name: (f.type, f.default is f.default_factory is MISSING and f.name not in optional)
-            for f in fields(cls) if keys is None or f.name in keys}
+def _block_fields(build, leave_out) -> dict:
+    """{name: required} of each argument of ``build`` but those in ``leave_out``;
+    required when it has no default."""
+    return {name: arg.default is arg.empty
+            for name, arg in inspect.signature(build).parameters.items() if name not in leave_out}
 
 
-def _checked(block: str, given, cls, keys=None, optional=()) -> dict:
-    """``given``, once it is checked as a JSON block of dataclass ``cls`` (of the
-    fields named in ``keys``, when given): an object with no unknown key, holding
-    every field without a default but those in ``optional``, each value of the
-    field's annotated type in ``_FIELD_TYPES``, and each number finite."""
-    own = _block_fields(cls, keys, optional)
+def _checked(block: str, given, build, leave_out=()) -> dict:
+    """``given``, once it is checked as a JSON block of the arguments of ``build``, a
+    config dataclass or function, but those in ``leave_out``: an object with no
+    unknown key that holds every argument without a default. ``build`` checks
+    the values."""
+    own = _block_fields(build, leave_out)
     if not isinstance(given, dict):
         raise ConfigError(f"{block} must be a JSON object, got {type(given).__name__}")
-    if not given.keys() <= own.keys():
-        unknown = sorted(set(given) - set(own))
-        raise ConfigError(f"unknown {block} key {unknown[0]!r} (choose from {sorted(own)})")
-    for name, (kind, required) in own.items():
-        if name not in given:
-            if required:
-                raise ConfigError(f"{block} is missing key {name!r}")
-            continue
-        value = given[name]
-        what, types, items = _FIELD_TYPES[kind]
-        if (type(value) not in types or type(value) is float and not math.isfinite(value)
-                or items and value is not None and any(type(v) not in items for v in value)):
-            raise ConfigError(f"{block} {name} must be {what}, got {value!r}")
+    unknown = given.keys() - own.keys()
+    missing = [name for name, required in own.items() if required and name not in given]
+    if unknown or missing:
+        raise ConfigError(f"unknown {block} key {min(unknown)!r} (choose from {sorted(own)})"
+                          if unknown else f"{block} is missing key {missing[0]!r}")
     return given
 
 
@@ -168,7 +146,7 @@ class ExperimentConfig:
     runs: int = 5                        # per-config repetitions for the CIs
     seed: int = 0
     out_dir: str = "results"
-    energy: EnergyParams | dict = field(default_factory=EnergyParams)
+    energy: EnergyParams | dict = EnergyParams()
     epochs: int = 30
     fine_tune_epochs: int = 5
     batch_size: int = 32
@@ -177,7 +155,7 @@ class ExperimentConfig:
     timed_inferences: int = 100
 
     def __post_init__(self):
-        _checked("config", self.__dict__, ExperimentConfig)  # each field's annotated type
+        check_types(self, "config")
         for name, least in (("runs", 1), ("calibration_size", 1), ("fine_tune_epochs", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
@@ -187,7 +165,9 @@ class ExperimentConfig:
         check_train_fraction(self.train_fraction)
         if self.dataset_path is None and self.synth is None:
             raise ConfigError("need a dataset path or a synth spec")
-        for pipeline in self.optimizations:
+        for i, pipeline in enumerate(self.optimizations):
+            if not pipeline or pipeline in self.optimizations[:i]:  # rows are keyed by name
+                raise ConfigError(f"pipeline {pipeline} is {'listed twice' if pipeline else 'empty'}")
             quantized = False
             for op in pipeline:
                 if op not in KNOWN_OPS:
@@ -243,18 +223,18 @@ def _model_config(
     stand-ins (the synth length, else the shortest series the block's patch allows;
     one channel, two classes), so that every model rule but "patch longer than the
     series" is checked before any data is read."""
-    custom, patching = config.preset == "custom", ("patch_size", "patch_stride")
-    # a custom block gives ModelConfig's fields but the data's; a preset's may give its patching
-    block = _checked("model", config.model or {}, ModelConfig,
-                     keys=None if custom else patching, optional=("seq_len",) if custom else patching)
+    custom = config.preset == "custom"
+    # a custom block gives ModelConfig's fields, a preset's the patching of preset_config
+    block = _checked("model", config.model or {}, ModelConfig if custom else preset_config,
+                     leave_out=_DATA_DIMS if custom else ("name", *_DATA_DIMS))
     if dataset is None:
-        seq_len = config.synth.length if config.dataset_path is None else block.get("patch_size", 8)
+        seq_len = config.synth.length if config.dataset_path is None else block.get("patch_size") or 8
         dims = dict(seq_len=seq_len, in_channels=1, num_classes=2)
     else:
         dims = dict(seq_len=dataset.seq_len, in_channels=dataset.channels,
                     num_classes=dataset.num_classes)
     if custom:
-        return ModelConfig(**{**dims, **block})
+        return ModelConfig(**dims, **block)
     return preset_config(config.preset, **dims, **block)
 
 
@@ -568,14 +548,14 @@ def _markdown_tables(reports: list[dict]) -> str:
 
 def load_reports(path) -> list[dict]:
     """Read back a JSON report file (lossless round trip of to_dict). A file
-    that is not JSON, holds no list under ``reports``, or a row without the
-    fields of ``MetricsReport`` and each of their types, is a ``ParseError``
+    that is not UTF-8 JSON, holds no list under ``reports``, or a row without
+    the fields of ``MetricsReport`` and each of their types, is a ``ParseError``
     naming it."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParseError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
     rows = data.get("reports") if isinstance(data, dict) else None
     if not isinstance(rows, list):
         raise ParseError(f"{path} holds no list of report objects under 'reports'")
@@ -587,11 +567,11 @@ def load_reports(path) -> list[dict]:
 def _check_row(row, cls, where: str) -> None:
     """Raise ParseError unless ``row`` holds exactly the fields of ``cls``, besides
     a ``provenance``, each of its annotated type (``inference_ms`` a ``RunStats``)."""
-    kinds = {f.name: f.type for f in fields(cls)}
+    kinds = cls.__annotations__
     if not isinstance(row, dict) or set(row) - {"provenance"} != set(kinds):
         raise ParseError(f"{where} does not hold the fields of {cls.__name__}")
     for name, kind in kinds.items():
         if kind == "RunStats":
             _check_row(row[name], RunStats, f"{where} {name}")
-        elif type(row[name]) not in _FIELD_TYPES[kind][1]:
-            raise ParseError(f"{where}: {name} must be {_FIELD_TYPES[kind][0]}, got {row[name]!r}")
+        elif type(row[name]).__name__ not in FIELD_TYPES[kind][1]:
+            raise ParseError(f"{where}: {name} must be {FIELD_TYPES[kind][0]}, got {row[name]!r}")

@@ -146,11 +146,11 @@ def _parse_opt(values) -> list[list[str]]:
 def _cmd_bench(args) -> int:
     raw = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config} is not valid JSON: {exc}") from exc
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ConfigError(f"{args.config} is not valid UTF-8 JSON: {exc}") from exc
     overrides = {
         "seed": args.seed,
         "runs": args.runs,

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError
-from .tensor import seeded_rng
+from .errors import ConfigError, InputError, ParseError, check_types
+from .tensor import check_seed, seeded_rng
 
 log = logging.getLogger(__name__)
 
@@ -83,14 +83,18 @@ def load_ucr_delimited(path) -> TimeSeriesDataset:
     0..K-1 indices by sorted order (numeric sort when every label parses as a
     number). Series are univariate (C = 1). A NaN or infinite cell, such as
     the NaN padding of a variable-length archive, is a ParseError naming its
-    line.
+    line, and so is a file that is not UTF-8 text.
     """
     raw_labels: list[str] = []
     rows: list[list[float]] = []
     linenos: list[int] = []
     width = None
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: line {lineno}: not UTF-8 text ({exc})") from None
             if not line.strip():
                 continue
             delim = _sniff_delimiter(line, lineno)
@@ -319,8 +323,7 @@ def subject_wise_split(
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """The arguments of ``synth_generate``, in its order, checked when built
-    (all but the seed, which ``seeded_rng`` checks when the data is built)."""
+    """The arguments of ``synth_generate``, in its order, checked when built."""
 
     classes: int
     per_class: int
@@ -329,14 +332,16 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_types(self, "synth")
         if self.classes < 2:
             raise ConfigError("synth: need at least two classes")
         if self.per_class < 1:
             raise ConfigError("synth: need at least one instance per class")
         if self.length < 16:
             raise ConfigError("synth: series length must be at least 16")
-        if not 0 <= self.noise < math.inf:  # NaN fails too
-            raise ConfigError(f"synth: noise sigma must be nonnegative and finite, got {self.noise}")
+        if self.noise < 0:
+            raise ConfigError(f"synth: noise sigma must be nonnegative, got {self.noise}")
+        check_seed(self.seed)
 
 
 def synth_generate(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, check_types
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class EnergyParams:
     frequency_hz: float = 2e9
 
     def __post_init__(self):
+        check_types(self, "energy")
         for name, v in self.__dict__.items():
             if v <= 0:
                 raise ConfigError(f"{name} must be positive, got {v}")
@@ -162,27 +163,31 @@ def _git_commit() -> str | None:
 
 
 @functools.cache
+def pinning_method() -> str:
+    """How timed regions hold BLAS to one thread, decided once per process:
+    "threadpoolctl" (``bench.single_thread`` pins each region), "env vars"
+    (every thread-count variable set is "1") or "none"."""
+    if importlib.util.find_spec("threadpoolctl") is not None:
+        return "threadpoolctl"
+    values = {os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ}
+    return "env vars" if values == {"1"} else "none"
+
+
+@functools.cache
 def _environment() -> dict:
     try:
         build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": build.get("name"), "version": build.get("version")}
     except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
         blas = {"name": None, "version": None}
-    thread_env = {var: os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ}
-    if importlib.util.find_spec("threadpoolctl") is not None:
-        method = "threadpoolctl"  # bench.single_thread pins every timed region
-    elif thread_env and all(value == "1" for value in thread_env.values()):
-        method = "env vars"
-    else:
-        method = "none"
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas,
         "cpu_count": os.cpu_count(),
-        "blas_threads_pinned": method != "none",
-        "pinning_method": method,
-        "thread_env": thread_env,
+        "blas_threads_pinned": pinning_method() != "none",
+        "pinning_method": pinning_method(),
+        "thread_env": {var: os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ},
         "git_commit": _git_commit(),
     }
 

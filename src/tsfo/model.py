@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, InputError, ShapeError, check_types
 from .tensor import im2col_batch, layer_norm, relu, seeded_rng, softmax
 
 
@@ -43,6 +43,7 @@ class ModelConfig:
     ffn_per_layer: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        check_types(self, "model")
         if self.num_layers < 1 or self.num_heads < 1:
             raise ConfigError("need at least one layer and one head")
         if self.model_dim % self.num_heads != 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, PruneSpecError
+from .errors import InputError, PruneSpecError, check_types
 from .model import TransformerModel, count_flops, count_params
 
 PRUNABLE_SUFFIXES = (".wq", ".wk", ".wv", ".wo", ".w1", ".w2", "patch_embed.weight")
@@ -32,6 +32,7 @@ class PruneSpec:
     sparsity: float = 0.0
 
     def __post_init__(self):
+        check_types(self, "prune")
         _check_method(self.method)
         if self.granularity not in ("weight", "neuron", "head"):
             raise PruneSpecError(f"unknown granularity {self.granularity!r}")

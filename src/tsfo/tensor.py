@@ -26,12 +26,16 @@ MAX_ACCUM_K = (2**31) // (INT8_MAX * INT8_MAX)
 FOLDED_ACT_MAX = INT8_MAX - INT8_MIN
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
-    """Deterministic PCG64 generator: identical seed, identical stream.
-
-    Every seed passes through here; a negative one is a ``ConfigError``."""
+def check_seed(seed: int) -> None:
+    """The rule of every seed, which ``seeded_rng`` applies: a negative one is a
+    ``ConfigError``. A config checks it here, without building a generator."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """Deterministic PCG64 generator: identical seed, identical stream."""
+    check_seed(seed)
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, InputError, ShapeError, check_types
 from .model import (
     FloatOps,
     TransformerModel,
@@ -31,7 +31,7 @@ from .model import (
     weighted_values,
 )
 from .quantization import QuantizedModel, fake_quant_weight, quantized_forward_batch
-from .tensor import seeded_rng, softmax, standardize
+from .tensor import check_seed, seeded_rng, softmax, standardize
 
 
 def _batch_ce(logits: np.ndarray, labels: np.ndarray):
@@ -276,11 +276,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_types(self, "train")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        seeded_rng(self.seed)  # the seed rule's home: a negative seed is a ConfigError
+        check_seed(self.seed)
 
 
 def _epochs(model: TransformerModel, dataset, cfg: TrainConfig, mask, weight_fake_quant: bool):

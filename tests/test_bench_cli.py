@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tsfo import bench, training
+from tsfo import bench, metrics, training
 from tsfo.bench import (
     KNOWN_OPS,
     ExperimentConfig,
@@ -135,6 +135,22 @@ class TestExperimentConfig:
             with pytest.raises(ConfigError, match=f"{second} cannot follow quantization "
                                                   f"in pipeline {first}\\+{second}"):
                 quick_config(tmp_path, optimizations=[["l1-prune"], [first, second]])
+
+    @pytest.mark.parametrize(
+        "optimizations, message",
+        [([["dynamic-quant"], ["dynamic-quant"], []], r"pipeline \['dynamic-quant'\] is listed twice"),
+         ([["static-quant"], []], r"pipeline \[\] is empty")],
+    )
+    def test_a_pipeline_listed_twice_or_empty_is_a_config_error(
+        self, tmp_path, optimizations, message
+    ):
+        # each row is keyed by its pipeline's name: a second copy would pool its runs
+        # into the first's, and an empty pipeline would be the baseline again
+        with pytest.raises(ConfigError, match=message):
+            quick_config(tmp_path, optimizations=optimizations)
+
+    def test_no_pipeline_at_all_is_a_baseline_only_study(self, tmp_path):
+        assert quick_config(tmp_path, optimizations=[]).optimizations == []
 
     def test_needs_a_dataset(self):
         with pytest.raises(ConfigError):
@@ -499,9 +515,18 @@ def test_measure_inference_returns_median_and_iqr(monkeypatch):
 
 
 class TestSingleThread:
+    @pytest.fixture(autouse=True)
+    def fresh_decision(self, monkeypatch):
+        for var in metrics.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for cached in (metrics.pinning_method, metrics._environment, bench._warn_unpinned):
+            cached.cache_clear()
+        yield
+        metrics.pinning_method.cache_clear()
+        metrics._environment.cache_clear()
+
     def test_warns_once_without_threadpoolctl(self, monkeypatch, caplog):
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-        bench._warn_unpinned.cache_clear()
         with caplog.at_level(logging.WARNING, logger="tsfo.bench"):
             for _ in range(3):
                 with single_thread():
@@ -511,6 +536,19 @@ class TestSingleThread:
         assert len(warnings) == 1
         assert warnings[0].levelno == logging.WARNING
         assert "threadpoolctl" in warnings[0].getMessage()
+        assert metrics.environment()["pinning_method"] == "none"
+
+    def test_thread_count_variables_of_1_pin_silently(self, monkeypatch, caplog):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        with caplog.at_level(logging.WARNING, logger="tsfo.bench"):
+            with single_thread():
+                pass
+            measure_inference_seconds([lambda x: x], np.zeros((1, 1, 4)), timed=100)
+        assert not [r for r in caplog.records if r.name == "tsfo.bench"]
+        env = metrics.environment()
+        assert (env["pinning_method"], env["blas_threads_pinned"]) == ("env vars", True)
 
     def test_pins_silently_with_threadpoolctl(self, monkeypatch, caplog):
         seen = []
@@ -523,12 +561,15 @@ class TestSingleThread:
         monkeypatch.setitem(
             sys.modules, "threadpoolctl", types.SimpleNamespace(threadpool_limits=threadpool_limits)
         )
-        bench._warn_unpinned.cache_clear()
+        real = metrics.importlib.util.find_spec
+        monkeypatch.setattr(metrics.importlib.util, "find_spec",
+                            lambda name: object() if name == "threadpoolctl" else real(name))
         with caplog.at_level(logging.WARNING, logger="tsfo.bench"):
             with single_thread():
                 pass
         assert seen == [1]
         assert not [r for r in caplog.records if r.name == "tsfo.bench"]
+        assert metrics.environment()["pinning_method"] == "threadpoolctl"
 
 
 class TestCli:
@@ -764,10 +805,15 @@ class TestCli:
          ({"dataset_path": 7}, "dataset_path"),
          ({"synth": {**SYNTH, "noise": math.nan}}, "noise"),
          ({"synth": {**SYNTH, "noise": math.inf}}, "noise"),
-         ({"preset": "T3"}, "preset")],
+         ({"preset": "T3"}, "preset"),
+         # the data gives these three; a custom block may not override them
+         ({"preset": "custom", "model": {**CUSTOM_PATCHED, "seq_len": 64}}, "'seq_len'"),
+         ({"preset": "custom", "model": {**CUSTOM_PATCHED, "in_channels": 2}}, "'in_channels'"),
+         ({"preset": "custom", "model": {**CUSTOM_PATCHED, "num_classes": 5}}, "'num_classes'")],
         ids=["num-heads-string", "heads-per-layer-length", "model-dim-not-divisible",
              "voltage-string", "voltage-nan", "preset-patch-string", "dataset-path-int",
-             "synth-noise-nan", "synth-noise-infinity", "unknown-preset"],
+             "synth-noise-nan", "synth-noise-infinity", "unknown-preset",
+             "custom-seq-len", "custom-in-channels", "custom-num-classes"],
     )
     def test_bad_config_value_is_a_config_error_before_any_data(
         self, tmp_path, tmp_path_factory, caplog, monkeypatch, edit, key
@@ -788,7 +834,7 @@ class TestCli:
     def test_synth_noise_nan_is_a_config_error(self, tmp_path, caplog):
         with caplog.at_level(logging.ERROR, logger="tsfo"):
             assert main(["synth", "--noise", "nan", "--out", str(tmp_path / "d.tsfo")]) == EXIT_CONFIG
-        assert "configuration error: synth: noise sigma" in caplog.text
+        assert "configuration error: synth noise must be a number, got nan" in caplog.text
         assert list(tmp_path.iterdir()) == []
 
     def test_train_patches_a_long_series_as_bench_does(self, tmp_path):
@@ -1055,6 +1101,30 @@ class TestCli:
         save_model(build_model(preset_config("T1", seq_len=32, num_classes=2), 0), model_path)
         assert main(["eval", "--model", model_path, "--data", data]) == EXIT_DATA
         assert where in caplog.text
+
+    def test_non_utf8_reports_file_is_a_data_error(self, tmp_path, caplog):
+        path = tmp_path / "reports.json"
+        path.write_bytes(b'{"reports": ["\xff"]}')
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["report", "--reports", str(path), "--out", str(tmp_path / "re")]) == EXIT_DATA
+        assert f"data error: {path} is not valid UTF-8 JSON" in caplog.text
+
+    def test_non_utf8_bench_config_is_a_config_error(self, tmp_path, caplog):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"dataset": "\xff.tsv"}')
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["bench", "--config", str(path)]) == EXIT_CONFIG
+        assert f"configuration error: {path} is not valid UTF-8 JSON" in caplog.text
+
+    def test_non_utf8_ucr_file_is_a_data_error_naming_its_line(self, tmp_path, caplog):
+        path = tmp_path / "Toy.tsv"
+        write_ucr(path, 4, np.random.default_rng(0))
+        path.write_bytes(path.read_bytes() + b"1\t0.5\xff\n")
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["train", "--data", str(path), "--epochs", "1",
+                         "--out", str(tmp_path / "m")]) == EXIT_DATA
+        assert f"data error: {path}: line 5: not UTF-8 text" in caplog.text
+        assert not (tmp_path / "m").exists()
 
     def test_missing_dataset_exit_code(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.tsv"),

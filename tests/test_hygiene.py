@@ -215,25 +215,6 @@ def test_no_handler_turns_one_toolkit_error_into_another():
     assert not converted, f"handlers that change a toolkit error's class: {converted}"
 
 
-def test_every_config_field_type_has_a_check():
-    """The config checker looks each field's annotation up in ``bench._FIELD_TYPES``,
-    so a field of a type it does not list would escape its type check."""
-    from dataclasses import fields
-
-    from tsfo.bench import _FIELD_TYPES, ExperimentConfig
-    from tsfo.data import SynthSpec
-    from tsfo.metrics import EnergyParams
-    from tsfo.model import ModelConfig
-
-    unchecked = [
-        f"{cls.__name__}.{f.name}: {f.type}"
-        for cls in (ExperimentConfig, SynthSpec, EnergyParams, ModelConfig)
-        for f in fields(cls)
-        if f.type not in _FIELD_TYPES
-    ]
-    assert not unchecked, f"config fields of a type _FIELD_TYPES does not list: {unchecked}"
-
-
 def test_study_rules_are_checked_before_data_is_built():
     """``ExperimentConfig`` holds every rule of a study, op order included, so the
     functions that run a study raise nothing of their own."""

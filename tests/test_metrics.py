@@ -208,8 +208,10 @@ def dummy_report():
 class TestEnvironment:
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
+        metrics.pinning_method.cache_clear()
         metrics._environment.cache_clear()
         yield
+        metrics.pinning_method.cache_clear()
         metrics._environment.cache_clear()
 
     def test_block_in_every_report_row(self):
