@@ -66,14 +66,14 @@ class TimeSeriesDataset:
         )
 
 
-def _sniff_delimiter(line: str, lineno: int) -> str:
+def _sniff_delimiter(line: str, where: str) -> str:
     if "\t" in line:
         return "\t"
     if "," in line:
         return ","
     if line.strip() and " " in line.strip():
         return None  # whitespace-separated; split() handles runs
-    raise ParseError(f"line {lineno}: cannot determine delimiter (need tab or comma)")
+    raise ParseError(f"{where}: cannot determine delimiter (need tab or comma)")
 
 
 def load_ucr_delimited(path) -> TimeSeriesDataset:
@@ -81,9 +81,10 @@ def load_ucr_delimited(path) -> TimeSeriesDataset:
 
     Labels may be arbitrary integers or strings; they are remapped to dense
     0..K-1 indices by sorted order (numeric sort when every label parses as a
-    number). Series are univariate (C = 1). A NaN or infinite cell, such as
-    the NaN padding of a variable-length archive, is a ParseError naming its
-    line, and so is a file that is not UTF-8 text.
+    number). Series are univariate (C = 1). Every ParseError names the file
+    and, where a line is at fault, that line: a NaN or infinite cell (such as
+    the NaN padding of a variable-length archive), a short row, a bad number
+    or text that is not UTF-8.
     """
     raw_labels: list[str] = []
     rows: list[list[float]] = []
@@ -97,22 +98,21 @@ def load_ucr_delimited(path) -> TimeSeriesDataset:
                 raise ParseError(f"{path}: line {lineno}: not UTF-8 text ({exc})") from None
             if not line.strip():
                 continue
-            delim = _sniff_delimiter(line, lineno)
+            where = f"{path}: line {lineno}"
+            delim = _sniff_delimiter(line, where)
             fields = line.strip().split(delim) if delim else line.split()
             if len(fields) < 2:
-                raise ParseError(f"line {lineno}: need a label and at least one value")
+                raise ParseError(f"{where}: need a label and at least one value")
             if width is None:
                 width = len(fields)
             elif len(fields) != width:
-                raise ParseError(
-                    f"line {lineno}: expected {width} fields, found {len(fields)}"
-                )
+                raise ParseError(f"{where}: expected {width} fields, found {len(fields)}")
             raw_labels.append(fields[0])
             linenos.append(lineno)
             try:
                 rows.append([float(v) for v in fields[1:]])
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad numeric value ({exc})") from None
+                raise ParseError(f"{where}: bad numeric value ({exc})") from None
     if not rows:
         raise ParseError(f"{path}: file contains no data rows")
 
@@ -142,12 +142,16 @@ def load_ucr_pair(train_path, test_path) -> TimeSeriesDataset:
     """Load a pre-split UCR train/test pair into one dataset.
 
     The archive's split is preserved in ``predefined_split`` so subject-wise
-    splitting can fall back to it when no subject metadata exists.
+    splitting can fall back to it when no subject metadata exists. Files of
+    different series lengths are a ParseError naming both files and lengths.
     """
     train = load_ucr_delimited(train_path)
     test = load_ucr_delimited(test_path)
     if train.seq_len != test.seq_len:
-        raise ParseError("train and test files disagree on series length")
+        raise ParseError(
+            f"{train_path} has series of length {train.seq_len} but {test_path} "
+            f"has length {test.seq_len}"
+        )
     merged_labels = sorted(set(train.label_map) | set(test.label_map), key=_label_sort_key)
     label_map = {lbl: i for i, lbl in enumerate(merged_labels)}
     inv_train = {v: k for k, v in train.label_map.items()}

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, InputError, ShapeError, check_types
-from .tensor import im2col_batch, layer_norm, relu, seeded_rng, softmax
+from .tensor import BLOCK_BYTES, im2col_batch, layer_norm, relu, seeded_rng, softmax
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,7 @@ class ModelConfig:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}"
             )
+        _check_even_dim(self.model_dim)
         if self.num_classes < 2:
             raise ConfigError("need at least two classes")
         if self.patch_size > self.seq_len:
@@ -188,8 +189,21 @@ def build_model(config: ModelConfig, rng: np.random.Generator | int) -> Transfor
     return TransformerModel(config=config, params=params)
 
 
+def _check_even_dim(dim: int) -> None:
+    """The positional table's rule, which ``ModelConfig`` checks before any data
+    is read: sin and cos fill its columns in pairs, so ``dim`` must be even."""
+    if dim % 2 != 0:
+        raise ConfigError(f"model_dim must be even for the positional encoding, got {dim}")
+
+
 @lru_cache(maxsize=64)
-def _pe_table(num_positions: int, dim: int) -> np.ndarray:
+def positional_encoding(num_positions: int, dim: int) -> np.ndarray:
+    """Fixed sinusoidal table: sin on even columns, cos on odd columns.
+
+    The table is deterministic, so it is cached, and callers share one
+    read-only array. An odd ``dim`` is a ``ConfigError`` (``_check_even_dim``).
+    """
+    _check_even_dim(dim)
     pos = np.arange(num_positions, dtype=np.float64)[:, None]
     i = np.arange(dim // 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * i / dim)
@@ -198,16 +212,6 @@ def _pe_table(num_positions: int, dim: int) -> np.ndarray:
     table[:, 1::2] = np.cos(angle)
     table.setflags(write=False)
     return table
-
-
-def positional_encoding(num_positions: int, dim: int) -> np.ndarray:
-    """Fixed sinusoidal table: sin on even columns, cos on odd columns.
-
-    The table is deterministic, so it is cached; callers get a read-only view.
-    """
-    if dim % 2 != 0:
-        raise ConfigError(f"positional encoding needs an even dim, got {dim}")
-    return _pe_table(num_positions, dim)
 
 
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -270,13 +274,28 @@ def attention_backward(q, k, v, weights, d_ctx) -> tuple:
 def attention_context(q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads: int) -> np.ndarray:
     """Scaled dot-product attention of [B, P, a] projections, merged to [B, P, a].
 
-    ``attention_weights`` then ``weighted_values``, for every forward and for
-    training. BLAS writes each head's ``k @ (q / sqrt(dh))^T`` into a [key, B,
-    H, query] buffer, so the softmax normalizes P contiguous rows of B*H*P
-    scores in place (same sums, same order, same bits) instead of B*H*P short
-    reductions. With the presets' heads that wins at batch 1 as at 64: no size switch.
+    ``attention_weights`` then ``weighted_values``, for every inference
+    forward; training runs the two itself, as it keeps the weights. BLAS
+    writes each head's ``k @ (q / sqrt(dh))^T`` into a [key, B, H, query]
+    buffer, so the softmax normalizes P contiguous rows of B*H*P scores in
+    place (same sums, same order, same bits) instead of B*H*P short
+    reductions. With the presets' heads that wins at batch 1 as at 64.
+
+    A batch whose score buffer exceeds ``tensor.BLOCK_BYTES`` runs in blocks
+    of whole instances, each written into one [B, P, a] output, so the
+    buffer stays in L2 from the GEMM through the softmax to the values. No
+    arithmetic changes: each (instance, head) GEMM keeps its shape, and the
+    softmax sums each query's column over the keys in the same order.
     """
-    return weighted_values(attention_weights(q, k, num_heads), v)
+    b, p, _ = q.shape
+    step = BLOCK_BYTES // (num_heads * p * p * q.itemsize) or 1
+    if b <= step:
+        return weighted_values(attention_weights(q, k, num_heads), v)
+    ctx = np.empty(v.shape, np.result_type(q, k, v))
+    for i in range(0, b, step):
+        block = slice(i, i + step)
+        ctx[block] = weighted_values(attention_weights(q[block], k[block], num_heads), v[block])
+    return ctx
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -25,6 +25,11 @@ MAX_ACCUM_K = (2**31) // (INT8_MAX * INT8_MAX)
 # clip(r, -128 - z, 127 - z) = q - z, lies in [-255, 255].
 FOLDED_ACT_MAX = INT8_MAX - INT8_MIN
 
+# The working set, in bytes, of one block of a batch-sized pass: a quarter of
+# a 2 MiB L2, so a block's buffer stays in cache across the pass's steps.
+# ``_quantize_folded`` and ``model.attention_context`` block by it.
+BLOCK_BYTES = 2**19
+
 
 def check_seed(seed: int) -> None:
     """The rule of every seed, which ``seeded_rng`` applies: a negative one is a
@@ -189,6 +194,11 @@ def _quantize_folded(x: np.ndarray, inv, lo: int, hi: int, dtype) -> np.ndarray:
     product the proof reads, and the narrowing casts integers of magnitude
     at most 255, which every float type holds.
 
+    With a scalar ``inv``, an x whose float64 copy would exceed BLOCK_BYTES
+    runs in blocks of its flattened elements, each widened, scaled, clamped,
+    rounded and narrowed into one output while its buffer is in cache. The
+    rule is elementwise, so the blocks leave the proof below untouched.
+
     Proof. Let t = x / s exactly and r = x * inv as computed.
 
     * No overflow or underflow. Every float32 is a multiple of 2^-149 below
@@ -230,6 +240,11 @@ def _quantize_folded(x: np.ndarray, inv, lo: int, hi: int, dtype) -> np.ndarray:
     except where x / s lies within 2^-29.9 of a half-integer, on the side
     toward zero.
     """
+    if x.size * 8 > BLOCK_BYTES and np.ndim(inv) == 0:
+        flat, out, step = x.reshape(-1), np.empty(x.size, dtype), BLOCK_BYTES // 8
+        for i in range(0, x.size, step):
+            out[i:i + step] = _quantize_folded(flat[i:i + step], inv, lo, hi, np.float64)
+        return out.reshape(x.shape)
     r = x.astype(np.float64)
     r *= inv
     # np.maximum/np.minimum rather than np.clip, whose Python-level dispatch

@@ -799,6 +799,8 @@ class TestCli:
           "heads_per_layer"),
          ({"preset": "custom", "model": {**CUSTOM_PATCHED, "num_heads": 3, "model_dim": 8}},
           "model_dim"),
+         ({"preset": "custom", "model": {**CUSTOM_PATCHED, "num_heads": 1, "model_dim": 5}},
+          "model_dim must be even"),
          ({"energy": {"voltage_v": "1.2"}}, "voltage_v"),
          ({"energy": {"voltage_v": math.nan}}, "voltage_v"),
          ({"model": {"patch_size": "8"}}, "patch_size"),
@@ -811,8 +813,8 @@ class TestCli:
          ({"preset": "custom", "model": {**CUSTOM_PATCHED, "in_channels": 2}}, "'in_channels'"),
          ({"preset": "custom", "model": {**CUSTOM_PATCHED, "num_classes": 5}}, "'num_classes'")],
         ids=["num-heads-string", "heads-per-layer-length", "model-dim-not-divisible",
-             "voltage-string", "voltage-nan", "preset-patch-string", "dataset-path-int",
-             "synth-noise-nan", "synth-noise-infinity", "unknown-preset",
+             "model-dim-odd", "voltage-string", "voltage-nan", "preset-patch-string",
+             "dataset-path-int", "synth-noise-nan", "synth-noise-infinity", "unknown-preset",
              "custom-seq-len", "custom-in-channels", "custom-num-classes"],
     )
     def test_bad_config_value_is_a_config_error_before_any_data(
@@ -1124,6 +1126,26 @@ class TestCli:
             assert main(["train", "--data", str(path), "--epochs", "1",
                          "--out", str(tmp_path / "m")]) == EXIT_DATA
         assert f"data error: {path}: line 5: not UTF-8 text" in caplog.text
+        assert not (tmp_path / "m").exists()
+
+    ROW = "1" + "\t0.5" * 32 + "\n"  # a label and 32 values
+
+    @pytest.mark.parametrize(
+        "train, test, want",
+        [(ROW + "2\tx" + "\t0.7" * 31 + "\n", ROW, "{TRAIN}: line 2: bad numeric value"),
+         (ROW, ROW + "2\t0.7\n", "{TEST}: line 2: expected 33 fields, found 2"),
+         (ROW, ROW[:-5] + "\n", "{TRAIN} has series of length 32 but {TEST} has length 31")],
+        ids=["bad-number-in-train", "short-row-in-test", "lengths-differ"],
+    )
+    def test_ucr_pair_error_names_its_file(self, tmp_path, caplog, train, test, want):
+        paths = {"TRAIN": tmp_path / "Bad_TRAIN.tsv", "TEST": tmp_path / "Bad_TEST.tsv"}
+        paths["TRAIN"].write_text(train)
+        paths["TEST"].write_text(test)
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["train", "--data", str(paths["TRAIN"]), "--epochs", "1",
+                         "--out", str(tmp_path / "m")]) == EXIT_DATA
+        want = want.format(**paths)
+        assert f"data error: {want}" in caplog.text
         assert not (tmp_path / "m").exists()
 
     def test_missing_dataset_exit_code(self, tmp_path):

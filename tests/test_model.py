@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import count_calls
 import tsfo.model as model_mod
 import tsfo.training as training_mod
 from tsfo.errors import ConfigError, InputError, ShapeError
@@ -326,6 +327,26 @@ class TestAttentionCore:
             model_mod.attention_context(q, k, v, heads), key_major_context(q, k, v, heads)
         )
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads, dh", [(16, 6), (10, 6), (8, 8)])
+    def test_blocks_equal_one_buffer(self, monkeypatch, heads, dh, dtype):
+        """With a budget of 5 instances' scores, a batch runs in blocks and gives
+        the bits of one [key, B, H, query] buffer, at every block edge."""
+        block, p, itemsize = 5, 24, np.dtype(dtype).itemsize
+        monkeypatch.setattr(model_mod, "BLOCK_BYTES", block * heads * p * p * itemsize)
+        rng = seeded_rng(56 + heads)
+        q, k, v = (rng.normal(size=(64, p, heads * dh)).astype(dtype) for _ in range(3))
+        real, calls = model_mod.attention_weights, []
+        monkeypatch.setattr(
+            model_mod, "attention_weights", lambda *a: calls.append(len(a[0])) or real(*a)
+        )
+        for b in (1, block - 1, block, block + 1, 64):
+            calls.clear()
+            got = model_mod.attention_context(q[:b], k[:b], v[:b], heads)
+            assert calls == [min(block, b - i) for i in range(0, b, block)]
+            want = model_mod.weighted_values(real(q[:b], k[:b], heads), v[:b])
+            assert got.dtype == dtype and np.array_equal(got, want)
+
     @pytest.mark.parametrize("b", [1, 64])
     def test_pruned_forward_equals_key_major_core(self, monkeypatch, b):
         # 24 patches, as in the presets, so that reduction order shows in the bits
@@ -531,19 +552,7 @@ class TestEncode:
         """
         m = build_model(preset_config("T1", seq_len=192, num_classes=4), 0)
         x = seeded_rng(62).normal(size=(1, 192)).astype(np.float32)
-        forward(m, x)  # warm the positional table and any lazy imports
-        events = []
-
-        def count(frame, event, arg):
-            if event in ("call", "c_call"):
-                events.append(event)
-
-        sys.setprofile(count)
-        try:
-            forward(m, x)
-        finally:
-            sys.setprofile(None)
-        assert len(events) <= 480
+        assert count_calls(forward, m, x) <= 480
 
 
 class TestCounts:

@@ -1,8 +1,7 @@
-import sys
-
 import numpy as np
 import pytest
 
+from conftest import count_calls
 import tsfo.pruning as pruning_mod
 from tsfo.errors import PruneSpecError
 from tsfo.model import (
@@ -484,22 +483,6 @@ class TestSameBitsAsTheLexsortPath:
         assert got.config == want.config
         assert got.params.keys() == want.params.keys()
         assert all(np.array_equal(got.params[n], want.params[n]) for n in want.params)
-
-
-def count_calls(fn, *args):
-    """Python and C function calls made while ``fn(*args)`` runs."""
-    events = []
-
-    def count(frame, event, arg):
-        if event in ("call", "c_call"):
-            events.append(event)
-
-    sys.setprofile(count)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return len(events)
 
 
 def test_pruning_call_budget():

@@ -1,9 +1,9 @@
 import math
-import sys
 
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from tsfo.data import synth_generate, subject_wise_split
 from tsfo.errors import CalibrationError, InputError
 from tsfo.model import (
@@ -25,6 +25,7 @@ from tsfo.quantization import (
     quantized_forward_batch,
     scale_zero_point,
 )
+import tsfo.model as model_mod
 from tsfo import quantization, tensor
 from tsfo.model import positional_encoding
 from tsfo.tensor import (
@@ -459,21 +460,23 @@ class TestQuantizePassAndFoldedRelu:
         assert np.array_equal(quantized_forward_batch(qm, xs), per_site_reference(qm, xs))
 
 
-def forward_calls(qmodel, x):
-    """Python and C calls of one ``quantized_forward`` of a warm model."""
-    quantized_forward(qmodel, x)
-    events = []
+@pytest.mark.parametrize("preset", ["T1", "T2"])
+def test_logits_keep_their_bits_in_blocks(monkeypatch, preset):
+    """With a 4 kB budget, every attention core of a batch runs one instance at
+    a time and every int8 quantize pass in blocks of 512 values; float, static
+    and dynamic int8 logits keep the bits of one buffer."""
+    m = build_model(preset_config(preset, seq_len=192, num_classes=4), 0)
+    xs = t_inputs(m.config, 9, 64)
+    serve = [(forward_batch, m), (quantized_forward_batch, static_t_model(m, 65)),
+             (quantized_forward_batch, quantize_dynamic(m))]
 
-    def count(frame, event, arg):
-        if event in ("call", "c_call"):
-            events.append(event)
+    def logits(budget):
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", budget)
+        monkeypatch.setattr(model_mod, "BLOCK_BYTES", budget)
+        return [fn(obj, xs) for fn, obj in serve]
 
-    sys.setprofile(count)
-    try:
-        quantized_forward(qmodel, x)
-    finally:
-        sys.setprofile(None)
-    return len(events)
+    for got, want in zip(logits(2**12), logits(2**62)):
+        assert np.array_equal(got, want)
 
 
 def test_quantized_forward_call_budget():
@@ -487,5 +490,5 @@ def test_quantized_forward_call_budget():
     """
     m = build_model(preset_config("T1", seq_len=192, num_classes=4), 0)
     x = seeded_rng(62).normal(size=(1, 192)).astype(np.float32)
-    assert forward_calls(static_t_model(m, 63), x) <= 600
-    assert forward_calls(quantize_dynamic(m), x) <= 760
+    assert count_calls(quantized_forward, static_t_model(m, 63), x) <= 600
+    assert count_calls(quantized_forward, quantize_dynamic(m), x) <= 760

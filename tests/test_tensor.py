@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsfo.tensor as tensor_mod
 from tsfo.errors import CapacityError, InputError, ShapeError
 from tsfo.model import FloatOps
 from tsfo.tensor import (
+    BLOCK_BYTES,
     FOLDED_ACT_MAX,
     INT8_MAX,
     INT8_MIN,
@@ -390,6 +392,33 @@ class TestQuantizeRule:
         assert np.array_equal(x, before)
         assert np.array_equal(got, reference_folded(before, s, zero_point))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("zero_point", [INT8_MIN, -3, 0])
+    def test_blocks_equal_one_buffer(self, monkeypatch, zero_point, dtype):
+        """With a budget of 37 float64 elements, a scalar-scale pass runs in
+        blocks and gives the bits of one buffer at every block edge: ties,
+        signed zeros, infinities and NaN, any shape, contiguous or not."""
+        s = np.float32(0.013)
+        inv, lo, hi = compile_linear(s, zero_point, scaled_identity(4), np.zeros(4))[:3]
+        x = np.append(tie_cases(s, np.arange(-300, 301)), np.float32(np.nan))
+        monkeypatch.setattr(tensor_mod, "BLOCK_BYTES", 8 * 37)
+        bits = f"u{np.dtype(dtype).itemsize}"
+        for part in (x[:36], x[:37], x[:38], x[:37 * 5], x, x[-3600:].reshape(-1, 5, 8),
+                     x[-3600:].reshape(-1, 8).T):
+            got = _quantize_folded(part, inv, lo, hi, dtype)
+            with monkeypatch.context() as one_buffer:
+                one_buffer.setattr(tensor_mod, "BLOCK_BYTES", 2**62)
+                want = _quantize_folded(part, inv, lo, hi, dtype)
+            assert got.dtype == dtype and got.shape == part.shape
+            assert np.array_equal(got.view(bits), want.view(bits))
+            assert np.array_equal(got, reference_folded(part, s, zero_point), equal_nan=True)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_per_channel_matches_reference_past_the_budget(self, monkeypatch, axis):
+        # a vector of scales is never blocked: it broadcasts along x's own axes
+        monkeypatch.setattr(tensor_mod, "BLOCK_BYTES", 64)
+        self.test_per_channel_matches_reference(axis)
+
     @pytest.mark.parametrize("axis", [0, 1])
     def test_per_channel_matches_reference(self, axis):
         rng = seeded_rng(21)
@@ -430,7 +459,7 @@ class TestQuantizeRule:
         assert np.array_equal(got, identity_reference(want.reshape(1, -1), s))
 
     def test_quantized_linear_peak_memory(self):
-        # one float64 and one float32 copy of x at most while it is quantized
+        # one float32 copy of x and one BLOCK_BYTES float64 block at most while it is quantized
         rng = seeded_rng(13)
         x = rng.normal(size=(1536, 384)).astype(np.float32)
         w = quantize_linear(rng.uniform(-1, 1, size=(384, 96)).astype(np.float32), 1 / 127)
@@ -447,7 +476,8 @@ class TestQuantizeRule:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak < x.size * (8 + 4 + 4) + out.nbytes
+        assert x.size * 8 > 8 * BLOCK_BYTES  # its float64 copy spans several blocks
+        assert peak < BLOCK_BYTES + x.size * 4 + out.nbytes
 
 
 def fraction_half_away(x, s):

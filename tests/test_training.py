@@ -1,11 +1,11 @@
 import math
-import sys
 import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from tsfo.data import synth_generate, subject_wise_split
 from tsfo.errors import ConfigError, InputError
 from tsfo.model import ModelConfig, build_model, encode, forward_batch, preset_config
@@ -113,19 +113,7 @@ class TestBackward:
         m = build_model(preset_config("T1", seq_len=192, num_classes=4), 0)
         xs = seeded_rng(63).normal(size=(32, 1, 192)).astype(np.float32)
         ys = np.arange(32) % 4
-        loss_and_grads(m, xs, ys, train=True, rng=seeded_rng(1))  # warm lazy imports
-        events = []
-
-        def count(frame, event, arg):
-            if event in ("call", "c_call"):
-                events.append(event)
-
-        sys.setprofile(count)
-        try:
-            loss_and_grads(m, xs, ys, train=True, rng=seeded_rng(1))
-        finally:
-            sys.setprofile(None)
-        assert len(events) <= 2300
+        assert count_calls(loss_and_grads, m, xs, ys, train=True, rng=seeded_rng(1)) <= 2300
 
     def test_finite_differences_tiny_model(self):
         # L=1, H=1, d=4, P=3, K=3 in float64 so the oracle itself is clean
