@@ -57,6 +57,7 @@ from .model import (
 )
 from .pruning import (
     PruneSpec,
+    prunable_pools,
     prune_structured,
     prune_unstructured,
     pruned_energy_estimate,
@@ -72,7 +73,7 @@ from .quantization import (
     quantized_forward,
 )
 from .serialize import load_any_dataset
-from .tensor import QTensor, dequantize_linear
+from .tensor import dequantize_linear
 from .training import FINE_TUNE_LR, TrainConfig, evaluate, fit
 
 KNOWN_OPS = ("static-quant", "dynamic-quant", "l1-prune", "l2-prune", "qat")
@@ -285,18 +286,17 @@ def _prune_quantized(qmodel: QuantizedModel, spec: PruneSpec) -> tuple[Quantized
     """Zero the int8 weights that ``prune_unstructured`` prunes in the
     dequantized model; no fine-tuning is possible after quantization.
 
-    Returns a new model built from masked copies of the payloads (the input
-    is left as it was) and the number of weights removed.
+    Returns a new model built from payload copies holding the pruned shadow's
+    zeros (the input is left as it was) and the number of weights removed.
     """
     shadow = TransformerModel(
         config=qmodel.config,
         params={name: dequantize_linear(q) for name, q in qmodel.weights.items()},
     )
-    _, keep, report = prune_unstructured(shadow, spec)
+    shadow, report = prune_unstructured(shadow, spec)
     weights = dict(qmodel.weights)
-    for name, mask in keep.items():
-        q = qmodel.weights[name]
-        weights[name] = QTensor(q.data * mask, q.scale, q.zero_point, q.channel_axis)
+    for name in prunable_pools(shadow):
+        weights[name] = replace(weights[name], data=weights[name].data * (shadow.params[name] != 0))
     return replace(qmodel, weights=weights), report.params_removed
 
 
@@ -359,11 +359,11 @@ def _apply_pipeline(
                 with _stage(stages, "prune"):
                     current, removed = _prune_quantized(current, spec)
             else:
-                current, masks, report = prune_unstructured(current, spec)
+                current, report = prune_unstructured(current, spec)
                 stages["prune"] += report.transform_seconds
                 removed = report.params_removed
                 with _stage(stages, "fine_tune"):
-                    current = fit(current, train_ds, ft_cfg, mask=masks)
+                    current = fit(current, train_ds, ft_cfg)
             energy_factor = pruned_energy_estimate(energy_factor, removed / base_params)
         else:  # l2-prune
             for granularity in ("neuron", "head"):

@@ -95,14 +95,11 @@ def _cmd_prune(args) -> int:
     if args.fine_tune_epochs and not args.data:
         raise InputError("fine-tuning needs --data to train on")
     model = load_kind(args.model, TransformerModel)
-    if args.granularity == "weight":
-        model, masks, report = prune_unstructured(model, spec)
-    else:
-        model, report = prune_structured(model, spec)
-        masks = None
+    prune = prune_unstructured if args.granularity == "weight" else prune_structured
+    model, report = prune(model, spec)
     if args.fine_tune_epochs:
         train_ds, _ = _split_rows(args.data, model.split)
-        model = fit(model, train_ds, ft_cfg, mask=masks)
+        model = fit(model, train_ds, ft_cfg)
     save_model(model, args.out)
     report_path = args.out + ".prune.json"
     with open(report_path, "w") as fh:

@@ -14,9 +14,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, PruneSpecError, check_types
-from .model import TransformerModel, count_flops, count_params
+from .model import ModelConfig, TransformerModel, count_flops, count_params
 
 PRUNABLE_SUFFIXES = (".wq", ".wk", ".wv", ".wo", ".w1", ".w2", "patch_embed.weight")
+
+# A structured unit of each granularity: its sublayer, its per-layer count (config
+# field and reader), and the axis on which each tensor holds one slice per unit.
+_UNITS = {
+    "neuron": ("ffn", "ffn_per_layer", ModelConfig.ffn_at, {"w1": 1, "b1": 0, "w2": 0}),
+    "head": ("attn", "heads_per_layer", ModelConfig.heads_at,
+             {"wq": 1, "bq": 0, "wk": 1, "bk": 0, "wv": 1, "bv": 0, "wo": 0}),
+}
 
 
 def _check_method(method: str) -> None:
@@ -74,33 +82,35 @@ def score_weights(model: TransformerModel, method: str) -> dict[str, np.ndarray]
 def score_units(model: TransformerModel, granularity: str, method: str) -> dict[str, np.ndarray]:
     """Per-unit scores: one value per FFN neuron or attention head.
 
-    A neuron's group is its incoming column of w1 plus its outgoing row of
-    w2; a head's group is its slice of the four projection matrices. Scores
-    are the L2 (or L1) norm of the group.
+    A unit's group is its slice of each weight matrix in ``_UNITS``: a neuron's
+    column of w1 and row of w2, a head's head_dim columns of wq, wk and wv and
+    its head_dim rows of wo. Scores are the L2 (or L1) norm of the group.
     """
     _check_method(method)
-    if granularity not in ("neuron", "head"):
-        raise PruneSpecError(f"unit scoring needs neuron or head, got {granularity!r}")
+    if granularity not in _UNITS:
+        raise PruneSpecError(f"structured pruning needs neuron or head, got {granularity!r}")
+    sub, _, count, axes = _UNITS[granularity]
     cfg = model.config
-    scores: dict[str, np.ndarray] = {}
-    for l in range(cfg.num_layers):
-        pre = f"layers.{l}."
-        # one row per unit, in the group's flat order, so a row sums as the group would
-        if granularity == "neuron":
-            w1, w2 = model.params[pre + "ffn.w1"], model.params[pre + "ffn.w2"]
-            name, groups = pre + "ffn", np.concatenate([w1.T, w2], axis=1)
-        else:
-            heads = cfg.heads_at(l)
-            blocks = [
-                w.reshape(len(w), heads, -1).transpose(1, 0, 2).reshape(heads, -1)
-                for w in (model.params[pre + "attn." + n] for n in ("wq", "wk", "wv"))
-            ]
-            wo = model.params[pre + "attn.wo"].reshape(heads, -1)
-            name, groups = pre + "attn", np.concatenate([*blocks, wo], axis=1)
-        norms = np.sqrt(np.add.reduce(groups**2, axis=1)) if method == "l2" else (
-            np.add.reduce(np.abs(groups), axis=1)
-        )
-        scores[name] = norms.astype(np.float64)
+    names = [f"layers.{l}.{sub}" for l in range(cfg.num_layers)]
+    counts = [count(cfg, l) for l in range(cfg.num_layers)]
+    # one row per unit of every layer, in the group's flat order, so a row sums
+    # as the group would; one concatenation per matrix keeps the calls per layer few
+    parts = []
+    for t, axis in axes.items():
+        ws = [model.params[f"{name}.{t}"] for name in names]
+        if ws[0].ndim == 2:  # the biases are not scored
+            parts += [np.concatenate([
+                w.reshape(n, -1) if axis == 0
+                else w.reshape(w.shape[0], n, -1).transpose(1, 0, 2).reshape(n, -1)
+                for w, n in zip(ws, counts)
+            ])]
+    groups = np.concatenate(parts, axis=1)
+    norms = (np.sqrt(np.add.reduce(np.square(groups, out=groups), axis=1)) if method == "l2"
+             else np.add.reduce(np.abs(groups, out=groups), axis=1)).astype(np.float64)
+    scores, start = {}, 0
+    for name, n in zip(names, counts):
+        scores[name] = norms[start : start + n]
+        start += n
     return scores
 
 
@@ -148,12 +158,11 @@ def select_prune_set(
 def apply_unstructured_mask(
     model: TransformerModel,
     indices: dict[str, np.ndarray],
-) -> tuple[TransformerModel, dict[str, np.ndarray]]:
+) -> TransformerModel:
     """Zero the selected weights in place; shapes are untouched.
 
-    Returns the model and, for each pool, the keep-mask ``w != 0`` that
-    ``fit(mask=)`` holds during fine-tuning. Earlier zeros stay zero, so
-    repeated calls accumulate.
+    Earlier zeros stay zero, so repeated calls accumulate, and every later
+    ``training.fit`` keeps them: the model's zeros are its mask.
     """
     for name, idx in indices.items():
         if name not in model.params:
@@ -162,16 +171,16 @@ def apply_unstructured_mask(
         if len(idx) and (idx.min() < 0 or idx.max() >= arr.size):
             raise InputError(f"prune index out of range for {name}")
         arr.reshape(-1)[idx] *= 0  # a view, as every parameter is C-contiguous
-    return model, {name: model.params[name] != 0 for name in indices}
+    return model
 
 
 def prune_unstructured(
     model: TransformerModel, spec: PruneSpec
-) -> tuple[TransformerModel, dict[str, np.ndarray], PruneReport]:
+) -> tuple[TransformerModel, PruneReport]:
     """Magnitude-mask pruning at the requested sparsity; shapes unchanged."""
     start = time.perf_counter()
     indices = select_prune_set(score_weights(model, spec.method), spec)
-    model, masks = apply_unstructured_mask(model, indices)
+    model = apply_unstructured_mask(model, indices)
     report = PruneReport(
         achieved_sparsity=sparsity(model),
         params_removed=int(sum(len(i) for i in indices.values())),
@@ -179,7 +188,7 @@ def prune_unstructured(
         flops_after=count_flops(model.config),
         transform_seconds=time.perf_counter() - start,
     )
-    return model, masks, report
+    return model, report
 
 
 def prune_structured(
@@ -190,36 +199,28 @@ def prune_structured(
     The returned model is new and smaller; its config carries per-layer unit
     counts so parameter and FLOP accounting stay exact.
     """
-    if spec.granularity not in ("neuron", "head"):
-        raise PruneSpecError("structured pruning needs neuron or head granularity")
     start = time.perf_counter()
     cfg = model.config
-    scores = score_units(model, spec.granularity, spec.method)
+    scores = score_units(model, spec.granularity, spec.method)  # checks the granularity
     indices = select_prune_set(scores, spec)
-
-    for name, idx in indices.items():
-        if len(idx) >= len(scores[name]):
-            raise PruneSpecError(f"refusing to remove every unit in {name}")
+    _, field, _, axes = _UNITS[spec.granularity]
 
     flops_before = count_flops(cfg)
     params_before = count_params(cfg)
     new_params = {k: v.copy() for k, v in model.params.items()}
-    # a unit is one FFN neuron, or one head's head_dim columns; np.take
-    # returns each kept slice as a fresh C-contiguous array
-    if spec.granularity == "neuron":
-        unit, width, field, axes = "ffn", 1, "ffn_per_layer", {"w1": 1, "b1": 0, "w2": 0}
-        counts = [cfg.ffn_at(l) for l in range(cfg.num_layers)]
-    else:
-        unit, width, field = "attn", cfg.head_dim, "heads_per_layer"
-        axes = {"wq": 1, "bq": 0, "wk": 1, "bk": 0, "wv": 1, "bv": 0, "wo": 0}
-        counts = [cfg.heads_at(l) for l in range(cfg.num_layers)]
-    for l in range(cfg.num_layers):
-        keep = np.setdiff1d(np.arange(counts[l]), indices[f"layers.{l}.{unit}"])
-        cols = (keep[:, None] * width + np.arange(width)).ravel()
+    counts = []
+    # np.take returns each kept slice as a fresh C-contiguous array
+    for unit, idx in indices.items():
+        n = len(scores[unit])
+        keep = np.setdiff1d(np.arange(n), idx)
+        if len(keep) == 0:
+            raise PruneSpecError(f"refusing to remove every unit in {unit}")
         for name, axis in axes.items():
-            key = f"layers.{l}.{unit}.{name}"
-            new_params[key] = np.take(new_params[key], cols, axis=axis)
-        counts[l] = len(keep)
+            w = new_params[f"{unit}.{name}"]
+            width = w.shape[axis] // n
+            cols = (keep[:, None] * width + np.arange(width)).ravel()
+            new_params[f"{unit}.{name}"] = np.take(w, cols, axis=axis)
+        counts.append(len(keep))
     new_cfg = replace(cfg, **{field: tuple(counts)})
     new_model = replace(model, config=new_cfg, params=new_params)
     removed = params_before - count_params(new_cfg)

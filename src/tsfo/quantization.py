@@ -53,8 +53,8 @@ def scale_zero_point(min_val: float, max_val: float):
     to int8. A degenerate range (min == max) falls back to a symmetric scale
     of max(|max|, 1e-8) / 127.
     """
-    if min_val > max_val:
-        raise InputError(f"min {min_val} exceeds max {max_val}")
+    if not -math.inf < min_val <= max_val < math.inf:  # NaN fails too
+        raise InputError(f"need a finite range with min <= max, got [{min_val}, {max_val}]")
     if min_val == max_val:
         return max(abs(max_val), _SCALE_FLOOR) / 127.0, 0
     scale = (max_val - min_val) / 255.0
@@ -146,8 +146,10 @@ def quantize_weight(arr: np.ndarray) -> QTensor:
 class QuantizedModel:
     """Int8 weights plus, in static mode, the calibrated activation maps.
 
-    Weights and activation maps must not be modified once the model has run:
-    inference reads ``pack`` and ``sites``, derived from them once.
+    Construction raises ``InputError`` for an unknown mode or a weight layout
+    ``pack`` cannot take, and ``CalibrationError`` unless a static model maps
+    exactly its sites. Weights and activation maps must not be modified once the
+    model has run: inference reads ``pack`` and ``sites``, derived from them once.
     """
 
     config: ModelConfig
@@ -155,6 +157,20 @@ class QuantizedModel:
     mode: str                                   # static | dynamic
     act_qparams: dict[str, tuple[float, int]] | None = None
     split: dict | None = None                   # the float model's TransformerModel.split
+
+    def __post_init__(self):
+        if self.mode not in ("static", "dynamic"):
+            raise InputError(f"unknown quantization mode {self.mode!r}")
+        for name, q in self.weights.items():
+            # pack's layouts: symmetric, the conv kernel per output channel, others per tensor or column
+            axes = {3: (0,), 2: (None, 1)}.get(q.data.ndim)
+            if axes and (q.zero_point != 0 or q.channel_axis not in axes):
+                raise InputError(f"weight {name!r} is not quantized in a layout inference can pack")
+        if self.mode == "static":
+            sites, act = activation_sites(self.config), self.act_qparams or {}
+            odd = [s for s in sites if s not in act] + [s for s in act if s not in sites]
+            if odd:
+                raise CalibrationError(f"static model has an uncalibrated or unknown site {odd[0]!r}")
 
     @cached_property
     def pack(self) -> dict[str, PackedWeight | np.ndarray]:
@@ -230,12 +246,11 @@ def quantize_static(
     parameters; otherwise the zero point clamps and the range cannot be
     represented at all.
     """
-    act_qparams = {}
-    for site in activation_sites(model.config):
-        obs = observers.get(site)
-        if obs is None or not obs.valid:
-            raise CalibrationError(f"no valid calibration for site {site!r}")
-        act_qparams[site] = scale_zero_point(min(obs.min_val, 0.0), max(obs.max_val, 0.0))
+    act_qparams = {  # a site left out here is QuantizedModel's CalibrationError
+        site: scale_zero_point(min(obs.min_val, 0.0), max(obs.max_val, 0.0))
+        for site in activation_sites(model.config)
+        if (obs := observers.get(site)) is not None and obs.valid
+    }
     weights = {name: quantize_weight(arr) for name, arr in model.params.items()}
     return QuantizedModel(
         model.config, weights, mode="static", act_qparams=act_qparams, split=model.split

@@ -22,7 +22,7 @@ import numpy as np
 from .data import TimeSeriesDataset, check_train_fraction, load_ucr
 from .errors import InputError, ParseError, TsfoError
 from .model import ModelConfig, TransformerModel, param_shapes
-from .quantization import QuantizedModel, activation_sites
+from .quantization import QuantizedModel
 from .tensor import INT8_MAX, INT8_MIN, QTensor
 
 MAGIC = b"TSFO"
@@ -275,24 +275,13 @@ def _load_quantized(meta: dict, tensors: dict) -> QuantizedModel:
     _check_shapes(
         "quantized model", {n: q.shape for n, q in weights.items()}, param_shapes(config)
     )
-    for name, q in weights.items():
-        # the layouts QuantizedModel.pack accepts: symmetric, the conv kernel
-        # per output channel, other matrices per tensor or per column
-        axes = {3: (0,), 2: (None, 1)}.get(q.data.ndim)
-        if axes and (q.zero_point != 0 or q.channel_axis not in axes):
-            raise ParseError(f"weight {name!r} is not quantized in a layout inference can pack")
-    mode = meta["mode"]
-    if mode not in ("static", "dynamic"):
-        raise ParseError(f"unknown quantization mode {mode!r}")
     act = meta.get("act_qparams")
     if act is not None:
         if not isinstance(act, dict) or not all(map(_is_qparams, act.values())):
             raise ParseError("act_qparams must map sites to [scale, int8 zero point]")
         act = {site: (float(s), z) for site, (s, z) in act.items()}
-    if mode == "static" and (act is None or set(act) != set(activation_sites(config))):
-        raise ParseError("static model does not calibrate every activation site")
     return QuantizedModel(
-        config=config, weights=weights, mode=mode, act_qparams=act, split=_split(meta)
+        config=config, weights=weights, mode=meta["mode"], act_qparams=act, split=_split(meta)
     )
 
 

@@ -374,8 +374,8 @@ def compile_linear(scale, zero_point: int, packed: PackedWeight, bias: np.ndarra
     rounded), and the bias.
     """
     s = np.float32(scale)
-    if not s > 0:
-        raise InputError("scale must be positive")
+    if not 0 < s < np.inf:  # NaN fails too
+        raise InputError(f"scale must be positive and finite in float32, got {scale!r}")
     if not INT8_MIN <= zero_point <= INT8_MAX:
         raise InputError(f"zero_point {zero_point} outside int8 range")
     lo, hi = INT8_MIN - zero_point, INT8_MAX - zero_point

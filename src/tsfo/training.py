@@ -30,6 +30,7 @@ from .model import (
     forward_batch,
     weighted_values,
 )
+from .pruning import prunable_pools
 from .quantization import QuantizedModel, fake_quant_weight, quantized_forward_batch
 from .tensor import check_seed, seeded_rng, softmax, standardize
 
@@ -284,17 +285,18 @@ class TrainConfig:
         check_seed(self.seed)
 
 
-def _epochs(model: TransformerModel, dataset, cfg: TrainConfig, mask, weight_fake_quant: bool):
+def _epochs(model: TransformerModel, dataset, cfg: TrainConfig, weight_fake_quant: bool):
     """Mini-batch training loop; yields (epoch, lr, mean train loss) after each epoch.
 
     Each step: shuffled batch -> loss_and_grads -> global-norm clip -> Adam
-    with a cosine-annealed learning rate over the full step budget. When
-    ``mask`` is given it is re-applied after every optimizer step so pruned
-    coordinates stay exactly zero. When ``weight_fake_quant`` is set, each
-    forward/backward runs on a model whose weight matrices are fake-quantized
-    copies, while updates are applied to the float master weights
-    (straight-through estimator; the symmetric scale covers the full range so
-    no value is ever clamped).
+    with a cosine-annealed learning rate over the full step budget. After every
+    step, each prunable pool holding a zero at the start is multiplied by its
+    keep-mask ``w != 0``, so pruned weights stay exactly zero through every
+    fine-tune; biases, norms and the classifier are no pools and train freely.
+    When ``weight_fake_quant`` is set, each forward/backward runs on a model
+    whose weight matrices are fake-quantized copies, while updates are applied
+    to the float master weights (straight-through estimator; the symmetric
+    scale covers the full range so no value is ever clamped).
     That is the whole of QAT here: weight-only fake quantization, with the
     activations quantized afterwards from calibration (``quantize_static``).
     It evaluates nothing; ``train`` adds the history.
@@ -302,8 +304,9 @@ def _epochs(model: TransformerModel, dataset, cfg: TrainConfig, mask, weight_fak
     n = len(dataset.instances)
     if n == 0:
         raise InputError("cannot train on an empty dataset")
-    if mask is not None:
-        _apply_mask(model.params, mask)
+    # built once, in each pool's dtype: a multiply per step, no per-step cast
+    keep = {name: (w != 0).astype(w.dtype) for name in prunable_pools(model)
+            if not (w := model.params[name]).all()}
     rng = seeded_rng(cfg.seed)
     batches_per_epoch = max(1, math.ceil(n / cfg.batch_size))
     schedule = CosineSchedule(cfg.lr_max, 1e-5, max(1, cfg.epochs * batches_per_epoch))
@@ -327,17 +330,18 @@ def _epochs(model: TransformerModel, dataset, cfg: TrainConfig, mask, weight_fak
             epoch_loss += loss * len(idx)
             clip_global_norm(grads, 1.0)
             adam_step(state, model.params, grads, cosine_lr(schedule, step))
-            if mask is not None:
-                _apply_mask(model.params, mask)
+            for name, mask in keep.items():
+                model.params[name] *= mask
             step += 1
         yield epoch + 1, cosine_lr(schedule, min(step, schedule.total_steps)), epoch_loss / n
 
 
 def fit(
-    model: TransformerModel, dataset, cfg: TrainConfig, mask=None, weight_fake_quant: bool = False
+    model: TransformerModel, dataset, cfg: TrainConfig, weight_fake_quant: bool = False
 ) -> TransformerModel:
-    """``train`` without its history: the same steps, and nothing is evaluated."""
-    for _ in _epochs(model, dataset, cfg, mask, weight_fake_quant):
+    """``train`` without its history: the same steps, which keep a pruned model's
+    zeros, and nothing is evaluated."""
+    for _ in _epochs(model, dataset, cfg, weight_fake_quant):
         pass
     return model
 
@@ -345,22 +349,15 @@ def fit(
 def train(
     model: TransformerModel, dataset, cfg: TrainConfig, val_dataset=None
 ) -> tuple[TransformerModel, list[dict]]:
-    """``fit`` without a mask or fake quantization, returning also a per-epoch history
+    """``fit`` without fake quantization, returning also a per-epoch history
     (epoch, lr, train_loss, train_acc, val_acc): ``dataset`` and ``val_dataset`` are
-    scored after every epoch."""
+    scored after every epoch. Like ``fit``, it keeps the model's pruned zeros."""
     history = []
-    for epoch, lr, loss in _epochs(model, dataset, cfg, None, False):
+    for epoch, lr, loss in _epochs(model, dataset, cfg, False):
         row = {"epoch": epoch, "lr": lr, "train_loss": loss, "train_acc": evaluate(model, dataset)}
         row["val_acc"] = evaluate(model, val_dataset) if val_dataset is not None else ""
         history.append(row)
     return model, history
-
-
-def _apply_mask(params: dict[str, np.ndarray], mask: dict[str, np.ndarray]):
-    for name, m in mask.items():
-        if name not in params or m.shape != params[name].shape:
-            raise InputError(f"mask shape mismatch for {name}")
-        params[name] *= m.astype(params[name].dtype)
 
 
 def evaluate(model: TransformerModel | QuantizedModel, dataset) -> float:

@@ -238,7 +238,7 @@ def test_criterion_5_pruning_correctness():
         )
         for p in (0.25, 0.5, 0.75):
             m = build_model(cfg, 6)
-            m, _, _ = prune_unstructured(m, PruneSpec("l1", "weight", "layerwise", p))
+            m, _ = prune_unstructured(m, PruneSpec("l1", "weight", "layerwise", p))
             for name in prunable_pools(m):
                 arr = m.params[name]
                 zeros = arr.size - np.count_nonzero(arr)

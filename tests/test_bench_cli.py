@@ -42,7 +42,7 @@ from tsfo.data import (
 )
 from tsfo.errors import ConfigError
 from tsfo.model import ModelConfig, build_model, count_params, preset_config
-from tsfo.pruning import PruneSpec
+from tsfo.pruning import PruneSpec, prunable_pools, prune_structured
 from tsfo.quantization import QuantizedModel, quantize_dynamic, quantized_forward_batch
 from tsfo.serialize import load, save_dataset, save_model, save_quantized
 from tsfo.tensor import QTensor
@@ -356,6 +356,24 @@ class TestPrunedQuantized:
         assert {"pack", "sites"} <= set(vars(qmodel))
         assert (qmodel.sites is None) == (qmodel.mode == "dynamic")
         assert stages["quantize"] > 0
+
+    @pytest.mark.parametrize("second", ["qat", "l2-prune"])
+    def test_later_fine_tunes_keep_the_zeros_of_l1_prune(self, second):
+        """A row's sparsity and its l1 energy factor describe the same model.
+
+        Small batches over three epochs take enough steps for a regrown weight
+        to outgrow half an int8 step."""
+        config = quick_config("unused", fine_tune_epochs=3, batch_size=4)
+        pruned, _, _ = _apply_pipeline(["l1-prune"], self.baseline, self.train_ds, config, 4)
+        if second == "l2-prune":  # the zeros of the units l2-prune keeps
+            for granularity in ("neuron", "head"):
+                spec = PruneSpec("l2", granularity, "layerwise", config.sparsity)
+                pruned, _ = prune_structured(pruned, spec)
+        got, _, _ = _apply_pipeline(["l1-prune", second], self.baseline, self.train_ds, config, 4)
+        for name in prunable_pools(pruned):
+            zero = pruned.params[name] == 0
+            arr = got.weights[name].data if second == "qat" else got.params[name]
+            assert zero.any() and np.all(arr[zero] == 0), name
 
     def test_prune_leaves_served_model_unchanged(self):
         qmodel = self.pipeline(["static-quant"])

@@ -18,7 +18,8 @@ from tsfo.training import TrainConfig, fit
 
 SYNTH = {"classes": 3, "per_class": 12, "length": 32}
 PIPELINES = [[op] for op in bench.KNOWN_OPS] + [
-    ["l1-prune", "static-quant"], ["static-quant", "l1-prune"]
+    ["l1-prune", "static-quant"], ["static-quant", "l1-prune"],
+    ["l1-prune", "qat"], ["l1-prune", "l2-prune"], ["l1-prune", "l1-prune"],
 ]
 
 

@@ -186,7 +186,7 @@ class TestUnstructured:
         manual = m.copy()
         spec = PruneSpec("l1", "weight", "global", 0.4)
         indices = select_prune_set(score_weights(m, "l1"), spec)
-        m, masks = apply_unstructured_mask(m, indices)
+        m = apply_unstructured_mask(m, indices)
         for name, idx in indices.items():
             flat = manual.params[name].ravel()
             flat[idx] = 0.0
@@ -197,7 +197,7 @@ class TestUnstructured:
         m = build_model(small_config(), 6)
         for p in (0.17, 0.5, 0.83):
             trial = m.copy()
-            trial, _, report = prune_unstructured(trial, PruneSpec("l1", "weight", "layerwise", p))
+            trial, report = prune_unstructured(trial, PruneSpec("l1", "weight", "layerwise", p))
             for name in prunable_pools(trial):
                 arr = trial.params[name]
                 zeros = arr.size - np.count_nonzero(arr)
@@ -206,7 +206,7 @@ class TestUnstructured:
     def test_report_holds_no_energy_fields(self):
         # a pruning step's energy is bench's pruned_energy_estimate of params_removed
         m = build_model(small_config(), 7)
-        m, _, report = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
+        m, report = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
         assert set(report.to_dict()) == {
             "achieved_sparsity", "params_removed", "flops_before", "flops_after",
             "transform_seconds",
@@ -294,7 +294,7 @@ class TestSparsity:
 
     def test_matches_brute_force_count(self):
         m = build_model(small_config(), 17)
-        m, _, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.3))
+        m, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.3))
         zeros = total = 0
         for name in prunable_pools(m):
             zeros += int(np.sum(m.params[name] == 0))
@@ -462,15 +462,13 @@ class TestSameBitsAsTheLexsortPath:
     def test_unstructured_pruning(self, monkeypatch):
         m = preset_model("T1", seed=5)
         spec = PruneSpec("l1", "weight", "global", 0.4)
-        got, got_masks, got_report = prune_unstructured(m.copy(), spec)
-        want, want_masks, want_report = self._on_the_reference_path(
+        got, got_report = prune_unstructured(m.copy(), spec)
+        want, want_report = self._on_the_reference_path(
             monkeypatch, prune_unstructured, m.copy(), spec
         )
         assert got.config == want.config
         assert got.params.keys() == want.params.keys()
         assert all(np.array_equal(got.params[n], want.params[n]) for n in want.params)
-        assert got_masks.keys() == want_masks.keys()
-        assert all(np.array_equal(got_masks[n], want_masks[n]) for n in want_masks)
         assert got_report.params_removed == want_report.params_removed
 
     def test_structured_pruning(self, monkeypatch):
@@ -489,10 +487,11 @@ def test_pruning_call_budget():
     """Unit scoring and global selection make a number of Python and C calls
     that grows with layers and pools, not with units or weights.
 
-    T2 neuron scoring makes 38 calls (12 layers) and a global selection over
-    T1's 49 pools 205. A loop over units, one concatenation and reduction
-    each, made 41,498 for T2's 4,608 neurons; the lexsort selection, which
-    split its result with a mask per pool, made 651.
+    T2 neuron scoring makes 76 calls (12 layers; laying out each layer's w1
+    and w2 unit rows takes 4) and a global selection over T1's 49 pools 205.
+    A loop over units, one concatenation and reduction each, made 41,498 for
+    T2's 4,608 neurons; the lexsort selection, which split its result with a
+    mask per pool, made 651.
     """
     t2 = build_model(preset_config("T2", seq_len=192, num_classes=4), 0)
     assert count_calls(score_units, t2, "neuron", "l2") <= 5 * t2.config.num_layers + 20

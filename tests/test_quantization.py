@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,13 @@ class TestScaleZeroPoint:
     def test_min_above_max_rejected(self):
         with pytest.raises(InputError):
             scale_zero_point(1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)]
+    )
+    def test_non_finite_range_rejected(self, lo, hi):
+        with pytest.raises(InputError):
+            scale_zero_point(lo, hi)
 
 
 class TestCalibrate:
@@ -156,8 +164,38 @@ class TestStatic:
     def test_missing_observer_rejected(self):
         obs = calibrate(self.m, self.xs)
         del obs["classifier.in"]
-        with pytest.raises(CalibrationError):
+        with pytest.raises(CalibrationError, match="classifier.in"):
             quantize_static(self.m, obs)
+
+    @pytest.mark.parametrize("mode", ["Static", "int8", None])
+    def test_model_built_in_python_with_an_unknown_mode(self, mode):
+        with pytest.raises(InputError, match="mode"):
+            replace(self.qm, mode=mode)
+
+    def test_model_built_in_python_with_a_layout_inference_cannot_pack(self):
+        q = self.qm.weights["layers.0.attn.wq"]
+        weights = {**self.qm.weights, "layers.0.attn.wq": QTensor(q.data, np.float32(0.01), 3)}
+        for mode in ("static", "dynamic"):
+            with pytest.raises(InputError, match="layers.0.attn.wq"):
+                replace(self.qm, weights=weights, mode=mode)
+
+    @pytest.mark.parametrize("drop, add, first", [
+        ("all", None, "embed.in"), ("None", None, "embed.in"),
+        ("layers.1.ffn.in", None, "layers.1.ffn.in"), (None, "layers.9.ffn.in", "layers.9.ffn.in"),
+    ])
+    def test_static_model_built_in_python_without_exactly_its_sites(self, drop, add, first):
+        act = {s: qp for s, qp in self.qm.act_qparams.items() if drop not in ("all", s)}
+        if add:
+            act[add] = (0.1, 0)
+        act = None if drop == "None" else act
+        with pytest.raises(CalibrationError, match=first):
+            replace(self.qm, act_qparams=act)
+        assert replace(self.qm, mode="dynamic", act_qparams=act).sites is None
+
+    def test_scale_that_rounds_to_float32_infinity_rejected(self):
+        act = {site: (1e39, 0) for site in self.qm.act_qparams}
+        with np.errstate(over="ignore"), pytest.raises(InputError, match="finite"):
+            quantized_forward_batch(replace(self.qm, act_qparams=act), self.xs)
 
 
 GOLDEN_CFG = ModelConfig(

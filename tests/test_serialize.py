@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tsfo.data import synth_generate
 from tsfo.errors import ParseError
 from tsfo.model import ModelConfig, build_model, forward_batch
-from tsfo.pruning import PruneSpec, prune_unstructured
+from tsfo.pruning import PruneSpec, prunable_pools, prune_unstructured
 from tsfo.quantization import (
     QuantizedModel,
     activation_sites,
@@ -56,7 +56,8 @@ class TestModelRoundTrip:
         file of the earlier format, which also carried each keep-mask as an i8
         ``mask/<name>`` tensor, loads to the same params."""
         m = build_model(small_config(), 1)
-        m, masks, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
+        m, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
+        masks = {n: m.params[n] != 0 for n in prunable_pools(m)}
         path, old = tmp_path / "m.tsfo", tmp_path / "old.tsfo"
         save_model(m, path)
         header, payload = split_container(path.read_bytes())
@@ -166,7 +167,7 @@ def pinned_object(kind):
     scales, and a synthetic dataset."""
     m = build_model(small_config(), 21)
     if kind == "model":
-        m, _, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
+        m, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
         m.split = {"train_fraction": 0.7, "seed": 3}
         return m, save_model
     if kind == "static":
@@ -244,7 +245,7 @@ def containers(tmp_path_factory):
     """Valid container bytes of every kind, and a path to write fuzzed bytes to."""
     out = tmp_path_factory.mktemp("containers")
     m = build_model(small_config(), 12)
-    masked, _, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
+    masked, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
     calib = seeded_rng(13).normal(size=(4, 1, 16)).astype(np.float32)
     raw = {}
     for kind, obj, save in (

@@ -659,8 +659,9 @@ class TestInt8Matmul:
         packed = pack_weight(QTensor(np.ones((3, 2), np.int8), np.float32(1.0), 0))
         x = np.ones((1, 3), np.float32)
         bias = np.zeros(2, np.float32)
-        with pytest.raises(InputError):
-            quantized_linear(x, 0.0, 0, packed, bias)
+        for scale in (0.0, -1.0, np.nan, np.inf, 1e39):  # 1e39 rounds to float32 infinity
+            with pytest.raises(InputError), np.errstate(over="ignore"):
+                quantized_linear(x, scale, 0, packed, bias)
         with pytest.raises(InputError):
             quantized_linear(x, 1.0, 128, packed, bias)
         with pytest.raises(InputError):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import count_calls
-from tsfo.data import synth_generate, subject_wise_split
+from tsfo.data import TimeSeriesDataset, synth_generate, subject_wise_split
 from tsfo.errors import ConfigError, InputError
 from tsfo.model import ModelConfig, build_model, encode, forward_batch, preset_config
-from tsfo.pruning import PruneSpec, prune_structured, prune_unstructured, sparsity
+from tsfo.pruning import (
+    PruneSpec, prunable_pools, prune_structured, prune_unstructured, sparsity,
+)
 from tsfo.tensor import layer_norm, seeded_rng
 from tsfo import training
 from tsfo.training import (
@@ -152,17 +154,14 @@ class TestBackward:
     def test_masked_weights_receive_gradient_but_stay_zero(self):
         cfg = tiny_config()
         m = build_model(cfg, 2)
-        m, masks, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
+        m, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
         xs = seeded_rng(6).normal(size=(4, 1, 6)).astype(np.float32)
         ys = np.array([0, 1, 2, 0])
         _, _, grads = loss_and_grads(m, xs, ys)
         name = "layers.0.ffn.w1"
-        pruned_coords = masks[name] == 0
+        pruned_coords = m.params[name] == 0
         assert np.any(grads[name][pruned_coords] != 0)
-        state = init_adam(m.params)
-        adam_step(state, m.params, grads, 1e-3)
-        for pname, mask in masks.items():
-            m.params[pname] *= mask
+        fit(m, TimeSeriesDataset("rows", xs, ys), TrainConfig(epochs=1, batch_size=4))
         assert np.all(m.params[name][pruned_coords] == 0)
 
 
@@ -367,35 +366,56 @@ class TestTrain:
 
 
 class TestFineTune:
-    """Recovery training after pruning: ``fit`` holding the pruning masks."""
+    """Recovery training after pruning: ``fit`` keeping the model's zeros."""
 
     def test_evaluates_nothing(self, monkeypatch):
         calls = []
         monkeypatch.setattr(training, "evaluate", lambda *args: calls.append(args) or 0.0)
         train_ds, _ = golden_splits()
         m = build_model(GOLDEN_CFG, GOLDEN_SEED)
-        m, masks, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
-        fit(m, train_ds, replace(FT_CFG, epochs=2), mask=masks)
+        m, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
+        fit(m, train_ds, replace(FT_CFG, epochs=2))
         assert calls == []
 
     def test_zero_epochs_unchanged(self):
-        # zero epochs only re-apply masks that pruning already applied: no bit moves
+        # zero epochs take no step: no bit moves
         m = build_model(GOLDEN_CFG, 0)
-        m, masks, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
+        m, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
         before = {k: v.tobytes() for k, v in m.params.items()}
-        out = fit(m, golden_splits()[0], replace(FT_CFG, epochs=0), mask=masks)
+        out = fit(m, golden_splits()[0], replace(FT_CFG, epochs=0))
         assert {k: v.tobytes() for k, v in out.params.items()} == before
 
     def test_sparsity_invariant_through_fine_tuning(self):
         train_ds, _ = golden_splits()
         m = build_model(GOLDEN_CFG, GOLDEN_SEED)
         m, _ = train(m, train_ds, TrainConfig(epochs=3, batch_size=32, seed=GOLDEN_SEED))
-        m, masks, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.6))
+        m, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.6))
         s_before = sparsity(m)
-        m = fit(m, train_ds, replace(FT_CFG, epochs=3), mask=masks)
+        pruned = {name: m.params[name] == 0 for name in prunable_pools(m)}
+        m = fit(m, train_ds, replace(FT_CFG, epochs=3))
         assert sparsity(m) == s_before
-        for name, mask in masks.items():
-            assert np.all(m.params[name][mask == 0] == 0)
+        for name, zero in pruned.items():
+            assert np.all(m.params[name][zero] == 0)
+
+    @pytest.mark.parametrize("structured", [False, True])
+    @pytest.mark.parametrize("weight_fake_quant", [False, True])
+    def test_keeps_zeros_without_a_mask(self, structured, weight_fake_quant):
+        """Every fine-tune keeps the zeros of the model's prunable pools, also after a
+        structured prune and in QAT, while the pools' other weights, the biases
+        and the classifier train."""
+        train_ds, _ = golden_splits()
+        m = build_model(GOLDEN_CFG, GOLDEN_SEED)
+        m, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.5))
+        if structured:
+            m, _ = prune_structured(m, PruneSpec("l2", "neuron", "layerwise", 0.25))
+        before = m.copy()
+        m = fit(m, train_ds, replace(FT_CFG, epochs=1), weight_fake_quant=weight_fake_quant)
+        for name in prunable_pools(m):
+            zero = before.params[name] == 0
+            assert zero.any() and np.all(m.params[name][zero] == 0), name
+            assert np.any(m.params[name][~zero] != before.params[name][~zero]), name
+        for name in ("layers.0.ffn.b1", "layers.1.attn.bq", "classifier.weight", "classifier.bias"):
+            assert np.any(m.params[name] != before.params[name]), name
 
     def test_golden_recovery_after_heavy_pruning(self):
         # 90% pruning hurts; fine-tuning must recover at least half the loss
@@ -404,10 +424,10 @@ class TestFineTune:
         m = build_model(GOLDEN_CFG, GOLDEN_SEED)
         m, _ = train(m, train_ds, TrainConfig(epochs=25, batch_size=32, seed=GOLDEN_SEED))
         base = evaluate(m, test_ds)
-        m, masks, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.9))
+        m, _ = prune_unstructured(m, PruneSpec("l1", "weight", "global", 0.9))
         pruned = evaluate(m, test_ds)
         assert pruned < base  # the golden setting really loses accuracy
-        m = fit(m, train_ds, replace(FT_CFG, epochs=8), mask=masks)
+        m = fit(m, train_ds, replace(FT_CFG, epochs=8))
         recovered = evaluate(m, test_ds)
         assert recovered - pruned >= (base - pruned) / 2
 
