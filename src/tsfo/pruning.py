@@ -94,17 +94,22 @@ def score_units(model: TransformerModel, granularity: str, method: str) -> dict[
     names = [f"layers.{l}.{sub}" for l in range(cfg.num_layers)]
     counts = [count(cfg, l) for l in range(cfg.num_layers)]
     # one row per unit of every layer, in the group's flat order, so a row sums
-    # as the group would; one concatenation per matrix keeps the calls per layer few
-    parts = []
+    # as the group would. Each matrix's rows are concatenated, once for all
+    # layers, straight into their columns of one [units, group] array: the
+    # calls per layer stay few, and no second copy of the rows is made.
+    mats, width = [], 0
     for t, axis in axes.items():
         ws = [model.params[f"{name}.{t}"] for name in names]
         if ws[0].ndim == 2:  # the biases are not scored
-            parts += [np.concatenate([
-                w.reshape(n, -1) if axis == 0
-                else w.reshape(w.shape[0], n, -1).transpose(1, 0, 2).reshape(n, -1)
-                for w, n in zip(ws, counts)
-            ])]
-    groups = np.concatenate(parts, axis=1)
+            mats += [(axis, ws, width, width + ws[0].size // counts[0])]
+            width = mats[-1][3]
+    groups = np.empty((sum(counts), width), mats[0][1][0].dtype)
+    for axis, ws, start, stop in mats:
+        np.concatenate([
+            w.reshape(n, -1) if axis == 0
+            else w.reshape(w.shape[0], n, -1).transpose(1, 0, 2).reshape(n, -1)
+            for w, n in zip(ws, counts)
+        ], out=groups[:, start:stop])
     norms = (np.sqrt(np.add.reduce(np.square(groups, out=groups), axis=1)) if method == "l2"
              else np.add.reduce(np.abs(groups, out=groups), axis=1)).astype(np.float64)
     scores, start = {}, 0

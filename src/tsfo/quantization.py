@@ -33,8 +33,10 @@ from .model import FloatOps, ModelConfig, TransformerModel, encode
 from .tensor import (
     INT8_MAX,
     INT8_MIN,
+    SCALE_FLOOR,
     PackedWeight,
     QTensor,
+    compile_dynamic_linear,
     compile_linear,
     compiled_linear,
     dequantize_linear,
@@ -42,8 +44,6 @@ from .tensor import (
     quantize_linear,
     round_half_away,
 )
-
-_SCALE_FLOOR = 1e-8
 
 
 def scale_zero_point(min_val: float, max_val: float):
@@ -56,7 +56,7 @@ def scale_zero_point(min_val: float, max_val: float):
     if not -math.inf < min_val <= max_val < math.inf:  # NaN fails too
         raise InputError(f"need a finite range with min <= max, got [{min_val}, {max_val}]")
     if min_val == max_val:
-        return max(abs(max_val), _SCALE_FLOOR) / 127.0, 0
+        return max(abs(max_val), SCALE_FLOOR) / 127.0, 0
     scale = (max_val - min_val) / 255.0
     zp = int(round_half_away(np.float64(-128.0 - min_val / scale)))
     return scale, int(np.clip(zp, INT8_MIN, INT8_MAX))
@@ -134,11 +134,11 @@ def quantize_weight(arr: np.ndarray) -> QTensor:
     if arr.ndim >= 2:
         if arr.ndim == 3:  # conv kernel [O, C, k]: channel axis 0
             flat = arr.reshape(arr.shape[0], -1)
-            absmax = np.maximum(np.abs(flat).max(axis=1), _SCALE_FLOOR)
+            absmax = np.maximum(np.abs(flat).max(axis=1), SCALE_FLOOR)
             return quantize_linear(arr, absmax / 127.0, 0, channel_axis=0)
-        absmax = np.maximum(np.abs(arr).max(axis=0), _SCALE_FLOOR)
+        absmax = np.maximum(np.abs(arr).max(axis=0), SCALE_FLOOR)
         return quantize_linear(arr, absmax / 127.0, 0, channel_axis=1)
-    scale = max(float(np.abs(arr).max()), _SCALE_FLOOR) / 127.0
+    scale = max(float(np.abs(arr).max()), SCALE_FLOOR) / 127.0
     return quantize_linear(arr, scale, 0)
 
 
@@ -263,20 +263,13 @@ def quantize_dynamic(model: TransformerModel) -> QuantizedModel:
     return QuantizedModel(model.config, weights, mode="dynamic", split=model.split)
 
 
-def _dynamic_qparams(x: np.ndarray) -> tuple[float, int]:
-    # max(|x|) without an |x| temporary; a NaN in x still gives a NaN scale.
-    # The ufunc reductions are x.max() and x.min() without their Python wrappers.
-    scale = max(float(np.maximum.reduce(x, axis=None)), -float(np.minimum.reduce(x, axis=None)),
-                _SCALE_FLOOR) / 127.0
-    return scale, 0
-
-
 class _Int8Ops(FloatOps):
     """One ``compiled_linear`` per site on the pack; norms use its dequantized vectors.
 
     A static site reads what the model compiled for it; a dynamic one compiles
-    its per-call symmetric scale. Q, K and V share one call, and the attention
-    core reads its three [B, P, a] column slices without a copy.
+    its per-call symmetric scale, with no clamp (``compile_dynamic_linear``).
+    Q, K and V share one call, and the attention core reads its three
+    [B, P, a] column slices without a copy.
 
     A static site whose lower clamp bound -128 - z is 0 (zero point -128, as
     calibrating a ReLU's output gives) clamps a negative input to its ReLU's
@@ -290,7 +283,7 @@ class _Int8Ops(FloatOps):
 
     def linear(self, site, x, weight, bias):
         if self.sites is None:
-            compiled = compile_linear(*_dynamic_qparams(x), self.params[weight], self.params[bias])
+            compiled = compile_dynamic_linear(x, self.params[weight], self.params[bias])
         else:
             compiled = self.sites[site]
         return compiled_linear(x, *compiled)

@@ -30,6 +30,10 @@ FOLDED_ACT_MAX = INT8_MAX - INT8_MIN
 # ``_quantize_folded`` and ``model.attention_context`` block by it.
 BLOCK_BYTES = 2**19
 
+# The least absmax a symmetric scale is derived from, so that an all-zero
+# tensor still gets a positive scale.
+SCALE_FLOOR = 1e-8
+
 
 def check_seed(seed: int) -> None:
     """The rule of every seed, which ``seeded_rng`` applies: a negative one is a
@@ -177,8 +181,12 @@ def _broadcast_scale(scale: np.ndarray, channel_axis: int | None, ndim: int) -> 
 _TIE_NUDGE = 1.0 + 2.0**-38
 
 
-def _quantize_folded(x: np.ndarray, inv, lo: int, hi: int, dtype) -> np.ndarray:
+def _quantize_folded(x: np.ndarray, inv, lo: int | None, hi: int | None, dtype) -> np.ndarray:
     """rint(clip(x * inv, lo, hi)) in float64, returned as a fresh array of ``dtype``.
+
+    With lo = hi = None it skips the clamp: ``compile_dynamic_linear`` passes
+    None for a site whose scale is set by its own x, where the lemma at the
+    end shows that the clamp changes no bit.
 
     The rounding rule of every int8 quantizer. With inv = (1 + 2^-38) / s in
     float64, for a positive float32 scale s (a scalar or a broadcastable
@@ -239,6 +247,19 @@ def _quantize_folded(x: np.ndarray, inv, lo: int, hi: int, dtype) -> np.ndarray:
     A float64 x lacks the 2^-25 margin: it gets round_half_away(x / s)
     except where x / s lies within 2^-29.9 of a half-integer, on the side
     toward zero.
+
+    Lemma: the clamp of a dynamic site is a no-op. There z = 0, so [lo, hi] =
+    [-128, 127], and s = fl32(fl64(m / 127)) with m = max(|x|max, 1e-8)
+    (``_dynamic_qparams``; m is exact for a float32 or float64 x). As m / 127 >
+    2^-34 lies far inside float32's normal range, s >= (m / 127)(1 - 2^-24)
+    (1 - 2^-53); inv = (1 + 2^-38) / s and r = x * inv round once each, and
+    |x| <= m, so every |r| <= 127 (1 + 2^-38)(1 + 2^-53)^2 / ((1 - 2^-24)
+    (1 - 2^-53)) < 127 (1 + 2^-23.9) < 127.5. So rint(r) lies in [-127, 127],
+    and clip(rint(r), -128, 127) = rint(r), -0 and +0 included: by the
+    commuting step above, the clamp changes no bit. A NaN or infinite x
+    gives a NaN or infinite scale, which ``compile_dynamic_linear`` rejects
+    before any quantizing, as it rejects an m of float64's range that
+    rounds to float32 infinity.
     """
     if x.size * 8 > BLOCK_BYTES and np.ndim(inv) == 0:
         flat, out, step = x.reshape(-1), np.empty(x.size, dtype), BLOCK_BYTES // 8
@@ -247,10 +268,11 @@ def _quantize_folded(x: np.ndarray, inv, lo: int, hi: int, dtype) -> np.ndarray:
         return out.reshape(x.shape)
     r = x.astype(np.float64)
     r *= inv
-    # np.maximum/np.minimum rather than np.clip, whose Python-level dispatch
-    # costs more than the clamp itself at single-instance sizes
-    np.maximum(r, lo, out=r)
-    np.minimum(r, hi, out=r)
+    if lo is not None:
+        # np.maximum/np.minimum rather than np.clip, whose Python-level dispatch
+        # costs more than the clamp itself at single-instance sizes
+        np.maximum(r, lo, out=r)
+        np.minimum(r, hi, out=r)
     np.rint(r, out=r)
     return r.astype(dtype, copy=False)
 
@@ -365,6 +387,13 @@ def pack_weight(w: QTensor) -> PackedWeight:
     return PackedWeight(data, scale)
 
 
+# The least float64 that rounds to float32 infinity: halfway from float32's
+# maximum, 2^128 - 2^104, to 2^128, where a tie rounds to the even 2^128.
+# A scale is checked against it before its cast to float32, which would warn
+# of the overflow; a numpy float64, so that comparing a float32 casts nothing.
+_FLOAT32_OVERFLOW = np.float64(2.0**128 - 2.0**103)
+
+
 def compile_linear(scale, zero_point: int, packed: PackedWeight, bias: np.ndarray) -> tuple:
     """Check an activation map once; returns ``compiled_linear``'s arguments after x.
 
@@ -373,21 +402,47 @@ def compile_linear(scale, zero_point: int, packed: PackedWeight, bias: np.ndarra
     float32 requantization multipliers s * ``packed.scale`` (each correctly
     rounded), and the bias.
     """
-    s = np.float32(scale)
-    if not 0 < s < np.inf:  # NaN fails too
+    if not 0 < scale < _FLOAT32_OVERFLOW:  # NaN fails too
         raise InputError(f"scale must be positive and finite in float32, got {scale!r}")
+    s = np.float32(scale)
+    if s == 0:
+        raise InputError(f"scale {scale!r} underflows to 0 in float32")
     if not INT8_MIN <= zero_point <= INT8_MAX:
         raise InputError(f"zero_point {zero_point} outside int8 range")
     lo, hi = INT8_MIN - zero_point, INT8_MAX - zero_point
     return _TIE_NUDGE / float(s), lo, hi, packed.data, s * packed.scale, bias
 
 
-def compiled_linear(x: np.ndarray, inv, lo: int, hi: int, weight: np.ndarray,
+def _dynamic_qparams(x: np.ndarray) -> tuple[float, int]:
+    """A dynamic site's activation map: symmetric, scale max(|x|max, 1e-8) / 127."""
+    # max(|x|) without an |x| temporary; a NaN in x still gives a NaN scale.
+    # The ufunc reductions are x.max() and x.min() without their Python wrappers.
+    scale = max(float(np.maximum.reduce(x, axis=None)), -float(np.minimum.reduce(x, axis=None)),
+                SCALE_FLOOR) / 127.0
+    return scale, 0
+
+
+def compile_dynamic_linear(x: np.ndarray, packed: PackedWeight, bias: np.ndarray) -> tuple:
+    """``compile_linear`` of x's own map, ``_dynamic_qparams(x)``, without a clamp.
+
+    The bounds are None: by the lemma in ``_quantize_folded``, a clamp to
+    [-128, 127] cannot move a bit of x quantized by its own scale. The zero
+    point is 0 and the scale at least 1e-8 / 127, so only a NaN, infinite or
+    float32-overflowing scale needs rejecting.
+    """
+    scale = _dynamic_qparams(x)[0]
+    if not scale < _FLOAT32_OVERFLOW:  # NaN fails too
+        raise InputError(f"scale must be positive and finite in float32, got {scale!r}")
+    s = np.float32(scale)
+    return _TIE_NUDGE / float(s), None, None, packed.data, s * packed.scale, bias
+
+
+def compiled_linear(x: np.ndarray, inv, lo: int | None, hi: int | None, weight: np.ndarray,
                     rescale: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """``x @ W + bias`` in float32, with x quantized per tensor and W packed int8,
-    on ``compile_linear``'s checked arguments: quantize x, one exact GEMM,
-    requantize by one multiply in the GEMM's dtype rounded once to float32,
-    add bias.
+    on ``compile_linear``'s or ``compile_dynamic_linear``'s checked arguments:
+    quantize x, one exact GEMM, requantize by one multiply in the GEMM's dtype
+    rounded once to float32, add bias.
 
     x may have any leading shape [..., K], and the result is [..., N].
     Bit-identical to ``quantize_linear`` -> ``int8_matmul`` -> ``+ bias`` on

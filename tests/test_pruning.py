@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -487,7 +489,7 @@ def test_pruning_call_budget():
     """Unit scoring and global selection make a number of Python and C calls
     that grows with layers and pools, not with units or weights.
 
-    T2 neuron scoring makes 76 calls (12 layers; laying out each layer's w1
+    T2 neuron scoring makes 79 calls (12 layers; laying out each layer's w1
     and w2 unit rows takes 4) and a global selection over T1's 49 pools 205.
     A loop over units, one concatenation and reduction each, made 41,498 for
     T2's 4,608 neurons; the lexsort selection, which split its result with a
@@ -499,3 +501,26 @@ def test_pruning_call_budget():
     scores = score_weights(t1, "l1")
     spec = PruneSpec("l1", "weight", "global", 0.4)
     assert count_calls(select_prune_set, scores, spec) <= 4 * len(scores) + 60
+
+
+@pytest.mark.parametrize("granularity", ["neuron", "head"])
+def test_unit_scoring_holds_one_copy_of_the_scored_weights(granularity):
+    """Scoring T2's units lays their rows out once: its traced peak stays below
+    1.5 times the scored matrices' bytes. Concatenating per-matrix parts into
+    a second array peaked at twice them (6.8 MB for neurons, 3.4 MB for heads)."""
+    t2 = build_model(preset_config("T2", seq_len=192, num_classes=4), 0)
+    sub, _, _, axes = pruning_mod._UNITS[granularity]
+    scored = sum(a.nbytes for n, a in t2.params.items()
+                 if f".{sub}." in n and a.ndim == 2 and n.rsplit(".", 1)[1] in axes)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        score_units(t2, granularity, "l2")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1.5 * scored

@@ -12,7 +12,6 @@ from tsfo.model import (
 )
 from tsfo.pruning import PruneSpec, prune_structured
 from tsfo.quantization import (
-    _dynamic_qparams,
     _ObservedOps,
     activation_sites,
     calibrate,
@@ -30,8 +29,10 @@ import tsfo.model as model_mod
 from tsfo import quantization, tensor
 from tsfo.model import positional_encoding
 from tsfo.tensor import (
+    INT8_MAX,
     INT8_MIN,
     QTensor,
+    _dynamic_qparams,
     dequantize_linear,
     im2col_batch,
     int8_matmul,
@@ -194,7 +195,7 @@ class TestStatic:
 
     def test_scale_that_rounds_to_float32_infinity_rejected(self):
         act = {site: (1e39, 0) for site in self.qm.act_qparams}
-        with np.errstate(over="ignore"), pytest.raises(InputError, match="finite"):
+        with pytest.raises(InputError, match="finite"):
             quantized_forward_batch(replace(self.qm, act_qparams=act), self.xs)
 
 
@@ -457,7 +458,11 @@ class TestCompiledSites:
 
 def parent_quantize_folded(x, inv, lo, hi, dtype):
     """The quantize kernel as it ran before it widened x with one cast: numpy's
-    mixed-dtype multiply, the clamp, and ``np.rint`` into a float32 buffer."""
+    mixed-dtype multiply, the clamp, and ``np.rint`` into a float32 buffer.
+    A dynamic site, which passes no bounds, is clamped to its zero point's
+    [-128, 127], as it was before its clamp was dropped."""
+    if lo is None:
+        lo, hi = INT8_MIN, INT8_MAX
     r = np.multiply(x, inv, dtype=np.float64)
     np.maximum(r, lo, out=r)
     np.minimum(r, hi, out=r)

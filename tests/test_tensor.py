@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tsfo.tensor as tensor_mod
 from tsfo.errors import CapacityError, InputError, ShapeError
@@ -17,7 +18,9 @@ from tsfo.tensor import (
     INT8_MIN,
     MAX_ACCUM_K,
     QTensor,
+    _dynamic_qparams,
     _quantize_folded,
+    compile_dynamic_linear,
     compile_linear,
     compiled_linear,
     dequantize_linear,
@@ -659,8 +662,9 @@ class TestInt8Matmul:
         packed = pack_weight(QTensor(np.ones((3, 2), np.int8), np.float32(1.0), 0))
         x = np.ones((1, 3), np.float32)
         bias = np.zeros(2, np.float32)
-        for scale in (0.0, -1.0, np.nan, np.inf, 1e39):  # 1e39 rounds to float32 infinity
-            with pytest.raises(InputError), np.errstate(over="ignore"):
+        # 1e39 rounds to float32 infinity and 1e-50 to 0
+        for scale in (0.0, -1.0, np.nan, np.inf, 1e39, 1e-50):
+            with pytest.raises(InputError):
                 quantized_linear(x, scale, 0, packed, bias)
         with pytest.raises(InputError):
             quantized_linear(x, 1.0, 128, packed, bias)
@@ -746,6 +750,87 @@ class TestRequantize:
         assert np.array_equal(rescale, np.float32(scale_a) * scale_w)
         per_tensor = pack_weight(QTensor(qw, scale_w[0], 0))
         assert per_tensor.scale.dtype == np.float32 and per_tensor.scale.shape == (24,)
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+# Magnitude classes of a dynamic site's input: ordinary values, subnormals,
+# values below the 1e-8 scale floor, values whose scale is near float32's
+# maximum / 127, and zeros.
+MAGNITUDES = {
+    "ordinary": st.floats(0.0, 1e3, width=32),
+    "subnormal": st.floats(0.0, 2.0**-126, width=32, exclude_max=True),
+    "below-floor": st.floats(0.0, float(np.float32(1e-8)), width=32),  # just below 1e-8
+    "near-max": st.floats(F32_MAX / 4, F32_MAX, width=32),
+    "zero": st.just(0.0),
+}
+
+
+@st.composite
+def dynamic_inputs(draw):
+    """A [rows, k] float32 x drawn from one to three magnitude classes, with
+    mixed signs, all negative (zeros become -0) or all positive."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 8)))
+    kinds = draw(st.lists(st.sampled_from(sorted(MAGNITUDES)), min_size=1, max_size=3,
+                          unique=True))
+    x = draw(arrays(np.float32, shape, elements=st.one_of([MAGNITUDES[k] for k in kinds])))
+    signs = draw(st.sampled_from(["mixed", "negative", "positive"]))
+    if signs == "negative":
+        x = -x
+    elif signs == "mixed":
+        x *= draw(arrays(np.float32, shape, elements=st.sampled_from([-1.0, 1.0])))
+    return x
+
+
+class TestDynamicClampFree:
+    """A dynamic site quantizes by its own input's scale without a clamp: by the
+    lemma in ``_quantize_folded``, the clamp could not move a bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dynamic_inputs())
+    @example(np.array([[-3.5]], np.float32))  # one element
+    @example(np.array([[0.0, -0.0], [-0.0, 0.0]], np.float32))
+    @example(np.array([[-F32_MAX, 1e-45, -1e-40]], np.float32))
+    def test_is_the_clamped_per_call_path(self, x):
+        k = x.shape[1]
+        # weights of magnitude 1e-6 keep the logits finite even where x nears
+        # float32's maximum
+        wf = seeded_rng(k).uniform(-1e-6, 1e-6, size=(k, 3)).astype(np.float32)
+        w = quantize_linear(wf, np.abs(wf).max(axis=0) / 127, 0, channel_axis=1)
+        bias = np.array([0.5, -1.0, 0.0], np.float32)
+        compiled = compile_dynamic_linear(x, pack_weight(w), bias)
+        assert compiled[1:3] == (None, None)
+        got = compiled_linear(x, *compiled)
+        want = int8_matmul(quantize_linear(x, *_dynamic_qparams(x)), w) + bias
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_products_stay_below_half_past_127_where_the_scale_rounds_down(self):
+        """max |x * inv| over absmax magnitudes m whose float32 scale fl32(m / 127)
+        lies below m / 127, the case where r can pass 127."""
+        packed = pack_weight(QTensor(np.ones((2, 1), np.int8), np.float32(1.0)))
+        bias = np.zeros(1, np.float32)
+        rng = seeded_rng(17)
+        ms = (2.0 ** rng.uniform(-26.6, 127.9, size=20_000)).astype(np.float32)
+        worst, down = 0.0, 0
+        for m in ms:
+            scale = _dynamic_qparams(np.array([m, -m]))[0]
+            if float(np.float32(scale)) >= scale:
+                continue
+            down += 1
+            inv = compile_dynamic_linear(np.array([m, -m]), packed, bias)[0]
+            worst = max(worst, float(np.float64(m) * inv))
+        assert down > 5_000
+        assert 127.0 < worst <= 127 * (1 + 2.0**-23.9) < 127.5
+
+    def test_rejects_a_scale_it_cannot_represent_without_a_warning(self):
+        packed = pack_weight(QTensor(np.ones((2, 1), np.int8), np.float32(1.0)))
+        bias = np.zeros(1, np.float32)
+        for x in ([1.0, np.nan], [-np.inf, 0.0], [np.float32(1.0), np.float32(np.inf)],
+                  [1e41, 0.0]):  # a float64 absmax whose scale rounds to float32 infinity
+            with pytest.raises(InputError, match="finite"):
+                compile_dynamic_linear(np.array(x), packed, bias)
+        assert np.isfinite(compile_dynamic_linear(np.array([1e40, 0.0]), packed, bias)[4]).all()
 
 
 def test_kernels_deterministic():
