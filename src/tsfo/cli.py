@@ -5,8 +5,7 @@ Every command splits its dataset as recorded in the model (``_split_rows``):
 ``eval`` scores the test side.
 
 Exit codes: 0 success, 2 configuration errors (every flag but --patch-size is
-checked before a file is read), 3 data/input errors, 4 compute errors. Set
-TSFO_MAX_THREADS to cap BLAS worker threads.
+checked before a file is read), 3 data/input errors, 4 compute errors.
 """
 
 from __future__ import annotations
@@ -43,18 +42,6 @@ def _split_rows(path, split):
     """
     dataset = normalize_dataset(load_any_dataset(path))
     return subject_wise_split(dataset, **(split or {"train_fraction": 0.7, "seed": 0}))
-
-
-def _cap_threads():
-    cap = os.environ.get("TSFO_MAX_THREADS")
-    if not cap:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=int(cap))
-    except (ImportError, ValueError):
-        log.warning("could not apply TSFO_MAX_THREADS=%s", cap)
 
 
 def _cmd_synth(args) -> int:
@@ -247,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    _cap_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

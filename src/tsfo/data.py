@@ -4,6 +4,7 @@ Input files are UCR-style delimited text: one series per line, class label in
 the first field, values tab- or comma-separated with dot decimal points.
 Datasets are immutable after construction and safe to share across readers.
 Loaders only read; ``subject_wise_split`` alone decides a train/test split.
+This module alone knows the UCR archive's layout (``ucr_file``, ``load_ucr``).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +41,12 @@ class TimeSeriesDataset:
             raise InputError("labels and instances disagree in length")
         if np.any(self.labels < 0) or np.any(self.labels >= self.num_classes):
             raise InputError("labels must be dense 0..K-1")
+        if self.subjects is not None:
+            self.subjects = np.asarray(self.subjects)
+            if self.subjects.shape != self.labels.shape:
+                raise InputError("subjects and labels disagree in length")
+        if self.predefined_split is not None:
+            self.predefined_split = _checked_split(self.predefined_split, len(self))
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -66,6 +73,19 @@ class TimeSeriesDataset:
         )
 
 
+def _checked_split(split, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``split`` as (train_idx, test_idx) arrays; InputError unless it holds two
+    non-empty integer index lists that share no row, each row in [0, n) and
+    named once."""
+    sides = tuple(np.asarray(side) for side in split)
+    if len(sides) != 2 or not all(s.ndim == 1 and s.size and s.dtype.kind in "iu" for s in sides):
+        raise InputError("predefined_split needs two non-empty 1-D integer index arrays")
+    rows = np.concatenate(sides)
+    if rows.min() < 0 or rows.max() >= n or len(np.unique(rows)) != len(rows):
+        raise InputError(f"predefined_split needs distinct row indices in [0, {n})")
+    return sides
+
+
 def _sniff_delimiter(line: str, where: str) -> str:
     if "\t" in line:
         return "\t"
@@ -76,15 +96,12 @@ def _sniff_delimiter(line: str, where: str) -> str:
     raise ParseError(f"{where}: cannot determine delimiter (need tab or comma)")
 
 
-def load_ucr_delimited(path) -> TimeSeriesDataset:
-    """Parse a UCR-style file: label first, then T values per line.
+def _read_ucr_rows(path) -> tuple[list[str], np.ndarray]:
+    """One UCR-style file's raw labels and its [N, 1, T] float32 rows.
 
-    Labels may be arbitrary integers or strings; they are remapped to dense
-    0..K-1 indices by sorted order (numeric sort when every label parses as a
-    number). Series are univariate (C = 1). Every ParseError names the file
-    and, where a line is at fault, that line: a NaN or infinite cell (such as
-    the NaN padding of a variable-length archive), a short row, a bad number
-    or text that is not UTF-8.
+    Every ParseError names the file and, where a line is at fault, that line:
+    a NaN or infinite cell (such as the NaN padding of a variable-length
+    archive), a short row, a bad number or text that is not UTF-8.
     """
     raw_labels: list[str] = []
     rows: list[list[float]] = []
@@ -115,65 +132,56 @@ def load_ucr_delimited(path) -> TimeSeriesDataset:
                 raise ParseError(f"{where}: bad numeric value ({exc})") from None
     if not rows:
         raise ParseError(f"{path}: file contains no data rows")
-
-    uniques = sorted(set(raw_labels), key=_label_sort_key)
-    label_map = {lbl: i for i, lbl in enumerate(uniques)}
-    labels = np.array([label_map[l] for l in raw_labels], dtype=np.int64)
     instances = np.asarray(rows, dtype=np.float32)[:, None, :]
     finite = np.isfinite(instances).all(axis=(1, 2))
     if not finite.all():
         raise ParseError(f"{path}: line {linenos[np.argmin(finite)]}: NaN or infinite value")
+    return raw_labels, instances
+
+
+def load_ucr_delimited(path, test_path=None) -> TimeSeriesDataset:
+    """Parse a UCR-style file, or a train file and its test file, into one dataset.
+
+    Each line holds a label, then T values. Labels may be arbitrary numbers
+    or strings; every label read, from either file, is mapped to a dense
+    0..K-1 index in sorted order (numbers in numeric order, then text). Series
+    are univariate (C = 1). With ``test_path``, its rows follow those of ``path``
+    and ``predefined_split`` records the two files' rows, so
+    ``subject_wise_split`` keeps the archive's split; files of different
+    series lengths are a ParseError naming both files and lengths.
+    """
+    raw_labels, instances = _read_ucr_rows(path)
+    split = None
+    if test_path is not None:
+        test_labels, test_instances = _read_ucr_rows(test_path)
+        if instances.shape[2] != test_instances.shape[2]:
+            raise ParseError(
+                f"{path} has series of length {instances.shape[2]} but {test_path} "
+                f"has length {test_instances.shape[2]}"
+            )
+        n_train = len(raw_labels)
+        split = (np.arange(n_train), np.arange(n_train, n_train + len(test_labels)))
+        raw_labels += test_labels
+        instances = np.concatenate([instances, test_instances])
+    uniques = sorted(set(raw_labels), key=_label_sort_key)
+    label_map = {lbl: i for i, lbl in enumerate(uniques)}
     return TimeSeriesDataset(
         name=str(path),
         instances=instances,
-        labels=labels,
+        labels=np.array([label_map[l] for l in raw_labels], dtype=np.int64),
         label_map=label_map,
+        predefined_split=split,
     )
 
 
 def _label_sort_key(label: str):
+    # numbers in numeric order, then text (and "nan", which no number orders);
+    # the text breaks ties such as "1" and "1.0", so no map hangs on set order
     try:
-        return (0, float(label), "")
+        value = float(label)
     except ValueError:
         return (1, 0.0, label)
-
-
-def load_ucr_pair(train_path, test_path) -> TimeSeriesDataset:
-    """Load a pre-split UCR train/test pair into one dataset.
-
-    The archive's split is preserved in ``predefined_split`` so subject-wise
-    splitting can fall back to it when no subject metadata exists. Files of
-    different series lengths are a ParseError naming both files and lengths.
-    """
-    train = load_ucr_delimited(train_path)
-    test = load_ucr_delimited(test_path)
-    if train.seq_len != test.seq_len:
-        raise ParseError(
-            f"{train_path} has series of length {train.seq_len} but {test_path} "
-            f"has length {test.seq_len}"
-        )
-    merged_labels = sorted(set(train.label_map) | set(test.label_map), key=_label_sort_key)
-    label_map = {lbl: i for i, lbl in enumerate(merged_labels)}
-    inv_train = {v: k for k, v in train.label_map.items()}
-    inv_test = {v: k for k, v in test.label_map.items()}
-    labels = np.concatenate(
-        [
-            np.array([label_map[inv_train[l]] for l in train.labels], dtype=np.int64),
-            np.array([label_map[inv_test[l]] for l in test.labels], dtype=np.int64),
-        ]
-    )
-    n_train = len(train)
-    instances = np.concatenate([train.instances, test.instances], axis=0)
-    return TimeSeriesDataset(
-        name=train.name,
-        instances=instances,
-        labels=labels,
-        label_map=label_map,
-        predefined_split=(
-            np.arange(n_train),
-            np.arange(n_train, n_train + len(test)),
-        ),
-    )
+    return (0, value, label) if value == value else (1, 0.0, label)
 
 
 def min_max_normalize(series: np.ndarray) -> np.ndarray:
@@ -199,14 +207,8 @@ def min_max_normalize(series: np.ndarray) -> np.ndarray:
 
 
 def normalize_dataset(dataset: TimeSeriesDataset) -> TimeSeriesDataset:
-    return TimeSeriesDataset(
-        name=dataset.name,
-        instances=min_max_normalize(dataset.instances),  # each [C, T] row over its last axis
-        labels=dataset.labels,
-        label_map=dataset.label_map,
-        subjects=dataset.subjects,
-        predefined_split=dataset.predefined_split,
-    )
+    # each [C, T] row over its last axis
+    return replace(dataset, instances=min_max_normalize(dataset.instances))
 
 
 @dataclass(frozen=True)
@@ -219,39 +221,56 @@ class WindowSpec:
             raise InputError(f"need 1 <= stride <= length, got {self}")
 
 
+def window_count(t: int, w: int, s: int) -> int:
+    return (t - w) // s + 1
+
+
 def segment_windows(series: np.ndarray, spec: WindowSpec) -> list[np.ndarray]:
-    """Cut a [C, T] series into floor((T-w)/s)+1 overlapping [C, w] windows."""
+    """Cut a [C, T] series into ``window_count(T, w, s)`` overlapping [C, w] windows."""
     arr = np.asarray(series)
     if arr.ndim != 2:
         raise InputError(f"expected [C, T] series, got shape {arr.shape}")
     t = arr.shape[1]
     if spec.length > t:
         raise InputError(f"window length {spec.length} exceeds series length {t}")
-    count = (t - spec.length) // spec.stride + 1
     return [
         arr[:, i * spec.stride : i * spec.stride + spec.length].copy()
-        for i in range(count)
+        for i in range(window_count(t, spec.length, spec.stride))
     ]
 
 
-def window_count(t: int, w: int, s: int) -> int:
-    return (t - w) // s + 1
+def ucr_file(path):
+    """The file that ``path`` stands for in the UCR archive's layout.
+
+    A folder ``<dir>/<name>`` stands for its ``<name>_TRAIN.*`` file
+    (``.tsv`` or ``.txt`` first when there are several); a folder without one
+    is an InputError. Any other path stands for itself.
+    """
+    if not os.path.isdir(path):
+        return path
+    folder = os.path.normpath(path)
+    name = os.path.basename(folder)
+    found = sorted(
+        (f for f in os.listdir(folder) if f.startswith(name + "_TRAIN.")),
+        key=lambda f: (not f.endswith((".tsv", ".txt")), f),
+    )
+    if not found:
+        raise InputError(f"{path} is a directory without a {name}_TRAIN.* file")
+    return os.path.join(folder, found[0])
 
 
 def load_ucr(path) -> TimeSeriesDataset:
     """Load a UCR file, with the archive's split when it is one half of a pair.
 
-    ``<name>_TRAIN.<ext>`` is paired with its ``<name>_TEST.<ext>`` sibling
-    (``load_ucr_pair``), which records the archive's split in
-    ``predefined_split``. Any other file, or a TRAIN file without that
-    sibling, is loaded alone and ``subject_wise_split`` splits it.
+    ``<name>_TRAIN.<ext>`` is read with its ``<name>_TEST.<ext>`` sibling,
+    whose rows ``predefined_split`` records as the test side. Any other file,
+    or a TRAIN file without that sibling, is loaded alone and
+    ``subject_wise_split`` splits it.
     """
     folder, base = os.path.split(os.fspath(path))
     head, found, tail = base.rpartition("_TRAIN")
     test_path = os.path.join(folder, head + "_TEST" + tail)
-    if found and os.path.isfile(test_path):
-        return load_ucr_pair(path, test_path)
-    return load_ucr_delimited(path)
+    return load_ucr_delimited(path, test_path if found and os.path.isfile(test_path) else None)
 
 
 def check_train_fraction(train_fraction: float) -> None:

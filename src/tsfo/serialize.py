@@ -11,7 +11,6 @@ Round-trips are bit-exact.
 from __future__ import annotations
 
 import dataclasses
-import glob
 import json
 import math
 import os
@@ -19,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .data import TimeSeriesDataset, check_train_fraction, load_ucr
+from .data import TimeSeriesDataset, check_train_fraction, load_ucr, ucr_file
 from .errors import InputError, ParseError, TsfoError
 from .model import ModelConfig, TransformerModel, param_shapes
 from .quantization import QuantizedModel
@@ -290,21 +289,14 @@ def _load_dataset(meta: dict, tensors: dict) -> TimeSeriesDataset:
     labels = tensors["labels"][0]
     if instances.dtype != np.float32 or labels.dtype != np.int64 or labels.ndim != 1:
         raise ParseError("dataset needs float32 instances and 1-D int64 labels")
-    subjects = meta.get("subjects")
-    if subjects is not None:
-        subjects = np.array(subjects)
-        if subjects.shape != labels.shape:
-            raise ParseError("subjects and labels disagree in length")
-    split = meta.get("predefined_split")
     return TimeSeriesDataset(
         name=meta["name"],
         instances=instances,
         labels=labels,
         label_map=meta["label_map"],
-        subjects=subjects,
-        predefined_split=(
-            (np.array(split[0]), np.array(split[1])) if split is not None else None
-        ),
+        # JSON lists, which the dataset checks and makes arrays
+        subjects=meta.get("subjects"),
+        predefined_split=meta.get("predefined_split"),
     )
 
 
@@ -341,19 +333,11 @@ def load_kind(path, *kinds):
 def load_any_dataset(path):
     """Load either a TSFO dataset container or a UCR-style delimited file.
 
-    A UCR file is read by ``data.load_ucr``, which keeps the archive's split
-    of a ``_TRAIN``/``_TEST`` pair. A UCR archive folder ``<dir>/<name>``
-    stands for its ``<name>_TRAIN.*`` file (``.tsv`` or ``.txt`` first when
-    there are several).
+    ``data.ucr_file`` maps a UCR archive folder to the file it stands for,
+    container or not, and ``data.load_ucr`` reads a UCR file with the
+    archive's split of a pair.
     """
-    if os.path.isdir(path):
-        folder = os.path.normpath(path)
-        name = os.path.basename(folder)
-        pattern = os.path.join(glob.escape(folder), glob.escape(name) + "_TRAIN.*")
-        found = sorted(glob.glob(pattern), key=lambda p: (not p.endswith((".tsv", ".txt")), p))
-        if not found:
-            raise InputError(f"{path} is a directory without a {name}_TRAIN.* file")
-        path = found[0]
+    path = ucr_file(path)
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == MAGIC:

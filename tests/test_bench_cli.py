@@ -44,7 +44,7 @@ from tsfo.errors import ConfigError
 from tsfo.model import ModelConfig, build_model, count_params, preset_config
 from tsfo.pruning import PruneSpec, prunable_pools, prune_structured
 from tsfo.quantization import QuantizedModel, quantize_dynamic, quantized_forward_batch
-from tsfo.serialize import load, save_dataset, save_model, save_quantized
+from tsfo.serialize import load, save_dataset, save_model, save_quantized, write_container
 from tsfo.tensor import QTensor
 from tsfo.metrics import TIME_DERIVED_FIELDS, EnergyParams
 
@@ -1100,6 +1100,22 @@ class TestCli:
         empty.mkdir()
         (empty / "Other_TRAIN.tsv").write_text("1\t0.5\n")
         assert main(["train", "--data", str(empty), "--out", str(tmp_path / "x")]) == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "split", [[list(range(7)), list(range(5, 12))], [list(range(6)), [6, 7, 50]]],
+        ids=["overlapping-sides", "index-out-of-range"],
+    )
+    def test_container_with_a_bad_split_is_a_data_error(self, tmp_path, caplog, split):
+        path = tmp_path / "bad.tsfo"
+        tensors = [("instances", np.zeros((12, 1, 32), np.float32), None),
+                   ("labels", np.arange(12) % 2, None)]
+        write_container(path, "dataset", {"name": "bad", "label_map": {},
+                                          "predefined_split": split}, tensors)
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["train", "--data", str(path), "--epochs", "1",
+                         "--out", str(tmp_path / "m")]) == EXIT_DATA
+        assert "predefined_split needs distinct row indices in [0, 12)" in caplog.text
+        assert not (tmp_path / "m").exists()
 
     def test_nan_padded_ucr_rows_are_a_data_error(self, tmp_path, caplog):
         # UCR's variable-length sets pad the short series with NaN; no command

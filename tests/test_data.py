@@ -11,16 +11,17 @@ from tsfo.data import (
     WindowSpec,
     load_ucr,
     load_ucr_delimited,
-    load_ucr_pair,
     min_max_normalize,
     normalize_dataset,
     segment_windows,
     stratified_split,
     subject_wise_split,
     synth_generate,
+    ucr_file,
     window_count,
 )
 from tsfo.errors import ConfigError, InputError, ParseError
+from tsfo.serialize import load, load_any_dataset, save_dataset, write_container
 
 
 class TestLoader:
@@ -37,6 +38,14 @@ class TestLoader:
         ds = load_ucr_delimited(path)
         assert ds.label_map == {"5": 0, "9": 1}
         assert ds.labels.tolist() == [1, 0]
+
+    def test_label_map_does_not_hang_on_set_order(self, tmp_path):
+        # "1", "1.0" and "01" name one number, and "nan" no orderable one
+        path = tmp_path / "toy.csv"
+        path.write_text("nan,0.4\n1,0.5\n1.0,0.7\nb,0.3\n01,0.2\n2,0.1\n")
+        assert list(load_ucr_delimited(path).label_map.items()) == [
+            ("01", 0), ("1", 1), ("1.0", 2), ("2", 3), ("b", 4), ("nan", 5)
+        ]
 
     def test_ragged_rows_report_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -61,7 +70,7 @@ class TestLoader:
         test = tmp_path / "X_TEST.txt"
         train.write_text("1,0.0,1.0\n2,2.0,3.0\n")
         test.write_text("2,4.0,5.0\n")
-        ds = load_ucr_pair(train, test)
+        ds = load_ucr_delimited(train, test)
         assert len(ds) == 3
         tr_idx, te_idx = ds.predefined_split
         assert tr_idx.tolist() == [0, 1] and te_idx.tolist() == [2]
@@ -73,7 +82,7 @@ class TestLoader:
         with caplog.at_level(logging.WARNING):
             ds = load_ucr(train)
         assert not caplog.records
-        want = load_ucr_pair(train, tmp_path / "X_TEST.tsv")
+        want = load_ucr_delimited(train, tmp_path / "X_TEST.tsv")
         assert np.array_equal(ds.instances, want.instances)
         assert [a.tolist() for a in ds.predefined_split] == [[0, 1], [2]]
 
@@ -99,6 +108,125 @@ class TestLoader:
         again, _ = subject_wise_split(load_ucr(path), 0.6, seed=3)
         assert np.array_equal(again.instances, train_ds.instances)
         assert len(train_ds) == 9 and len(test_ds) == 6
+
+
+# files written under a test's tmp_path (None: the CONTAINER dataset), the path
+# loaded, and the test file of a UCR pair
+UCR_FIXTURES = {
+    "numeric-labels-pair": ({"N_TRAIN.csv": "9,0.1,0.2\n10,1.5,-2\n",
+                             "N_TEST.csv": "2.5,3,4e-3\n-1,0.5,6\n"}, "N_TRAIN.csv", "N_TEST.csv"),
+    "string-labels-pair": ({"S_TRAIN.tsv": "b\t1\t2\t3\na\t4\t5\t6\n",
+                            "S_TEST.tsv": "c\t7\t8\t9\na\t0\t0\t0\n"}, "S_TRAIN.tsv", "S_TEST.tsv"),
+    "labels-only-in-test": ({"O_TRAIN.txt": "1,0.25,0.5\n1,0.75,1\n",
+                             "O_TEST.txt": "3,1,2\n2,3,4\n"}, "O_TRAIN.txt", "O_TEST.txt"),
+    "mixed-labels-pair": ({"M_TRAIN.tsv": "x\t1.0\t-1.0\n1\t2.0\t-2.0\n",
+                           "M_TEST.tsv": "2\t3.0\t-3.0\n"}, "M_TRAIN.tsv", "M_TEST.tsv"),
+    "comma-file": ({"c.csv": "5,1.0,2.0,3.0\n4,-1,0.3,7\n5,9,9,9\n"}, "c.csv", None),
+    "tab-file": ({"t.tsv": "2\t0.5\t0.6\n1\t1e3\t-1e-3\n"}, "t.tsv", None),
+    "lone-file": ({"L.txt": "  1  0.5  0.25\n\n  2  -0.5  0.75\n"}, "L.txt", None),
+    "train-file-without-sibling": ({"W_TRAIN.tsv": "1\t0.1\t0.2\n0\t0.3\t0.4\n"},
+                                   "W_TRAIN.tsv", None),
+    "archive-folder": ({"A/A_TRAIN.txt": "1,1,2\n2,3,4\n", "A/A_TEST.txt": "2,5,6\n",
+                        "A/A_TRAIN.csv": "1,9,9\n", "A/A_TEST.csv": "1,9,9\n"}, "A", "A/A_TEST.txt"),
+    "folder-with-container": ({"B/B_TRAIN.tsfo": None}, "B", None),
+}
+CONTAINER = TimeSeriesDataset(
+    name="box",
+    instances=np.arange(9, dtype=np.float32).reshape(3, 1, 3) / 8,
+    labels=np.array([1, 0, 1]),
+    label_map={"a": 0, "b": 1},
+    subjects=np.array(["h0", "h1", "h0"]),
+    predefined_split=(np.array([0, 2]), np.array([1])),
+)
+# what each fixture loaded as when a pair's two files were mapped apart and
+# serialize globbed a folder's TRAIN file: (name, rows, labels, label_map,
+# predefined_split), a name under tmp_path given relative to it
+FROZEN_LOADS = {
+    "numeric-labels-pair": ("N_TRAIN.csv", [[0.1, 0.2], [1.5, -2], [3, 0.004], [0.5, 6]], [2, 3, 1, 0],
+                            {"-1": 0, "2.5": 1, "9": 2, "10": 3}, [[0, 1], [2, 3]]),
+    "string-labels-pair": ("S_TRAIN.tsv", [[1, 2, 3], [4, 5, 6], [7, 8, 9], [0, 0, 0]], [1, 0, 2, 0],
+                           {"a": 0, "b": 1, "c": 2}, [[0, 1], [2, 3]]),
+    "labels-only-in-test": ("O_TRAIN.txt", [[0.25, 0.5], [0.75, 1], [1, 2], [3, 4]], [0, 0, 2, 1],
+                            {"1": 0, "2": 1, "3": 2}, [[0, 1], [2, 3]]),
+    "mixed-labels-pair": ("M_TRAIN.tsv", [[1, -1], [2, -2], [3, -3]], [2, 0, 1],
+                          {"1": 0, "2": 1, "x": 2}, [[0, 1], [2]]),
+    "comma-file": ("c.csv", [[1, 2, 3], [-1, 0.3, 7], [9, 9, 9]], [1, 0, 1], {"4": 0, "5": 1}, None),
+    "tab-file": ("t.tsv", [[0.5, 0.6], [1000, -0.001]], [1, 0], {"1": 0, "2": 1}, None),
+    "lone-file": ("L.txt", [[0.5, 0.25], [-0.5, 0.75]], [0, 1], {"1": 0, "2": 1}, None),
+    "train-file-without-sibling": ("W_TRAIN.tsv", [[0.1, 0.2], [0.3, 0.4]], [1, 0],
+                                   {"0": 0, "1": 1}, None),
+    "archive-folder": ("A/A_TRAIN.txt", [[1, 2], [3, 4], [5, 6]], [0, 1, 1],
+                       {"1": 0, "2": 1}, [[0, 1], [2]]),
+    "folder-with-container": ("box", [[0, 0.125, 0.25], [0.375, 0.5, 0.625], [0.75, 0.875, 1]],
+                              [1, 0, 1], {"a": 0, "b": 1}, [[0, 2], [1]]),
+}
+LOADERS = {
+    "load_any_dataset": lambda target, test: load_any_dataset(target),
+    "load_ucr": lambda target, test: load_ucr(ucr_file(target)),
+    "load_ucr_delimited": lambda target, test: load_ucr_delimited(ucr_file(target), test),
+}
+
+
+@pytest.mark.parametrize(
+    "fixture, loader",
+    [(f, loader) for f in UCR_FIXTURES for loader in LOADERS
+     if f != "folder-with-container" or loader == "load_any_dataset"],
+)
+def test_every_load_path_gives_the_frozen_dataset(tmp_path, fixture, loader):
+    files, target, test = UCR_FIXTURES[fixture]
+    for rel, text in files.items():
+        (tmp_path / rel).parent.mkdir(exist_ok=True)
+        if text is None:
+            save_dataset(CONTAINER, tmp_path / rel)
+        else:
+            (tmp_path / rel).write_text(text)
+    ds = LOADERS[loader](tmp_path / target, test and tmp_path / test)
+    name, rows, labels, label_map, split = FROZEN_LOADS[fixture]
+    assert ds.name.removeprefix(f"{tmp_path}{os.sep}") == name
+    assert ds.instances.dtype == np.float32 and ds.labels.dtype == np.int64
+    assert ds.instances.tobytes() == np.array(rows, np.float32)[:, None, :].tobytes()
+    assert ds.labels.tobytes() == np.array(labels, np.int64).tobytes()
+    assert list(ds.label_map.items()) == list(label_map.items())
+    if split is None:
+        assert ds.predefined_split is None
+    else:
+        assert [side.dtype for side in ds.predefined_split] == [np.int64, np.int64]
+        assert [side.tolist() for side in ds.predefined_split] == split
+
+
+# a dataset of 12 rows whose subjects or predefined split no split may trust
+BAD_ROW_IDS = {
+    "overlapping-sides": ({"predefined_split": [list(range(7)), list(range(5, 12))]}, "predefined_split"),
+    "negative-index": ({"predefined_split": [list(range(6)), [6, 7, 8, 9, 10, -1]]}, "predefined_split"),
+    "index-out-of-range": ({"predefined_split": [list(range(6)), [6, 7, 50]]}, "predefined_split"),
+    "empty-side": ({"predefined_split": [list(range(12)), []]}, "predefined_split"),
+    "subjects-length": ({"subjects": ["a", "b", "c"]}, "subjects"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ROW_IDS)
+class TestDatasetChecksItsRowIds:
+    def test_built_in_python(self, case):
+        meta, what = BAD_ROW_IDS[case]
+        with pytest.raises(InputError, match=what):
+            TimeSeriesDataset("bad", np.zeros((12, 1, 4), np.float32), np.arange(12) % 2, **meta)
+
+    def test_through_a_saved_container(self, tmp_path, case):
+        meta, what = BAD_ROW_IDS[case]
+        path = tmp_path / "bad.tsfo"
+        tensors = [("instances", np.zeros((12, 1, 4), np.float32), None),
+                   ("labels", np.arange(12) % 2, None)]
+        write_container(path, "dataset", {"name": "bad", "label_map": {}, **meta}, tensors)
+        with pytest.raises(ParseError, match=what):
+            load(path)
+
+
+def test_a_split_given_as_lists_need_not_cover_every_row(tmp_path):
+    ds = TimeSeriesDataset("part", np.arange(4, dtype=np.float32).reshape(4, 1, 1),
+                           np.array([0, 1, 0, 1]), predefined_split=([3, 0], [1]))
+    save_dataset(ds, tmp_path / "part.tsfo")
+    train, test = subject_wise_split(load(tmp_path / "part.tsfo"), 0.5, seed=0)
+    assert train.instances.ravel().tolist() == [3, 0] and test.instances.ravel().tolist() == [1]
 
 
 class TestStratifiedSplit:
@@ -257,7 +385,7 @@ class TestSubjectSplit:
         test = tmp_path / "T_TEST.txt"
         train.write_text("1,0.0,1.0\n1,2.0,3.0\n")
         test.write_text("1,4.0,5.0\n")
-        ds = load_ucr_pair(train, test)
+        ds = load_ucr_delimited(train, test)
         with caplog.at_level(logging.WARNING):
             tr, te = subject_wise_split(ds, 0.5, seed=0)
         assert "predefined" in caplog.text

@@ -186,6 +186,19 @@ def test_one_function_decides_the_split():
         assert len(params) == 1 and not (args.vararg or args.kwarg), f"{loader} takes more than a path"
 
 
+def test_one_module_knows_the_ucr_archive_layout():
+    """Only ``data.py`` names the archive's ``<name>_TRAIN`` and ``<name>_TEST``
+    files, so a folder, a pair and its split are resolved in one place."""
+    holders = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and ("_TRAIN" in node.value or "_TEST" in node.value)
+    }
+    assert holders == {"data.py"}, f"modules that name UCR archive files: {holders}"
+
+
 def test_no_handler_turns_one_toolkit_error_into_another():
     """The home of each rule raises its error class, so no ``except`` in src/
     catches one ``TsfoError`` subclass and raises another. ``serialize.load``
