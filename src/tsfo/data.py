@@ -22,7 +22,7 @@ from .tensor import check_seed, seeded_rng
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimeSeriesDataset:
     name: str
     instances: np.ndarray                 # [N, C, T] float32
@@ -42,11 +42,12 @@ class TimeSeriesDataset:
         if np.any(self.labels < 0) or np.any(self.labels >= self.num_classes):
             raise InputError("labels must be dense 0..K-1")
         if self.subjects is not None:
-            self.subjects = np.asarray(self.subjects)
+            object.__setattr__(self, "subjects", np.asarray(self.subjects))
             if self.subjects.shape != self.labels.shape:
                 raise InputError("subjects and labels disagree in length")
         if self.predefined_split is not None:
-            self.predefined_split = _checked_split(self.predefined_split, len(self))
+            split = _checked_split(self.predefined_split, len(self))
+            object.__setattr__(self, "predefined_split", split)
 
     def __len__(self) -> int:
         return len(self.instances)

@@ -229,14 +229,20 @@ def attention_weights(q: np.ndarray, k: np.ndarray, num_heads: int) -> np.ndarra
     """Softmax weights [B, H, key, query] of [B, P, a] projections, stored key-outermost.
 
     The first half of ``attention_context``; training keeps them for
-    ``attention_backward``."""
+    ``attention_backward``. The pass that scales q by 1/sqrt(dh) writes each
+    head's queries as a C-contiguous [dh, P] array, the score GEMM's right
+    operand: OpenBLAS runs these tiny products 2-3x faster from a row-major
+    [dh, P] operand than from a transposed view of [P, dh] rows. Orientation
+    is the lever, not contiguity: a contiguous [P, dh] q read through
+    ``swapaxes`` is slower. With OpenBLAS 0.3.31 the bits equal the
+    transposed view's for head widths 1 to 24; from 32 up (no preset) they
+    can differ in the last place."""
     b, p, a = q.shape
+    dh = a // num_heads
     weights = np.empty((p, b, num_heads, p), np.result_type(q, k)).transpose(1, 2, 0, 3)
-    np.matmul(
-        _split_heads(k, num_heads),
-        _split_heads(q * (1.0 / math.sqrt(a // num_heads)), num_heads).swapaxes(-1, -2),
-        out=weights,
-    )
+    q_t = np.empty((b, num_heads, dh, p), q.dtype)
+    np.multiply(q.reshape(b, p, num_heads, dh).transpose(0, 2, 3, 1), 1.0 / math.sqrt(dh), out=q_t)
+    np.matmul(_split_heads(k, num_heads), q_t, out=weights)
     rows = _key_rows(weights)
     softmax(rows, axis=0, out=rows)
     return weights
@@ -254,7 +260,9 @@ def attention_backward(q, k, v, weights, d_ctx) -> tuple:
     """Gradients (d_q, d_k, d_v), each [B, P, a], of ``weighted_values(weights, v)``
     with ``weights = attention_weights(q, k, H)``, given the [B, P, a] gradient of
     that context. The softmax backward runs over the keys in the weights'
-    key-outermost layout, as the forward's softmax does."""
+    key-outermost layout, as the forward's softmax does. As for the scores,
+    the pass that scales d_ctx^T by 1/sqrt(dh) writes the C-contiguous
+    [dh, P] right operand of each head's ``d_s = v_h @ d_ctx_h^T``."""
     heads = weights.shape[1]
     d_ctx = _split_heads(d_ctx, heads)
     qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
@@ -262,7 +270,8 @@ def attention_backward(q, k, v, weights, d_ctx) -> tuple:
     np.matmul(weights, d_ctx, out=_split_heads(d_v, heads))
     # d_s, laid out as the weights are, takes the scores' 1/sqrt(dh)
     d_s = np.empty_like(weights, dtype=d_v.dtype)
-    np.matmul(vh, d_ctx.swapaxes(-1, -2) * (1.0 / math.sqrt(qh.shape[-1])), out=d_s)
+    d_ctx_t, c = d_ctx.swapaxes(-1, -2), 1.0 / math.sqrt(qh.shape[-1])
+    np.matmul(vh, np.multiply(d_ctx_t, c, out=np.empty(d_ctx_t.shape, d_ctx.dtype)), out=d_s)
     d_rows, w_rows = _key_rows(d_s), _key_rows(weights)
     d_rows -= (d_rows * w_rows).sum(axis=0)
     d_rows *= w_rows
@@ -276,10 +285,12 @@ def attention_context(q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads: in
 
     ``attention_weights`` then ``weighted_values``, for every inference
     forward; training runs the two itself, as it keeps the weights. BLAS
-    writes each head's ``k @ (q / sqrt(dh))^T`` into a [key, B, H, query]
-    buffer, so the softmax normalizes P contiguous rows of B*H*P scores in
-    place (same sums, same order, same bits) instead of B*H*P short
-    reductions. With the presets' heads that wins at batch 1 as at 64.
+    writes each head's ``k @ (q / sqrt(dh))^T``, read from a row-major
+    [dh, P] q operand (the orientation its small GEMMs run fastest), into a
+    [key, B, H, query] buffer, so the softmax normalizes P contiguous rows
+    of B*H*P scores in place (same sums, same order, same bits) instead of
+    B*H*P short reductions. With the presets' heads that wins at batch 1 as
+    at 64.
 
     A batch whose score buffer exceeds ``tensor.BLOCK_BYTES`` runs in blocks
     of whole instances, each written into one [B, P, a] output, so the

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import os
 
@@ -220,6 +221,14 @@ class TestDatasetChecksItsRowIds:
         with pytest.raises(ParseError, match=what):
             load(path)
 
+    def test_assigned_after_construction(self, case):
+        # a frozen dataset cannot take the ids its constructor would refuse
+        meta, what = BAD_ROW_IDS[case]
+        ds = TimeSeriesDataset("good", np.zeros((12, 1, 4), np.float32), np.arange(12) % 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ds, what, meta[what])
+        assert ds.subjects is None and ds.predefined_split is None
+
 
 def test_a_split_given_as_lists_need_not_cover_every_row(tmp_path):
     ds = TimeSeriesDataset("part", np.arange(4, dtype=np.float32).reshape(4, 1, 1),
@@ -392,8 +401,7 @@ class TestSubjectSplit:
         assert len(tr) == 2 and len(te) == 1
 
     def test_no_subjects_no_predefined_falls_back_to_stratified(self, caplog):
-        ds = synth_generate(2, 3, 32, 0.05, seed=0)
-        ds.subjects = None
+        ds = dataclasses.replace(synth_generate(2, 3, 32, 0.05, seed=0), subjects=None)
         with caplog.at_level(logging.WARNING):
             train, test = subject_wise_split(ds, 0.5, seed=0)
         assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == 1

@@ -242,18 +242,52 @@ def reference_context(q, k, v, heads):
     return out
 
 
+def split_heads(x, heads):
+    # [B, P, a] -> [B, H, P, a/H] view
+    return x.reshape(x.shape[0], x.shape[1], heads, x.shape[2] // heads).transpose(0, 2, 1, 3)
+
+
 def key_major_context(q, k, v, heads):
     """The core the key-outermost layout replaced: scores stored [B, H, key, query]."""
     dh = q.shape[-1] // heads
-
-    def split(x):
-        return x.reshape(x.shape[0], x.shape[1], heads, dh).transpose(0, 2, 1, 3)
-
-    scores = np.matmul(split(k), split(q * (1.0 / math.sqrt(dh))).swapaxes(-1, -2))
+    q_t = split_heads(q * (1.0 / math.sqrt(dh)), heads).swapaxes(-1, -2)
+    scores = np.matmul(split_heads(k, heads), q_t)
     softmax(scores, axis=-2, out=scores)
     ctx = np.empty(q.shape, dtype=np.result_type(scores, v))
-    np.matmul(scores.swapaxes(-1, -2), split(v), out=split(ctx))
+    np.matmul(scores.swapaxes(-1, -2), split_heads(v, heads), out=split_heads(ctx, heads))
     return ctx
+
+
+def strided_attention_weights(q, k, heads):
+    """``attention_weights`` as it was before its [dh, P] query operand: the score
+    GEMM reads each head's q / sqrt(dh) as a transposed strided view."""
+    b, p, a = q.shape
+    weights = np.empty((p, b, heads, p), np.result_type(q, k)).transpose(1, 2, 0, 3)
+    np.matmul(
+        split_heads(k, heads),
+        split_heads(q * (1.0 / math.sqrt(a // heads)), heads).swapaxes(-1, -2),
+        out=weights,
+    )
+    rows = weights.transpose(2, 0, 1, 3).reshape(p, -1)
+    softmax(rows, axis=0, out=rows)
+    return weights
+
+
+def strided_attention_backward(q, k, v, weights, d_ctx):
+    """``attention_backward`` as it was before its [dh, P] operand of the d_s GEMM."""
+    heads = weights.shape[1]
+    d_ctx = split_heads(d_ctx, heads)
+    qh, kh, vh = (split_heads(t, heads) for t in (q, k, v))
+    d_q, d_k, d_v = (np.empty(t.shape, np.result_type(weights, d_ctx)) for t in (q, k, v))
+    np.matmul(weights, d_ctx, out=split_heads(d_v, heads))
+    d_s = np.empty_like(weights, dtype=d_v.dtype)
+    np.matmul(vh, d_ctx.swapaxes(-1, -2) * (1.0 / math.sqrt(qh.shape[-1])), out=d_s)
+    d_rows, w_rows = (t.transpose(2, 0, 1, 3).reshape(t.shape[2], -1) for t in (d_s, weights))
+    d_rows -= (d_rows * w_rows).sum(axis=0)
+    d_rows *= w_rows
+    np.matmul(d_s, qh, out=split_heads(d_k, heads))
+    np.matmul(d_s.swapaxes(-1, -2), kh, out=split_heads(d_q, heads))
+    return d_q, d_k, d_v
 
 
 def pruned_heads_config():
@@ -346,6 +380,31 @@ class TestAttentionCore:
             assert calls == [min(block, b - i) for i in range(0, b, block)]
             want = model_mod.weighted_values(real(q[:b], k[:b], heads), v[:b])
             assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dh", [1, 4, 6, 8, 16, 24])
+    def test_query_operand_keeps_the_strided_bits(self, dh, dtype):
+        """Scaled queries written as each head's row-major [dh, P] operand give
+        the bits of the transposed strided view: weights, context (batch 14
+        is one full block of 16 float32 heads, 15 and 64 run in blocks) and
+        the backward's gradients. Head widths of 32 and up can differ in the
+        last place and are left out (see ``attention_weights``). Widths 1, 4
+        and 16 scale by a power of two, so only 6, 8 and 24 tell scaling
+        before the GEMM from scaling after."""
+        rng = seeded_rng(60 + dh)
+        for heads in (16, 9, 8):
+            q, k, v, d_ctx = (rng.normal(size=(64, 24, heads * dh)).astype(dtype) for _ in range(4))
+            for b in (1, 14, 15, 64):
+                args = q[:b], k[:b], v[:b]
+                want = strided_attention_weights(q[:b], k[:b], heads)
+                got = model_mod.attention_weights(q[:b], k[:b], heads)
+                assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+                ctx = model_mod.attention_context(*args, heads)
+                want_ctx = model_mod.weighted_values(want, v[:b])
+                assert ctx.dtype == want_ctx.dtype and np.array_equal(ctx, want_ctx)
+                grads = model_mod.attention_backward(*args, want, d_ctx[:b])
+                for g, w in zip(grads, strided_attention_backward(*args, want, d_ctx[:b])):
+                    assert g.dtype == w.dtype == dtype and np.array_equal(g, w)
 
     @pytest.mark.parametrize("b", [1, 64])
     def test_pruned_forward_equals_key_major_core(self, monkeypatch, b):
@@ -540,7 +599,7 @@ class TestEncode:
             runs[run](poisoned)
 
     def test_single_instance_forward_call_budget(self):
-        """A T1 batch-1 forward makes at most 480 Python and C calls (470 today,
+        """A T1 batch-1 forward makes at most 480 Python and C calls (461 today,
         with the one-call check that the input is finite and the ReLU as an
         ops step).
 
