@@ -43,6 +43,7 @@ from .metrics import (
     efficiency_score,
     energy_model,
     energy_saving_pct,
+    openblas_one_thread,
     pinning_method,
     speedup as speedup_ratio,
 )
@@ -91,20 +92,23 @@ log = logging.getLogger(__name__)
 @functools.cache
 def _warn_unpinned() -> None:
     log.warning(
-        "neither threadpoolctl nor thread-count variables of 1 pin BLAS threads to one, "
-        "so inference timings do not follow the single-thread protocol"
+        "neither threadpoolctl, thread-count variables of 1 nor an OpenBLAS setter pin "
+        "BLAS threads to one, so inference timings do not follow the single-thread protocol"
     )
 
 
 def single_thread():
     """A context that holds BLAS to one thread in a timed region, as
     ``metrics.pinning_method`` decides: threadpoolctl pins the region, thread-count
-    variables of 1 have pinned the whole process, and with neither it logs one
-    warning per process."""
+    variables of 1 have pinned the whole process, else the loaded OpenBLAS's
+    own setter pins the region, and with none of them it logs one warning per
+    process."""
     if pinning_method() == "threadpoolctl":
         from threadpoolctl import threadpool_limits
 
         return threadpool_limits(limits=1)
+    if pinning_method() == "openblas":
+        return openblas_one_thread()
     if pinning_method() == "none":
         _warn_unpinned()
     return contextlib.nullcontext()

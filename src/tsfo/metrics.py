@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import ctypes
 import functools
 import importlib.util
 import math
@@ -162,15 +164,72 @@ def _git_commit() -> str | None:
     return done.stdout.strip() or None
 
 
+def _loaded_openblas():
+    """The OpenBLAS this process has loaded (numpy's own, for one), as a ctypes
+    library found in the process's memory map; None without one or a map."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        if ".so" in os.path.basename(path):
+            return ctypes.CDLL(path)
+    return None
+
+
+@functools.cache
+def _openblas_threads() -> tuple | None:
+    """(set, get) of the loaded OpenBLAS's thread count, under the names its
+    builds export (numpy's wheels prefix "scipy_" and suffix "64_"), or None."""
+    lib = _loaded_openblas()
+    for name in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            setter = getattr(lib, f"{name}_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"{name}_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+@contextlib.contextmanager
+def openblas_one_thread():
+    """Hold the loaded OpenBLAS to one thread through its own setter; yields the
+    count read back inside, and restores the previous count on exit."""
+    set_threads, get_threads = _openblas_threads()
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield get_threads()
+    finally:
+        set_threads(previous)
+
+
 @functools.cache
 def pinning_method() -> str:
     """How timed regions hold BLAS to one thread, decided once per process:
     "threadpoolctl" (``bench.single_thread`` pins each region), "env vars"
-    (every thread-count variable set is "1") or "none"."""
+    (every thread-count variable set is "1"), "openblas" (each region calls
+    the loaded OpenBLAS's setter, ``openblas_one_thread``) or "none"."""
     if importlib.util.find_spec("threadpoolctl") is not None:
         return "threadpoolctl"
     values = {os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ}
-    return "env vars" if values == {"1"} else "none"
+    if values == {"1"}:
+        return "env vars"
+    return "openblas" if _openblas_threads() is not None else "none"
+
+
+def _blas_threads() -> int | None:
+    """The loaded OpenBLAS's thread count: read back inside a region that
+    ``openblas_one_thread`` pins when that is the pinning method, otherwise
+    outside any region; None without an OpenBLAS getter."""
+    if pinning_method() == "openblas":
+        with openblas_one_thread() as threads:
+            return threads
+    calls = _openblas_threads()
+    return None if calls is None else calls[1]()
 
 
 @functools.cache
@@ -187,6 +246,7 @@ def _environment() -> dict:
         "cpu_count": os.cpu_count(),
         "blas_threads_pinned": pinning_method() != "none",
         "pinning_method": pinning_method(),
+        "blas_threads": _blas_threads(),
         "thread_env": {var: os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ},
         "git_commit": _git_commit(),
     }
@@ -194,8 +254,9 @@ def _environment() -> dict:
 
 def environment() -> dict:
     """How this process measures: Python, numpy and BLAS builds, cores, BLAS
-    thread pinning (threadpoolctl, thread-count env vars or none) and the git
-    commit of the source when there is one. Computed once per process."""
+    thread pinning (threadpoolctl, thread-count env vars, OpenBLAS's setter or
+    none), OpenBLAS's thread count (``_blas_threads``) and the git commit of
+    the source when there is one. Computed once per process."""
     return copy.deepcopy(_environment())
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,6 +134,50 @@ class TransformerModel:
         return replace(self, params={k: v.copy() for k, v in self.params.items()})
 
 
+class LayerNames(NamedTuple):
+    """The names of one encoder layer's sites and parameters.
+
+    A site is named by its input (``quantization.activation_sites``); a
+    prefix names the parameters of a norm (``gamma``, ``beta``) or of the
+    attention sublayer (``wq`` ... ``bv``, read by ``FloatOps.qkv``).
+    ``wqkv`` and ``bqkv`` name the int8 pack's fused QKV projection.
+    """
+
+    norm1: str
+    attn: str
+    qkv_in: str
+    wqkv: str
+    bqkv: str
+    proj_in: str
+    wo: str
+    bo: str
+    norm2: str
+    ffn_in: str
+    w1: str
+    b1: str
+    mid_in: str
+    w2: str
+    b2: str
+
+
+@lru_cache(maxsize=64)
+def layer_names(num_layers: int) -> tuple[LayerNames, ...]:
+    """``LayerNames`` of layers 0 to ``num_layers - 1``: ``layers.<l>.`` and the
+    name within the layer. Built once per layer count and shared, as
+    ``positional_encoding`` shares its table, so a forward builds no name."""
+    table = []
+    for l in range(num_layers):
+        pre = f"layers.{l}."
+        attn = pre + "attn."
+        table.append(LayerNames(
+            pre + "norm1.", attn, attn + "qkv.in", attn + "wqkv", attn + "bqkv",
+            attn + "proj.in", attn + "wo", attn + "bo", pre + "norm2.",
+            pre + "ffn.in", pre + "ffn.w1", pre + "ffn.b1",
+            pre + "ffn.mid.in", pre + "ffn.w2", pre + "ffn.b2",
+        ))
+    return tuple(table)
+
+
 def param_shapes(config: ModelConfig) -> dict[str, tuple]:
     """Every parameter tensor's shape, fully determined by the config."""
     d = config.model_dim
@@ -140,26 +185,25 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple]:
         "patch_embed.weight": (d, config.in_channels, config.patch_size),
         "patch_embed.bias": (d,),
     }
-    for l in range(config.num_layers):
+    for l, n in enumerate(layer_names(config.num_layers)):
         a = config.attn_width(l)
         f = config.ffn_at(l)
-        p = f"layers.{l}."
-        shapes[p + "norm1.gamma"] = (d,)
-        shapes[p + "norm1.beta"] = (d,)
-        shapes[p + "attn.wq"] = (d, a)
-        shapes[p + "attn.bq"] = (a,)
-        shapes[p + "attn.wk"] = (d, a)
-        shapes[p + "attn.bk"] = (a,)
-        shapes[p + "attn.wv"] = (d, a)
-        shapes[p + "attn.bv"] = (a,)
-        shapes[p + "attn.wo"] = (a, d)
-        shapes[p + "attn.bo"] = (d,)
-        shapes[p + "norm2.gamma"] = (d,)
-        shapes[p + "norm2.beta"] = (d,)
-        shapes[p + "ffn.w1"] = (d, f)
-        shapes[p + "ffn.b1"] = (f,)
-        shapes[p + "ffn.w2"] = (f, d)
-        shapes[p + "ffn.b2"] = (d,)
+        shapes[n.norm1 + "gamma"] = (d,)
+        shapes[n.norm1 + "beta"] = (d,)
+        shapes[n.attn + "wq"] = (d, a)
+        shapes[n.attn + "bq"] = (a,)
+        shapes[n.attn + "wk"] = (d, a)
+        shapes[n.attn + "bk"] = (a,)
+        shapes[n.attn + "wv"] = (d, a)
+        shapes[n.attn + "bv"] = (a,)
+        shapes[n.wo] = (a, d)
+        shapes[n.bo] = (d,)
+        shapes[n.norm2 + "gamma"] = (d,)
+        shapes[n.norm2 + "beta"] = (d,)
+        shapes[n.w1] = (d, f)
+        shapes[n.b1] = (f,)
+        shapes[n.w2] = (f, d)
+        shapes[n.b2] = (d,)
     shapes["classifier.weight"] = (d, config.num_classes)
     shapes["classifier.bias"] = (config.num_classes,)
     return shapes
@@ -236,23 +280,32 @@ def attention_weights(q: np.ndarray, k: np.ndarray, num_heads: int) -> np.ndarra
     is the lever, not contiguity: a contiguous [P, dh] q read through
     ``swapaxes`` is slower. With OpenBLAS 0.3.31 the bits equal the
     transposed view's for head widths 1 to 24; from 32 up (no preset) they
-    can differ in the last place."""
+    can differ in the last place. q and k share one dtype, as every ops'
+    projections of one input do, and the weights take it; the head views are
+    built inline, as a helper call costs more than the view at batch 1."""
     b, p, a = q.shape
     dh = a // num_heads
-    weights = np.empty((p, b, num_heads, p), np.result_type(q, k)).transpose(1, 2, 0, 3)
+    # the [key, B*H*query] rows the softmax normalizes, viewed as [B, H, key, query]
+    rows = np.empty((p, b * num_heads * p), q.dtype)
+    weights = rows.reshape(p, b, num_heads, p).transpose(1, 2, 0, 3)
     q_t = np.empty((b, num_heads, dh, p), q.dtype)
     np.multiply(q.reshape(b, p, num_heads, dh).transpose(0, 2, 3, 1), 1.0 / math.sqrt(dh), out=q_t)
-    np.matmul(_split_heads(k, num_heads), q_t, out=weights)
-    rows = _key_rows(weights)
+    np.matmul(k.reshape(b, p, num_heads, dh).transpose(0, 2, 1, 3), q_t, out=weights)
     softmax(rows, axis=0, out=rows)
     return weights
 
 
 def weighted_values(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """[B, H, key, query] weights times [B, P, a] values, written into merged [B, P, a] heads."""
+    """[B, H, key, query] weights times [B, P, a] values, written into merged [B, P, a]
+    heads of v's dtype, which the weights share."""
+    b, p, a = v.shape
     heads = weights.shape[1]
-    ctx = np.empty(v.shape, dtype=np.result_type(weights, v))
-    np.matmul(weights.swapaxes(-1, -2), _split_heads(v, heads), out=_split_heads(ctx, heads))
+    ctx = np.empty(v.shape, v.dtype)
+    np.matmul(
+        weights.swapaxes(-1, -2),
+        v.reshape(b, p, heads, a // heads).transpose(0, 2, 1, 3),
+        out=ctx.reshape(b, p, heads, a // heads).transpose(0, 2, 1, 3),
+    )
     return ctx
 
 
@@ -302,7 +355,7 @@ def attention_context(q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads: in
     step = BLOCK_BYTES // (num_heads * p * p * q.itemsize) or 1
     if b <= step:
         return weighted_values(attention_weights(q, k, num_heads), v)
-    ctx = np.empty(v.shape, np.result_type(q, k, v))
+    ctx = np.empty(v.shape, v.dtype)
     for i in range(0, b, step):
         block = slice(i, i + step)
         ctx[block] = weighted_values(attention_weights(q[block], k[block], num_heads), v[block])
@@ -374,21 +427,17 @@ def encode(cfg: ModelConfig, xs: np.ndarray, ops: FloatOps) -> np.ndarray:
     cols = im2col_batch(xs, cfg.patch_size, cfg.patch_stride)
     h = ops.linear("embed.in", cols, "patch_embed.weight", "patch_embed.bias")
     h += positional_encoding(cfg.num_patches, cfg.model_dim)
-    for l in range(cfg.num_layers):
-        pre = f"layers.{l}."
-        attn = pre + "attn."
+    for l, n in enumerate(layer_names(cfg.num_layers)):
         # q, k, v and the context are passed straight on rather than bound to
         # locals, which would keep them alive through the feed-forward block
         h += ops.linear(
-            attn + "proj.in",
-            ops.attend(attn, *ops.qkv(attn, ops.norm(h, pre + "norm1.")), cfg.heads_at(l)),
-            attn + "wo",
-            attn + "bo",
+            n.proj_in,
+            ops.attend(n.attn, *ops.qkv(n.attn, ops.norm(h, n.norm1)), cfg.heads_at(l)),
+            n.wo,
+            n.bo,
         )
-        mid = ops.relu(pre + "ffn.mid.in", ops.linear(
-            pre + "ffn.in", ops.norm(h, pre + "norm2."), pre + "ffn.w1", pre + "ffn.b1"
-        ))
-        h += ops.linear(pre + "ffn.mid.in", mid, pre + "ffn.w2", pre + "ffn.b2")
+        mid = ops.relu(n.mid_in, ops.linear(n.ffn_in, ops.norm(h, n.norm2), n.w1, n.b1))
+        h += ops.linear(n.mid_in, mid, n.w2, n.b2)
     pooled = np.add.reduce(h, axis=1) / h.shape[1]  # h.mean(axis=1), bit for bit
     return ops.linear("classifier.in", pooled, "classifier.weight", "classifier.bias")
 

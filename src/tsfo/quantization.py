@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CalibrationError, InputError
-from .model import FloatOps, ModelConfig, TransformerModel, encode
+from .model import FloatOps, ModelConfig, TransformerModel, encode, layer_names
 from .tensor import (
     INT8_MAX,
     INT8_MIN,
@@ -85,12 +85,11 @@ def activation_sites(config: ModelConfig) -> dict[str, tuple[str, str]]:
     """The observed sites, input of every weight-bearing matmul: the packed
     weight and bias each one's matmul reads."""
     sites = {"embed.in": ("patch_embed.weight", "patch_embed.bias")}
-    for l in range(config.num_layers):
-        pre = f"layers.{l}."
-        sites[pre + "attn.qkv.in"] = (pre + "attn.wqkv", pre + "attn.bqkv")
-        sites[pre + "attn.proj.in"] = (pre + "attn.wo", pre + "attn.bo")
-        sites[pre + "ffn.in"] = (pre + "ffn.w1", pre + "ffn.b1")
-        sites[pre + "ffn.mid.in"] = (pre + "ffn.w2", pre + "ffn.b2")
+    for n in layer_names(config.num_layers):
+        sites[n.qkv_in] = (n.wqkv, n.bqkv)
+        sites[n.proj_in] = (n.wo, n.bo)
+        sites[n.ffn_in] = (n.w1, n.b1)
+        sites[n.mid_in] = (n.w2, n.b2)
     sites["classifier.in"] = ("classifier.weight", "classifier.bias")
     return sites
 
@@ -220,18 +219,15 @@ def _pack(config: ModelConfig, weights: dict[str, QTensor]) -> dict:
             channel_axis=1,
         )
     )
-    for l in range(config.num_layers):
-        pre = f"layers.{l}."
-        qkv = [pack_weight(weights[pre + f"attn.w{p}"]) for p in "qkv"]
-        pack[pre + "attn.wqkv"] = PackedWeight(
+    for n in layer_names(config.num_layers):
+        qkv = [pack_weight(weights[n.attn + "w" + p]) for p in "qkv"]
+        pack[n.wqkv] = PackedWeight(
             np.concatenate([w.data for w in qkv], axis=1),
             np.concatenate([w.scale for w in qkv]),
         )
-        pack[pre + "attn.bqkv"] = np.concatenate(
-            [pack.pop(pre + f"attn.b{p}") for p in "qkv"]
-        )
-        for name in ("attn.wo", "ffn.w1", "ffn.w2"):
-            pack[pre + name] = pack_weight(weights[pre + name])
+        pack[n.bqkv] = np.concatenate([pack.pop(n.attn + "b" + p) for p in "qkv"])
+        for name in (n.wo, n.w1, n.w2):
+            pack[name] = pack_weight(weights[name])
     pack["classifier.weight"] = pack_weight(weights["classifier.weight"])
     return pack
 

@@ -28,6 +28,7 @@ from .model import (
     attention_weights,
     encode,
     forward_batch,
+    layer_names,
     weighted_values,
 )
 from .pruning import prunable_pools
@@ -177,15 +178,13 @@ def loss_and_grads(
     tape.grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
     d_pooled = tape.linear_back("classifier.in", d_logits)
     d_h = np.repeat(d_pooled[:, None, :], cfg.num_patches, axis=1) / cfg.num_patches
-    for l in reversed(range(cfg.num_layers)):
-        pre = f"layers.{l}."
-        attn = pre + "attn."
-        d_mid = tape.linear_back(pre + "ffn.mid.in", d_h)
-        d_mid = d_mid * (tape.saved[pre + "ffn.mid.in"][0] > 0)  # relu(z) > 0 where z > 0
-        d_h = d_h + tape.norm_back(pre + "norm2.", tape.linear_back(pre + "ffn.in", d_mid))
-        d_ctx = tape.linear_back(attn + "proj.in", d_h)
-        d_n1 = tape.qkv_back(attn, *tape.attend_back(attn, d_ctx))
-        d_h = d_h + tape.norm_back(pre + "norm1.", d_n1)
+    for n in reversed(layer_names(cfg.num_layers)):
+        d_mid = tape.linear_back(n.mid_in, d_h)
+        d_mid = d_mid * (tape.saved[n.mid_in][0] > 0)  # relu(z) > 0 where z > 0
+        d_h = d_h + tape.norm_back(n.norm2, tape.linear_back(n.ffn_in, d_mid))
+        d_ctx = tape.linear_back(n.proj_in, d_h)
+        d_n1 = tape.qkv_back(n.attn, *tape.attend_back(n.attn, d_ctx))
+        d_h = d_h + tape.norm_back(n.norm1, d_n1)
     tape.linear_back("embed.in", d_h)
     return loss, correct, tape.grads
 

@@ -532,16 +532,36 @@ def test_measure_inference_returns_median_and_iqr(monkeypatch):
     ]
 
 
+def fake_openblas(threads):
+    """A library object exporting OpenBLAS's thread-count calls as numpy's wheels
+    name them; each setter call is logged, and ``threads[0]`` is the count."""
+    calls = []
+
+    def set_threads(n):
+        calls.append(n)
+        threads[0] = n
+
+    lib = types.SimpleNamespace(
+        scipy_openblas_set_num_threads64_=set_threads,
+        scipy_openblas_get_num_threads64_=lambda: threads[0],
+    )
+    return lib, calls
+
+
 class TestSingleThread:
     @pytest.fixture(autouse=True)
     def fresh_decision(self, monkeypatch):
         for var in metrics.BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
-        for cached in (metrics.pinning_method, metrics._environment, bench._warn_unpinned):
+        # no OpenBLAS unless a test loads a fake one, so no test calls the real setter
+        monkeypatch.setattr(metrics, "_loaded_openblas", lambda: None)
+        caches = (metrics.pinning_method, metrics._environment, metrics._openblas_threads,
+                  bench._warn_unpinned)
+        for cached in caches:
             cached.cache_clear()
         yield
-        metrics.pinning_method.cache_clear()
-        metrics._environment.cache_clear()
+        for cached in caches[:3]:
+            cached.cache_clear()
 
     def test_warns_once_without_threadpoolctl(self, monkeypatch, caplog):
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
@@ -588,6 +608,43 @@ class TestSingleThread:
         assert seen == [1]
         assert not [r for r in caplog.records if r.name == "tsfo.bench"]
         assert metrics.environment()["pinning_method"] == "threadpoolctl"
+
+    def test_pins_through_openblas_without_threadpoolctl(self, monkeypatch, caplog):
+        """Without threadpoolctl or thread-count variables, each timed region sets
+        the loaded OpenBLAS to one thread and restores its count on exit, even
+        on an error; the environment records the count read back inside."""
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # a count other than 1 pins nothing
+        threads = [2]
+        lib, calls = fake_openblas(threads)
+        monkeypatch.setattr(metrics, "_loaded_openblas", lambda: lib)
+        with caplog.at_level(logging.WARNING, logger="tsfo.bench"):
+            with single_thread():
+                assert threads == [1]
+            with pytest.raises(ZeroDivisionError), single_thread():
+                1 / 0
+            measure_inference_seconds([lambda x: x], np.zeros((1, 1, 4)), timed=100)
+        assert calls == [1, 2] * 3 and threads == [2]
+        assert not [r for r in caplog.records if r.name == "tsfo.bench"]
+        env = metrics.environment()
+        assert (env["pinning_method"], env["blas_threads_pinned"]) == ("openblas", True)
+        assert env["blas_threads"] == 1 and threads == [2]
+
+    def test_thread_count_variables_keep_precedence_over_openblas(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        lib, calls = fake_openblas([1])
+        monkeypatch.setattr(metrics, "_loaded_openblas", lambda: lib)
+        with single_thread():
+            pass
+        env = metrics.environment()
+        assert (env["pinning_method"], env["blas_threads"], calls) == ("env vars", 1, [])
+
+    def test_a_library_without_the_calls_pins_nothing(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.setattr(metrics, "_loaded_openblas", lambda: types.SimpleNamespace())
+        env = metrics.environment()
+        assert (env["pinning_method"], env["blas_threads"]) == ("none", None)
 
 
 class TestCli:

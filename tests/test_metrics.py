@@ -206,23 +206,27 @@ def dummy_report():
 
 
 class TestEnvironment:
+    CACHES = (metrics.pinning_method, metrics._environment, metrics._openblas_threads)
+
     @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        metrics.pinning_method.cache_clear()
-        metrics._environment.cache_clear()
+    def fresh_cache(self, monkeypatch):
+        # no OpenBLAS, so no test calls the real setter (tests/test_bench_cli.py fakes one)
+        monkeypatch.setattr(metrics, "_loaded_openblas", lambda: None)
+        for cached in self.CACHES:
+            cached.cache_clear()
         yield
-        metrics.pinning_method.cache_clear()
-        metrics._environment.cache_clear()
+        for cached in self.CACHES:
+            cached.cache_clear()
 
     def test_block_in_every_report_row(self):
         env = dummy_report().to_dict()["provenance"]["environment"]
         assert set(env) == {
             "python", "numpy", "blas", "cpu_count", "blas_threads_pinned",
-            "pinning_method", "thread_env", "git_commit",
+            "pinning_method", "blas_threads", "thread_env", "git_commit",
         }
         assert env["numpy"] == np.__version__
         assert set(env["blas"]) == {"name", "version"}
-        assert env["pinning_method"] in ("threadpoolctl", "env vars", "none")
+        assert env["pinning_method"] in ("threadpoolctl", "env vars", "openblas", "none")
         assert env["blas_threads_pinned"] == (env["pinning_method"] != "none")
 
     def test_computed_once_and_same_for_every_call(self, monkeypatch):

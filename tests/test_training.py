@@ -110,7 +110,7 @@ class TestBackward:
 
     def test_training_step_call_budget(self):
         """A T1 batch-32 ``loss_and_grads`` with dropout makes at most 2,300 Python
-        and C calls (2,107 today): one reverse step per forward step, with no
+        and C calls (2,045 today): one reverse step per forward step, with no
         per-parameter or per-head Python loop, as in the forward's call budget."""
         m = build_model(preset_config("T1", seq_len=192, num_classes=4), 0)
         xs = seeded_rng(63).normal(size=(32, 1, 192)).astype(np.float32)
