@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError, ShapeError, check_types
-from .tensor import BLOCK_BYTES, im2col_batch, layer_norm, relu, seeded_rng, softmax
+from .tensor import BLOCK_BYTES, constant, im2col_batch, layer_norm, relu, seeded_rng, softmax
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,8 @@ def attention_weights(q: np.ndarray, k: np.ndarray, num_heads: int) -> np.ndarra
     rows = np.empty((p, b * num_heads * p), q.dtype)
     weights = rows.reshape(p, b, num_heads, p).transpose(1, 2, 0, 3)
     q_t = np.empty((b, num_heads, dh, p), q.dtype)
-    np.multiply(q.reshape(b, p, num_heads, dh).transpose(0, 2, 3, 1), 1.0 / math.sqrt(dh), out=q_t)
+    np.multiply(q.reshape(b, p, num_heads, dh).transpose(0, 2, 3, 1),
+                constant(1.0 / math.sqrt(dh), q.dtype), out=q_t)
     np.matmul(k.reshape(b, p, num_heads, dh).transpose(0, 2, 1, 3), q_t, out=weights)
     softmax(rows, axis=0, out=rows)
     return weights
@@ -438,7 +439,8 @@ def encode(cfg: ModelConfig, xs: np.ndarray, ops: FloatOps) -> np.ndarray:
         )
         mid = ops.relu(n.mid_in, ops.linear(n.ffn_in, ops.norm(h, n.norm2), n.w1, n.b1))
         h += ops.linear(n.mid_in, mid, n.w2, n.b2)
-    pooled = np.add.reduce(h, axis=1) / h.shape[1]  # h.mean(axis=1), bit for bit
+    pooled = np.add.reduce(h, axis=1)
+    pooled /= constant(h.shape[1], h.dtype)  # h.mean(axis=1), bit for bit
     return ops.linear("classifier.in", pooled, "classifier.weight", "classifier.bias")
 
 

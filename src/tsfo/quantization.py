@@ -10,9 +10,10 @@ matmuls are integerized.
 A ``QuantizedModel`` packs its int8 weights once, on first use: each weight
 matrix is laid out for ``compiled_linear`` (wq, wk and wv fused into one
 matrix), every vector is dequantized, and a static model compiles each site's
-activation map. Inference runs ``model.encode`` with one ``compiled_linear``
-call per weight-bearing site: a float64 quantize pass, one exact GEMM, and a
-requantization by one float32 multiplier per output column, fl32(s_x * s_w).
+activation map, then tiles the vectors it serves (``_serving``). Inference runs
+``model.encode`` with one ``compiled_linear`` call per weight-bearing site: a
+float64 quantize pass, one exact GEMM, and a requantization by one float32
+multiplier per output column, fl32(s_x * s_w).
 Calibration runs ``encode`` with the float ops and an observer per site.
 
 QAT is weight-only fake quantization: ``training.fit(weight_fake_quant=True)``
@@ -148,7 +149,7 @@ class QuantizedModel:
     Construction raises ``InputError`` for an unknown mode or a weight layout
     ``pack`` cannot take, and ``CalibrationError`` unless a static model maps
     exactly its sites. Weights and activation maps must not be modified once the
-    model has run: inference reads ``pack`` and ``sites``, derived from them once.
+    model has run: inference reads ``serving``, laid out once with ``pack`` and ``sites``.
     """
 
     config: ModelConfig
@@ -183,18 +184,18 @@ class QuantizedModel:
     @cached_property
     def sites(self) -> dict[str, tuple] | None:
         """``compile_linear`` of each static site, built with ``pack`` on first
-        use; None if dynamic."""
+        use; None if dynamic. Building them lays out ``serving`` with them."""
         pack = self.pack
-        if self.mode != "static":
-            return None
-        return {
+        sites = None if self.mode != "static" else {
             site: compile_linear(*self.act_qparams[site], pack[weight], pack[bias])
             for site, (weight, bias) in activation_sites(self.config).items()
         }
+        self.serving = _serving(self.config, pack, sites)
+        return sites
 
     def compile(self) -> None:
-        """Build ``pack`` and ``sites`` now rather than in the first inference."""
-        self.sites  # a cached property; building it builds pack
+        """Build ``pack``, ``sites`` and ``serving`` now rather than in the first inference."""
+        self.sites  # a cached property; building it builds pack and serving
 
 
 def _pack(config: ModelConfig, weights: dict[str, QTensor]) -> dict:
@@ -232,6 +233,33 @@ def _pack(config: ModelConfig, weights: dict[str, QTensor]) -> dict:
     return pack
 
 
+def _serving(config: ModelConfig, pack: dict, sites: dict | None) -> tuple:
+    """What ``_Int8Ops`` reads: (params, sites, folded). Each vector read against
+    a [B, P, n] activation is held once as a C-contiguous [1, P, n] tile, which
+    numpy runs in one loop, not one per row: biases and norm vectors in params
+    (a static site reads its bias there), static multipliers and dynamic column
+    scales. The classifier's, read on [B, d], stay [n]. ``folded`` holds the
+    static sites whose clamp rectifies (lower bound 0)."""
+    def tile(v):
+        return np.broadcast_to(v, (1, config.num_patches, v.shape[-1])).copy()
+
+    named = activation_sites(config)
+    params = dict(pack)
+    for name, v in pack.items():
+        if name in named["classifier.in"]:
+            continue
+        if isinstance(v, np.ndarray):
+            params[name] = tile(v)
+        elif sites is None:  # a dynamic site's column scales
+            params[name] = PackedWeight(v.data, tile(v.scale))
+    if sites is None:
+        return params, None, frozenset()
+    served = {site: (*sites[site][:4], tile(sites[site][4]), params[bias])
+              for site, (_, bias) in named.items() if site != "classifier.in"}
+    served["classifier.in"] = sites["classifier.in"]
+    return params, served, frozenset(site for site, c in sites.items() if c[1] == 0)
+
+
 def quantize_static(
     model: TransformerModel,
     observers: dict[str, CalibrationObserver],
@@ -260,7 +288,7 @@ def quantize_dynamic(model: TransformerModel) -> QuantizedModel:
 
 
 class _Int8Ops(FloatOps):
-    """One ``compiled_linear`` per site on the pack; norms use its dequantized vectors.
+    """One ``compiled_linear`` per site on the model's ``serving``; norms use its tiles.
 
     A static site reads what the model compiled for it; a dynamic one compiles
     its per-call symmetric scale, with no clamp (``compile_dynamic_linear``).
@@ -274,8 +302,9 @@ class _Int8Ops(FloatOps):
     """
 
     def __init__(self, qmodel: QuantizedModel):
-        super().__init__(qmodel.pack)
-        self.sites = qmodel.sites
+        qmodel.sites  # compiling the sites lays out serving
+        params, self.sites, self.folded = qmodel.serving
+        super().__init__(params)
 
     def linear(self, site, x, weight, bias):
         if self.sites is None:
@@ -285,9 +314,7 @@ class _Int8Ops(FloatOps):
         return compiled_linear(x, *compiled)
 
     def relu(self, site, x):
-        if self.sites is not None and self.sites[site][1] == 0:  # lo: the clamp rectifies
-            return x
-        return super().relu(site, x)
+        return x if site in self.folded else super().relu(site, x)
 
     def qkv(self, prefix, x):
         qkv = self.linear(prefix + "qkv.in", x, prefix + "wqkv", prefix + "bqkv")

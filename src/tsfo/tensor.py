@@ -10,6 +10,7 @@ bit-deterministic for fixed inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +49,15 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
+@lru_cache(maxsize=256)
+def constant(value, dtype) -> np.ndarray:
+    """``value`` as a shared read-only 0-d array of ``dtype``, a kernel's scalar operand:
+    the bits of a Python scalar, which a ufunc converts to that dtype at ~0.3 µs a call."""
+    c = np.array(value, dtype)
+    c.flags.writeable = False
+    return c
+
+
 def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Stable softmax: max is subtracted before exponentiation.
 
@@ -67,7 +77,7 @@ def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """max(x, 0); ``out=x`` rectifies in place."""
-    return np.maximum(x, 0, out=out)
+    return np.maximum(x, constant(0, x.dtype), out=out)
 
 
 def standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,13 +96,13 @@ def standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(np.float64)
-    d = x.shape[-1]
+    d = constant(x.shape[-1], x.dtype)
     mean = np.add.reduce(x, axis=-1, keepdims=True)
     mean /= d
     xhat = x - mean
     std = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
     std /= d
-    std += 1e-5
+    std += constant(1e-5, x.dtype)
     np.sqrt(std, out=std)
     xhat /= std
     return xhat, std
@@ -194,7 +204,7 @@ def _broadcast_scale(scale: np.ndarray, channel_axis: int | None, ndim: int) -> 
 _TIE_NUDGE = 1.0 + 2.0**-38
 
 
-def _quantize_folded(x: np.ndarray, inv, lo: int | None, hi: int | None, dtype) -> np.ndarray:
+def _quantize_folded(x: np.ndarray, inv, lo, hi, dtype) -> np.ndarray:
     """rint(clip(x * inv, lo, hi)) in float64, returned as a fresh array of ``dtype``.
 
     With lo = hi = None it skips the clamp: ``compile_dynamic_linear`` passes
@@ -413,7 +423,7 @@ def compile_linear(scale, zero_point: int, packed: PackedWeight, bias: np.ndarra
     They are the float64 reciprocal (1 + 2^-38) / s of the float32-rounded
     scale s, the clamp bounds -128 - z and 127 - z, the packed payload, the
     float32 requantization multipliers s * ``packed.scale`` (each correctly
-    rounded), and the bias.
+    rounded), and the bias; the reciprocal and bounds as float64 ``constant``s.
     """
     if not 0 < scale < _FLOAT32_OVERFLOW:  # NaN fails too
         raise InputError(f"scale must be positive and finite in float32, got {scale!r}")
@@ -422,8 +432,9 @@ def compile_linear(scale, zero_point: int, packed: PackedWeight, bias: np.ndarra
         raise InputError(f"scale {scale!r} underflows to 0 in float32")
     if not INT8_MIN <= zero_point <= INT8_MAX:
         raise InputError(f"zero_point {zero_point} outside int8 range")
-    lo, hi = INT8_MIN - zero_point, INT8_MAX - zero_point
-    return _TIE_NUDGE / float(s), lo, hi, packed.data, s * packed.scale, bias
+    inv, lo, hi = (constant(v, np.float64) for v in (_TIE_NUDGE / float(s), INT8_MIN - zero_point,
+                                                     INT8_MAX - zero_point))
+    return inv, lo, hi, packed.data, s * packed.scale, bias
 
 
 def _dynamic_qparams(x: np.ndarray) -> tuple[float, int]:
@@ -450,7 +461,7 @@ def compile_dynamic_linear(x: np.ndarray, packed: PackedWeight, bias: np.ndarray
     return _TIE_NUDGE / float(s), None, None, packed.data, s * packed.scale, bias
 
 
-def compiled_linear(x: np.ndarray, inv, lo: int | None, hi: int | None, weight: np.ndarray,
+def compiled_linear(x: np.ndarray, inv, lo, hi, weight: np.ndarray,
                     rescale: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """``x @ W + bias`` in float32, with x quantized per tensor and W packed int8,
     on ``compile_linear``'s or ``compile_dynamic_linear``'s checked arguments:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from tsfo import errors
@@ -292,3 +293,46 @@ def test_no_caller_discards_a_training_history():
         )
     ]
     assert not discarded, f"train() called only to drop its history: {discarded}"
+
+
+# The kernels a batch-1 forward calls per layer or per site, by module.
+HOT_KERNELS = {
+    "tensor.py": {"standardize", "relu", "_quantize_folded", "compiled_linear"},
+    "model.py": {"attention_weights", "encode"},
+}
+
+
+def python_number(node):
+    """Whether an expression is a numeric literal or arithmetic on one, such as
+    ``0``, ``-1`` or ``1.0 / math.sqrt(dh)``: a Python scalar at run time."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (int, float)) and not isinstance(node.value, bool)
+    if isinstance(node, ast.UnaryOp):
+        return python_number(node.operand)
+    return isinstance(node, ast.BinOp) and (python_number(node.left) or python_number(node.right))
+
+
+def test_hot_kernels_give_numpy_no_python_scalar():
+    """A ufunc converts a Python-scalar operand on every call, about 0.3 µs at
+    batch 1, where a 0-d array of the operand's dtype (``tensor.constant``)
+    costs nothing more. So no hot kernel hands a numeric literal to a ufunc
+    call or an augmented assignment."""
+    found, seen = [], set()
+    for module, names in HOT_KERNELS.items():
+        for top in parse(SRC / module).body:
+            if getattr(top, "name", None) not in names:
+                continue
+            seen.add(top.name)
+            for node in ast.walk(top):
+                if isinstance(node, ast.AugAssign):
+                    operands = [node.value]
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and getattr(node.func.value, "id", None) == "np"
+                      and isinstance(getattr(np, node.func.attr, None), np.ufunc)):
+                    operands = node.args
+                else:
+                    continue
+                found += [f"{module}:{node.lineno} {ast.unparse(node)}"
+                          for operand in operands if python_number(operand)]
+    assert seen == set().union(*HOT_KERNELS.values()), "a hot kernel was renamed or moved"
+    assert not found, f"Python-scalar operands in hot kernels: {found}"

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import count_calls
+from conftest import count_calls, python_scalars
 import tsfo.model as model_mod
 import tsfo.training as training_mod
 from tsfo.errors import ConfigError, InputError, ShapeError
@@ -13,6 +13,7 @@ from tsfo.metrics import attention_complexity
 from tsfo.model import (
     FloatOps,
     ModelConfig,
+    TransformerModel,
     build_model,
     count_flops,
     count_params,
@@ -538,6 +539,29 @@ class TestForward:
         assert np.allclose(got, got_perm, atol=1e-5)
 
 
+class TestTypedConstants:
+    """The forward's scalar operands are read-only 0-d arrays of the activation's
+    dtype (``tensor.constant``), which round as the Python scalars they replace."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", ["float", "pruned"])
+    def test_same_logits_as_python_scalars(self, variant, dtype):
+        from tsfo.pruning import PruneSpec, prune_structured
+
+        m = build_model(preset_config("T1", seq_len=192, num_classes=4), 80)
+        if variant == "pruned":
+            for granularity in ("neuron", "head"):
+                m, _ = prune_structured(m, PruneSpec("l2", granularity, "layerwise", 0.4))
+        m = TransformerModel(m.config, {k: v.astype(dtype) for k, v in m.params.items()})
+        for batch in (1, 7, 64):
+            xs = seeded_rng(81 + batch).normal(size=(batch, 1, 192)).astype(dtype)
+            got = forward_batch(m, xs)
+            with python_scalars():
+                want = forward_batch(m, xs)
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want), batch
+
+
 class TestEncode:
     def test_every_path_runs_encode_once_per_call(self, monkeypatch):
         from tsfo import quantization
@@ -603,7 +627,8 @@ class TestEncode:
         with the one-call check that the input is finite and the ReLU as an
         ops step; 461 before the layer-name table, the inline head views of
         the attention core, the in-place norm moments and the reshape view of
-        the patch unfold).
+        the patch unfold). The typed constants left it at 399: ``count_calls``
+        sees neither the ufunc calls nor ``tensor.constant``'s cache.
 
         At batch 1 most of a forward's time is fixed per-call cost, not FLOPs,
         so the call count is what single-instance latency is made of. Routing

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import count_calls
+from conftest import count_calls, python_scalars
 from tsfo.data import synth_generate, subject_wise_split
 from tsfo.errors import CalibrationError, InputError
 from tsfo.model import (
@@ -34,6 +34,9 @@ from tsfo.tensor import (
     INT8_MIN,
     QTensor,
     _dynamic_qparams,
+    compile_dynamic_linear,
+    compile_linear,
+    compiled_linear,
     dequantize_linear,
     im2col_batch,
     int8_matmul,
@@ -533,6 +536,67 @@ class TestQuantizePassAndFoldedRelu:
         assert np.array_equal(quantized_forward_batch(qm, xs), per_site_reference(qm, xs))
 
 
+class ParentInt8Ops(FloatOps):
+    """The int8 ops as they served before the serving layout: the pack's [n]
+    vectors, each static site compiled on them, and the ReLU decided on every
+    call from the site's lower clamp bound."""
+
+    def __init__(self, qm):
+        super().__init__(qm.pack)
+        self.sites = None if qm.mode == "dynamic" else {
+            site: compile_linear(*qm.act_qparams[site], qm.pack[weight], qm.pack[bias])
+            for site, (weight, bias) in activation_sites(qm.config).items()
+        }
+
+    def linear(self, site, x, weight, bias):
+        if self.sites is None:
+            compiled = compile_dynamic_linear(x, self.params[weight], self.params[bias])
+        else:
+            compiled = self.sites[site]
+        return compiled_linear(x, *compiled)
+
+    def relu(self, site, x):
+        if self.sites is not None and self.sites[site][1] == 0:
+            return x
+        return super().relu(site, x)
+
+    def qkv(self, prefix, x):
+        qkv = self.linear(prefix + "qkv.in", x, prefix + "wqkv", prefix + "bqkv")
+        a = qkv.shape[-1] // 3
+        return qkv[..., :a], qkv[..., a : 2 * a], qkv[..., 2 * a :]
+
+
+def with_random_vectors(model, seed):
+    """``model`` with every 1-D parameter drawn at random, so that each bias and
+    norm vector differs from column to column and from every other one."""
+    rng = seeded_rng(seed)
+    for name, v in model.params.items():
+        if v.ndim == 1:
+            centre = 1.0 if name.endswith(".gamma") else 0.0
+            model.params[name] = rng.normal(centre, 0.2, size=v.shape).astype(np.float32)
+    return model
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+@pytest.mark.parametrize("variant", ["T1", "T2", "T1-l2"])
+def test_serving_layout_keeps_the_bits_of_n_vectors_and_python_scalars(variant, mode):
+    """Int8 logits served from the [1, P, n] tiles and typed constants equal those
+    of the [n] vectors and Python scalars, at batch 1, 7 and 64."""
+    cfg = preset_config(variant[:2], seq_len=192 if variant == "T1" else 64, num_classes=4)
+    m = with_random_vectors(build_model(cfg, 90), 89)
+    if variant.endswith("l2"):
+        for granularity in ("neuron", "head"):
+            m, _ = prune_structured(m, PruneSpec("l2", granularity, "layerwise", 0.4))
+    qm = static_t_model(m, 91) if mode == "static" else quantize_dynamic(m)
+    for batch in (1, 7, 64):
+        xs = t_inputs(m.config, batch, 92 + batch)
+        got = quantized_forward_batch(qm, xs)
+        with python_scalars():
+            want = encode(qm.config, xs, ParentInt8Ops(qm))
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got, want), batch
+
+
 @pytest.mark.parametrize("preset", ["T1", "T2"])
 def test_logits_keep_their_bits_in_blocks(monkeypatch, preset):
     """With a 4 kB budget, every attention core of a batch runs one instance at
@@ -554,7 +618,8 @@ def test_logits_keep_their_bits_in_blocks(monkeypatch, preset):
 
 def test_quantized_forward_call_budget():
     """A T1 batch-1 int8 forward: at most 538 calls static (485 today), 698 dynamic
-    (671 today). The float forward's cuts took 62 calls off each (547 and 733).
+    (671 today). The float forward's cuts took 62 calls off each (547 and 733);
+    the serving layout and the typed constants moved neither count.
 
     A static site reads the arguments its model compiled once, so it skips
     the scale, bound and rescale work each call used to redo (624 calls).
