@@ -8,7 +8,8 @@ mean-pooled before the linear classifier.
 
 Parameters live in a flat ``name -> ndarray`` dict of C-contiguous arrays, so
 that gradients, prune masks, optimizer state, and serialization can all share
-one keying scheme; a float model is exactly those arrays.
+one keying scheme; a float model is exactly those arrays, served with its
+vectors tiled once (``TransformerModel.serving``).
 
 ``encode`` is the one definition of that graph. Float and pruned models run
 it on ``FloatOps``; int8 inference, calibration and training on subclasses.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -125,10 +126,33 @@ def preset_config(
 
 @dataclass
 class TransformerModel:
+    """A config and its parameter arrays.
+
+    Inference reads ``serving``, laid out from ``params`` on the first forward:
+    each vector read against a [B, P, n] activation as its ``patch_tile``, each
+    matrix and the classifier's bias as the parameter array itself. Assigning
+    ``params`` drops the layout, and so must every function that writes into a
+    parameter array in place, with ``vars(model).pop("serving", None)`` before
+    it writes: ``training._epochs`` (for its ``adam_step``) and
+    ``pruning.apply_unstructured_mask``. ``copy`` and ``dataclasses.replace``
+    return a model with no layout. Training and calibration read ``params``.
+    """
+
     config: ModelConfig
     params: dict[str, np.ndarray]
     # train_fraction and seed of the dataset split the model was trained on
     split: dict | None = None
+
+    def __setattr__(self, name, value):
+        if name == "params":
+            vars(self).pop("serving", None)
+        super().__setattr__(name, value)
+
+    @cached_property
+    def serving(self) -> dict[str, np.ndarray]:
+        p = self.config.num_patches
+        return {name: patch_tile(v, p) if v.ndim == 1 and name != "classifier.bias" else v
+                for name, v in self.params.items()}
 
     def copy(self) -> "TransformerModel":
         return replace(self, params={k: v.copy() for k, v in self.params.items()})
@@ -231,6 +255,13 @@ def build_model(config: ModelConfig, rng: np.random.Generator | int) -> Transfor
             bound = math.sqrt(6.0 / (fan_in + fan_out))
             params[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
     return TransformerModel(config=config, params=params)
+
+
+def patch_tile(v: np.ndarray, num_patches: int) -> np.ndarray:
+    """An [n] vector as a C-contiguous [1, P, n] tile of its dtype, every row ``v``.
+    numpy runs an op of a [B, P, n] activation and the tile in one inner loop,
+    and of the activation and ``v`` in one per patch row, with the same bits."""
+    return np.broadcast_to(v, (1, num_patches, v.shape[-1])).copy()
 
 
 def _check_even_dim(dim: int) -> None:
@@ -445,8 +476,8 @@ def encode(cfg: ModelConfig, xs: np.ndarray, ops: FloatOps) -> np.ndarray:
 
 
 def forward_batch(model: TransformerModel, xs: np.ndarray) -> np.ndarray:
-    """Logits for a [B, C, T] batch (eval mode: no dropout)."""
-    return encode(model.config, xs, FloatOps(model.params))
+    """Logits for a [B, C, T] batch (eval mode: no dropout), from ``model.serving``."""
+    return encode(model.config, xs, FloatOps(model.serving))
 
 
 def forward(model: TransformerModel, x: np.ndarray) -> np.ndarray:

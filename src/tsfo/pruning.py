@@ -169,6 +169,7 @@ def apply_unstructured_mask(
     Earlier zeros stay zero, so repeated calls accumulate, and every later
     ``training.fit`` keeps them: the model's zeros are its mask.
     """
+    vars(model).pop("serving", None)  # a tile of a masked vector would be stale
     for name, idx in indices.items():
         if name not in model.params:
             raise InputError(f"unknown parameter {name!r}")

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CalibrationError, InputError
-from .model import FloatOps, ModelConfig, TransformerModel, encode, layer_names
+from .model import FloatOps, ModelConfig, TransformerModel, encode, layer_names, patch_tile
 from .tensor import (
     INT8_MAX,
     INT8_MIN,
@@ -235,26 +235,24 @@ def _pack(config: ModelConfig, weights: dict[str, QTensor]) -> dict:
 
 def _serving(config: ModelConfig, pack: dict, sites: dict | None) -> tuple:
     """What ``_Int8Ops`` reads: (params, sites, folded). Each vector read against
-    a [B, P, n] activation is held once as a C-contiguous [1, P, n] tile, which
-    numpy runs in one loop, not one per row: biases and norm vectors in params
-    (a static site reads its bias there), static multipliers and dynamic column
-    scales. The classifier's, read on [B, d], stay [n]. ``folded`` holds the
+    a [B, P, n] activation is held once as its ``model.patch_tile``: biases and
+    norm vectors in params (a static site reads its bias there), static
+    multipliers and dynamic column scales. The classifier's, read on [B, d],
+    stay [n], as in a float model's ``serving``. ``folded`` holds the
     static sites whose clamp rectifies (lower bound 0)."""
-    def tile(v):
-        return np.broadcast_to(v, (1, config.num_patches, v.shape[-1])).copy()
-
+    p = config.num_patches
     named = activation_sites(config)
     params = dict(pack)
     for name, v in pack.items():
         if name in named["classifier.in"]:
             continue
         if isinstance(v, np.ndarray):
-            params[name] = tile(v)
+            params[name] = patch_tile(v, p)
         elif sites is None:  # a dynamic site's column scales
-            params[name] = PackedWeight(v.data, tile(v.scale))
+            params[name] = PackedWeight(v.data, patch_tile(v.scale, p))
     if sites is None:
         return params, None, frozenset()
-    served = {site: (*sites[site][:4], tile(sites[site][4]), params[bias])
+    served = {site: (*sites[site][:4], patch_tile(sites[site][4], p), params[bias])
               for site, (_, bias) in named.items() if site != "classifier.in"}
     served["classifier.in"] = sites["classifier.in"]
     return params, served, frozenset(site for site, c in sites.items() if c[1] == 0)

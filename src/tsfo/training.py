@@ -328,6 +328,7 @@ def _epochs(model: TransformerModel, dataset, cfg: TrainConfig, weight_fake_quan
             loss, _, grads = loss_and_grads(seen, xs, ys, train=True, rng=rng)
             epoch_loss += loss * len(idx)
             clip_global_norm(grads, 1.0)
+            vars(model).pop("serving", None)  # the update writes into model.params
             adam_step(state, model.params, grads, cosine_lr(schedule, step))
             for name, mask in keep.items():
                 model.params[name] *= mask

@@ -3,10 +3,12 @@
 import contextlib
 import sys
 
+import numpy as np
 import pytest
 
 import tsfo.model as model_mod
 from tsfo import tensor
+from tsfo.tensor import seeded_rng
 
 
 def count_calls(fn, *args, **kwargs):
@@ -45,3 +47,14 @@ def python_scalars():
         for module, name in ((tensor, "constant"), (model_mod, "constant")):
             patch.setattr(module, name, plain)
         yield
+
+
+def with_random_vectors(model, seed):
+    """``model`` with every 1-D parameter drawn at random, so that each bias and
+    norm vector differs from column to column and from every other one."""
+    rng = seeded_rng(seed)
+    for name, v in model.params.items():
+        if v.ndim == 1:
+            centre = 1.0 if name.endswith(".gamma") else 0.0
+            model.params[name] = rng.normal(centre, 0.2, size=v.shape).astype(np.float32)
+    return model

@@ -336,3 +336,80 @@ def test_hot_kernels_give_numpy_no_python_scalar():
                           for operand in operands if python_number(operand)]
     assert seen == set().union(*HOT_KERNELS.values()), "a hot kernel was renamed or moved"
     assert not found, f"Python-scalar operands in hot kernels: {found}"
+
+
+def own_nodes(func):
+    """The nodes of a function's body, not those of the functions defined in it."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        todo += [child for child in ast.iter_child_nodes(node)
+                 if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def writes_into_a_parameter(func):
+    """Whether ``func`` writes into a parameter array in place: an augmented or
+    a subscript assignment into ``params[...]`` or ``<obj>.params[...]``, or into
+    a local bound to one, through any view of it (``arr.reshape(-1)[idx] *= 0``).
+    Locals bound to a params dict and loop variables over its items or values
+    count too. A write through a call, such as ``out=``, is not seen."""
+    nodes = list(own_nodes(func))
+    dicts, arrays = {"params"}, set()
+
+    def is_dict(node):
+        return getattr(node, "id", None) in dicts or getattr(node, "attr", None) == "params"
+
+    def is_array(node):
+        return (isinstance(node, ast.Subscript) and is_dict(node.value)
+                or getattr(node, "id", None) in arrays)
+
+    for _ in range(2):  # an alias of an alias
+        for node in nodes:
+            if isinstance(node, (ast.Assign, ast.NamedExpr)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and is_dict(node.value):
+                        dicts.add(target.id)
+                    elif isinstance(target, ast.Name) and is_array(node.value):
+                        arrays.add(target.id)
+            elif (isinstance(node, (ast.For, ast.comprehension))
+                  and isinstance(node.iter, ast.Call)
+                  and getattr(node.iter.func, "attr", None) in ("items", "values")
+                  and is_dict(node.iter.func.value)):
+                last = node.target.elts[-1] if isinstance(node.target, ast.Tuple) else node.target
+                arrays.add(getattr(last, "id", None))
+
+    def into_array(node):  # through subscripts, method calls and attributes
+        while not is_array(node) and isinstance(node, (ast.Subscript, ast.Call, ast.Attribute)):
+            node = node.func if isinstance(node, ast.Call) else node.value
+        return is_array(node)
+
+    for node in nodes:
+        if isinstance(node, ast.AugAssign) and into_array(node.target):
+            return True
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Subscript) and into_array(t.value) for t in node.targets
+        ):
+            return True
+    return False
+
+
+def test_every_in_place_parameter_writer_drops_the_float_layout():
+    """A float model serves from ``TransformerModel.serving``, tiles of its vectors
+    laid out on the first forward, so a function that writes into a parameter
+    array in place must drop that layout first. These are the only writers:
+    ``adam_step`` updates the params dict ``training._epochs`` hands it, and
+    ``_epochs`` and ``apply_unstructured_mask`` each pop ``serving``."""
+    writers = {
+        f"{path.name}:{func.name}": func
+        for path in MODULES
+        for func in ast.walk(parse(path))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and writes_into_a_parameter(func)
+    }
+    assert sorted(writers) == [
+        "pruning.py:apply_unstructured_mask", "training.py:_epochs", "training.py:adam_step",
+    ], "a new in-place writer of a parameter array; it must drop TransformerModel.serving"
+    for where in ("pruning.py:apply_unstructured_mask", "training.py:_epochs"):
+        code = {ast.unparse(node) for node in ast.walk(writers[where])}
+        assert "vars(model).pop('serving', None)" in code, f"{where} does not drop the layout"

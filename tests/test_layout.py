@@ -1,18 +1,20 @@
 """A float model is exactly its parameter arrays, in the C-contiguous layout that
 ``save_model`` writes: every model ``src/`` makes serves the same logits before
 and after a save/load round trip. An int8 model serves from one layout, laid
-out when it is compiled: [1, P, n] tiles of the vectors its activations read."""
+out when it is compiled, and a float model from one laid out on its first
+forward: [1, P, n] tiles of the vectors its activations read."""
 
 import numpy as np
 import pytest
 
+from conftest import with_random_vectors
 from tsfo import bench, cli
 from tsfo.bench import ExperimentConfig, _apply_pipeline
 from tsfo.cli import main
 from tsfo.data import subject_wise_split, synth_generate
 import tsfo.model as model_mod
 from tsfo import tensor
-from tsfo.model import build_model, forward_batch, preset_config
+from tsfo.model import build_model, forward, forward_batch, preset_config
 from tsfo.pruning import PruneSpec, prune_structured, prune_unstructured
 from tsfo.quantization import (
     QuantizedModel, activation_sites, calibrate, quantize_dynamic, quantize_static,
@@ -97,6 +99,28 @@ def test_every_parameter_is_c_contiguous(setting, tmp_path):
     save_model(pruned, tmp_path / "m.tsfo")
     check("load", load(tmp_path / "m.tsfo"))
     assert not bad
+
+
+@pytest.mark.parametrize("variant", ["T1", "T1-l2"])
+def test_a_float_model_serves_patch_tiles_and_its_own_matrices(variant):
+    """Every vector but the classifier's bias is served as a C-contiguous
+    [1, P, n] tile whose every row is the parameter; every matrix and the
+    classifier's bias are the parameter arrays themselves."""
+    m = with_random_vectors(build_model(preset_config("T1", seq_len=192, num_classes=4), 3), 2)
+    if variant.endswith("l2"):
+        for granularity in ("neuron", "head"):
+            m, _ = prune_structured(m, PruneSpec("l2", granularity, "layerwise", 0.4))
+    forward(m, seeded_rng(4).normal(size=(1, 192)).astype(np.float32))
+    p = m.config.num_patches
+    assert m.serving.keys() == m.params.keys()
+    for name, v in m.params.items():
+        got = m.serving[name]
+        if v.ndim > 1 or name == "classifier.bias":
+            assert got is v, name
+        else:
+            assert got.shape == (1, p, v.shape[0]) and got.dtype == v.dtype, name
+            assert got.flags.c_contiguous and got.base is None, name
+            assert np.array_equal(got, np.broadcast_to(v, got.shape)), name
 
 
 @pytest.fixture(scope="module", params=["T1", "T1-l2"])

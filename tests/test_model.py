@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import count_calls, python_scalars
+from conftest import count_calls, python_scalars, with_random_vectors
+from tsfo import bench
 import tsfo.model as model_mod
 import tsfo.training as training_mod
+from tsfo.data import subject_wise_split, synth_generate
 from tsfo.errors import ConfigError, InputError, ShapeError
 from tsfo.metrics import attention_complexity
 from tsfo.model import (
@@ -25,8 +27,10 @@ from tsfo.model import (
     positional_encoding,
     preset_config,
 )
-from tsfo.quantization import _ObservedOps, activation_sites
+from tsfo.pruning import PruneSpec, apply_unstructured_mask, prune_structured, prune_unstructured
+from tsfo.quantization import QuantizedModel, _ObservedOps, activation_sites
 from tsfo.tensor import im2col_batch, seeded_rng, softmax
+from tsfo.training import TrainConfig, fit, train
 
 
 def tiny_config(**overrides):
@@ -697,3 +701,107 @@ class TestFlops:
         b = flop_breakdown(tiny_config(num_layers=2))
         assert b["total"] == b["patch_embed"] + b["attention"] + b["ffn"] + b["classifier"]
         assert count_flops(tiny_config(num_layers=2)) == b["total"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", ["T1", "T1-l2", "T2", "T2-l2"])
+def test_serving_tiles_keep_the_bits_of_n_vectors(variant, dtype):
+    """Float and pruned logits served from the [1, P, n] tiles equal those of the
+    [n] vectors the tape reads, in the same dtype, at batch 1, 7 and 64, on
+    models whose every vector is random (the pruned ones' layers differ in
+    width); a tile with one wrong row moves them."""
+    cfg = preset_config(variant[:2], seq_len=192, num_classes=4)
+    m = with_random_vectors(build_model(cfg, 90), 89)
+    if variant.endswith("l2"):
+        for granularity in ("neuron", "head"):
+            m, _ = prune_structured(m, PruneSpec("l2", granularity, "layerwise", 0.4))
+    m.params = {k: v.astype(dtype) for k, v in m.params.items()}
+    for batch in (1, 7, 64):
+        xs = seeded_rng(92 + batch).normal(size=(batch, 1, 192)).astype(dtype)
+        got = forward_batch(m, xs)
+        want = encode(m.config, xs, FloatOps(m.params))
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want), batch
+    m.serving["layers.0.ffn.b1"][0, -1] += 1  # the last patch's row only
+    xs = xs[:1]
+    assert not np.array_equal(forward_batch(m, xs), encode(m.config, xs, FloatOps(m.params)))
+
+
+class TestNoStaleLayout:
+    """A model that has served a forward and is then written serves the logits
+    of a fresh model of its arrays."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        dataset = synth_generate(3, 12, 32, 0.05, 0)
+        train_ds, val_ds = subject_wise_split(dataset, 0.7, 0)
+        cfg = preset_config("T1", seq_len=32, num_classes=3)
+        base = with_random_vectors(build_model(cfg, 0), 1)
+        xs = seeded_rng(2).normal(size=(5, 1, 32)).astype(np.float32)
+        return base, train_ds, val_ds, xs
+
+    @staticmethod
+    def served(base, xs):
+        m = base.copy()
+        forward_batch(m, xs)
+        assert "serving" in vars(m)
+        return m
+
+    @staticmethod
+    def assert_fresh(m, xs):
+        fresh = TransformerModel(m.config, {k: v.copy() for k, v in m.params.items()})
+        assert np.array_equal(forward_batch(m, xs), forward_batch(fresh, xs))
+
+    def test_fit_and_train(self, setting):
+        base, train_ds, val_ds, xs = setting
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=0)
+        m = fit(self.served(base, xs), train_ds, cfg)
+        self.assert_fresh(m, xs)
+        # train's per-epoch evaluate serves the model between its epochs
+        m, _ = train(self.served(base, xs), train_ds, cfg, val_dataset=val_ds)
+        self.assert_fresh(m, xs)
+
+    def test_pruning_masks(self, setting):
+        base, _, _, xs = setting
+        m, _ = prune_unstructured(self.served(base, xs), PruneSpec("l1", "weight", "global", 0.4))
+        self.assert_fresh(m, xs)
+        # a masked vector, whose tile the layout holds
+        m = apply_unstructured_mask(self.served(base, xs), {"layers.0.ffn.b1": np.arange(5)})
+        self.assert_fresh(m, xs)
+
+    @pytest.mark.parametrize("op", ["l1-prune", "l2-prune", "qat"])
+    def test_pipeline_branches(self, setting, monkeypatch, op):
+        """Each model a branch fine-tunes or masks has served a forward first."""
+        base, train_ds, _, xs = setting
+        written = []
+
+        def serve_first(real):
+            def run(m, *args, **kwargs):
+                forward_batch(m, xs)
+                out = real(m, *args, **kwargs)
+                written.append(out if isinstance(out, TransformerModel) else out[0])
+                return out
+            return run
+
+        for name in ("fit", "prune_unstructured"):
+            monkeypatch.setattr(bench, name, serve_first(getattr(bench, name)))
+        config = bench.ExperimentConfig(synth={"classes": 3, "per_class": 12, "length": 32},
+                                        fine_tune_epochs=1, calibration_size=8)
+        obj, _, _ = bench._apply_pipeline([op], self.served(base, xs), train_ds, config, 0)
+        assert written and isinstance(obj, QuantizedModel) == (op == "qat")
+        for m in written + [obj] * (op != "qat"):
+            self.assert_fresh(m, xs)
+
+    def test_params_reassigned(self, setting):
+        base, _, _, xs = setting
+        m = self.served(base, xs)
+        m.params = {k: v * np.float32(1.5) for k, v in m.params.items()}
+        assert "serving" not in vars(m)
+        self.assert_fresh(m, xs)
+
+    def test_copies_have_no_layout(self, setting):
+        base, _, _, xs = setting
+        m = self.served(base, xs)
+        for other in (m.copy(), dataclasses.replace(m), dataclasses.replace(m, split=None)):
+            assert "serving" not in vars(other)
+            self.assert_fresh(other, xs)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import count_calls, python_scalars
+from conftest import count_calls, python_scalars, with_random_vectors
 from tsfo.data import synth_generate, subject_wise_split
 from tsfo.errors import CalibrationError, InputError
 from tsfo.model import (
@@ -564,17 +564,6 @@ class ParentInt8Ops(FloatOps):
         qkv = self.linear(prefix + "qkv.in", x, prefix + "wqkv", prefix + "bqkv")
         a = qkv.shape[-1] // 3
         return qkv[..., :a], qkv[..., a : 2 * a], qkv[..., 2 * a :]
-
-
-def with_random_vectors(model, seed):
-    """``model`` with every 1-D parameter drawn at random, so that each bias and
-    norm vector differs from column to column and from every other one."""
-    rng = seeded_rng(seed)
-    for name, v in model.params.items():
-        if v.ndim == 1:
-            centre = 1.0 if name.endswith(".gamma") else 0.0
-            model.params[name] = rng.normal(centre, 0.2, size=v.shape).astype(np.float32)
-    return model
 
 
 @pytest.mark.parametrize("mode", ["static", "dynamic"])
