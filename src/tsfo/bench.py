@@ -18,7 +18,6 @@ import contextlib
 import functools
 import inspect
 import json
-import logging
 import os
 import time
 from collections import defaultdict
@@ -43,8 +42,7 @@ from .metrics import (
     efficiency_score,
     energy_model,
     energy_saving_pct,
-    openblas_one_thread,
-    pinning_method,
+    single_thread,
     speedup as speedup_ratio,
 )
 from .model import (
@@ -85,33 +83,6 @@ WARMUP_INFERENCES = 10  # untimed, before the timed ones, per the protocol
 STAGES = ("train", "calibrate", "quantize", "prune", "fine_tune")
 # the model dimensions the data gives, which no model block may give
 _DATA_DIMS = ("seq_len", "in_channels", "num_classes")
-
-log = logging.getLogger(__name__)
-
-
-@functools.cache
-def _warn_unpinned() -> None:
-    log.warning(
-        "neither threadpoolctl, thread-count variables of 1 nor an OpenBLAS setter pin "
-        "BLAS threads to one, so inference timings do not follow the single-thread protocol"
-    )
-
-
-def single_thread():
-    """A context that holds BLAS to one thread in a timed region, as
-    ``metrics.pinning_method`` decides: threadpoolctl pins the region, thread-count
-    variables of 1 have pinned the whole process, else the loaded OpenBLAS's
-    own setter pins the region, and with none of them it logs one warning per
-    process."""
-    if pinning_method() == "threadpoolctl":
-        from threadpoolctl import threadpool_limits
-
-        return threadpool_limits(limits=1)
-    if pinning_method() == "openblas":
-        return openblas_one_thread()
-    if pinning_method() == "none":
-        _warn_unpinned()
-    return contextlib.nullcontext()
 
 
 @functools.cache

@@ -6,7 +6,7 @@ import contextlib
 import copy
 import ctypes
 import functools
-import importlib.util
+import logging
 import math
 import os
 import platform
@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError, check_types
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -147,21 +149,28 @@ TIME_DERIVED_FIELDS = (
 )
 
 
-# Thread-count variables that BLAS libraries read at start-up.
+# Thread-count variables that BLAS libraries read when they load; the environment
+# block records them.
 BLAS_THREAD_VARS = (
     "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
 )
 
 
 def _git_commit() -> str | None:
+    """HEAD of the git work tree that holds this very module, so a copy installed
+    inside another project's work tree records no commit of that project."""
     try:
         done = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=os.path.dirname(os.path.abspath(__file__)),
+            ["git", "rev-parse", "--show-toplevel", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True, text=True, timeout=10, check=True,
         )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return done.stdout.strip() or None
+        top, commit = done.stdout.splitlines()
+        if os.path.samefile(os.path.join(top, "src", "tsfo", "metrics.py"), __file__):
+            return commit
+    except (OSError, ValueError, subprocess.SubprocessError):
+        pass
+    return None
 
 
 def _loaded_openblas():
@@ -194,42 +203,36 @@ def _openblas_threads() -> tuple | None:
     return None
 
 
+@functools.cache
+def _warn_unpinned() -> None:
+    log.warning(
+        "BLAS is not held to one thread (no OpenBLAS thread-count setter, or the count "
+        "read back is not 1), so inference timings do not follow the single-thread protocol"
+    )
+
+
 @contextlib.contextmanager
-def openblas_one_thread():
-    """Hold the loaded OpenBLAS to one thread through its own setter; yields the
-    count read back inside, and restores the previous count on exit."""
-    set_threads, get_threads = _openblas_threads()
+def single_thread():
+    """The one way a timed region holds BLAS to one thread: it sets the loaded
+    OpenBLAS to 1 through its own setter, yields the count read back inside
+    the region and restores the previous count on exit, also on an error.
+    Without the setter it yields None. A count other than 1 logs one warning
+    per process that timings are not pinned."""
+    calls = _openblas_threads()
+    if calls is None:
+        _warn_unpinned()
+        yield None
+        return
+    set_threads, get_threads = calls
     previous = get_threads()
     set_threads(1)
     try:
-        yield get_threads()
+        threads = get_threads()
+        if threads != 1:
+            _warn_unpinned()
+        yield threads
     finally:
         set_threads(previous)
-
-
-@functools.cache
-def pinning_method() -> str:
-    """How timed regions hold BLAS to one thread, decided once per process:
-    "threadpoolctl" (``bench.single_thread`` pins each region), "env vars"
-    (every thread-count variable set is "1"), "openblas" (each region calls
-    the loaded OpenBLAS's setter, ``openblas_one_thread``) or "none"."""
-    if importlib.util.find_spec("threadpoolctl") is not None:
-        return "threadpoolctl"
-    values = {os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ}
-    if values == {"1"}:
-        return "env vars"
-    return "openblas" if _openblas_threads() is not None else "none"
-
-
-def _blas_threads() -> int | None:
-    """The loaded OpenBLAS's thread count: read back inside a region that
-    ``openblas_one_thread`` pins when that is the pinning method, otherwise
-    outside any region; None without an OpenBLAS getter."""
-    if pinning_method() == "openblas":
-        with openblas_one_thread() as threads:
-            return threads
-    calls = _openblas_threads()
-    return None if calls is None else calls[1]()
 
 
 @functools.cache
@@ -239,24 +242,27 @@ def _environment() -> dict:
         blas = {"name": build.get("name"), "version": build.get("version")}
     except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
         blas = {"name": None, "version": None}
+    with single_thread() as threads:
+        pass
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas,
         "cpu_count": os.cpu_count(),
-        "blas_threads_pinned": pinning_method() != "none",
-        "pinning_method": pinning_method(),
-        "blas_threads": _blas_threads(),
+        "blas_threads_pinned": threads == 1,
+        "blas_threads": threads,
         "thread_env": {var: os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ},
         "git_commit": _git_commit(),
     }
 
 
 def environment() -> dict:
-    """How this process measures: Python, numpy and BLAS builds, cores, BLAS
-    thread pinning (threadpoolctl, thread-count env vars, OpenBLAS's setter or
-    none), OpenBLAS's thread count (``_blas_threads``) and the git commit of
-    the source when there is one. Computed once per process."""
+    """How this process measures: Python, numpy and BLAS builds, cores, the
+    OpenBLAS thread count read back inside a ``single_thread`` region
+    (``blas_threads``, None without the setter) and whether that count is 1
+    (``blas_threads_pinned``), the thread-count variables set, and the git
+    commit of the work tree that holds this source, when there is one.
+    Computed once per process."""
     return copy.deepcopy(_environment())
 
 

@@ -1,4 +1,3 @@
-import contextlib
 import copy
 import csv
 import itertools
@@ -6,7 +5,6 @@ import json
 import logging
 import math
 import os
-import sys
 import types
 from dataclasses import fields
 
@@ -29,7 +27,6 @@ from tsfo.bench import (
     load_reports,
     measure_inference_seconds,
     run_experiment,
-    single_thread,
 )
 from tsfo import cli
 from tsfo.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_DATA, main
@@ -46,7 +43,7 @@ from tsfo.pruning import PruneSpec, prunable_pools, prune_structured
 from tsfo.quantization import QuantizedModel, quantize_dynamic, quantized_forward_batch
 from tsfo.serialize import load, save_dataset, save_model, save_quantized, write_container
 from tsfo.tensor import QTensor
-from tsfo.metrics import TIME_DERIVED_FIELDS, EnergyParams
+from tsfo.metrics import TIME_DERIVED_FIELDS, EnergyParams, single_thread
 
 
 def write_ucr(path, rows, rng):
@@ -532,14 +529,16 @@ def test_measure_inference_returns_median_and_iqr(monkeypatch):
     ]
 
 
-def fake_openblas(threads):
+def fake_openblas(threads, takes_effect=True):
     """A library object exporting OpenBLAS's thread-count calls as numpy's wheels
-    name them; each setter call is logged, and ``threads[0]`` is the count."""
+    name them; each setter call is logged, and ``threads[0]`` is the count,
+    which the setter changes only when ``takes_effect``."""
     calls = []
 
     def set_threads(n):
         calls.append(n)
-        threads[0] = n
+        if takes_effect:
+            threads[0] = n
 
     lib = types.SimpleNamespace(
         scipy_openblas_set_num_threads64_=set_threads,
@@ -555,96 +554,84 @@ class TestSingleThread:
             monkeypatch.delenv(var, raising=False)
         # no OpenBLAS unless a test loads a fake one, so no test calls the real setter
         monkeypatch.setattr(metrics, "_loaded_openblas", lambda: None)
-        caches = (metrics.pinning_method, metrics._environment, metrics._openblas_threads,
-                  bench._warn_unpinned)
+        caches = (metrics._environment, metrics._openblas_threads, metrics._warn_unpinned)
         for cached in caches:
             cached.cache_clear()
         yield
-        for cached in caches[:3]:
+        for cached in caches:
             cached.cache_clear()
 
-    def test_warns_once_without_threadpoolctl(self, monkeypatch, caplog):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-        with caplog.at_level(logging.WARNING, logger="tsfo.bench"):
+    @staticmethod
+    def unpinned_warnings(caplog):
+        return [r for r in caplog.records if r.name == "tsfo.metrics"]
+
+    def test_warns_once_without_an_openblas_setter(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="tsfo.metrics"):
             for _ in range(3):
-                with single_thread():
-                    pass
+                with single_thread() as threads:
+                    assert threads is None
             measure_inference_seconds([lambda x: x], np.zeros((1, 1, 4)), timed=100)
-        warnings = [r for r in caplog.records if r.name == "tsfo.bench"]
+            env = metrics.environment()
+        warnings = self.unpinned_warnings(caplog)
         assert len(warnings) == 1
         assert warnings[0].levelno == logging.WARNING
-        assert "threadpoolctl" in warnings[0].getMessage()
-        assert metrics.environment()["pinning_method"] == "none"
+        assert "not held to one thread" in warnings[0].getMessage()
+        assert (env["blas_threads"], env["blas_threads_pinned"]) == (None, False)
 
-    def test_thread_count_variables_of_1_pin_silently(self, monkeypatch, caplog):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        with caplog.at_level(logging.WARNING, logger="tsfo.bench"):
-            with single_thread():
-                pass
-            measure_inference_seconds([lambda x: x], np.zeros((1, 1, 4)), timed=100)
-        assert not [r for r in caplog.records if r.name == "tsfo.bench"]
-        env = metrics.environment()
-        assert (env["pinning_method"], env["blas_threads_pinned"]) == ("env vars", True)
-
-    def test_pins_silently_with_threadpoolctl(self, monkeypatch, caplog):
-        seen = []
-
-        @contextlib.contextmanager
-        def threadpool_limits(limits=None):
-            seen.append(limits)
-            yield
-
-        monkeypatch.setitem(
-            sys.modules, "threadpoolctl", types.SimpleNamespace(threadpool_limits=threadpool_limits)
-        )
-        real = metrics.importlib.util.find_spec
-        monkeypatch.setattr(metrics.importlib.util, "find_spec",
-                            lambda name: object() if name == "threadpoolctl" else real(name))
-        with caplog.at_level(logging.WARNING, logger="tsfo.bench"):
-            with single_thread():
-                pass
-        assert seen == [1]
-        assert not [r for r in caplog.records if r.name == "tsfo.bench"]
-        assert metrics.environment()["pinning_method"] == "threadpoolctl"
-
-    def test_pins_through_openblas_without_threadpoolctl(self, monkeypatch, caplog):
-        """Without threadpoolctl or thread-count variables, each timed region sets
-        the loaded OpenBLAS to one thread and restores its count on exit, even
-        on an error; the environment records the count read back inside."""
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # a count other than 1 pins nothing
+    def test_pins_through_openblas(self, monkeypatch, caplog):
+        """Each timed region sets the loaded OpenBLAS to one thread and restores
+        its count on exit, even on an error; the environment records the count
+        read back inside."""
         threads = [2]
         lib, calls = fake_openblas(threads)
         monkeypatch.setattr(metrics, "_loaded_openblas", lambda: lib)
-        with caplog.at_level(logging.WARNING, logger="tsfo.bench"):
-            with single_thread():
-                assert threads == [1]
+        with caplog.at_level(logging.WARNING, logger="tsfo.metrics"):
+            with single_thread() as inside:
+                assert threads == [1] and inside == 1
             with pytest.raises(ZeroDivisionError), single_thread():
                 1 / 0
             measure_inference_seconds([lambda x: x], np.zeros((1, 1, 4)), timed=100)
         assert calls == [1, 2] * 3 and threads == [2]
-        assert not [r for r in caplog.records if r.name == "tsfo.bench"]
+        assert not self.unpinned_warnings(caplog)
         env = metrics.environment()
-        assert (env["pinning_method"], env["blas_threads_pinned"]) == ("openblas", True)
-        assert env["blas_threads"] == 1 and threads == [2]
+        assert (env["blas_threads"], env["blas_threads_pinned"]) == (1, True)
+        assert threads == [2]  # restored after the environment's own region
 
-    def test_thread_count_variables_keep_precedence_over_openblas(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    def test_a_thread_variable_set_after_load_leaves_pinning_to_the_setter(self, monkeypatch, caplog):
+        """OpenBLAS reads ``OPENBLAS_NUM_THREADS`` only when it loads, so a variable
+        of 1 set later leaves it at 2: the region still pins it through the setter,
+        and what the environment reports is the count read back."""
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        lib, calls = fake_openblas([1])
+        threads = [2]
+        lib, calls = fake_openblas(threads)
         monkeypatch.setattr(metrics, "_loaded_openblas", lambda: lib)
-        with single_thread():
-            pass
-        env = metrics.environment()
-        assert (env["pinning_method"], env["blas_threads"], calls) == ("env vars", 1, [])
+        with caplog.at_level(logging.WARNING, logger="tsfo.metrics"):
+            with single_thread():
+                assert threads == [1]
+            assert threads == [2]
+            env = metrics.environment()
+        assert calls == [1, 2] * 2 and threads == [2]
+        assert (env["blas_threads"], env["blas_threads_pinned"]) == (1, True)
+        assert env["thread_env"] == {"OPENBLAS_NUM_THREADS": "1"}
+        assert not self.unpinned_warnings(caplog)
+
+    def test_a_setter_without_effect_is_not_pinned(self, monkeypatch, caplog):
+        threads = [2]
+        lib, calls = fake_openblas(threads, takes_effect=False)
+        monkeypatch.setattr(metrics, "_loaded_openblas", lambda: lib)
+        with caplog.at_level(logging.WARNING, logger="tsfo.metrics"):
+            with single_thread() as inside:
+                assert inside == 2
+            measure_inference_seconds([lambda x: x], np.zeros((1, 1, 4)), timed=100)
+            env = metrics.environment()
+        assert (env["blas_threads"], env["blas_threads_pinned"]) == (2, False)
+        assert calls == [1, 2] * 3 and threads == [2]
+        assert len(self.unpinned_warnings(caplog)) == 1
 
     def test_a_library_without_the_calls_pins_nothing(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
         monkeypatch.setattr(metrics, "_loaded_openblas", lambda: types.SimpleNamespace())
         env = metrics.environment()
-        assert (env["pinning_method"], env["blas_threads"]) == ("none", None)
+        assert (env["blas_threads"], env["blas_threads_pinned"]) == (None, False)
 
 
 class TestCli:

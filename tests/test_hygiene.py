@@ -229,6 +229,28 @@ def test_no_handler_turns_one_toolkit_error_into_another():
     assert not converted, f"handlers that change a toolkit error's class: {converted}"
 
 
+def test_one_module_pins_blas():
+    """Only ``metrics.py`` reads the process's memory map to find the loaded
+    OpenBLAS and binds its thread-count setter, and no module imports
+    threadpoolctl, so every timed region pins BLAS through ``metrics.single_thread``."""
+    pinners, importers = set(), set()
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            text = node.value if isinstance(node, ast.Constant) else getattr(node, "attr", None)
+            if isinstance(text, str) and ("/proc/self/maps" in text or "set_num_threads" in text):
+                pinners.add(path.name)
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:  # a name given to ``find_spec`` or ``import_module``
+                names = [text] if isinstance(text, str) else []
+            if any(name.split(".")[0] == "threadpoolctl" for name in names):
+                importers.add(path.name)
+    assert pinners == {"metrics.py"}, f"modules that find or set BLAS threads: {pinners}"
+    assert not importers, f"modules that import threadpoolctl: {importers}"
+
+
 def test_study_rules_are_checked_before_data_is_built():
     """``ExperimentConfig`` holds every rule of a study, op order included, so the
     functions that run a study raise nothing of their own."""

@@ -1,4 +1,6 @@
 import os
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -206,7 +208,7 @@ def dummy_report():
 
 
 class TestEnvironment:
-    CACHES = (metrics.pinning_method, metrics._environment, metrics._openblas_threads)
+    CACHES = (metrics._environment, metrics._openblas_threads, metrics._warn_unpinned)
 
     @pytest.fixture(autouse=True)
     def fresh_cache(self, monkeypatch):
@@ -222,12 +224,11 @@ class TestEnvironment:
         env = dummy_report().to_dict()["provenance"]["environment"]
         assert set(env) == {
             "python", "numpy", "blas", "cpu_count", "blas_threads_pinned",
-            "pinning_method", "blas_threads", "thread_env", "git_commit",
+            "blas_threads", "thread_env", "git_commit",
         }
         assert env["numpy"] == np.__version__
         assert set(env["blas"]) == {"name", "version"}
-        assert env["pinning_method"] in ("threadpoolctl", "env vars", "openblas", "none")
-        assert env["blas_threads_pinned"] == (env["pinning_method"] != "none")
+        assert env["blas_threads_pinned"] == (env["blas_threads"] == 1)
 
     def test_computed_once_and_same_for_every_call(self, monkeypatch):
         calls = []
@@ -241,29 +242,64 @@ class TestEnvironment:
         assert second == dummy_report().to_dict()["provenance"]["environment"]
 
     @pytest.mark.parametrize(
-        "has_threadpoolctl, env, method",
-        [
-            (True, {}, "threadpoolctl"),
-            (False, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, "env vars"),
-            (False, {"OPENBLAS_NUM_THREADS": "4"}, "none"),
-            (False, {}, "none"),
-        ],
+        "env",
+        [{"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "4"}, {}],
     )
-    def test_pinning_method(self, monkeypatch, has_threadpoolctl, env, method):
+    def test_thread_env_records_the_variables_and_pins_nothing(self, monkeypatch, env):
+        """The variables are recorded as set; without an OpenBLAS setter nothing is
+        pinned, whatever they say."""
         for var in metrics.BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        real = metrics.importlib.util.find_spec
-        monkeypatch.setattr(
-            metrics.importlib.util, "find_spec",
-            lambda name: (object() if has_threadpoolctl else None)
-            if name == "threadpoolctl" else real(name),
-        )
         env_block = metrics.environment()
-        assert env_block["pinning_method"] == method
-        assert env_block["blas_threads_pinned"] == (method != "none")
         assert env_block["thread_env"] == env
+        assert (env_block["blas_threads"], env_block["blas_threads_pinned"]) == (None, False)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestGitCommit:
+    @staticmethod
+    def commit_tree(root, *files):
+        """A git work tree at ``root`` holding ``files`` in one commit; its HEAD."""
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                 "-c", "commit.gpgsign=false", *args],
+                cwd=root, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+
+        for name in files:
+            path = root / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("# a copy\n")
+        git("init", "-q")
+        git("add", "-A")
+        git("commit", "-q", "-m", "init")
+        return git("rev-parse", "HEAD")
+
+    def test_records_the_work_tree_that_holds_this_module(self, tmp_path, monkeypatch):
+        head = self.commit_tree(tmp_path, "src/tsfo/metrics.py")
+        monkeypatch.setattr(metrics, "__file__", str(tmp_path / "src" / "tsfo" / "metrics.py"))
+        assert metrics._git_commit() == head
+
+    @pytest.mark.parametrize("with_own_source", [False, True])
+    def test_a_copy_inside_another_work_tree_records_none(self, tmp_path, monkeypatch,
+                                                          with_own_source):
+        """A ``tsfo`` installed inside another project's work tree records no commit
+        of that project, even when the project holds a ``src/tsfo/metrics.py``."""
+        installed = "lib/site-packages/tsfo/metrics.py"
+        self.commit_tree(tmp_path, installed, *["src/tsfo/metrics.py"] * with_own_source)
+        monkeypatch.setattr(metrics, "__file__", str(tmp_path / installed))
+        assert metrics._git_commit() is None
+
+    def test_outside_any_work_tree_records_none(self, tmp_path, monkeypatch):
+        module = tmp_path / "site-packages" / "tsfo" / "metrics.py"
+        module.parent.mkdir(parents=True)
+        module.write_text("# a copy\n")
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        monkeypatch.setattr(metrics, "__file__", str(module))
+        assert metrics._git_commit() is None
 
 
 def test_runstats_serialization():
