@@ -5,7 +5,8 @@ Every command splits its dataset as recorded in the model (``_split_rows``):
 ``eval`` scores the test side.
 
 Exit codes: 0 success, 2 configuration errors (every flag but --patch-size is
-checked before a file is read), 3 data/input errors, 4 compute errors.
+checked before a file is read), 3 data/input errors, a path that cannot be
+read or written included, 4 compute errors.
 """
 
 from __future__ import annotations
@@ -241,8 +242,16 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
-    except (ParseError, InputError, FileNotFoundError) as exc:
+    except (ParseError, InputError) as exc:
         log.error("data error: %s", exc)
+        return EXIT_DATA
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        hint = ""
+        if isinstance(exc, IsADirectoryError) and exc.filename == getattr(args, "model", None):
+            hint = f"; pass {os.path.join(exc.filename, 'model.tsfo')}"
+        log.error("data error: %s: %s%s", exc.filename, exc.strerror, hint)
         return EXIT_DATA
     except (CalibrationError, TsfoError) as exc:
         log.error("compute error: %s", exc)

@@ -23,7 +23,7 @@ INT8_MAX = 127
 MAX_ACCUM_K = (2**31) // (INT8_MAX * INT8_MAX)
 
 # An activation quantized with its zero point folded into the clamp,
-# clip(r, -128 - z, 127 - z) = q - z, lies in [-255, 255].
+# clip(rint(r), -128 - z, 127 - z) = q - z, lies in [-255, 255].
 FOLDED_ACT_MAX = INT8_MAX - INT8_MIN
 
 # The working set, in bytes, of one block of a batch-sized pass: a quarter of
@@ -205,7 +205,7 @@ _TIE_NUDGE = 1.0 + 2.0**-38
 
 
 def _quantize_folded(x: np.ndarray, inv, lo, hi, dtype) -> np.ndarray:
-    """rint(clip(x * inv, lo, hi)) in float64, returned as a fresh array of ``dtype``.
+    """clip(rint(x * inv), lo, hi), returned as a fresh array of ``dtype``.
 
     With lo = hi = None it skips the clamp: ``compile_dynamic_linear`` passes
     None for a site whose scale is set by its own x, where the lemma at the
@@ -219,16 +219,19 @@ def _quantize_folded(x: np.ndarray, inv, lo, hi, dtype) -> np.ndarray:
     float type.
 
     x is widened by one cast into a fresh float64 buffer (a copy even of a
-    float64 x), multiplied, clamped and rounded in place, and narrowed once:
+    float64 x), multiplied and rounded in place, clamped, and narrowed once:
     numpy's buffered mixed-dtype loops cost more than this arithmetic at
     single-instance sizes. Widening a float32 is exact, so r below is the
     product the proof reads, and the narrowing casts integers of magnitude
     at most 255, which every float type holds.
 
     With a scalar ``inv``, an x whose float64 copy would exceed BLOCK_BYTES
-    runs in blocks of its flattened elements, each widened, scaled, clamped,
-    rounded and narrowed into one output while its buffer is in cache. The
-    rule is elementwise, so the blocks leave the proof below untouched.
+    runs in blocks of its flattened elements, each widened, scaled and
+    rounded in float64 while its buffer is in cache, then narrowed into its
+    slice of the output, which one ``np.clip`` clamps to bounds of ``dtype``:
+    one pass over the narrow codes where the float64 clamp took two. A code
+    past float32's range narrows to +-inf, silently, and clamps to its bound.
+    The rule is elementwise, so the blocks leave the proof below untouched.
 
     Proof. Let t = x / s exactly and r = x * inv as computed.
 
@@ -238,12 +241,15 @@ def _quantize_folded(x: np.ndarray, inv, lo, hi, dtype) -> np.ndarray:
       included. inv and r round once each, so r = t (1 + 2^-38)(1 + e) with
       |e| < 2^-51.99: r lies beyond t, away from zero, by |t| d with
       2^-38.001 < d < 2^-37.999.
-    * Clamping first is exact: the bounds are integers and rint is monotone,
-      so rint(clip(r, lo, hi)) = clip(rint(r), lo, hi). Where |t| > 256, |r|
-      > 255.5 and both rint(r) and round_half_away(t) lie past both bounds
-      (|lo|, |hi| <= 255) on the same side, so they clamp alike. Where
-      |t| <= 256, |r - t| < 2^-29.9, and it is left to show rint(r) =
-      round_half_away(t).
+    * Clamping the rounded, narrowed code is exact. Narrowing is monotone
+      and exact on integers below 2^24, and the bounds are integers in
+      [-255, 255]: a code within them narrows to itself, and one past a
+      bound narrows to a value at or past it on the same side, +-inf for
+      one past float32's range, so it clamps to that bound as the wide code
+      would. NaN stays NaN. Where |t| > 256, |r| > 255.5 and both rint(r)
+      and round_half_away(t) lie past both bounds on the same side, so they
+      clamp alike. Where |t| <= 256, |r - t| < 2^-29.9, and it is left to
+      show rint(r) = round_half_away(t).
     * Exact ties. If t = n + 1/2, r lies beyond it by more than 2^-40 and by
       less than 2^-29.9 < 1/2, strictly between t and the integer past it,
       so rint(r) rounds t away from zero.
@@ -260,12 +266,14 @@ def _quantize_folded(x: np.ndarray, inv, lo, hi, dtype) -> np.ndarray:
       grows with s and equals 2^-25 at s = 2^(e+23). So r, within 2^-29.9
       of t, is on the same side of every half-integer as t, and rint(r) is
       the integer nearest t.
-    * Infinite x clamps to a bound. NaN stays NaN through the clamp and
-      rint: ``compiled_linear``'s GEMM spreads it over its output row, and
+    * Infinite x clamps to a bound. NaN stays NaN through rint and the
+      clamp: ``compiled_linear``'s GEMM spreads it over its output row, and
       ``quantize_linear`` gives it no defined int8 payload. Which zero
-      represents q - z = 0 is not part of the contract: where the lower bound
-      is 0, a negative x clamps to +0 here while round_half_away gives -0;
-      int8 payloads and GEMM sums are the same either way.
+      represents q - z = 0 is not part of the contract, but both paths give
+      the same one: a code equal to a bound keeps its own zero, as in
+      ``np.clip``, so -0 or a negative x above -s/2 gives rint's -0 even
+      where the lower bound is +0 (zero point -128). Int8 payloads and GEMM
+      sums are the same for either zero.
 
     A float64 x lacks the 2^-25 margin: it gets round_half_away(x / s)
     except where x / s lies within 2^-29.9 of a half-integer, on the side
@@ -278,25 +286,34 @@ def _quantize_folded(x: np.ndarray, inv, lo, hi, dtype) -> np.ndarray:
     (1 - 2^-53); inv = (1 + 2^-38) / s and r = x * inv round once each, and
     |x| <= m, so every |r| <= 127 (1 + 2^-38)(1 + 2^-53)^2 / ((1 - 2^-24)
     (1 - 2^-53)) < 127 (1 + 2^-23.9) < 127.5. So rint(r) lies in [-127, 127],
-    and clip(rint(r), -128, 127) = rint(r), -0 and +0 included: by the
-    commuting step above, the clamp changes no bit. A NaN or infinite x
-    gives a NaN or infinite scale, which ``compile_dynamic_linear`` rejects
-    before any quantizing, as it rejects an m of float64's range that
-    rounds to float32 infinity.
+    and clip(rint(r), -128, 127) = rint(r), -0 and +0 included, as a code
+    keeps its own zero: the clamp changes no bit, and no code overflows as
+    it narrows. A NaN or infinite x gives a NaN or infinite scale, which
+    ``compile_dynamic_linear`` rejects before any quantizing, as it rejects
+    an m of float64's range that rounds to float32 infinity.
     """
     if x.size * 8 > BLOCK_BYTES and np.ndim(inv) == 0:
         flat, out, step = x.reshape(-1), np.empty(x.size, dtype), BLOCK_BYTES // 8
-        for i in range(0, x.size, step):
-            out[i:i + step] = _quantize_folded(flat[i:i + step], inv, lo, hi, np.float64)
+        if lo is None:
+            for i in range(0, x.size, step):
+                out[i:i + step] = _quantize_folded(flat[i:i + step], inv, lo, hi, np.float64)
+            return out.reshape(x.shape)
+        lo, hi = constant(float(lo), dtype), constant(float(hi), dtype)
+        with np.errstate(over="ignore"):  # a code past float32's range narrows to +-inf
+            for i in range(0, x.size, step):
+                block = out[i:i + step]
+                block[...] = _quantize_folded(flat[i:i + step], inv, None, None, np.float64)
+                np.clip(block, lo, hi, out=block)
         return out.reshape(x.shape)
     r = x.astype(np.float64)
     r *= inv
+    np.rint(r, out=r)
     if lo is not None:
         # np.maximum/np.minimum rather than np.clip, whose Python-level dispatch
-        # costs more than the clamp itself at single-instance sizes
-        np.maximum(r, lo, out=r)
-        np.minimum(r, hi, out=r)
-    np.rint(r, out=r)
+        # costs more than the clamp itself at single-instance sizes; the bound
+        # goes first, so that a tie keeps r's zero, as np.clip's does
+        np.maximum(lo, r, out=r)
+        np.minimum(hi, r, out=r)
     return r.astype(dtype, copy=False)
 
 
@@ -308,9 +325,9 @@ def quantize_linear(
 ) -> QTensor:
     """Quantize real values to int8: q = clamp(round(x/s) + z, -128, 127).
 
-    Rounding is half-away-from-zero, by ``_quantize_folded``: x / s is clamped
-    to [-128 - z, 127 - z] and rounded, then z is added. As z is an integer,
-    round(clip(r, -128 - z, 127 - z)) + z is the formula above. Per-channel
+    Rounding is half-away-from-zero, by ``_quantize_folded``: x / s is rounded
+    and clamped to [-128 - z, 127 - z], then z is added. As z is an integer,
+    clip(round(r), -128 - z, 127 - z) + z is the formula above. Per-channel
     scales go through the same rule.
     """
     x = np.asarray(x)
@@ -472,8 +489,8 @@ def compiled_linear(x: np.ndarray, inv, lo, hi, weight: np.ndarray,
     Bit-identical to ``quantize_linear`` -> ``int8_matmul`` -> ``+ bias`` on
     the flattened rows: every product and partial sum of the GEMM is an exact
     integer, so neither the row grouping nor the summation order can move a
-    bit. The zero point is folded into the clamp bounds (clip(r, -128 - z,
-    127 - z) = q - z), so the GEMM needs no zero-point correction.
+    bit. The zero point is folded into the clamp bounds (clip(rint(r),
+    -128 - z, 127 - z) = q - z), so the GEMM needs no zero-point correction.
     """
     acc = _quantize_folded(x, inv, lo, hi, weight.dtype) @ weight
     acc *= rescale

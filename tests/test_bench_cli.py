@@ -1226,6 +1226,39 @@ class TestCli:
         assert f"data error: {want}" in caplog.text
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [(["synth", "--out", "{run}"], "{run}"),
+         (["train", "--data", "{data}", "--epochs", "1", "--out", "{data}"], "{data}"),
+         (["prune", "--model", "{run}", "--out", "{run}/p.tsfo"], "{run}"),
+         (["quantize", "--model", "{run}", "--mode", "dynamic", "--out", "{run}/q.tsfo"], "{run}"),
+         (["quantize", "--model", "{model}", "--mode", "dynamic", "--out", "{run}"], "{run}"),
+         (["eval", "--model", "{run}", "--data", "{data}"], "{run}"),
+         (["eval", "--model", "{model}", "--data", "{data}", "--out", "{run}"], "{run}"),
+         (["bench", "--config", "{run}"], "{run}"),
+         (["report", "--reports", "{run}"], "{run}")],
+        ids=["synth-out-dir", "train-out-file", "prune-model-dir", "quantize-model-dir",
+             "quantize-out-dir", "eval-model-dir", "eval-out-dir", "bench-config-dir",
+             "report-reports-dir"],
+    )
+    def test_a_path_that_cannot_be_opened_is_a_data_error_naming_it(
+        self, tmp_path, caplog, argv, named
+    ):
+        paths = {"data": str(tmp_path / "d.tsfo"), "run": str(tmp_path / "run"),
+                 "model": str(tmp_path / "run" / "model.tsfo")}
+        save_dataset(synth_generate(2, 6, 32, 0.05, 0), paths["data"])
+        os.mkdir(paths["run"])
+        save_model(build_model(preset_config("T1", seq_len=32, num_classes=2), 0), paths["model"])
+        argv = [a.format(**paths) for a in argv]
+        named = named.format(**paths)
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(argv) == EXIT_DATA
+        (line,) = caplog.messages
+        assert line.startswith(f"data error: {named}: ")
+        # a model path that is a directory is most likely a train run's --out
+        hint = f"; pass {paths['model']}"
+        assert line.endswith(hint) == (argv[argv.index(named) - 1] == "--model")
+
     def test_missing_dataset_exit_code(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path / "x")]) == EXIT_DATA

@@ -522,6 +522,21 @@ class TestQuantizePassAndFoldedRelu:
         for q, logits in zip((qs, qd), got):
             assert np.array_equal(logits, quantized_forward_batch(q, xs))
 
+    @pytest.mark.parametrize("batch", [3, 8, 64])
+    def test_static_logits_are_those_of_one_row_at_a_time(self, monkeypatch, batch):
+        """With a budget of one instance's widest activation, a batch quantizes
+        every static site in blocks and one row in one buffer; each row keeps
+        its bits, through a folded-ReLU site at zero point -128 too."""
+        m = build_model(preset_config("T1", seq_len=64, num_classes=4), 74)
+        qm = static_t_model(m, 75)
+        assert qm.act_qparams["layers.3.ffn.mid.in"][1] == INT8_MIN
+        assert qm.sites["layers.3.ffn.mid.in"][1] == 0  # its clamp rectifies
+        cfg = m.config
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * cfg.num_patches * cfg.ffn_dim)
+        xs = t_inputs(cfg, batch, 76)
+        rows = [quantized_forward_batch(qm, xs[i:i + 1]) for i in range(batch)]
+        assert quantized_forward_batch(qm, xs).tobytes() == np.concatenate(rows).tobytes()
+
     def test_a_site_whose_clamp_keeps_negatives_still_rectifies(self):
         m = build_model(preset_config("T1", seq_len=64, num_classes=4), 74)
         qm = static_t_model(m, 75)

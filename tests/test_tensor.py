@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -415,6 +416,26 @@ class TestQuantizeRule:
             assert got.dtype == dtype and got.shape == part.shape
             assert np.array_equal(got.view(bits), want.view(bits))
             assert np.array_equal(got, reference_folded(part, s, zero_point), equal_nan=True)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("zero_point", ZERO_POINTS)
+    def test_blocks_clamp_codes_past_float32s_range(self, monkeypatch, zero_point, dtype):
+        """At s = 2^-100, |x| from 2^-60 up to float32's max and inf give codes
+        up to 2^228, past float32's range: a blocked pass narrows them to +-inf
+        and clamps those to the bounds, with no warning and numpy's error
+        state as it found it."""
+        s = np.float32(2.0**-100)
+        inv, lo, hi = compile_linear(s, zero_point, scaled_identity(4), np.zeros(4))[:3]
+        big = np.array([2.0**-60, 1e20, 3e38, F32.max, np.inf], np.float32)
+        x = np.resize(np.concatenate([big, -big]), 101)
+        monkeypatch.setattr(tensor_mod, "BLOCK_BYTES", 8 * 37)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _quantize_folded(x, inv, lo, hi, dtype)
+        assert np.geterr() == before
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.where(x > 0, INT8_MAX - zero_point, INT8_MIN - zero_point))
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_per_channel_matches_reference_past_the_budget(self, monkeypatch, axis):
