@@ -12,6 +12,7 @@ read or written included, 4 compute errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import os
@@ -58,6 +59,8 @@ def _cmd_train(args) -> int:
     train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
     check_train_fraction(args.train_fraction)
     split = {"train_fraction": args.train_fraction, "seed": args.seed}
+    if os.path.exists(args.out) and not os.path.isdir(args.out):  # fail before any epoch
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
     train_ds, val_ds = _split_rows(args.data, split)
     cfg = preset_config(
         args.preset,

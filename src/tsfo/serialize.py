@@ -4,8 +4,12 @@ Layout: magic bytes ``TSFO``, a little-endian u32 format version, a u64
 header length, a UTF-8 JSON header, then raw little-endian tensor payloads in
 manifest order. The header holds the kind ("model", "quantized_model",
 "dataset"), a kind-specific meta block, and the tensor manifest (name,
-element type f32|i8|i64, shape, optional scale / zero_point / channel_axis).
-Round-trips are bit-exact.
+element type f32|i8|i64, shape, and for a quantized tensor its scale_shape,
+zero_point and optional channel_axis). Version 2, which ``write_container``
+writes, stores each quantized tensor's scale, a scalar (scale_shape ``[]``)
+or an [n] vector, as a float32 payload right after the tensor's own.
+Version 1 kept the scales in the header as a JSON ``scale``; such files
+still load to the same objects. Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .quantization import QuantizedModel
 from .tensor import INT8_MAX, INT8_MIN, QTensor
 
 MAGIC = b"TSFO"
-VERSION = 1
+VERSION = 2
 # format version (u32) and header length (u64), after the magic
 _PREAMBLE = struct.Struct("<IQ")
 
@@ -35,20 +39,25 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 
 def write_container(path, kind: str, meta: dict, tensors: list[tuple]) -> None:
-    """Write (name, array, qinfo) tensors; qinfo is None or (scale, zp, axis)."""
+    """Write (name, array, qinfo) tensors; qinfo is None or (scale, zp, axis).
+
+    A scale goes into the file as float32, the type ``QTensor`` holds it in.
+    """
     manifest = []
     payloads = []
     for name, arr, qinfo in tensors:
         dtype = _DTYPE_NAMES[np.dtype(arr.dtype).newbyteorder("<")]
         entry = {"name": name, "dtype": dtype, "shape": list(arr.shape)}
+        payloads.append(np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes())
         if qinfo is not None:
             scale, zp, axis = qinfo
-            entry["scale"] = scale.tolist() if isinstance(scale, np.ndarray) else float(scale)
+            scale = np.asarray(scale, dtype=_DTYPES["f32"])
+            entry["scale_shape"] = list(scale.shape)
             entry["zero_point"] = int(zp)
             if axis is not None:
                 entry["channel_axis"] = axis
+            payloads.append(scale.tobytes())
         manifest.append(entry)
-        payloads.append(np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes())
     header = json.dumps(
         {"kind": kind, "meta": meta, "tensors": manifest}, sort_keys=True
     ).encode("utf-8")
@@ -97,7 +106,11 @@ def _split(meta: dict) -> dict | None:
     return split
 
 
-def _check_entry(entry, path) -> None:
+def _is_shape(v) -> bool:
+    return isinstance(v, list) and all(type(d) is int and d >= 0 for d in v)
+
+
+def _check_entry(entry, path, version: int) -> None:
     """Raise ParseError unless ``entry`` is a well-formed manifest entry."""
     if not isinstance(entry, dict):
         raise ParseError(f"{path}: manifest entry is not an object")
@@ -107,31 +120,51 @@ def _check_entry(entry, path) -> None:
     dtype = entry.get("dtype")
     if not isinstance(dtype, str) or dtype not in _DTYPES:
         raise ParseError(f"{path}: {name!r} has unknown dtype {dtype!r}")
-    shape = entry.get("shape")
-    if not isinstance(shape, list) or not all(type(v) is int and v >= 0 for v in shape):
-        raise ParseError(f"{path}: {name!r} has a malformed shape {shape!r}")
+    if not _is_shape(entry.get("shape")):
+        raise ParseError(f"{path}: {name!r} has a malformed shape {entry.get('shape')!r}")
+    if version == 1:
+        return
+    if "scale" in entry:
+        raise ParseError(f"{path}: {name!r} has a header scale; version {version} stores a payload")
+    scale_shape = entry.get("scale_shape", [])
+    if not (_is_shape(scale_shape) and len(scale_shape) <= 1):
+        raise ParseError(f"{path}: {name!r} has a malformed scale_shape {scale_shape!r}")
 
 
-def _qinfo(entry: dict, path) -> tuple | None:
-    """(scale, zero_point, channel_axis) of a quantized entry, None for a plain one.
+def _read_array(fh, dtype: str, shape: list, remaining: int, what: str, path) -> np.ndarray:
+    """The next payload, bounded by the ``remaining`` bytes before it is read."""
+    dtype = _DTYPES[dtype]
+    raw = _read_exact(fh, math.prod(shape) * dtype.itemsize, remaining, what, path)
+    try:
+        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    except ValueError as exc:  # more axes than numpy supports
+        raise ParseError(f"{path}: {what} has an unusable shape ({exc})") from None
 
-    A scale vector is checked and converted as one array: per-element Python
-    checks would cost milliseconds on a T2 model's thousands of scales.
-    """
+
+def _json_scale(entry: dict, path):
+    """A version-1 entry's header scale: a number, or a list read as one float64
+    array, since per-element Python checks would cost milliseconds on a T2
+    model's thousands of scales. None for a plain entry."""
     if "scale" not in entry:
         return None
-    name = entry["name"]
     scale = entry["scale"]
-    if isinstance(scale, list):
-        try:
-            values = np.asarray(scale, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):  # not numbers, ragged, huge ints
-            values = None
-        ok = (
-            values is not None
-            and values.ndim == 1
-            and bool((values > 0).all() and (values <= _F32_MAX).all())
-        )
+    if not isinstance(scale, list):
+        return scale  # checked by ``_qinfo``
+    try:
+        values = np.asarray(scale, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # not numbers, ragged, huge ints
+        values = None
+    if values is None or values.ndim != 1:
+        raise ParseError(f"{path}: {entry['name']!r} has a scale that is not a list of numbers")
+    return values
+
+
+def _qinfo(entry: dict, scale, path) -> tuple:
+    """(scale, zero_point, channel_axis) of a quantized entry: a scale array is
+    checked whole and made float32, a number is checked and kept as it is."""
+    name = entry["name"]
+    if isinstance(scale, np.ndarray):
+        ok = bool((scale > 0).all() and (scale <= _F32_MAX).all())
     else:
         ok = _is_scale(scale)
     if not ok:
@@ -142,16 +175,19 @@ def _qinfo(entry: dict, path) -> tuple | None:
     axis = entry.get("channel_axis")
     if axis is not None and type(axis) is not int:
         raise ParseError(f"{path}: {name!r} has a malformed channel_axis")
-    return (values.astype(np.float32) if isinstance(scale, list) else scale), zero_point, axis
+    if isinstance(scale, np.ndarray):
+        scale = scale.astype(np.float32, copy=False)
+    return scale, zero_point, axis
 
 
 def read_container(path) -> tuple[str, dict, dict[str, tuple]]:
     """Return (kind, meta, tensors) where tensors maps name -> (array, qinfo).
 
-    A malformed file raises ``ParseError``, never a stray ``KeyError`` or
-    ``MemoryError``: the header and every payload are bounded by the bytes
-    left in the file before anything is allocated, the header and manifest
-    schema are checked, and bytes past the last payload are rejected.
+    Reads version 2 and version 1. A malformed file raises ``ParseError``,
+    never a stray ``KeyError`` or ``MemoryError``: the header and every
+    payload, scale payloads included, are bounded by the bytes left in the
+    file before anything is allocated, the header and manifest schema are
+    checked, and bytes past the last payload are rejected.
     """
     with open(path, "rb") as fh:
         remaining = os.fstat(fh.fileno()).st_size - len(MAGIC) - _PREAMBLE.size
@@ -161,7 +197,7 @@ def read_container(path) -> tuple[str, dict, dict[str, tuple]]:
         if remaining < 0:
             raise ParseError(f"{path}: truncated container preamble")
         version, header_len = _PREAMBLE.unpack(fh.read(_PREAMBLE.size))
-        if version != VERSION:
+        if version not in (1, VERSION):
             raise ParseError(f"{path}: unsupported container version {version}")
         raw = _read_exact(fh, header_len, remaining, "header", path)
         remaining -= header_len
@@ -178,20 +214,22 @@ def read_container(path) -> tuple[str, dict, dict[str, tuple]]:
             raise ParseError(f"{path}: header needs a string kind, a meta object and a tensor list")
         tensors = {}
         for entry in header["tensors"]:
-            _check_entry(entry, path)
+            _check_entry(entry, path, version)
             name = entry["name"]
             if name in tensors:
                 raise ParseError(f"{path}: duplicate tensor {name!r}")
-            dtype = _DTYPES[entry["dtype"]]
-            shape = tuple(entry["shape"])
-            nbytes = math.prod(shape) * dtype.itemsize
-            raw = _read_exact(fh, nbytes, remaining, f"payload of {name!r}", path)
-            remaining -= nbytes
-            try:
-                arr = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-            except ValueError as exc:  # more axes than numpy supports
-                raise ParseError(f"{path}: {name!r} has an unusable shape ({exc})") from None
-            tensors[name] = (arr, _qinfo(entry, path))
+            what = f"payload of {name!r}"
+            arr = _read_array(fh, entry["dtype"], entry["shape"], remaining, what, path)
+            remaining -= arr.nbytes
+            if version == 1:
+                scale = _json_scale(entry, path)
+            elif "scale_shape" in entry:
+                what = f"scale of {name!r}"
+                scale = _read_array(fh, "f32", entry["scale_shape"], remaining, what, path)
+                remaining -= scale.nbytes
+            else:
+                scale = None
+            tensors[name] = (arr, None if scale is None else _qinfo(entry, scale, path))
         if remaining:
             raise ParseError(f"{path}: {remaining} bytes past the last payload")
     return header["kind"], header["meta"], tensors

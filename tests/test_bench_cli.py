@@ -1259,6 +1259,20 @@ class TestCli:
         hint = f"; pass {paths['model']}"
         assert line.endswith(hint) == (argv[argv.index(named) - 1] == "--model")
 
+    def test_train_out_that_is_a_file_fails_before_reading_data(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("train --out was checked too late")
+
+        monkeypatch.setattr(cli, "_split_rows", never)
+        monkeypatch.setattr(cli, "train", never)
+        out = tmp_path / "taken"
+        out.write_text("")
+        with caplog.at_level(logging.ERROR, logger="tsfo"):
+            assert main(["train", "--data", str(tmp_path / "d"), "--out", str(out)]) == EXIT_DATA
+        assert caplog.messages == [f"data error: {out}: File exists"]
+
     def test_missing_dataset_exit_code(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path / "x")]) == EXIT_DATA

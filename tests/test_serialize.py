@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -60,13 +61,13 @@ class TestModelRoundTrip:
         masks = {n: m.params[n] != 0 for n in prunable_pools(m)}
         path, old = tmp_path / "m.tsfo", tmp_path / "old.tsfo"
         save_model(m, path)
-        header, payload = split_container(path.read_bytes())
+        version, header, payload = split_container(path.read_bytes())
         assert not any(entry["name"].startswith("mask/") for entry in header["tensors"])
         header["tensors"] += [
             {"name": f"mask/{n}", "dtype": "i8", "shape": list(k.shape)} for n, k in masks.items()
         ]
         payload += b"".join(keep.astype(np.int8).tobytes() for keep in masks.values())
-        old.write_bytes(join_container(header, payload))
+        old.write_bytes(join_container(version, header, payload))
         for back in (load(path), load(old)):
             assert back.params.keys() == m.params.keys()
             assert all(back.params[n].tobytes() == m.params[n].tobytes() for n in m.params)
@@ -93,7 +94,7 @@ class TestModelRoundTrip:
         save_model(build_model(config, 0), path)
         back = load(path).config
         assert back == config and hash(back) == hash(config)
-        header, _ = split_container(path.read_bytes())
+        _, header, _ = split_container(path.read_bytes())
         assert header["meta"]["config"]["heads_per_layer"] == [2, 1]
 
     def test_split_record_survives(self, tmp_path):
@@ -155,6 +156,12 @@ class TestDatasetRoundTrip:
 # sha256 of each pinned_object container: any change to the manifest or the
 # payload layout, however small, shows here
 PINNED_SHA256 = {
+    "dataset": "412894b7a9d2a95c2552a10424acfe417488607b5f0b2d83e1e8e36558e844e1",
+    "model": "f4d08731eef389fee61a7b7ffb1910cdff33477ed45d55e48d26310a7bc064dc",
+    "static": "3a9223e39a59edb545ea03a0082aae90bf8153cddd3b04c8b483e6bfa7d5942a",
+}
+# the same containers as format version 1 wrote them, scales in the header
+VERSION_1_SHA256 = {
     "dataset": "489fc40147a78a26467ab22634259f12936b244f40c96796216a21580eb40510",
     "model": "7dd35dc6881388111b9c7585ae4d8d051a09c1e845612c75f086c8766fa3d97d",
     "static": "571b2c7c5ac01598f86e52c126f056529a899c8d690a295e7662e6201069958c",
@@ -186,7 +193,7 @@ class TestContainerFormat:
         raw = path.read_bytes()
         assert raw[:4] == MAGIC
         version, header_len = struct.unpack("<IQ", raw[4:16])
-        assert version == 1
+        assert version == 2
         header = json.loads(raw[16 : 16 + header_len])
         assert header["kind"] == "model"
         payload = raw[16 + header_len :]
@@ -230,14 +237,63 @@ class TestContainerFormat:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[kind]
 
 
-def split_container(raw: bytes) -> tuple[dict, bytes]:
-    (header_len,) = struct.unpack("<Q", raw[8:16])
-    return json.loads(raw[16 : 16 + header_len]), raw[16 + header_len :]
+def split_container(raw: bytes) -> tuple[int, dict, bytes]:
+    version, header_len = struct.unpack("<IQ", raw[4:16])
+    return version, json.loads(raw[16 : 16 + header_len]), raw[16 + header_len :]
 
 
-def join_container(header: dict, payload: bytes) -> bytes:
-    blob = json.dumps(header).encode("utf-8")
-    return MAGIC + struct.pack("<IQ", 1, len(blob)) + blob + payload
+def join_container(version: int, header: dict, payload: bytes) -> bytes:
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return MAGIC + struct.pack("<IQ", version, len(blob)) + blob + payload
+
+
+def tensor_payloads(header: dict, payload: bytes) -> list[tuple[bytes, bytes | None]]:
+    """Each manifest entry's (payload, scale payload) in a version-2 container;
+    a plain tensor's scale payload is None."""
+    itemsize = {"f32": 4, "i8": 1, "i64": 8}
+    chunks, pos = [], 0
+    for entry in header["tensors"]:
+        end = pos + math.prod(entry["shape"]) * itemsize[entry["dtype"]]
+        data, scale, pos = payload[pos:end], None, end
+        if "scale_shape" in entry:
+            end = pos + 4 * math.prod(entry["scale_shape"])
+            scale, pos = payload[pos:end], end
+        chunks.append((data, scale))
+    assert pos == len(payload)
+    return chunks
+
+
+def as_version_1(raw: bytes) -> bytes:
+    """A version-2 container in version 1's form: each scale payload moved back
+    into its entry's JSON ``scale``, a list for a vector, a number for a scalar."""
+    version, header, payload = split_container(raw)
+    assert version == 2
+    chunks = tensor_payloads(header, payload)
+    for entry, (_, scale) in zip(header["tensors"], chunks):
+        if scale is not None:
+            values = np.frombuffer(scale, dtype="<f4")
+            entry["scale"] = values.tolist() if entry.pop("scale_shape") else float(values[0])
+    return join_container(1, header, b"".join(data for data, _ in chunks))
+
+
+def assert_same(a, b):
+    """Equal field by field, arrays in dtype, shape and every byte."""
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_same(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    elif dataclasses.is_dataclass(a):
+        for field in dataclasses.fields(a):
+            assert_same(getattr(a, field.name), getattr(b, field.name))
+    else:
+        assert a == b
 
 
 @pytest.fixture(scope="module")
@@ -294,17 +350,58 @@ json_values = st.recursive(
 KINDS = ["model", "static", "dynamic", "dataset"]
 
 
+class TestVersion1Files:
+    """Files written before the scales became payloads load to the same objects."""
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_SHA256))
+    def test_version_1_form_is_what_version_1_wrote(self, tmp_path, kind):
+        path = tmp_path / kind
+        obj, save = pinned_object(kind)
+        save(obj, path)
+        raw, old = path.read_bytes(), as_version_1(path.read_bytes())
+        assert hashlib.sha256(old).hexdigest() == VERSION_1_SHA256[kind]
+        if kind != "static":  # without scales only the version word differs
+            assert old[:4] + old[8:] == raw[:4] + raw[8:]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_loads_to_the_same_objects(self, containers, tmp_path, kind):
+        raw = containers[0][kind]
+        (tmp_path / "v1").write_bytes(as_version_1(raw))
+        (tmp_path / "v2").write_bytes(raw)
+        old, new = load(tmp_path / "v1"), load(tmp_path / "v2")
+        assert_same(old, new)
+        if isinstance(new, QuantizedModel):
+            assert all(q.scale.dtype == np.float32 for q in new.weights.values())
+            xs = seeded_rng(15).normal(size=(5, 1, 16)).astype(np.float32)
+            logits = quantized_forward_batch(old, xs)
+            assert logits.tobytes() == quantized_forward_batch(new, xs).tobytes()
+
+
+# a weight with a per-column scale and a bias with a scalar one
+PER_COLUMN, SCALAR = "layers.0.attn.wq", "layers.0.attn.bq"
+
+
 class TestMalformedContainers:
     def edited(self, containers, kind, edit):
-        header, payload = split_container(containers[0][kind])
+        version, header, payload = split_container(containers[0][kind])
         edit(header)
-        return join_container(header, payload)
+        return join_container(version, header, payload)
 
-    def expect_parse_error(self, containers, raw, reader=load):
+    def expect_parse_error(self, containers, raw, reader=load, match=None):
         path = containers[1]
         path.write_bytes(raw)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=match):
             reader(path)
+
+    def scale_edited(self, containers, name, edit):
+        """The static container after ``edit(entry, scale_payload)`` of tensor
+        ``name``, which returns the tensor's new scale payload."""
+        version, header, payload = split_container(containers[0]["static"])
+        chunks = tensor_payloads(header, payload)
+        i = next(i for i, e in enumerate(header["tensors"]) if e["name"] == name)
+        data, scale = chunks[i]
+        chunks[i] = data, edit(header["tensors"][i], scale)
+        return join_container(version, header, b"".join(d + (s or b"") for d, s in chunks))
 
     @pytest.mark.parametrize("key", ["tensors", "kind", "meta"])
     def test_header_key_missing(self, containers, key):
@@ -319,6 +416,65 @@ class TestMalformedContainers:
     def test_zero_point_missing(self, containers):
         raw = self.edited(containers, "static", lambda h: h["tensors"][0].pop("zero_point"))
         self.expect_parse_error(containers, raw, read_container)
+
+    @pytest.mark.parametrize(
+        "scale_shape", ["8", None, {}, [-1], [1.5], [8.0], [True], [2, 4], [[8]]],
+        ids=["string", "null", "object", "negative", "fraction", "float", "bool", "two-axes",
+             "nested"],
+    )
+    def test_malformed_scale_shape(self, containers, scale_shape):
+        def edit(entry, scale):
+            entry["scale_shape"] = scale_shape
+            return scale
+
+        raw = self.scale_edited(containers, PER_COLUMN, edit)
+        self.expect_parse_error(containers, raw, read_container, "malformed scale_shape")
+
+    def test_huge_scale_shape(self, containers):
+        def edit(entry, scale):
+            entry["scale_shape"] = [2**40]
+            return scale
+
+        raw = self.scale_edited(containers, PER_COLUMN, edit)
+        self.expect_parse_error(containers, raw, read_container, f"scale of .* needs {2**42} bytes")
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_scale_length_is_not_the_channel_count(self, containers, extra):
+        def edit(entry, scale):
+            (n,) = entry["scale_shape"]
+            entry["scale_shape"] = [n + extra]
+            return scale[: 4 * (n + extra)] + scale[:4] * max(extra, 0)
+
+        raw = self.scale_edited(containers, PER_COLUMN, edit)
+        self.expect_parse_error(containers, raw, load, "scale length")
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [PER_COLUMN, SCALAR])
+    def test_scale_value_is_not_positive_float32(self, containers, name, value):
+        def edit(entry, scale):
+            return struct.pack("<f", value) + scale[4:]
+
+        raw = self.scale_edited(containers, name, edit)
+        self.expect_parse_error(containers, raw, read_container, "not positive float32")
+
+    @pytest.mark.parametrize("cut", [1, 2, 3])
+    def test_truncated_scale_payload(self, containers, cut):
+        _, header, _ = split_container(containers[0]["static"])
+        assert "scale_shape" in header["tensors"][-1]
+        raw = containers[0]["static"][:-cut]
+        self.expect_parse_error(containers, raw, read_container, "scale of .* needs 4 bytes")
+
+    @pytest.mark.parametrize("keep_scale_shape", [True, False], ids=["both", "header-scale-only"])
+    def test_header_scale_in_version_2(self, containers, keep_scale_shape):
+        def edit(entry, scale):
+            entry["scale"] = np.frombuffer(scale, dtype="<f4").tolist()
+            if not keep_scale_shape:
+                del entry["scale_shape"]
+                return None
+            return scale
+
+        raw = self.scale_edited(containers, PER_COLUMN, edit)
+        self.expect_parse_error(containers, raw, read_container, "header scale")
 
     def test_huge_header_length(self, containers):
         raw = containers[0]["model"]
@@ -395,7 +551,7 @@ class TestMalformedContainers:
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(KINDS), data=st.data())
     def test_header_edited(self, containers, kind, data):
-        header, payload = split_container(containers[0][kind])
+        version, header, payload = split_container(containers[0][kind])
         path = data.draw(st.sampled_from(list(json_paths(header))[1:]))
         parent = header
         for key in path[:-1]:
@@ -404,4 +560,4 @@ class TestMalformedContainers:
             del parent[path[-1]]
         else:
             parent[path[-1]] = data.draw(json_values)
-        loads_or_parse_error(containers[1], join_container(header, payload))
+        loads_or_parse_error(containers[1], join_container(version, header, payload))
